@@ -203,7 +203,8 @@ void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
 
   // Children newest-first mirrors the pre-pipeline merge order: the extra
   // input (flush memtable), then the request's inputs, then the target
-  // overlaps.
+  // overlaps. SST inputs stream past the block cache: the merge reads each
+  // block once, and caching it would only evict blocks Gets are using.
   std::vector<std::unique_ptr<Iterator>> children;
   if (extra) children.push_back(clip(extra()));
   auto add_run = [&](const std::vector<FileMetaPtr>& files) {
@@ -214,8 +215,8 @@ void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
       }
     }
     if (!in_range.empty()) {
-      children.push_back(
-          clip(std::make_unique<RunIterator>(std::move(in_range), open)));
+      children.push_back(clip(std::make_unique<RunIterator>(
+          std::move(in_range), open, SstReader::BlockFetch::kStream)));
     }
   };
   for (const auto& ri : plan.inputs) add_run(ri.files);

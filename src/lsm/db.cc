@@ -556,17 +556,15 @@ Status DB::CommitWriter(write::Writer* writer) {
   // kPut spans the whole call — queue wait, group commit, stall gate — which
   // is the latency the caller of Put/Delete/Write actually observed.
   obs::ScopedOpTimer put_timer(latency_.get(), obs::OpType::kPut);
-  if (!write_queue_->JoinAndAwaitLeadership(&w)) {
-    // Committed (or failed) by another leader; join_micros is the time this
-    // writer sat in the queue before its group's leader took it.
-    if (latency_ != nullptr) {
-      latency_->Record(obs::OpType::kGroupWait, w.join_micros);
-    }
-    return w.status;
-  }
+  const bool leader = write_queue_->JoinAndAwaitLeadership(&w);
   if (latency_ != nullptr) {
-    latency_->Record(obs::OpType::kGroupWait, w.join_micros);
+    // join_micros is when the writer blocked in the queue; it stays 0 for
+    // a writer that led at once, which waited 0 and reads no clock.
+    latency_->Record(obs::OpType::kGroupWait,
+                     w.join_micros == 0 ? 0 : NowMicros() - w.join_micros);
   }
+  // A follower was committed (or failed) by another leader.
+  if (!leader) return w.status;
 
   // ---- Leader: gate + claim (first short mutex section). ----
   write::WriteGroup group;
@@ -1089,7 +1087,8 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
     children.push_back(mem->NewIterator());
     children.push_back(std::make_unique<RunIterator>(
         target.files,
-        [this](uint64_t n) { return table_cache_->GetReader(n); }));
+        [this](uint64_t n) { return table_cache_->GetReader(n); },
+        SstReader::BlockFetch::kStream));
     auto merged = NewMergingIterator(InternalKeyComparator(),
                                      std::move(children));
     merged->SeekToFirst();

@@ -29,7 +29,8 @@ namespace obs {
 /// exposition order; kNumOpTypes sizes every per-op array.
 enum class OpType : uint8_t {
   kPut = 0,        // Whole write-path call (Put/Delete/Write), queue included.
-  kGroupWait,      // Time a writer spent queued before its group formed.
+  kGroupWait,      // Time a writer spent blocked in the write queue (0 if
+                   // it led at once), until it led or its leader finished.
   kWalAppend,      // Leader's WAL append for one commit group.
   kWalSync,        // WAL fsync (only groups that actually synced).
   kGet,            // Whole point-lookup call.

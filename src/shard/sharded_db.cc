@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "metrics/shard_stats.h"
 #include "shard/shard_iterator.h"
@@ -235,35 +234,29 @@ Status ShardedDB::Write(const WriteBatch& batch) {
   // Multi-shard batch: claim ONE contiguous range for every sub-batch and
   // publish it once after all shards applied. The watermark cannot enter
   // the range until the publish, so a cross-shard snapshot sees the whole
-  // batch or none of it. The sub-commits are independent until that
-  // publish, so they are dispatched concurrently (dedicated threads, not
-  // the shared pool — a commit can stall waiting for flushes that need
-  // pool threads) and the batch pays the slowest shard's commit latency,
-  // not the sum. On error the range is still published (burned): the
-  // failing shard latched its error and an unpublished hole would wedge
-  // the watermark — but the other shards' sub-batches ARE committed, so a
-  // failed multi-shard Write can leave the batch partially applied (see
-  // the header contract).
+  // batch or none of it. The sub-batches commit on the calling thread, in
+  // shard order, each through its shard's group commit, so a batch costs
+  // no thread creation, stacks, malloc arenas or context switches. A
+  // commit that stalls waits on this thread; the flushes it waits for run
+  // on the shared pool. Every sub-batch is attempted even after one
+  // fails. On error the range is still published
+  // (burned): the failing shard latched its error and an unpublished hole
+  // would wedge the watermark — but the other shards' sub-batches ARE
+  // committed, so a failed multi-shard Write can leave the batch partially
+  // applied (see the header contract).
   const uint64_t total = batch.Count();
   const SequenceNumber base = alloc_.Claim(total);
   SequenceNumber next = base;
-  std::vector<Status> results(shards_.size());
-  std::vector<std::thread> commits;
+  Status result;
   for (size_t i = 0; i < shards_.size(); i++) {
     const WriteBatch& sub = splitter.batches[i];
     if (sub.empty()) continue;
-    const SequenceNumber sub_base = next;
+    Status ws = shards_[i]->WriteAt(sub, next);
     next += sub.Count();
-    commits.emplace_back([this, i, &sub, sub_base, &results] {
-      results[i] = shards_[i]->WriteAt(sub, sub_base);
-    });
+    if (result.ok()) result = ws;
   }
-  for (auto& t : commits) t.join();
   alloc_.Publish(base, total);
-  for (const Status& ws : results) {
-    if (!ws.ok()) return ws;
-  }
-  return Status::OK();
+  return result;
 }
 
 Status ShardedDB::Get(const Slice& key, std::string* value) {

@@ -12,7 +12,7 @@
 //
 // Put/Delete/Get route by key. A Write whose batch spans shards claims one
 // contiguous sequence range, commits per-shard sub-batches at pre-assigned
-// offsets inside it (DB::WriteAt, dispatched concurrently), and publishes
+// offsets inside it (DB::WriteAt, on the calling thread), and publishes
 // the range once — so a successful multi-shard batch is atomic to every
 // snapshot. Failure is weaker (see Write's contract): a crash or a
 // per-shard error can leave the batch partially applied, exactly like a
@@ -62,11 +62,13 @@ class ShardedDB {
   Status Delete(const Slice& key);
   /// A batch spanning shards commits one contiguous sequence range,
   /// published once after every shard applied — so a SUCCESSFUL
-  /// multi-shard Write is atomic to every snapshot. Atomicity does not
-  /// survive failure: a crash between sub-commits (per-shard WALs, no
-  /// 2PC) or an error from one shard (the others' sub-batches are already
-  /// durably committed) can leave the batch partially applied; the error
-  /// is returned so the caller knows.
+  /// multi-shard Write is atomic to every snapshot. Sub-batches commit on
+  /// the calling thread in shard order, and each is attempted even after
+  /// an earlier one failed. Atomicity does not survive failure: a crash
+  /// between sub-commits (per-shard WALs, no 2PC) or an error from one
+  /// shard (the others' sub-batches are still committed) can leave the
+  /// batch partially applied; the first error is returned so the caller
+  /// knows.
   Status Write(const WriteBatch& batch);
   Status Get(const Slice& key, std::string* value);
   Status Get(const Slice& key, std::string* value, const Snapshot* snapshot);

@@ -8,8 +8,9 @@ namespace talus {
 
 RunIterator::RunIterator(
     std::vector<FileMetaPtr> files,
-    std::function<std::shared_ptr<SstReader>(uint64_t)> open)
-    : files_(std::move(files)), open_(std::move(open)) {}
+    std::function<std::shared_ptr<SstReader>(uint64_t)> open,
+    SstReader::BlockFetch fetch)
+    : files_(std::move(files)), open_(std::move(open)), fetch_(fetch) {}
 
 bool RunIterator::Valid() const {
   return iter_ != nullptr && iter_->Valid();
@@ -72,7 +73,7 @@ Status RunIterator::status() const {
 }
 
 void RunIterator::InitFile() {
-  iter_.reset();
+  ReleaseIter();
   reader_.reset();
   if (index_ >= files_.size()) return;
   reader_ = open_(files_[index_]->number);
@@ -80,7 +81,12 @@ void RunIterator::InitFile() {
     status_ = Status::IOError("cannot open sst reader");
     return;
   }
-  iter_ = reader_->NewIterator();
+  iter_ = reader_->NewIterator(fetch_);
+}
+
+void RunIterator::ReleaseIter() {
+  if (iter_ != nullptr && status_.ok()) status_ = iter_->status();
+  iter_.reset();
 }
 
 void RunIterator::SkipForward() {
@@ -89,7 +95,7 @@ void RunIterator::SkipForward() {
     InitFile();
     if (iter_ != nullptr) iter_->SeekToFirst();
   }
-  if (iter_ != nullptr && !iter_->Valid()) iter_.reset();
+  if (iter_ != nullptr && !iter_->Valid()) ReleaseIter();
 }
 
 void RunIterator::SkipBackward() {
@@ -98,7 +104,7 @@ void RunIterator::SkipBackward() {
     InitFile();
     if (iter_ != nullptr) iter_->SeekToLast();
   }
-  if (iter_ != nullptr && !iter_->Valid()) iter_.reset();
+  if (iter_ != nullptr && !iter_->Valid()) ReleaseIter();
 }
 
 }  // namespace talus

@@ -1,7 +1,7 @@
 // RunIterator: iterates one sorted run — a sequence of key-disjoint,
 // ordered SST files — as a single concatenated key space with lazy reader
-// opening. Shared by the DB read path (pinned scans) and the compaction
-// executor (merge inputs).
+// opening. Shared by the DB read path (pinned scans, through the block
+// cache) and by compaction and flush merges (inputs streamed past it).
 #ifndef TALUS_TABLE_RUN_ITERATOR_H_
 #define TALUS_TABLE_RUN_ITERATOR_H_
 
@@ -17,11 +17,13 @@ namespace talus {
 
 // `open` returns a pinned handle; the iterator holds the pin for the file it
 // is currently positioned in, so a table-cache eviction cannot close the
-// reader mid-iteration.
+// reader mid-iteration. `fetch` selects how every file's data blocks are
+// read (SstReader::BlockFetch).
 class RunIterator final : public Iterator {
  public:
   RunIterator(std::vector<FileMetaPtr> files,
-              std::function<std::shared_ptr<SstReader>(uint64_t)> open);
+              std::function<std::shared_ptr<SstReader>(uint64_t)> open,
+              SstReader::BlockFetch fetch = SstReader::BlockFetch::kCached);
 
   bool Valid() const override;
   void SeekToFirst() override;
@@ -35,11 +37,14 @@ class RunIterator final : public Iterator {
 
  private:
   void InitFile();
+  /// Drops the current file's iterator, keeping its error in status_.
+  void ReleaseIter();
   void SkipForward();
   void SkipBackward();
 
   std::vector<FileMetaPtr> files_;
   std::function<std::shared_ptr<SstReader>(uint64_t)> open_;
+  const SstReader::BlockFetch fetch_;
   size_t index_ = 0;
   // Declared before iter_ so the iterator (which points into the reader) is
   // destroyed first.

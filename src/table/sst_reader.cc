@@ -110,6 +110,19 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
   return Status::OK();
 }
 
+Status SstReader::ReadBlockContents(const BlockHandle& handle,
+                                    std::string* scratch, Slice* contents) {
+  scratch->resize(static_cast<size_t>(handle.size));
+  Status s = file_->Read(handle.offset, handle.size, contents,
+                         scratch->data());
+  if (!s.ok()) return s;
+  if (contents->size() != handle.size) {
+    return Status::Corruption("truncated data block");
+  }
+  data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
 bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
                     GetStats* stats, bool fast_path) {
   if (!filter_->KeyMayMatch(lkey.user_key())) {
@@ -182,10 +195,8 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
     block = cached.get();
   } else {
     static thread_local std::string scratch;
-    scratch.resize(handle.size);
     Slice contents;
-    Status rs = file_->Read(handle.offset, handle.size, &contents,
-                            scratch.data());
+    Status rs = ReadBlockContents(handle, &scratch, &contents);
     if (stats != nullptr) {
       stats->block_read = true;
       stats->cache_hit = false;
@@ -194,11 +205,6 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
       *s = rs;
       return true;
     }
-    if (contents.size() != handle.size) {
-      *s = Status::Corruption("truncated data block");
-      return true;
-    }
-    data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
     // `contents` stays valid for the rest of this call: it points either at
     // `scratch` or at memory pinned by the open file handle.
     view.emplace(contents.data(), contents.size());
@@ -265,11 +271,13 @@ bool SstReader::GetViaIterators(const LookupKey& lkey, std::string* value,
   return FinishGet(lkey, block_iter->key(), block_iter->value(), value, s);
 }
 
-// Iterates index entries, materializing one data block at a time.
+// Iterates index entries, materializing one data block at a time: a block
+// cache pin (kCached) or a view over the reused stream buffer (kStream).
 class SstReader::TwoLevelIterator final : public Iterator {
  public:
-  explicit TwoLevelIterator(SstReader* reader)
+  TwoLevelIterator(SstReader* reader, BlockFetch fetch)
       : reader_(reader),
+        fetch_(fetch),
         index_iter_(reader->index_block_->NewIterator(true)) {}
 
   bool Valid() const override {
@@ -315,9 +323,17 @@ class SstReader::TwoLevelIterator final : public Iterator {
   }
 
  private:
+  // Replaces the current block with the one index_iter_ points at (none
+  // when it is not valid).
   void InitDataBlock() {
-    block_.reset();
+    // A block iterator that stopped on a bad entry reads as exhausted;
+    // keep its error when the next block replaces it.
+    if (block_iter_ != nullptr && status_.ok()) {
+      status_ = block_iter_->status();
+    }
     block_iter_.reset();
+    block_.reset();
+    view_.reset();
     if (!index_iter_->Valid()) return;
     BlockHandle handle;
     Slice handle_value = index_iter_->value();
@@ -325,19 +341,28 @@ class SstReader::TwoLevelIterator final : public Iterator {
       status_ = Status::Corruption("bad index entry");
       return;
     }
-    bool cache_hit = false;
-    Status s = reader_->ReadDataBlock(handle, &block_, &cache_hit);
+    Status s;
+    const Block* block = nullptr;
+    if (fetch_ == BlockFetch::kStream) {
+      Slice contents;
+      s = reader_->ReadBlockContents(handle, &stream_buf_, &contents);
+      if (s.ok()) block = &view_.emplace(contents.data(), contents.size());
+    } else {
+      bool cache_hit = false;
+      s = reader_->ReadDataBlock(handle, &block_, &cache_hit);
+      block = block_.get();
+    }
     if (!s.ok()) {
       status_ = s;
       return;
     }
-    block_iter_ = block_->NewIterator(/*internal_key_order=*/true);
+    block_iter_ = block->NewIterator(/*internal_key_order=*/true);
   }
 
   void SkipEmptyBlocksForward() {
     while (block_iter_ == nullptr || !block_iter_->Valid()) {
       if (!index_iter_->Valid()) {
-        block_iter_.reset();
+        InitDataBlock();  // Drops the last block, keeping its error.
         return;
       }
       index_iter_->Next();
@@ -349,7 +374,7 @@ class SstReader::TwoLevelIterator final : public Iterator {
   void SkipEmptyBlocksBackward() {
     while (block_iter_ == nullptr || !block_iter_->Valid()) {
       if (!index_iter_->Valid()) {
-        block_iter_.reset();
+        InitDataBlock();  // Drops the first block, keeping its error.
         return;
       }
       index_iter_->Prev();
@@ -359,14 +384,20 @@ class SstReader::TwoLevelIterator final : public Iterator {
   }
 
   SstReader* reader_;
+  const BlockFetch fetch_;
   std::unique_ptr<Iterator> index_iter_;
+  // The current block: a cache pin (kCached), or a view (kStream) over
+  // stream_buf_ or the file's own memory. Declared before block_iter_,
+  // which points into it.
   std::shared_ptr<Block> block_;
+  std::string stream_buf_;
+  std::optional<Block> view_;
   std::unique_ptr<Iterator> block_iter_;
   Status status_;
 };
 
-std::unique_ptr<Iterator> SstReader::NewIterator() {
-  return std::make_unique<TwoLevelIterator>(this);
+std::unique_ptr<Iterator> SstReader::NewIterator(BlockFetch fetch) {
+  return std::make_unique<TwoLevelIterator>(this, fetch);
 }
 
 }  // namespace talus

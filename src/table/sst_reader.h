@@ -1,7 +1,8 @@
 // SstReader: read side of the SST format. The index and filter blocks are
 // pinned in memory at open (the engine-wide assumption that fence pointers
 // and Bloom filters are memory resident — at most one data-block I/O per run
-// per point lookup). Data blocks go through the shared block cache.
+// per point lookup). Foreground data-block reads go through the shared block
+// cache; compaction and flush-merge inputs stream past it (BlockFetch).
 //
 // Thread-safe after Open: Get() and NewIterator() only read the immutable
 // index/filter state, pread the file, and touch the internally locked block
@@ -45,8 +46,19 @@ class SstReader {
   bool Get(const LookupKey& lkey, std::string* value, Status* s,
            GetStats* stats = nullptr, bool fast_path = true);
 
-  /// Iterator over the whole file (internal keys).
-  std::unique_ptr<Iterator> NewIterator();
+  /// How an iterator obtains data blocks.
+  enum class BlockFetch {
+    kCached,  // Block-cache Lookup, Insert on a miss: Get and user scans.
+    kStream,  // Past the cache, into one buffer the iterator reuses for
+              // every block: compaction and flush-merge inputs, which read
+              // each block once and would only evict foreground blocks.
+  };
+
+  /// Iterator over the whole file (internal keys). The reader must outlive
+  /// it. A damaged data block surfaces through status() once the iterator
+  /// has stepped onto it, even after it moved past.
+  std::unique_ptr<Iterator> NewIterator(
+      BlockFetch fetch = BlockFetch::kCached);
 
   uint64_t num_data_blocks_read() const {
     return data_blocks_read_.load(std::memory_order_relaxed);
@@ -57,6 +69,11 @@ class SstReader {
 
   Status ReadDataBlock(const BlockHandle& handle,
                        std::shared_ptr<Block>* block, bool* cache_hit);
+  /// Uncached read of one data block. *contents points into *scratch or
+  /// into memory the open file pins, and stays valid until the next read
+  /// into *scratch.
+  Status ReadBlockContents(const BlockHandle& handle, std::string* scratch,
+                           Slice* contents);
 
   bool GetPointSearch(const LookupKey& lkey, std::string* value, Status* s,
                       GetStats* stats);

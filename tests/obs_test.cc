@@ -191,6 +191,41 @@ TEST(ObsProperty, TalusLatencyReportsPerOpPercentiles) {
   EXPECT_GE(put.Percentile(99.9), put.Percentile(99));
 }
 
+// group_wait is a span inside the put call that contains it, so no sample
+// can exceed the slowest put. (It once recorded the wall-clock time a
+// follower joined the queue, which lands every follower far above.)
+TEST(ObsProperty, GroupWaitIsBoundedByPutLatency) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.execution_mode = ExecutionMode::kBackground;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; t++) {
+    writers.emplace_back([&db, t] {
+      for (int i = 0; i < kPerThread; i++) {
+        ASSERT_TRUE(db->Put(workload::FormatKey(t * kPerThread + i, 16),
+                            std::string(64, 'v'))
+                        .ok());
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+
+  // Some writer queued behind another's group: a group held two batches.
+  const metrics::GroupCommitStats groups = db->GetGroupCommitStats();
+  ASSERT_GT(groups.batches_committed, groups.group_commits);
+
+  const std::vector<Histogram> hists = db->GetLatencyHistograms();
+  const Histogram& put = hists[static_cast<size_t>(obs::OpType::kPut)];
+  const Histogram& wait = hists[static_cast<size_t>(obs::OpType::kGroupWait)];
+  EXPECT_EQ(put.Count(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(wait.Count(), put.Count());
+  EXPECT_LE(wait.Max(), put.Max());
+}
+
 TEST(ObsProperty, DisabledStatsMeansNoRecorderAndEmptyProperty) {
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());

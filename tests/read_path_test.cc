@@ -320,6 +320,76 @@ TEST(ReadPath, ScansAndGetsDuringBackgroundMaintenance) {
   EXPECT_EQ(rows.size(), static_cast<size_t>(kKeys));
 }
 
+// Only foreground reads fill the block cache. Leveling flush merges (under
+// the mutex inline, through the compaction pipeline in background mode) and
+// CompactAll stream their inputs past it: after GETs warm the cache,
+// maintenance may neither look up nor insert a block, so the counters hold
+// and usage can only fall as deleted inputs' blocks are scrubbed.
+TEST(ReadPath, MaintenanceStreamsPastBlockCache) {
+  for (const ExecutionMode mode :
+       {ExecutionMode::kInline, ExecutionMode::kBackground}) {
+    SCOPED_TRACE(mode == ExecutionMode::kInline ? "inline" : "background");
+    auto env = NewMemEnv();
+    DbOptions opts = SmallDb(env.get(), mode);
+    opts.policy = GrowthPolicyConfig::VTLevelFull(3);  // Flushes merge.
+    opts.block_cache_bytes = 4 << 20;  // Room for every block: no evictions.
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+    std::map<std::string, std::string> model;
+    auto put = [&](int i, const std::string& value) {
+      const std::string key = workload::FormatKey(i, 16);
+      ASSERT_TRUE(db->Put(key, value).ok());
+      model[key] = value;
+    };
+    auto expect_scan_matches_model = [&] {
+      std::vector<std::pair<std::string, std::string>> rows;
+      ASSERT_TRUE(db->Scan(Slice(""), 1000000, &rows).ok());
+      ASSERT_EQ(rows.size(), model.size());
+      auto it = model.begin();
+      for (const auto& [k, v] : rows) {
+        EXPECT_EQ(k, it->first);
+        EXPECT_EQ(v, it->second);
+        ++it;
+      }
+    };
+
+    for (int i = 0; i < 600; i++) put(i, "v1-" + std::to_string(i));
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    expect_scan_matches_model();
+    for (const auto& [k, v] : model) {
+      std::string value;
+      ASSERT_TRUE(db->Get(k, &value).ok());
+      EXPECT_EQ(value, v);
+    }
+
+    LruCache* cache = db->block_cache();
+    const uint64_t hits = cache->hits();
+    const uint64_t misses = cache->misses();
+    const size_t usage = cache->usage();
+    ASSERT_GT(hits + misses, 0u);
+    ASSERT_GT(usage, 0u);
+    // stats() is unsynchronized, so only inline mode reads it here.
+    const bool inline_mode = mode == ExecutionMode::kInline;
+    const EngineStats before = inline_mode ? db->stats() : EngineStats();
+
+    // Overwrites fill several memtables, each flushed by a merge into level
+    // 0's run; CompactAll then merges the whole tree.
+    for (int i = 0; i < 600; i += 2) put(i, "v2-" + std::to_string(i));
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    ASSERT_TRUE(db->CompactAll().ok());
+    if (inline_mode) {
+      EXPECT_GT(db->stats().flushes, before.flushes + 1);
+      EXPECT_GT(db->stats().compactions, before.compactions);
+    }
+
+    EXPECT_EQ(cache->hits(), hits);
+    EXPECT_EQ(cache->misses(), misses);
+    EXPECT_LE(cache->usage(), usage);
+    expect_scan_matches_model();
+  }
+}
+
 TEST(ReadPath, OrphanedSstsSweptAtOpen) {
   auto env = NewMemEnv();
   {

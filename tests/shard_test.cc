@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "env/fault_env.h"
 #include "lsm/db.h"
 #include "shard/sequence_allocator.h"
 #include "shard/shard_manifest.h"
@@ -256,6 +257,50 @@ TEST(ShardedDB, MultiShardBatchIsAtomicInSnapshots) {
     EXPECT_EQ(left, right) << "round " << round;
     db->ReleaseSnapshot(snap);
   }
+}
+
+// A multi-shard batch whose second sub-batch fails its WAL append. The
+// sub-batches commit in shard order on the caller's thread, so the failure
+// lands deterministically on shard 1 after shard 0 committed.
+TEST(ShardedDB, MultiShardBatchWithFailingShard) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  DbOptions opts = Opts(&env, "/failing");
+  opts.write_buffer_size = 1 << 20;  // No flush: WAL appends are the only
+                                     // mutating calls while armed.
+  opts.shard_count = 2;
+  opts.shard_split_points = SplitPoints(2, 1000);
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  ASSERT_TRUE(db->Put(Key(7), "old").ok());
+  ASSERT_TRUE(db->Put(Key(507), "old").ok());
+
+  WriteBatch batch;
+  batch.Put(Key(7), "new");    // Shard 0.
+  batch.Put(Key(507), "new");  // Shard 1.
+  const SequenceNumber visible = db->VisibleSequence();
+  // Shard 0's WAL record is two appends (header, payload; kNone never
+  // syncs); shard 1's first append fails.
+  env.FailAfterWrites(2);
+  Status s = db->Write(batch);
+  env.Disarm();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+
+  // The range was burned, not left as a hole: the watermark passed it.
+  EXPECT_EQ(db->VisibleSequence(), visible + batch.Count());
+  // Documented partial apply: shard 0's sub-batch committed, shard 1's not.
+  std::string value;
+  ASSERT_TRUE(db->Get(Key(7), &value).ok());
+  EXPECT_EQ(value, "new");
+  ASSERT_TRUE(db->Get(Key(507), &value).ok());
+  EXPECT_EQ(value, "old");
+
+  // Shard 0 keeps accepting writes, and they become readable; shard 1
+  // latched its WAL error and refuses writes until reopened.
+  ASSERT_TRUE(db->Put(Key(8), "after").ok());
+  ASSERT_TRUE(db->Get(Key(8), &value).ok());
+  EXPECT_EQ(value, "after");
+  EXPECT_FALSE(db->Put(Key(508), "after").ok());
 }
 
 // ---- Cross-shard snapshot consistency under concurrent writers -------------

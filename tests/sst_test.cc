@@ -5,9 +5,13 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "env/env.h"
 #include "lsm/dbformat.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace talus {
@@ -245,6 +249,181 @@ TEST(Sst, GetStatsIdenticalAcrossPaths) {
     if (d1) {
       EXPECT_EQ(s1.ok(), s2.ok());
       EXPECT_EQ(v1, v2);
+    }
+  }
+}
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+// Walks `iter` front to back.
+Entries Drain(Iterator* iter) {
+  Entries out;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    out.emplace_back(iter->key().ToString(), iter->value().ToString());
+  }
+  return out;
+}
+
+// The streaming iterator (compaction inputs) reads exactly what the cached
+// one does, and never looks up, inserts or charges the block cache.
+void ExpectStreamMatchesCached(SstReader* reader, LruCache* cache) {
+  auto stream = reader->NewIterator(SstReader::BlockFetch::kStream);
+  const Entries streamed = Drain(stream.get());
+  ASSERT_TRUE(stream->status().ok()) << stream->status().ToString();
+  EXPECT_EQ(cache->hits() + cache->misses(), 0u);
+  EXPECT_EQ(cache->usage(), 0u);
+  EXPECT_GT(reader->num_data_blocks_read(), 1u);
+
+  // Seeks land where the cached iterator's do.
+  auto cached = reader->NewIterator();
+  const Slice mid(streamed[streamed.size() / 2].first);
+  stream->Seek(mid);
+  cached->Seek(mid);
+  ASSERT_TRUE(stream->Valid());
+  ASSERT_TRUE(cached->Valid());
+  EXPECT_EQ(stream->key().ToString(), cached->key().ToString());
+
+  EXPECT_EQ(Drain(cached.get()), streamed);
+  EXPECT_GT(cache->usage(), 0u);  // The cached scan did fill it.
+}
+
+TEST(Sst, StreamingIteratorBypassesBlockCache) {
+  SstFixture fx;
+  fx.Build(3000, 10.0, /*block_size=*/512);
+  ExpectStreamMatchesCached(fx.reader.get(), &fx.cache);
+}
+
+// On a posix file the block bytes land in the iterator's reused buffer
+// rather than in memory the file pins.
+TEST(Sst, StreamingIteratorOnPosixEnv) {
+  Env* env = Env::Default();
+  const std::string dir = ::testing::TempDir() + "talus_sst_stream_test";
+  ASSERT_TRUE(env->CreateDirIfMissing(dir).ok());
+  const std::string fname = dir + "/000009.sst";
+  SstBuilderOptions opts;
+  opts.block_size = 512;
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile(fname, &file).ok());
+  SstBuilder builder(opts, std::move(file));
+  for (int i = 0; i < 2000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "stream%06d", i);
+    // Values of varying length give blocks of varying size.
+    builder.Add(InternalKey(key, i + 1, kTypeValue).Encode(),
+                std::string(1 + i % 97, static_cast<char>('a' + i % 26)));
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+
+  LruCache cache(1 << 20);
+  std::unique_ptr<SstReader> reader;
+  ASSERT_TRUE(SstReader::Open(env, fname, 9, &cache, &reader).ok());
+  ExpectStreamMatchesCached(reader.get(), &cache);
+  reader.reset();
+  env->RemoveFile(fname);
+}
+
+// An SST image and the data-block handles its index names, each with the
+// image offset of the handle's encoded size.
+struct SstImage {
+  std::string bytes;
+  struct Entry {
+    BlockHandle handle;
+    size_t size_pos = 0;
+  };
+  std::vector<Entry> blocks;
+};
+
+SstImage ReadImage(Env* env, const std::string& fname) {
+  SstImage image;
+  std::unique_ptr<SequentialFile> in;
+  EXPECT_TRUE(env->NewSequentialFile(fname, &in).ok());
+  std::string scratch(1 << 16, '\0');
+  Slice chunk;
+  while (in->Read(scratch.size(), &chunk, scratch.data()).ok() &&
+         !chunk.empty()) {
+    image.bytes.append(chunk.data(), chunk.size());
+  }
+  const std::string& b = image.bytes;
+  Footer footer;
+  EXPECT_TRUE(footer
+                  .DecodeFrom(Slice(b.data() + b.size() - Footer::kEncodedLength,
+                                    Footer::kEncodedLength))
+                  .ok());
+  Block index(b.data() + footer.index_handle.offset,
+              static_cast<size_t>(footer.index_handle.size));
+  auto it = index.NewIterator(/*internal_key_order=*/true);
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    Slice value = it->value();
+    SstImage::Entry e;
+    uint64_t offset = 0;
+    Slice size_part = value;
+    EXPECT_TRUE(GetVarint64(&size_part, &offset));
+    e.size_pos = static_cast<size_t>(size_part.data() - b.data());
+    EXPECT_TRUE(e.handle.DecodeFrom(&value));
+    image.blocks.push_back(e);
+  }
+  return image;
+}
+
+void WriteImage(Env* env, const std::string& fname, const std::string& bytes) {
+  std::unique_ptr<WritableFile> out;
+  ASSERT_TRUE(env->NewWritableFile(fname, &out).ok());
+  ASSERT_TRUE(out->Append(bytes).ok());
+  ASSERT_TRUE(out->Close().ok());
+}
+
+// A damaged data block must fail the scan through status() on both fetch
+// paths, not end it early as if the file were shorter: a compaction that
+// took a silent early end for the end of its input would drop live data.
+TEST(Sst, IteratorsSurfaceDamagedDataBlocks) {
+  auto env = NewMemEnv();
+  SstBuilderOptions opts;
+  opts.block_size = 1024;
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile("/good.sst", &file).ok());
+  SstBuilder builder(opts, std::move(file));
+  for (int i = 0; i < 3000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "user%08d", i);
+    builder.Add(InternalKey(key, i + 1, kTypeValue).Encode(),
+                "value-" + std::to_string(i));
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  const SstImage image = ReadImage(env.get(), "/good.sst");
+  ASSERT_GT(image.blocks.size(), 4u);
+
+  // Truncated: the last block's handle claims more bytes than the file
+  // holds (the same two-byte varint, so the index stays well formed).
+  std::string truncated = image.bytes;
+  const SstImage::Entry& last = image.blocks.back();
+  ASSERT_GT(last.handle.offset + 0x3fff, truncated.size());
+  ASSERT_EQ(static_cast<unsigned char>(truncated[last.size_pos]) & 0x80,
+            0x80);
+  truncated[last.size_pos] = '\xff';
+  truncated[last.size_pos + 1] = '\x7f';
+  WriteImage(env.get(), "/truncated.sst", truncated);
+
+  // Garbled: a middle block's restart count points past its own bytes.
+  std::string garbled = image.bytes;
+  const BlockHandle& mid = image.blocks[image.blocks.size() / 2].handle;
+  for (size_t i = 0; i < 4; i++) {
+    garbled[static_cast<size_t>(mid.offset + mid.size) - 4 + i] = '\xff';
+  }
+  WriteImage(env.get(), "/garbled.sst", garbled);
+
+  for (const char* fname : {"/truncated.sst", "/garbled.sst"}) {
+    for (const auto fetch :
+         {SstReader::BlockFetch::kCached, SstReader::BlockFetch::kStream}) {
+      SCOPED_TRACE(std::string(fname) + " stream=" +
+                   std::to_string(fetch == SstReader::BlockFetch::kStream));
+      LruCache cache(1 << 20);
+      std::unique_ptr<SstReader> reader;
+      ASSERT_TRUE(SstReader::Open(env.get(), fname, 1, &cache, &reader).ok());
+      auto iter = reader->NewIterator(fetch);
+      const Entries entries = Drain(iter.get());
+      EXPECT_GT(entries.size(), 0u);  // Blocks before the damage still read.
+      EXPECT_LT(entries.size(), 3000u);
+      EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
     }
   }
 }
