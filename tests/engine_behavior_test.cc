@@ -3,7 +3,10 @@
 // virtual clock moves the way the cost model says it should.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "env/env.h"
 #include "lsm/db.h"
@@ -212,6 +215,239 @@ TEST(DataBytes, TracksLivePayloadApproximately) {
   // Bounded above by a small multiple (shadowed versions across runs).
   EXPECT_LT(approx, static_cast<uint64_t>(n) * entry * 3);
 }
+
+// ---- Golden kInline fingerprint ------------------------------------------
+// kInline is the paper-reproduction mode: every figure depends on it being
+// deterministic down to the byte. These cases pin the exact on-disk shape,
+// I/O counters and virtual clock a fixed-seed Put/Delete/Get stream leaves
+// behind, so any refactor of flush or compaction that shifts a file number,
+// an output cut, a run id or a manifest write fails here. The expected
+// values were recorded before the flush moved onto the compaction pipeline
+// and must not be edited to make a refactor pass.
+
+struct GoldenFingerprint {
+  std::string version;  // Version::DebugString().
+  uint64_t files = 0;   // Live SST count.
+  uint64_t files_hash = 0;  // FNV-1a over every live file's (number, size).
+  uint64_t io_bytes_read = 0, io_bytes_written = 0;
+  uint64_t io_read_requests = 0, io_write_requests = 0;
+  uint64_t clock_bits = 0;  // IoStats::clock(), bit pattern of the double.
+  uint64_t flushes = 0, compactions = 0;
+  uint64_t flush_bytes_read = 0, flush_bytes_written = 0;
+  uint64_t compaction_bytes_read = 0, compaction_bytes_written = 0;
+};
+
+struct GoldenCase {
+  const char* name;
+  GrowthPolicyConfig policy;
+  GoldenFingerprint expected;
+};
+
+uint64_t Fnv1a(uint64_t hash, uint64_t v) {
+  for (int i = 0; i < 8; i++) {
+    hash ^= (v >> (8 * i)) & 0xff;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
+  auto env = NewMemEnv();
+  DbOptions opts = BaseOptions(env.get(), "/golden");
+  opts.policy = policy;
+  opts.execution_mode = ExecutionMode::kInline;
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(opts, &db).ok());
+  if (db == nullptr) return GoldenFingerprint();
+
+  Random rnd(20251017);
+  const Snapshot* snap = nullptr;
+  std::string value;
+  for (int i = 0; i < 6000; i++) {
+    if (i == 2000) snap = db->GetSnapshot();  // Pins versions in merges.
+    if (i == 4000) db->ReleaseSnapshot(snap);
+    const std::string key = workload::FormatKey(rnd.Uniform(2000), 16);
+    const uint64_t op = rnd.Uniform(8);
+    if (op == 0) {
+      EXPECT_TRUE(db->Delete(key).ok());
+    } else if (op == 1) {
+      db->Get(key, &value);
+    } else {
+      EXPECT_TRUE(
+          db->Put(key, workload::MakeValue(i, 0, 100 + rnd.Uniform(200)))
+              .ok());
+    }
+  }
+  EXPECT_TRUE(db->FlushMemTable().ok());
+
+  GoldenFingerprint fp;
+  const Version& v = db->current_version();
+  fp.version = v.DebugString();
+  fp.files_hash = 0xCBF29CE484222325ull;
+  for (const auto& level : v.levels) {
+    for (const auto& run : level.runs) {
+      for (const auto& f : run.files) {
+        fp.files++;
+        fp.files_hash = Fnv1a(Fnv1a(fp.files_hash, f->number), f->file_size);
+      }
+    }
+  }
+  const IoStats* io = env->io_stats();
+  fp.io_bytes_read = io->bytes_read();
+  fp.io_bytes_written = io->bytes_written();
+  fp.io_read_requests = io->read_requests();
+  fp.io_write_requests = io->write_requests();
+  const double clock = io->clock();
+  std::memcpy(&fp.clock_bits, &clock, sizeof(clock));
+  const EngineStats& st = db->stats();
+  fp.flushes = st.flushes;
+  fp.compactions = st.compactions;
+  fp.flush_bytes_read = st.flush_bytes_read;
+  fp.flush_bytes_written = st.flush_bytes_written;
+  fp.compaction_bytes_read = st.compaction_bytes_read;
+  fp.compaction_bytes_written = st.compaction_bytes_written;
+  return fp;
+}
+
+// Renders a fingerprint as the initializer that would pin it, so a failure
+// message shows every field side by side with the expectation.
+std::string FormatFingerprint(const GoldenFingerprint& fp) {
+  std::string version;
+  for (char c : fp.version) {
+    if (c == '\n') {
+      version += "\\n";
+    } else {
+      version += c;
+    }
+  }
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf),
+                "{\"%s\", %" PRIu64 ", 0x%016" PRIx64 "ull, %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64
+                "ull, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 "}",
+                version.c_str(), fp.files, fp.files_hash, fp.io_bytes_read,
+                fp.io_bytes_written, fp.io_read_requests,
+                fp.io_write_requests, fp.clock_bits, fp.flushes,
+                fp.compactions, fp.flush_bytes_read, fp.flush_bytes_written,
+                fp.compaction_bytes_read, fp.compaction_bytes_written);
+  return buf;
+}
+
+class GoldenInlineTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenInlineTest, FingerprintIsBitIdentical) {
+  const GoldenCase& c = GetParam();
+  const GoldenFingerprint got = RunGoldenWorkload(c.policy);
+  const GoldenFingerprint& want = c.expected;
+  SCOPED_TRACE("actual: " + FormatFingerprint(got));
+  EXPECT_EQ(got.version, want.version);
+  EXPECT_EQ(got.files, want.files);
+  EXPECT_EQ(got.files_hash, want.files_hash);
+  EXPECT_EQ(got.io_bytes_read, want.io_bytes_read);
+  EXPECT_EQ(got.io_bytes_written, want.io_bytes_written);
+  EXPECT_EQ(got.io_read_requests, want.io_read_requests);
+  EXPECT_EQ(got.io_write_requests, want.io_write_requests);
+  EXPECT_EQ(got.clock_bits, want.clock_bits);
+  EXPECT_EQ(got.flushes, want.flushes);
+  EXPECT_EQ(got.compactions, want.compactions);
+  EXPECT_EQ(got.flush_bytes_read, want.flush_bytes_read);
+  EXPECT_EQ(got.flush_bytes_written, want.flush_bytes_written);
+  EXPECT_EQ(got.compaction_bytes_read, want.compaction_bytes_read);
+  EXPECT_EQ(got.compaction_bytes_written, want.compaction_bytes_written);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, GoldenInlineTest,
+    ::testing::Values(
+        GoldenCase{"VTLevelPart", GrowthPolicyConfig::VTLevelPart(4),
+                   {"L0:\n"
+                    "  run 1: 4 files, 31722 bytes, 144 entries\n"
+                    "L1:\n"
+                    "  run 2: 14 files, 121716 bytes, 629 entries\n"
+                    "L2:\n"
+                    "  run 3: 40 files, 340200 bytes, 1510 entries\n"
+                    "L3: (empty)\n",
+                    58, 0xa0c94cb5ecae5eacull,
+                    9454079, 11364277, 11363, 22595,
+                    0x40b7f8119ccccdbdull,
+                    121, 185,
+                    4349819, 4256141,
+                    5519830, 4988260}},
+        GoldenCase{"VTTierFull", GrowthPolicyConfig::VTTierFull(4),
+                   {"L0:\n"
+                    "  run 159: 1 files, 1025 bytes, 6 entries\n"
+                    "L1:\n"
+                    "  run 158: 4 files, 33605 bytes, 156 entries\n"
+                    "  run 153: 4 files, 32499 bytes, 157 entries\n"
+                    "L2:\n"
+                    "  run 148: 13 files, 118045 bytes, 617 entries\n"
+                    "  run 127: 12 files, 112094 bytes, 579 entries\n"
+                    "  run 106: 15 files, 136578 bytes, 680 entries\n"
+                    "L3:\n"
+                    "  run 85: 46 files, 433027 bytes, 2068 entries\n"
+                    "L4: (empty)\n",
+                    95, 0x3c10c9b5e92b31c3ull,
+                    3310401, 4995300, 4014, 14955,
+                    0x40a7daa3f4ccce8dull,
+                    121, 38,
+                    1039790, 1029186,
+                    2480919, 2302787}},
+        GoldenCase{"HRLevel", GrowthPolicyConfig::HRLevel(),
+                   {"L0: (empty)\n"
+                    "L1:\n"
+                    "  run 46: 1 files, 1025 bytes, 6 entries\n"
+                    "L2:\n"
+                    "  run 2: 39 files, 358058 bytes, 1583 entries\n",
+                    40, 0xfb784008ecd0079cull,
+                    6268345, 7433288, 7339, 18030,
+                    0x40ad4228ee6668e8ull,
+                    121, 37,
+                    2813785, 2759202,
+                    3827115, 3157814}},
+        GoldenCase{"LazyLevel", GrowthPolicyConfig::LazyLeveling(),
+                   {"L0:\n"
+                    "  run 144: 1 files, 1025 bytes, 6 entries\n"
+                    "L1:\n"
+                    "  run 143: 6 files, 49211 bytes, 234 entries\n"
+                    "  run 136: 6 files, 48731 bytes, 252 entries\n"
+                    "L2:\n"
+                    "  run 129: 23 files, 208940 bytes, 1076 entries\n"
+                    "  run 86: 33 files, 305411 bytes, 1543 entries\n"
+                    "  run 43: 23 files, 210545 bytes, 938 entries\n"
+                    "L3: (empty)\n",
+                    92, 0x83d1dbbc52b5e51full,
+                    2760072, 4349587, 3340, 14207,
+                    0x40a5ed3a000001a4ull,
+                    121, 23,
+                    1039790, 1029186,
+                    1926573, 1710669}},
+        GoldenCase{"Vertiorizon6", GrowthPolicyConfig::Vertiorizon(6),
+                   {"L0:\n"
+                    "  run 143: 1 files, 1025 bytes, 6 entries\n"
+                    "  run 142: 1 files, 8157 bytes, 40 entries\n"
+                    "  run 141: 1 files, 8760 bytes, 38 entries\n"
+                    "  run 140: 1 files, 8512 bytes, 43 entries\n"
+                    "  run 139: 1 files, 8703 bytes, 36 entries\n"
+                    "L1: (empty)\n"
+                    "L2: (empty)\n"
+                    "L3: (empty)\n"
+                    "L4: (empty)\n"
+                    "L5: (empty)\n"
+                    "L6: (empty)\n"
+                    "L7: (empty)\n"
+                    "L8:\n"
+                    "  run 21: 38 files, 349394 bytes, 1552 entries\n"
+                    "L9: (empty)\n",
+                    43, 0xb60041ad01083754ull,
+                    4390264, 5506060, 5130, 15717,
+                    0x40aa0f63c9999b73ull,
+                    121, 28,
+                    1039790, 1029186,
+                    3648614, 2982710}}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace talus
