@@ -93,9 +93,7 @@ CompactionExecutor::CompactionExecutor(OutputShape shape,
                                        read::TableCache* table_cache)
     : shape_(std::move(shape)), table_cache_(table_cache) {}
 
-Status CompactionExecutor::Run(const CompactionPlan& plan,
-                               const ExtraInputFactory& extra,
-                               Result* result) {
+Status CompactionExecutor::Run(const CompactionPlan& plan, Result* result) {
   *result = Result();
   if (plan.empty()) return Status::OK();
 
@@ -127,10 +125,10 @@ Status CompactionExecutor::Run(const CompactionPlan& plan,
   result->fanout = n;
   subs_scheduled_.fetch_add(n, std::memory_order_relaxed);
 
-  auto drain = [this, state, &plan, &extra] {
+  auto drain = [this, state, &plan] {
     for (size_t i = state->next.fetch_add(1); i < state->subs.size();
          i = state->next.fetch_add(1)) {
-      RunSubcompaction(plan, extra, &state->subs[i]);
+      RunSubcompaction(plan, &state->subs[i]);
     }
   };
 
@@ -178,8 +176,10 @@ Status CompactionExecutor::Run(const CompactionPlan& plan,
     result->bytes_read += sub.bytes_read;
     if (status.ok() && !sub.status.ok()) status = sub.status;
   }
-  if (extra) {
-    flush_merges_.fetch_add(1, std::memory_order_relaxed);
+  if (plan.memtable) {
+    if (plan.target_run_id.has_value()) {
+      flush_merges_.fetch_add(1, std::memory_order_relaxed);
+    }
   } else {
     compactions_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(fanout_mu_);
@@ -189,7 +189,6 @@ Status CompactionExecutor::Run(const CompactionPlan& plan,
 }
 
 void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
-                                          const ExtraInputFactory& extra,
                                           Subcompaction* sub) {
   subs_active_.fetch_add(1, std::memory_order_relaxed);
 
@@ -201,12 +200,11 @@ void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
         std::move(base), sub->has_begin, sub->begin, sub->has_end, sub->end));
   };
 
-  // Children newest-first mirrors the pre-pipeline merge order: the extra
-  // input (flush memtable), then the request's inputs, then the target
-  // overlaps. SST inputs stream past the block cache: the merge reads each
+  // Children newest-first: a flush's memtable, then the request's inputs,
+  // then the target overlaps. SST inputs stream past the block cache: the merge reads each
   // block once, and caching it would only evict blocks Gets are using.
   std::vector<std::unique_ptr<Iterator>> children;
-  if (extra) children.push_back(clip(extra()));
+  if (plan.memtable) children.push_back(clip(plan.memtable()));
   auto add_run = [&](const std::vector<FileMetaPtr>& files) {
     std::vector<FileMetaPtr> in_range;
     for (const auto& f : files) {

@@ -1,7 +1,9 @@
-// Merge stage of the compaction pipeline (DESIGN.md §2.8). Executes a
-// CompactionPlan with NO DB mutex: the plan's FileMetaPtr references pin the
+// Merge stage of the maintenance pipeline (DESIGN.md §2.8). Executes a
+// CompactionPlan — a compaction, or a flush whose newest input is the
+// memtable — with NO DB mutex: the plan's FileMetaPtr references pin the
 // input SSTs, readers come from the table cache, and file numbers come from
-// the shared atomic counter, so nothing here touches engine state.
+// the shared atomic counter, so nothing here touches engine state. Whether
+// the caller actually released the mutex is its business (DESIGN.md §2.1).
 //
 // The key space is split at the plan's boundaries into key-range
 // subcompactions. With a thread pool attached (kBackground mode) the
@@ -13,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,11 +33,6 @@ namespace compaction {
 
 class CompactionExecutor {
  public:
-  /// Optional newest merge input built fresh per subcompaction — the
-  /// immutable memtable of a leveling flush merge. Must produce iterators
-  /// that stay valid for the executor's whole Run() call.
-  using ExtraInputFactory = std::function<std::unique_ptr<Iterator>()>;
-
   struct Result {
     /// Output files in global key order (subcompaction ranges concatenated).
     /// On failure this still lists every finished file so the caller can
@@ -54,11 +50,10 @@ class CompactionExecutor {
   /// runs every subcompaction serially on the caller's thread.
   void SetPool(exec::ThreadPool* pool) { pool_ = pool; }
 
-  /// Executes the plan's merge stage. `extra` (may be null) contributes the
-  /// newest input to every subcompaction's merge. Thread-safe; does not
+  /// Executes the plan's merge stage. A flush plan's memtable contributes
+  /// the newest input to every subcompaction's merge. Thread-safe; does not
   /// take the DB mutex.
-  Status Run(const CompactionPlan& plan, const ExtraInputFactory& extra,
-             Result* result);
+  Status Run(const CompactionPlan& plan, Result* result);
 
   metrics::SubcompactionStats GetStats() const;
 
@@ -71,8 +66,7 @@ class CompactionExecutor {
     Status status;
   };
 
-  void RunSubcompaction(const CompactionPlan& plan,
-                        const ExtraInputFactory& extra, Subcompaction* sub);
+  void RunSubcompaction(const CompactionPlan& plan, Subcompaction* sub);
 
   const OutputShape shape_;
   read::TableCache* table_cache_;
@@ -82,9 +76,10 @@ class CompactionExecutor {
   std::atomic<uint64_t> subs_scheduled_{0};
   std::atomic<uint64_t> subs_completed_{0};
   std::atomic<size_t> subs_active_{0};
-  // Runs with an extra input are leveling flush merges, counted apart from
-  // compactions so the fanout histogram measures compaction parallelism
-  // only (under leveling policies flush merges would otherwise dominate).
+  // Flush plans that merge into a level-0 run are flush merges, counted
+  // apart from compactions so the fanout histogram measures compaction
+  // parallelism only (under leveling policies flush merges would otherwise
+  // dominate). A flush into a new run is neither.
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> flush_merges_{0};
   mutable std::mutex fanout_mu_;

@@ -39,6 +39,10 @@ bool PlanStillValid(const CompactionPlan& plan, const Version& current) {
     const SortedRun* target =
         current.levels[plan.output_level].FindRun(*plan.target_run_id);
     if (target == nullptr) return false;
+    // A flush rewrites the whole target run: any change to it conflicts.
+    if (plan.memtable && target->files.size() != plan.target_overlaps.size()) {
+      return false;
+    }
     std::vector<size_t> overlap_idx = target->OverlappingFiles(
         Slice(plan.min_user), Slice(plan.max_user));
     if (overlap_idx.size() != plan.target_overlaps.size()) return false;
@@ -49,9 +53,11 @@ bool PlanStillValid(const CompactionPlan& plan, const Version& current) {
       }
     }
   } else if (plan.placement == CompactionRequest::Placement::kFront &&
-             plan.output_level == 0) {
+             plan.output_level == 0 && !plan.memtable) {
     // Level 0 is the only level a concurrent flush reshapes; a front insert
-    // is ordering-correct only if the run sequence is unchanged.
+    // is ordering-correct only if the run sequence is unchanged. A flush's
+    // own output is the newest data by construction and always belongs at
+    // the front, whatever compactions installed meanwhile.
     if (current.levels.empty()) return false;
     const auto& runs = current.levels[0].runs;
     if (runs.size() != plan.output_level_run_ids.size()) return false;

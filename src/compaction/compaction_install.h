@@ -24,9 +24,12 @@ namespace compaction {
 ///  * the target run (if any) still exists and its files overlapping the
 ///    plan's key range are exactly the planned target_overlaps (no new
 ///    overlap flushed in, none consumed by someone else);
-///  * for front placement into level 0 with no target, the level's run
-///    ordering is unchanged (a concurrent flush prepending a run would make
-///    a front insert misorder newest-first data).
+///  * for a flush's merge target, additionally no file beyond the planned
+///    ones (the flush rewrites the run whole);
+///  * for a compaction's front placement into level 0 with no target, the
+///    level's run ordering is unchanged (a concurrent flush prepending a
+///    run would make a front insert misorder newest-first data). A flush
+///    with no target never conflicts: its output is the newest data.
 /// Returns false on any mismatch: the caller deletes the merge outputs and
 /// retries from the plan stage against the fresh version.
 bool PlanStillValid(const CompactionPlan& plan, const Version& current);

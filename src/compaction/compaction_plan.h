@@ -1,5 +1,6 @@
 // CompactionPlan: the immutable contract between the three stages of the
-// compaction pipeline (DESIGN.md §2.8):
+// maintenance pipeline (DESIGN.md §2.8). Every flush and every compaction
+// is a plan; a flush is the plan whose newest input is the memtable.
 //
 //   plan    — built under the DB mutex by PlanCompaction() against a pinned
 //             base Version: input file refs, target overlaps, tombstone-GC
@@ -16,6 +17,8 @@
 #define TALUS_COMPACTION_COMPACTION_PLAN_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,9 +26,14 @@
 #include "lsm/dbformat.h"
 #include "lsm/version.h"
 #include "policy/growth_policy.h"
+#include "table/iterator.h"
 
 namespace talus {
 namespace compaction {
+
+/// Builds an iterator over a flush's immutable memtable. Called once per
+/// subcompaction; every iterator must stay valid for the whole merge.
+using MemTableInput = std::function<std::unique_ptr<Iterator>()>;
 
 struct CompactionPlan {
   /// One resolved input: a whole run or a subset of its files. The files
@@ -38,6 +46,10 @@ struct CompactionPlan {
   };
 
   std::vector<Input> inputs;
+  /// A flush's newest input; null for compactions. A flush with a merge
+  /// target merges the whole target run (target_overlaps holds all of its
+  /// files); one without creates a new front run of level 0.
+  MemTableInput memtable;
   int output_level = 0;
   CompactionRequest::Placement placement =
       CompactionRequest::Placement::kFront;
@@ -52,8 +64,8 @@ struct CompactionPlan {
   double bits_per_key = 0;
   SequenceNumber smallest_snapshot = 0;
 
-  /// User-key range covered by the inputs. have_range == false means the
-  /// plan is empty (nothing to merge).
+  /// User-key range covered by the SST inputs (and a flush's target run).
+  /// have_range == false with no memtable means the plan is empty.
   std::string min_user, max_user;
   bool have_range = false;
 
@@ -72,7 +84,7 @@ struct CompactionPlan {
 
   std::string reason;
 
-  bool empty() const { return !have_range; }
+  bool empty() const { return !have_range && !memtable; }
 };
 
 }  // namespace compaction

@@ -14,6 +14,26 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
   plan->reason = req.reason;
   plan->bits_per_key = ctx.bits_per_key;
   plan->smallest_snapshot = ctx.smallest_snapshot;
+  plan->memtable = ctx.memtable;
+
+  auto cover = [plan](const std::vector<FileMetaPtr>& files) {
+    for (const auto& f : files) {
+      Slice lo = f->smallest.user_key();
+      Slice hi = f->largest.user_key();
+      if (!plan->have_range) {
+        plan->min_user = lo.ToString();
+        plan->max_user = hi.ToString();
+        plan->have_range = true;
+      } else {
+        if (lo.compare(Slice(plan->min_user)) < 0) {
+          plan->min_user = lo.ToString();
+        }
+        if (hi.compare(Slice(plan->max_user)) > 0) {
+          plan->max_user = hi.ToString();
+        }
+      }
+    }
+  };
 
   // ---- Resolve input files. ----
   for (const auto& in : req.inputs) {
@@ -40,25 +60,10 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
         return Status::InvalidArgument("compaction input file not found");
       }
     }
-    for (const auto& f : ri.files) {
-      Slice lo = f->smallest.user_key();
-      Slice hi = f->largest.user_key();
-      if (!plan->have_range) {
-        plan->min_user = lo.ToString();
-        plan->max_user = hi.ToString();
-        plan->have_range = true;
-      } else {
-        if (lo.compare(Slice(plan->min_user)) < 0) {
-          plan->min_user = lo.ToString();
-        }
-        if (hi.compare(Slice(plan->max_user)) > 0) {
-          plan->max_user = hi.ToString();
-        }
-      }
-    }
+    cover(ri.files);
     plan->inputs.push_back(std::move(ri));
   }
-  if (!plan->have_range) return Status::OK();  // Empty plan: nothing to do.
+  if (plan->empty()) return Status::OK();  // Nothing to do.
 
   // ---- Resolve the output target (leveling-style merge). ----
   const LevelState* out_level =
@@ -73,9 +78,15 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
       return Status::InvalidArgument("compaction output run not found");
     }
     plan->target_run_id = *req.output_run_id;
-    for (size_t idx : target_run->OverlappingFiles(Slice(plan->min_user),
-                                                   Slice(plan->max_user))) {
-      plan->target_overlaps.push_back(target_run->files[idx]);
+    if (plan->memtable) {
+      // A flush rewrites its target run whole, keeping the run's id.
+      plan->target_overlaps = target_run->files;
+      cover(target_run->files);
+    } else {
+      for (size_t idx : target_run->OverlappingFiles(Slice(plan->min_user),
+                                                     Slice(plan->max_user))) {
+        plan->target_overlaps.push_back(target_run->files[idx]);
+      }
     }
   }
   if (out_level != nullptr) {

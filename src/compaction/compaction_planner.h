@@ -23,12 +23,16 @@ struct PlannerContext {
   /// Smallest sequence any live snapshot can observe; versions shadowed at
   /// this sequence are unreachable and may be dropped by the merge.
   SequenceNumber smallest_snapshot = 0;
+  /// Set for a flush: the memtable becomes the plan's newest input.
+  MemTableInput memtable;
 };
 
 /// Resolves `req` against `base` into `plan`. Returns InvalidArgument when
 /// the request names levels/runs/files the version does not contain. A
-/// request whose inputs hold no files yields an empty plan (plan->empty()),
-/// which callers treat as "nothing to do".
+/// compaction whose inputs hold no files yields an empty plan
+/// (plan->empty()), which callers treat as "nothing to do". A flush
+/// (ctx.memtable set) is never empty: it needs no SST inputs, and its merge
+/// target, if any, is taken whole.
 ///
 /// Tombstone-GC admissibility (plan->drop_tombstones) is decided here, under
 /// the mutex, and stays valid across an off-mutex merge: a concurrent flush

@@ -25,6 +25,11 @@ namespace talus {
 
 namespace {
 
+// Consecutive conflicted merges one maintenance job tolerates in
+// kBackground before its final attempt holds the mutex (and so cannot
+// conflict). Conflicts need a concurrent install and are rare.
+constexpr int kMaxConflicts = 4;
+
 // WAL record: base_seq fixed64 | concatenated WriteBatch reps. The group
 // leader emits one record per commit group (CommitGroup), so every batch in
 // the group — and every multi-op batch — commits atomically.
@@ -181,12 +186,6 @@ class DbIterator final : public Iterator {
 }  // namespace
 
 DB::DB(const DbOptions& options) : options_(options) {
-  // Legacy alias: wal_sync_writes predates wal_sync_mode and promised one
-  // fsync per write. Group commit keeps the guarantee (every acked batch is
-  // synced before its status is published) while amortizing the cost.
-  if (options_.wal_sync_writes && options_.wal_sync_mode == WalSyncMode::kNone) {
-    options_.wal_sync_mode = WalSyncMode::kPerGroup;
-  }
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -339,9 +338,9 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     }
   }
 
-  // Recovery and the initial flush run inline (and under the mutex) even in
-  // background mode: the exec subsystem starts only once the DB is
-  // consistent.
+  // Recovery and its flush run on this thread even in background mode: the
+  // exec subsystem starts only once the DB is consistent, and nothing else
+  // can reach the DB yet.
   std::unique_lock<std::mutex> lock(db->mutex_);
   std::vector<uint64_t> replayed;
   if (old_wal != 0) {
@@ -908,8 +907,7 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
     // by the manifest) until the flush result is installed below.
     ImmPartition part = imm_.front();
     std::vector<FileMetaPtr> obsolete;
-    s = FlushMemToL0Locked(part.mem.get(), lock, /*allow_unlock=*/true,
-                           &obsolete);
+    s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
     if (!s.ok()) break;
     imm_.pop_front();
     ReportBackpressureLocked();
@@ -937,7 +935,9 @@ Status DB::BackgroundCompaction() {
   Status s = Status::OK();
   if (!compaction_active_) {  // Otherwise the active chain picks the work up.
     compaction_active_ = true;
-    s = RunCompactionLoopLocked(lock, /*background=*/true);
+    const uint64_t before = stats_.compactions;
+    s = RunCompactionLoopLocked(lock);
+    stats_.bg_compactions += stats_.compactions - before;
     if (!s.ok()) bg_error_ = s;
     compaction_active_ = false;
   }
@@ -1004,13 +1004,12 @@ Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
   const double stall_start = options_.env->io_stats()->clock();
 
   std::vector<FileMetaPtr> obsolete;
-  Status s = FlushMemToL0Locked(mem_.get(), lock, /*allow_unlock=*/false,
-                                &obsolete);
+  Status s = FlushMemToL0Locked(mem_.get(), lock, &obsolete);
   if (!s.ok()) return s;
   mem_ = std::make_shared<MemTable>();
 
   policy_->OnFlushCompleted(*current_);
-  s = RunCompactionLoopLocked(lock, /*background=*/false);
+  s = RunCompactionLoopLocked(lock);
   if (!s.ok()) return s;
 
   // Safe WAL retirement: open the new WAL, persist the pointer, only then
@@ -1034,228 +1033,71 @@ Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
 
 Status DB::FlushMemToL0Locked(MemTable* mem,
                               std::unique_lock<std::mutex>& lock,
-                              bool allow_unlock,
                               std::vector<FileMetaPtr>* obsolete) {
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   const uint64_t flush_t0 = NowMicros();
-  const uint64_t written_before = stats_.flush_bytes_written;
   ring_->Emit(obs::EventType::kFlushBegin, shard, mem->payload_bytes(), 0);
-  EnsurePaddedLocked(
-      static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
-
-  const MergeMode mode = policy_->FlushMode(*current_);
-  uint64_t bytes_read = 0;
-  std::vector<FileMetaPtr> outputs;
-
-  bool leveling_merge =
-      mode == MergeMode::kMergeIntoRun && !current_->levels[0].empty();
-  if (leveling_merge && allow_unlock) {
-    // Background mode: route through the compaction pipeline so the merge —
-    // which reads existing SSTs and dominates the flush cost — runs with
-    // the mutex released (the caller pins `mem` via its ImmPartition copy).
-    // Falls back to the under-mutex merge below only if concurrent
-    // compactions keep conflicting the install.
-    bool merged = false;
-    Status s = FlushMergeIntoRunPipelined(mem, lock, obsolete, &merged);
-    if (!s.ok()) return s;
-    if (merged) {
-      stats_.flushes++;
-      flush_count_++;
-      if (amp_ != nullptr) {
-        amp_->RecordFlushWrite(0,
-                               stats_.flush_bytes_written - written_before);
-      }
-      const uint64_t dur = NowMicros() - flush_t0;
-      ring_->Emit(obs::EventType::kFlushEnd, shard,
-                  stats_.flush_bytes_written - written_before, dur);
-      if (latency_ != nullptr) latency_->Record(obs::OpType::kFlush, dur);
-      return Status::OK();
+  // Re-picked after a conflict: a compaction may have emptied level 0
+  // meanwhile, which turns a leveling flush into a new front run.
+  auto pick = [this] {
+    EnsurePaddedLocked(
+        static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
+    CompactionRequest req;
+    req.output_level = 0;
+    req.reason = "flush";
+    if (policy_->FlushMode(*current_) == MergeMode::kMergeIntoRun &&
+        !current_->levels[0].empty()) {
+      req.output_run_id = current_->levels[0].runs[0].run_id;
     }
-    // The mutex was released: a concurrent compaction may have emptied
-    // level 0, in which case the flush degrades to a plain new-run flush.
-    leveling_merge = !current_->levels[0].empty();
-  }
-
-  if (leveling_merge) {
-    // Leveling flush: merge the memtable with level 0's newest run under
-    // the mutex (inline mode, or the background conflict fallback). The
-    // edit is prepared on a successor copy and installed atomically; pinned
-    // views keep reading the pre-flush version.
-    auto next = std::make_unique<Version>(*current_);
-    SortedRun& target = next->levels[0].runs[0];
-    std::vector<std::unique_ptr<Iterator>> children;
-    children.push_back(mem->NewIterator());
-    children.push_back(std::make_unique<RunIterator>(
-        target.files,
-        [this](uint64_t n) { return table_cache_->GetReader(n); },
-        SstReader::BlockFetch::kStream));
-    auto merged = NewMergingIterator(InternalKeyComparator(),
-                                     std::move(children));
-    merged->SeekToFirst();
-    compaction::OutputSpec spec;
-    spec.output_level = 0;
-    spec.drop_tombstones = next->BottommostNonEmptyLevel() <= 0 &&
-                           next->levels[0].runs.size() == 1;
-    spec.bits_per_key = BitsPerKeyForLevelLocked(0);
-    spec.smallest_snapshot = SmallestLiveSnapshotLocked();
-    Status s = compaction::WriteSortedOutput(OutputShapeForDb(), merged.get(),
-                                             spec, &bytes_read, &outputs);
-    if (!s.ok()) return s;
-    for (const auto& f : target.files) obsolete->push_back(f);
-    uint64_t written = 0;
-    for (const auto& f : outputs) written += f->file_size;
-    stats_.flush_bytes_written += written;
-    target.files = std::move(outputs);
-    if (target.files.empty()) {
-      next->levels[0].runs.erase(next->levels[0].runs.begin());
-    }
-    InstallVersionLocked(std::move(next));
-  } else {
-    // Tiering flush (or empty level 0): new run at the front. The input is
-    // the (immutable) memtable only, so in background mode the mutex is
-    // released while SST files are built — the dominant flush cost overlaps
-    // foreground traffic. Everything the pass needs is captured first;
-    // file numbers come from an atomic counter.
-    compaction::OutputSpec spec;
-    spec.output_level = 0;
-    spec.drop_tombstones = current_->BottommostNonEmptyLevel() < 0;
-    spec.bits_per_key = BitsPerKeyForLevelLocked(0);
-    spec.smallest_snapshot = SmallestLiveSnapshotLocked();
-    auto iter = mem->NewIterator();
-    iter->SeekToFirst();
-    const compaction::OutputShape shape = OutputShapeForDb();
-    Status s;
-    if (allow_unlock) {
-      lock.unlock();
-      s = compaction::WriteSortedOutput(shape, iter.get(), spec, &bytes_read,
-                                        &outputs);
-      lock.lock();
-    } else {
-      s = compaction::WriteSortedOutput(shape, iter.get(), spec, &bytes_read,
-                                        &outputs);
-    }
-    if (!s.ok()) return s;
-    uint64_t written = 0;
-    for (const auto& f : outputs) written += f->file_size;
-    stats_.flush_bytes_written += written;
-    if (!outputs.empty()) {
-      // Copy the post-relock state: a concurrent compaction may have
-      // reshaped level 0, but this run is still the newest data and belongs
-      // at the front.
-      auto next = std::make_unique<Version>(*current_);
-      next->EnsureLevels(1);
-      SortedRun run;
-      run.run_id = next_run_id_++;
-      run.files = std::move(outputs);
-      next->levels[0].runs.insert(next->levels[0].runs.begin(),
-                                  std::move(run));
-      InstallVersionLocked(std::move(next));
-    }
-  }
+    return std::optional<CompactionRequest>(std::move(req));
+  };
+  std::optional<CompactionRequest> job;
+  compaction::CompactionExecutor::Result result;
+  Status s = RunJobLocked(lock, pick, mem, &job, &result, obsolete);
+  if (!s.ok()) return s;
 
   stats_.flushes++;
-  // Existing-SST bytes read by the flush merge are flush work, not
-  // compaction work: charging them to compaction_bytes_read (as the
-  // pre-pipeline engine did) inflated the per-level compaction accounting.
-  stats_.flush_bytes_read += bytes_read;
+  // Existing-SST bytes read by a flush merge are flush work, not
+  // compaction work.
+  stats_.flush_bytes_read += result.bytes_read;
+  stats_.flush_bytes_written += result.bytes_written;
   flush_count_++;
-  if (amp_ != nullptr) {
-    amp_->RecordFlushWrite(0, stats_.flush_bytes_written - written_before);
-  }
+  if (amp_ != nullptr) amp_->RecordFlushWrite(0, result.bytes_written);
   const uint64_t dur = NowMicros() - flush_t0;
-  ring_->Emit(obs::EventType::kFlushEnd, shard,
-              stats_.flush_bytes_written - written_before, dur);
+  ring_->Emit(obs::EventType::kFlushEnd, shard, result.bytes_written, dur);
   if (latency_ != nullptr) latency_->Record(obs::OpType::kFlush, dur);
   return Status::OK();
 }
 
-Status DB::FlushMergeIntoRunPipelined(MemTable* mem,
-                                      std::unique_lock<std::mutex>& lock,
-                                      std::vector<FileMetaPtr>* obsolete,
-                                      bool* merged) {
-  *merged = false;
-  // A handful of retries: each conflict means a compaction installed while
-  // the merge ran, which is rare and self-limiting (one chain at a time).
-  for (int attempt = 0; attempt < 8; attempt++) {
-    if (current_->levels[0].empty()) return Status::OK();  // Caller re-checks.
-    CompactionRequest req;
-    req.inputs.push_back({0, current_->levels[0].runs[0].run_id, {}});
-    req.output_level = 0;
-    req.placement = CompactionRequest::Placement::kFront;
-    req.reason = "leveling-flush-merge";
-    compaction::CompactionPlan plan;
-    Status s = PlanForRequestLocked(req, &plan);
-    if (!s.ok()) return s;
-    // The planner's general GC-admissibility rule reduces, for this plan
-    // shape, to the flush rule: drop tombstones iff level 0's only run is
-    // the merge target and no deeper level holds data.
-
-    compaction::CompactionExecutor::Result result;
-    bool installed = false;
-    s = ExecutePlanLocked(
-        plan, lock, /*allow_unlock=*/true,
-        [mem] { return mem->NewIterator(); }, &result, obsolete, &installed);
-    if (!s.ok()) return s;
-    if (!installed) continue;  // Conflict: re-plan against the fresh tree.
-    stats_.flush_bytes_written += result.bytes_written;
-    stats_.flush_bytes_read += result.bytes_read;
-    *merged = true;
-    return Status::OK();
-  }
-  return Status::OK();  // Caller falls back to the under-mutex merge.
-}
-
-Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
-                                   bool background) {
-  // Bounded to catch policy bugs that would loop forever.
-  int consecutive_conflicts = 0;
-  for (int rounds = 0; rounds < 100000; rounds++) {
+Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
+  auto pick = [this] {
     EnsurePaddedLocked(
         static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
-    auto req = policy_->PickCompaction(*current_);
-    if (!req.has_value()) return Status::OK();
-    // Forward-progress valve: optimistic (off-mutex) merges can in
-    // principle conflict every round under a hostile flush cadence. After
-    // a few consecutive conflicts run one merge under the mutex — it
-    // cannot conflict — then resume optimistically.
-    const bool optimistic = background && consecutive_conflicts < 4;
-    bool installed = false;
-    Status s = RunCompactionRequestLocked(*req, lock, optimistic, &installed);
+    return policy_->PickCompaction(*current_);
+  };
+  // Bounded to catch policy bugs that would loop forever.
+  for (int rounds = 0; rounds < 100000; rounds++) {
+    std::optional<CompactionRequest> job;
+    Status s = RunCompactionLocked(lock, pick, &job);
+    if (!s.ok() || !job.has_value()) return s;
+    policy_->OnCompactionCompleted(*job, *current_);
+    // The merge stage has released its file references by now, so
+    // unpinned inputs are deleted here.
+    s = CollectObsoleteLocked();
     if (!s.ok()) return s;
-    if (installed) {
-      consecutive_conflicts = 0;
-      policy_->OnCompactionCompleted(*req, *current_);
-      // The merge stage has released its file references by now, so
-      // unpinned inputs are deleted here.
-      s = CollectObsoleteLocked();
-      if (!s.ok()) return s;
-    } else {
-      consecutive_conflicts++;
-    }
-    // On a conflict (background only) the round re-picks against the fresh
-    // version: the concurrent flush that caused it already reshaped the
-    // tree the policy will now see.
-    if (background) {
-      if (installed) stats_.bg_compactions++;
-      // Let stalled writers and readers interleave between rounds. The
-      // yield matters: std::mutex permits barging, so without it the OS may
-      // hand the relock straight back to this thread for the whole chain.
-      bg_cv_.notify_all();
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
+    bg_cv_.notify_all();  // Stalled writers re-check the shrunken debt.
   }
   return Status::Corruption("compaction loop did not converge",
                             policy_->name());
 }
 
-Status DB::PlanForRequestLocked(const CompactionRequest& req,
+Status DB::PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
                                 compaction::CompactionPlan* plan) {
   compaction::PlannerContext ctx;
   ctx.max_subcompactions = std::max(1, options_.max_subcompactions);
   ctx.bits_per_key = BitsPerKeyForLevelLocked(req.output_level);
   ctx.smallest_snapshot = SmallestLiveSnapshotLocked();
+  if (mem != nullptr) ctx.memtable = [mem] { return mem->NewIterator(); };
   return compaction::PlanCompaction(*current_, req, ctx, plan);
 }
 
@@ -1268,96 +1110,88 @@ void DB::DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs) {
   }
 }
 
-Status DB::ExecutePlanLocked(
-    const compaction::CompactionPlan& plan, std::unique_lock<std::mutex>& lock,
-    bool allow_unlock,
-    const compaction::CompactionExecutor::ExtraInputFactory& extra,
-    compaction::CompactionExecutor::Result* result,
-    std::vector<FileMetaPtr>* obsolete, bool* installed) {
-  *installed = false;
+Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
+                        const JobPicker& pick, MemTable* mem,
+                        std::optional<CompactionRequest>* job,
+                        compaction::CompactionExecutor::Result* result,
+                        std::vector<FileMetaPtr>* consumed) {
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
-  const uint64_t t0 = NowMicros();
+  compaction::CompactionPlan plan;
+  for (int conflicts = 0;; conflicts++) {
+    // ---- Plan (under the mutex). ----
+    *job = pick();
+    if (!job->has_value()) return Status::OK();
+    Status s = PlanForRequestLocked(**job, mem, &plan);
+    if (!s.ok()) return s;
+    if (plan.empty()) return Status::OK();  // Nothing to merge: done.
+    const uint64_t level = static_cast<uint64_t>(plan.output_level);
+    ring_->Emit(obs::EventType::kCompactionPlan, shard, level,
+                plan.inputs.size());
 
-  // ---- Merge (mutex released in background mode). ----
-  // The plan's FileMetaPtr references pin every input SST: deferred GC
-  // never deletes a referenced file, so the merge reads a frozen snapshot
-  // regardless of what installs concurrently.
-  Status s;
-  if (allow_unlock) {
-    lock.unlock();
-    s = compaction_exec_->Run(plan, extra, result);
-    lock.lock();
-  } else {
-    s = compaction_exec_->Run(plan, extra, result);
-  }
-  if (!s.ok()) {
-    DeleteUninstalledOutputs(result->outputs);
-    return s;
-  }
-  ring_->Emit(obs::EventType::kCompactionMerge, shard,
-              static_cast<uint64_t>(plan.output_level),
-              result->bytes_written);
+    // ---- Merge. ----
+    // The plan's FileMetaPtr references pin every input SST (and the caller
+    // pins `mem`): deferred GC never deletes a referenced file, so the
+    // merge reads a frozen snapshot whatever installs concurrently. This is
+    // the one place the execution mode matters: kBackground releases the
+    // mutex, except on the attempt after kMaxConflicts conflicts in a row,
+    // which holds it and so cannot conflict.
+    const bool unlocked = is_background() && conflicts < kMaxConflicts;
+    const uint64_t t0 = NowMicros();
+    if (unlocked) lock.unlock();
+    s = compaction_exec_->Run(plan, result);
+    if (unlocked) lock.lock();
+    if (!s.ok()) {
+      DeleteUninstalledOutputs(result->outputs);
+      return s;
+    }
+    ring_->Emit(obs::EventType::kCompactionMerge, shard, level,
+                result->bytes_written);
 
-  // ---- Install (under mutex), conflict-checked. ----
-  if (allow_unlock && !compaction::PlanStillValid(plan, *current_)) {
-    // A concurrent flush reshaped an input while the merge ran: discard
-    // the outputs and let the caller re-plan against the fresh version.
+    // ---- Install (under the mutex), conflict-checked. ----
+    if (!unlocked || compaction::PlanStillValid(plan, *current_)) {
+      auto next = std::make_unique<Version>(*current_);
+      compaction::ApplyCompactionPlan(plan, std::move(result->outputs),
+                                      &next_run_id_, next.get(), consumed);
+      InstallVersionLocked(std::move(next));
+      ring_->Emit(obs::EventType::kCompactionInstall, shard, level,
+                  NowMicros() - t0);
+      return Status::OK();
+    }
+    // A concurrent job reshaped an input while the merge ran: discard the
+    // outputs and re-pick against the fresh version.
     stats_.compaction_conflicts++;
-    ring_->Emit(obs::EventType::kCompactionConflict, shard,
-                static_cast<uint64_t>(plan.output_level), 0);
+    ring_->Emit(obs::EventType::kCompactionConflict, shard, level, 0);
     DeleteUninstalledOutputs(result->outputs);
-    return Status::OK();
   }
-
-  auto next = std::make_unique<Version>(*current_);
-  compaction::ApplyCompactionPlan(plan, std::move(result->outputs),
-                                  &next_run_id_, next.get(), obsolete);
-  InstallVersionLocked(std::move(next));
-  *installed = true;
-  ring_->Emit(obs::EventType::kCompactionInstall, shard,
-              static_cast<uint64_t>(plan.output_level), NowMicros() - t0);
-  return Status::OK();
 }
 
-Status DB::RunCompactionRequestLocked(const CompactionRequest& req,
-                                      std::unique_lock<std::mutex>& lock,
-                                      bool allow_unlock, bool* installed) {
-  *installed = false;
-
-  // ---- Plan (under mutex). ----
+Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
+                               const JobPicker& pick,
+                               std::optional<CompactionRequest>* job) {
   const uint64_t comp_t0 = latency_ != nullptr ? NowMicros() : 0;
-  compaction::CompactionPlan plan;
-  Status s = PlanForRequestLocked(req, &plan);
-  if (!s.ok()) return s;
-  if (plan.empty()) {
-    *installed = true;  // Nothing to do counts as completed.
-    return Status::OK();
-  }
-  ring_->Emit(obs::EventType::kCompactionPlan,
-              static_cast<uint16_t>(options_.shard_index),
-              static_cast<uint64_t>(req.output_level), plan.inputs.size());
-
   compaction::CompactionExecutor::Result result;
-  std::vector<FileMetaPtr> obsolete;
-  s = ExecutePlanLocked(plan, lock, allow_unlock, nullptr, &result, &obsolete,
-                        installed);
-  if (!s.ok() || !*installed) return s;
+  std::vector<FileMetaPtr> consumed;
+  Status s = RunJobLocked(lock, pick, nullptr, job, &result, &consumed);
+  // A merged compaction always consumes a file: nothing consumed means
+  // nothing to do, or an empty plan (which counts as done).
+  if (!s.ok() || consumed.empty()) return s;
 
+  const int level = (*job)->output_level;
   stats_.compactions++;
   if (latency_ != nullptr) {
     latency_->Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
   }
   stats_.compaction_bytes_read += result.bytes_read;
   stats_.compaction_bytes_written += result.bytes_written;
-  if (stats_.level_stats.size() <= static_cast<size_t>(req.output_level)) {
-    stats_.level_stats.resize(req.output_level + 1);
+  if (stats_.level_stats.size() <= static_cast<size_t>(level)) {
+    stats_.level_stats.resize(level + 1);
   }
-  auto& ls = stats_.level_stats[req.output_level];
+  auto& ls = stats_.level_stats[level];
   ls.compactions++;
   ls.bytes_read += result.bytes_read;
   ls.bytes_written += result.bytes_written;
   if (amp_ != nullptr) {
-    amp_->RecordCompactionWrite(req.output_level, result.bytes_read,
+    amp_->RecordCompactionWrite(level, result.bytes_read,
                                 result.bytes_written);
   }
 
@@ -1366,7 +1200,7 @@ Status DB::RunCompactionRequestLocked(const CompactionRequest& req,
   // stage has dropped its file references.
   s = InstallManifestLocked();
   if (!s.ok()) return s;
-  MarkObsoleteLocked(std::move(obsolete));
+  MarkObsoleteLocked(std::move(consumed));
   return Status::OK();
 }
 
@@ -1375,23 +1209,18 @@ Status DB::CompactAll() {
   if (!s.ok()) return s;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  // In background mode the merge stage runs off the mutex, so concurrent
-  // writers can flush mid-compaction; a conflicted install rebuilds the
-  // request from the fresh version and tries again. The final attempt
-  // holds the mutex for the merge — it cannot conflict — so a sustained
-  // flush storm degrades to the inline behavior instead of an error.
-  constexpr int kOptimisticAttempts = 8;
-  for (int attempt = 0; attempt <= kOptimisticAttempts; attempt++) {
+  // Re-picked after a conflict: in kBackground, concurrent writers can
+  // flush while the whole-tree merge runs.
+  auto pick = [this]() -> std::optional<CompactionRequest> {
     const int bottom = current_->BottommostNonEmptyLevel();
-    if (bottom < 0) return Status::OK();
-
+    if (bottom < 0) return std::nullopt;
     CompactionRequest req;
     for (int level = 0; level <= bottom; level++) {
       for (const auto& run : current_->levels[level].runs) {
         req.inputs.push_back({level, run.run_id, {}});
       }
     }
-    if (req.inputs.empty()) return Status::OK();
+    if (req.inputs.empty()) return std::nullopt;
     req.output_level = bottom;
     req.placement = CompactionRequest::Placement::kReplaceInputs;
     req.reason = "manual-compact-all";
@@ -1403,17 +1232,13 @@ Status DB::CompactAll() {
             run.files[i]->smallest.user_key().ToString());
       }
     }
-    bool installed = false;
-    const bool optimistic = is_background() && attempt < kOptimisticAttempts;
-    s = RunCompactionRequestLocked(req, lock, optimistic, &installed);
-    if (!s.ok()) return s;
-    if (installed) {
-      policy_->OnCompactionCompleted(req, *current_);
-      return CollectObsoleteLocked();
-    }
-  }
-  // Unreachable: the final under-mutex attempt always installs.
-  return Status::OK();
+    return req;
+  };
+  std::optional<CompactionRequest> job;
+  s = RunCompactionLocked(lock, pick, &job);
+  if (!s.ok() || !job.has_value()) return s;
+  policy_->OnCompactionCompleted(*job, *current_);
+  return CollectObsoleteLocked();
 }
 
 bool DB::GetProperty(const std::string& property, std::string* value) {
@@ -1817,8 +1642,7 @@ Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
         return Status::IOError("cannot open sst for read");
       }
       SstReader::GetStats gs;
-      bool decided = reader->Get(lkey, value, &s, &gs,
-                                 options_.point_read_fast_path);
+      bool decided = reader->Get(lkey, value, &s, &gs);
       if (gs.filter_negative) probe->filter_negatives++;
       if (gs.block_read) probe->block_reads++;
       if (gs.cache_hit) probe->cache_hits++;
@@ -2023,9 +1847,9 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   Status s = InstallManifestLocked();
   // Converge the layout, then let the new policy's own loop finish the
   // job. Writers keep running: in background mode both release the mutex
-  // around merges exactly like policy-driven compactions.
+  // around merges like every maintenance job.
   if (s.ok()) s = CatchUpCompactionsLocked(lock);
-  if (s.ok()) s = RunCompactionLoopLocked(lock, is_background());
+  if (s.ok()) s = RunCompactionLoopLocked(lock);
   compaction_active_ = false;
   if (!s.ok() && is_background()) bg_error_ = s;
   bg_cv_.notify_all();
@@ -2041,49 +1865,36 @@ Status DB::CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock) {
   // A leveled target wants one run per level, but a previously tiered
   // level holds several and the leveling policy's byte triggers never
   // consolidate them. Merge each multi-run level into a single run in
-  // place (the universal-compaction request shape), re-planning against
-  // the fresh version after every install or conflict.
-  int attempts = 0;
-  const int max_attempts =
-      8 + 4 * static_cast<int>(current_->levels.size());
-  while (attempts < max_attempts) {
-    int target = -1;
-    for (size_t i = 0; i < current_->levels.size(); i++) {
-      if (current_->levels[i].runs.size() > 1) {
-        target = static_cast<int>(i);
-        break;
+  // place (the universal-compaction request shape). Runs a concurrent
+  // flush adds to an already visited level are still a correct tree and
+  // converge under later flush traffic.
+  for (size_t level = 0; level < current_->levels.size(); level++) {
+    auto pick = [this, level]() -> std::optional<CompactionRequest> {
+      if (level >= current_->levels.size() ||
+          current_->levels[level].runs.size() <= 1) {
+        return std::nullopt;
       }
-    }
-    if (target < 0) return Status::OK();  // Converged: ≤1 run everywhere.
-    CompactionRequest req;
-    for (const SortedRun& run : current_->levels[target].runs) {
-      CompactionRequest::Input in;
-      in.level = target;
-      in.run_id = run.run_id;
-      req.inputs.push_back(in);
-    }
-    req.output_level = target;
-    req.placement = CompactionRequest::Placement::kReplaceInputs;
-    req.reason = "tune-catchup-L" + std::to_string(target);
-    bool installed = false;
-    attempts++;
-    Status s =
-        RunCompactionRequestLocked(req, lock, is_background(), &installed);
+      CompactionRequest req;
+      for (const SortedRun& run : current_->levels[level].runs) {
+        CompactionRequest::Input in;
+        in.level = static_cast<int>(level);
+        in.run_id = run.run_id;
+        req.inputs.push_back(in);
+      }
+      req.output_level = static_cast<int>(level);
+      req.placement = CompactionRequest::Placement::kReplaceInputs;
+      req.reason = "tune-catchup-L" + std::to_string(level);
+      return req;
+    };
+    std::optional<CompactionRequest> job;
+    Status s = RunCompactionLocked(lock, pick, &job);
     if (!s.ok()) return s;
-    if (installed) {
+    if (job.has_value()) {
       s = CollectObsoleteLocked();
       if (!s.ok()) return s;
-    }
-    if (is_background()) {
-      // Same interleave point as the policy loop: let writers breathe.
       bg_cv_.notify_all();
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
     }
   }
-  // Conflict storm exhausted the budget; the remaining multi-run levels
-  // are still a correct tree and converge under later flush traffic.
   return Status::OK();
 }
 

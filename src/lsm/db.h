@@ -1,16 +1,20 @@
-// DB: the talus storage engine facade. Two execution modes (DESIGN.md §2):
+// DB: the talus storage engine facade. Every flush and compaction is one
+// maintenance job through one pipeline — pick → plan → merge → install
+// (RunJobLocked, DESIGN.md §2.1/§2.8); a flush is the job whose newest input
+// is the memtable. The execution mode only picks the caller:
 //
-//  * ExecutionMode::kInline (default): flushes and compactions run inline on
-//    the write path, which (a) makes every experiment deterministic and
-//    (b) surfaces compaction-induced write stalls directly in the
-//    windowed-throughput metric — the same phenomenon the paper measures
-//    through background-compaction backpressure.
+//  * ExecutionMode::kInline (default): the writing thread runs the flush
+//    and the compaction loop before its write returns, under the mutex.
+//    This (a) makes every experiment deterministic and (b) surfaces
+//    compaction-induced write stalls directly in the windowed-throughput
+//    metric — the same phenomenon the paper measures through
+//    background-compaction backpressure.
 //  * ExecutionMode::kBackground: the write path only switches a full
-//    memtable onto an immutable queue; flushes and compactions execute as
-//    prioritized jobs on a thread pool (exec/job_scheduler.h) and writers
-//    are paced by slowdown/stop backpressure (exec/stall_controller.h).
-//    Put/Delete/Write/Get/Scan/snapshots are then safe to call from any
-//    number of threads.
+//    memtable onto an immutable queue; flush and compaction jobs run on a
+//    thread pool (exec/job_scheduler.h) with the mutex released for each
+//    merge, and writers are paced by slowdown/stop backpressure
+//    (exec/stall_controller.h). Put/Delete/Write/Get/Scan/snapshots are then
+//    safe to call from any number of threads.
 //
 // Locking: one mutex guards the mutable DB state (memtables, version
 // pointer, WAL, stats, snapshots, GC list). The read path does NOT hold it:
@@ -20,11 +24,9 @@
 // path holds it only for two short critical sections per commit group:
 // writers funnel through a group-commit queue (write/write_queue.h), and the
 // group leader performs the WAL append, the amortized sync, and the memtable
-// inserts with the mutex released (DESIGN.md §2.9). Background flush jobs
-// drop the mutex while building SST files from an immutable memtable, and
-// background compactions drop it for their whole merge stage (plan → merge →
-// conflict-checked install, DESIGN.md §2.8); all metadata installation
-// happens with the mutex held.
+// inserts with the mutex released (DESIGN.md §2.9). Planning and
+// conflict-checked installation of every maintenance job happen with the
+// mutex held (DESIGN.md §2.8).
 #ifndef TALUS_LSM_DB_H_
 #define TALUS_LSM_DB_H_
 
@@ -35,10 +37,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
-
-#include <set>
 
 #include "cache/lru_cache.h"
 #include "compaction/compaction_executor.h"
@@ -444,50 +446,44 @@ class DB {
 
   /// Full inline flush: memtable → L0, compaction loop, WAL rotation.
   Status DoFlushLocked(std::unique_lock<std::mutex>& lock);
-  /// Shared flush core: merges `mem` into L0 per the policy's FlushMode.
-  /// When `allow_unlock` is set (background tiering flushes), the mutex is
-  /// released while SST files are built.
+  /// Flushes `mem` (pinned by the caller) as one maintenance job. Per the
+  /// policy's FlushMode it becomes a new front run of level 0 (tiering) or
+  /// is merged with level 0's whole newest run, which keeps its run id
+  /// (leveling). The files it consumed go to *obsolete: the caller installs
+  /// the manifest once the flushed WAL is retired, then queues them.
   Status FlushMemToL0Locked(MemTable* mem, std::unique_lock<std::mutex>& lock,
-                            bool allow_unlock,
                             std::vector<FileMetaPtr>* obsolete);
-  Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
-                                 bool background);
+  /// Runs the policy's compactions until it picks none.
+  Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock);
 
-  // ---- Compaction pipeline: plan → merge → install (DESIGN.md §2.8) ----
+  // ---- Maintenance pipeline: plan → merge → install (DESIGN.md §2.1) ----
+  /// Builds a job's request against the current version; nullopt when
+  /// there is nothing to do. Called again after every conflict.
+  using JobPicker = std::function<std::optional<CompactionRequest>()>;
   /// Resolves `req` against the current version into an immutable plan
   /// (bits-per-key, smallest snapshot, and subcompaction boundaries are
-  /// captured here so the merge needs no DB state).
-  Status PlanForRequestLocked(const CompactionRequest& req,
+  /// captured here so the merge needs no DB state). A flush passes its
+  /// memtable `mem`, which becomes the plan's newest input.
+  Status PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
                               compaction::CompactionPlan* plan);
-  /// Shared merge → conflict-check → install-version core of the pipeline.
-  /// With `allow_unlock` the mutex is released for the merge stage and the
-  /// install is conflict-checked: on a conflict the outputs are deleted,
-  /// *installed stays false, and OK is returned — the caller re-plans
-  /// against the fresh version. Without it the whole pipeline runs under
-  /// the mutex and a conflict is impossible. On success the consumed files
-  /// are appended to *obsolete and *result carries the merge accounting;
-  /// the caller owns stats attribution and manifest installation.
-  Status ExecutePlanLocked(
-      const compaction::CompactionPlan& plan,
-      std::unique_lock<std::mutex>& lock, bool allow_unlock,
-      const compaction::CompactionExecutor::ExtraInputFactory& extra,
-      compaction::CompactionExecutor::Result* result,
-      std::vector<FileMetaPtr>* obsolete, bool* installed);
-  /// Runs one policy request through plan + ExecutePlanLocked + compaction
-  /// stats + manifest install. In inline mode (allow_unlock = false) this
-  /// behaves bit-identically to the pre-pipeline engine.
-  Status RunCompactionRequestLocked(const CompactionRequest& req,
-                                    std::unique_lock<std::mutex>& lock,
-                                    bool allow_unlock, bool* installed);
-  /// Background leveling flush: merges `mem` (pinned by the caller across
-  /// the unlock) with level 0's newest run via the executor with the mutex
-  /// released, retrying on install conflicts. *merged stays false when the
-  /// conflict-retry budget is exhausted; the caller then merges under the
-  /// mutex instead.
-  Status FlushMergeIntoRunPipelined(MemTable* mem,
-                                    std::unique_lock<std::mutex>& lock,
-                                    std::vector<FileMetaPtr>* obsolete,
-                                    bool* merged);
+  /// The one maintenance path, shared by flushes (`mem` set) and every
+  /// compaction: pick → plan → merge → conflict-checked install of a
+  /// successor version. In kBackground the merge runs with the mutex
+  /// released; a conflicted install deletes its outputs and re-picks. After
+  /// kMaxConflicts conflicts in a row the merge holds the mutex, which
+  /// cannot conflict. *job is the installed request (nullopt: nothing to
+  /// do), *result the merge accounting, and the files the install consumed
+  /// are appended to *consumed. Callers own stats and manifest installs.
+  Status RunJobLocked(std::unique_lock<std::mutex>& lock,
+                      const JobPicker& pick, MemTable* mem,
+                      std::optional<CompactionRequest>* job,
+                      compaction::CompactionExecutor::Result* result,
+                      std::vector<FileMetaPtr>* consumed);
+  /// RunJobLocked for a compaction, then its stats and manifest install;
+  /// the consumed files are queued for deferred GC, which the caller runs.
+  Status RunCompactionLocked(std::unique_lock<std::mutex>& lock,
+                             const JobPicker& pick,
+                             std::optional<CompactionRequest>* job);
   /// Deletes merge outputs that never entered a version (failed or
   /// conflicted merges). They are invisible to every reader, so immediate
   /// removal is safe.
@@ -497,11 +493,9 @@ class DB {
   compaction::OutputShape OutputShapeForDb();
 
   /// Converges a freshly switched-to leveled shape: merges every
-  /// multi-run level into a single run (same-level, kReplaceInputs)
-  /// through the normal pipeline, re-planning against the fresh version
-  /// after each install or conflict. Tiering targets need no catch-up —
-  /// they absorb any shape. Bounded attempts; leftover work is picked up
-  /// by the policy's own loop.
+  /// multi-run level into a single run (same-level, kReplaceInputs), one
+  /// maintenance job per level. Tiering targets need no catch-up — they
+  /// absorb any shape.
   Status CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock);
 
   Status InstallManifestLocked();

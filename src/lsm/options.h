@@ -43,14 +43,16 @@ enum class WalSyncMode {
   kInterval,
 };
 
-/// How flushes and compactions execute (DESIGN.md §2).
+/// Who runs the maintenance pipeline that every flush and compaction goes
+/// through (DESIGN.md §2.1). The pipeline itself is the same in both modes.
 enum class ExecutionMode {
-  /// Flushes and compactions run inline on the write path. Deterministic:
+  /// The writing thread runs each flush and the compactions it triggers
+  /// before its write returns, holding the engine mutex. Deterministic:
   /// every paper experiment reproduces bit-identically. The default.
   kInline,
-  /// Flushes and compactions run on a background thread pool with
-  /// slowdown/stop write backpressure (exec/). The DB becomes safe for
-  /// concurrent Put/Get/Scan/Write from many threads.
+  /// Jobs on a background thread pool run them, each merge with the mutex
+  /// released, under slowdown/stop write backpressure (exec/). The DB
+  /// becomes safe for concurrent Put/Get/Scan/Write from many threads.
   kBackground,
 };
 
@@ -75,11 +77,6 @@ struct DbOptions {
   /// kLegacy by default to keep the seed's on-disk bytes reproducible;
   /// kBlocked makes every filter probe a single-cache-line access.
   FilterVariant filter_variant = FilterVariant::kLegacy;
-  /// Use the allocation-free Block::PointGet path in SstReader::Get
-  /// instead of the two-iterator seek path (DESIGN.md §7). Amp counters
-  /// are identical either way; this exists as an A/B switch for the
-  /// ablation bench and as an escape hatch.
-  bool point_read_fast_path = true;
 
   bool enable_wal = true;
   /// When the write path fsyncs the WAL; see WalSyncMode. kNone by default
@@ -87,10 +84,6 @@ struct DbOptions {
   WalSyncMode wal_sync_mode = WalSyncMode::kNone;
   /// kInterval only: minimum microseconds between write-path WAL syncs.
   uint64_t wal_sync_interval_micros = 10000;
-  // Legacy alias (pre group-commit): sync the WAL on every write. When set
-  // with wal_sync_mode == kNone it is upgraded to kPerGroup at Open, which
-  // preserves the old durability guarantee while amortizing the sync.
-  bool wal_sync_writes = false;
   // Replay WAL / manifest on open when present.
   bool create_if_missing = true;
 
@@ -143,11 +136,11 @@ struct DbOptions {
   size_t l0_stop_runs = 20;
   /// Delay injected per write while in the slowdown regime.
   uint64_t slowdown_delay_micros = 1000;
-  /// Upper bound on key-range subcompactions a single compaction merge is
-  /// split into (DESIGN.md §2.8). In kBackground mode the ranges fan out
-  /// over the background thread pool; in kInline mode they run serially, so
-  /// 1 (the default) preserves the seed's bit-identical behavior while
-  /// larger values stay scan-equivalent.
+  /// Upper bound on key-range subcompactions one merge — a compaction or a
+  /// leveling flush — is split into (DESIGN.md §2.8). In kBackground mode
+  /// the ranges fan out over the background thread pool; in kInline mode
+  /// they run serially, so 1 (the default) preserves the seed's
+  /// bit-identical behavior while larger values stay scan-equivalent.
   int max_subcompactions = 1;
 
   // ---- Observability (src/obs/, DESIGN.md §6) ----

@@ -21,8 +21,8 @@ struct SubcompactionStats {
   size_t active = 0;
   /// Compactions executed through the pipeline.
   uint64_t compactions = 0;
-  /// Leveling flush merges executed through the pipeline (counted apart so
-  /// the fanout histogram reflects compactions only).
+  /// Leveling flush merges (every one, in either execution mode), counted
+  /// apart so the fanout histogram reflects compactions only.
   uint64_t flush_merges = 0;
   /// Per-compaction parallel-fanout distribution (subcompactions per
   /// compaction): mean / p50 / max.

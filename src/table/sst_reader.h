@@ -38,13 +38,13 @@ class SstReader {
     bool cache_hit = false;        // Served from block cache.
   };
 
-  /// Point lookup for the newest entry visible at `lkey`. Returns true if
+  /// Point lookup for the newest entry visible at `lkey`, via the
+  /// allocation-free Block::PointGet search (DESIGN.md §7). Returns true if
   /// this run decides the key (value found or tombstone). Sets *s to OK or
-  /// NotFound accordingly. `fast_path` selects the allocation-free
-  /// Block::PointGet search (DESIGN.md §7); false falls back to the
-  /// two-iterator seek path. Results and GetStats are identical either way.
+  /// NotFound accordingly, or to Corruption when a damaged block decides
+  /// it. Agrees with NewIterator()->Seek(lkey.internal_key()).
   bool Get(const LookupKey& lkey, std::string* value, Status* s,
-           GetStats* stats = nullptr, bool fast_path = true);
+           GetStats* stats = nullptr);
 
   /// How an iterator obtains data blocks.
   enum class BlockFetch {
@@ -74,14 +74,6 @@ class SstReader {
   /// into *scratch.
   Status ReadBlockContents(const BlockHandle& handle, std::string* scratch,
                            Slice* contents);
-
-  bool GetPointSearch(const LookupKey& lkey, std::string* value, Status* s,
-                      GetStats* stats);
-  bool GetViaIterators(const LookupKey& lkey, std::string* value, Status* s,
-                       GetStats* stats);
-  /// Shared tail: classify the entry PointGet/Seek positioned on.
-  bool FinishGet(const LookupKey& lkey, const Slice& entry_key,
-                 const Slice& entry_value, std::string* value, Status* s);
 
   class TwoLevelIterator;
 

@@ -1,12 +1,14 @@
 // Compaction pipeline tests (DESIGN.md §2.8): planner resolution and
-// subcompaction boundary picking, the install conflict rule
-// (PlanStillValid) against concurrent-flush reshapes, version splicing
-// (ApplyCompactionPlan), subcompaction output-boundary correctness, and
+// subcompaction boundary picking, flush plans (the memtable as newest
+// input), the install conflict rule (PlanStillValid) against
+// concurrent-flush reshapes, version splicing (ApplyCompactionPlan),
+// subcompaction output-boundary correctness, and
 // whole-engine inline-vs-background equivalence with parallel
 // subcompactions across growth policies under concurrent writers.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,7 +221,7 @@ TEST(CompactionInstallTest, TieringFlushPrependDoesNotConflict) {
 }
 
 TEST(CompactionInstallTest, FrontPlacementIntoL0GuardsRunOrdering) {
-  // The flush-merge shape: consume L0's front run, emit a new front run.
+  // A compaction that consumes L0's front run and emits a new front run.
   Version v;
   v.EnsureLevels(1);
   v.levels[0].runs.push_back(
@@ -268,6 +270,90 @@ TEST(CompactionInstallTest, ApplySplicesOutputsAndCollectsObsolete) {
   // Every consumed file (2 inputs + 2 target overlaps) queued for GC.
   EXPECT_EQ(obsolete.size(), 4u);
   EXPECT_EQ(next_run_id, 3u);  // No new run was created.
+}
+
+// ---------------------------------------------------------------- flush plans
+
+compaction::PlannerContext FlushContext() {
+  compaction::PlannerContext ctx;
+  ctx.memtable = [] { return std::unique_ptr<Iterator>(); };
+  return ctx;
+}
+
+CompactionRequest FlushRequest(std::optional<uint64_t> target) {
+  CompactionRequest req;
+  req.output_level = 0;
+  req.output_run_id = target;
+  req.reason = "flush";
+  return req;
+}
+
+TEST(FlushPlanTest, TieringFlushIsNeverEmptyNorConflicts) {
+  Version v = TwoLevelVersion();
+  compaction::CompactionPlan plan;
+  ASSERT_TRUE(compaction::PlanCompaction(v, FlushRequest(std::nullopt),
+                                         FlushContext(), &plan)
+                  .ok());
+  EXPECT_FALSE(plan.empty());  // No SST inputs, but a memtable.
+  EXPECT_TRUE(plan.inputs.empty());
+  EXPECT_FALSE(plan.drop_tombstones);  // Older data lies below.
+
+  // A compaction installed a new front run meanwhile: the flush's output
+  // is still the newest data and installs in front of it.
+  Version reshaped(v);
+  reshaped.levels[0].runs.insert(reshaped.levels[0].runs.begin(),
+                                 MakeRun(7, {MakeFile(60, "a", "z")}));
+  EXPECT_TRUE(compaction::PlanStillValid(plan, reshaped));
+  uint64_t next_run_id = 8;
+  std::vector<FileMetaPtr> obsolete;
+  compaction::ApplyCompactionPlan(plan, {MakeFile(70, "b", "x")},
+                                  &next_run_id, &reshaped, &obsolete);
+  ASSERT_EQ(reshaped.levels[0].runs.size(), 3u);
+  EXPECT_EQ(reshaped.levels[0].runs[0].run_id, 8u);
+  EXPECT_TRUE(obsolete.empty());
+
+  // Into an empty tree, tombstones can go.
+  Version empty;
+  empty.EnsureLevels(1);
+  ASSERT_TRUE(compaction::PlanCompaction(empty, FlushRequest(std::nullopt),
+                                         FlushContext(), &plan)
+                  .ok());
+  EXPECT_TRUE(plan.drop_tombstones);
+}
+
+TEST(FlushPlanTest, LevelingFlushRewritesWholeRunKeepingItsId) {
+  Version v = TwoLevelVersion();
+  compaction::CompactionPlan plan;
+  ASSERT_TRUE(compaction::PlanCompaction(v, FlushRequest(1), FlushContext(),
+                                         &plan)
+                  .ok());
+  // The whole target run, not just the files a key range overlaps.
+  ASSERT_EQ(plan.target_overlaps.size(), 2u);
+  EXPECT_EQ(plan.target_overlaps[0]->number, 10u);
+  EXPECT_EQ(plan.target_overlaps[1]->number, 11u);
+  EXPECT_FALSE(plan.drop_tombstones);  // L1 holds older data.
+  EXPECT_TRUE(compaction::PlanStillValid(plan, v));
+
+  uint64_t next_run_id = 3;
+  std::vector<FileMetaPtr> obsolete;
+  Version next(v);
+  compaction::ApplyCompactionPlan(plan, {MakeFile(80, "a", "z")},
+                                  &next_run_id, &next, &obsolete);
+  ASSERT_EQ(next.levels[0].runs.size(), 1u);
+  EXPECT_EQ(next.levels[0].runs[0].run_id, 1u);  // Run id kept.
+  ASSERT_EQ(next.levels[0].runs[0].files.size(), 1u);
+  EXPECT_EQ(next.levels[0].runs[0].files[0]->number, 80u);
+  EXPECT_EQ(obsolete.size(), 2u);
+  EXPECT_EQ(next_run_id, 3u);
+
+  // Any change to the target run conflicts, even outside the key range
+  // its files covered at plan time.
+  Version grew(v);
+  grew.levels[0].runs[0].files.push_back(MakeFile(12, "q", "r"));
+  EXPECT_FALSE(compaction::PlanStillValid(plan, grew));
+  Version consumed(v);
+  consumed.levels[0].runs.clear();
+  EXPECT_FALSE(compaction::PlanStillValid(plan, consumed));
 }
 
 // --------------------------------------------- engine-level pipeline checks
@@ -378,14 +464,17 @@ struct NamedPolicy {
   GrowthPolicyConfig config;
 };
 
-// Vertical (leveling + tiering), horizontal, and lazy-leveling: every merge
-// shape the pipeline executes (new-run, merge-into-run, replace-inputs).
+// Vertical (leveling + tiering), horizontal, lazy-leveling and Vertiorizon
+// (the policy the served benchmark runs): every flush shape (new run,
+// merge into level 0's run) and every compaction shape (new-run,
+// merge-into-run, replace-inputs) the pipeline executes.
 std::vector<NamedPolicy> PipelinePolicies() {
   return {
       {"VT-Level-Full", GrowthPolicyConfig::VTLevelFull(3)},
       {"VT-Tier-Full", GrowthPolicyConfig::VTTierFull(3)},
       {"HR-Level", GrowthPolicyConfig::HRLevel(3)},
       {"Lazy-Level", GrowthPolicyConfig::LazyLeveling(3, 4, false)},
+      {"Vertiorizon", GrowthPolicyConfig::Vertiorizon(6)},
   };
 }
 

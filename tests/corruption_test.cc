@@ -109,8 +109,9 @@ TEST(SstCorruption, GarbledIndexSurfacesOnOpenOrRead) {
 }
 
 // Regression: a corrupt index entry used to read as "not found" (the seek
-// died on CorruptionError but Get only checked Valid()). Both lookup paths
-// must surface Corruption for a key whose search touches the bad entry.
+// died on CorruptionError but Get only checked Valid()). Get must surface
+// Corruption for a key whose search touches the bad entry, and so must the
+// iterator oracle seeking the same key.
 TEST(SstCorruption, CorruptIndexEntrySurfacesOnGet) {
   auto env = NewMemEnv();
   BuildSst(env.get(), "/c5.sst", 1000);
@@ -130,17 +131,17 @@ TEST(SstCorruption, CorruptIndexEntrySurfacesOnGet) {
   std::unique_ptr<SstReader> reader;
   ASSERT_TRUE(SstReader::Open(env.get(), "/c5.sst", 1, nullptr, &reader).ok());
   // The smallest key binary-searches to restart 0 and scans into the
-  // garbled entry on both paths.
+  // garbled entry.
   const std::string key = workload::FormatKey(0, 16);
-  for (const bool fast_path : {false, true}) {
-    std::string value;
-    Status s;
-    const bool decided = reader->Get(LookupKey(key, kMaxSequenceNumber),
-                                     &value, &s, nullptr, fast_path);
-    ASSERT_TRUE(decided) << "fast_path=" << fast_path;
-    EXPECT_TRUE(s.IsCorruption())
-        << "fast_path=" << fast_path << " status=" << s.ToString();
-  }
+  const LookupKey lkey(key, kMaxSequenceNumber);
+  std::string value;
+  Status s;
+  ASSERT_TRUE(reader->Get(lkey, &value, &s));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  auto iter = reader->NewIterator();
+  iter->Seek(lkey.internal_key());
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
 }
 
 TEST(DbCorruption, ManifestDamageFailsOpen) {

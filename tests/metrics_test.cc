@@ -304,7 +304,7 @@ TEST(SubcompactionCounters, SurfacedInTalusExec) {
   };
   EXPECT_GT(field("scheduled"), 0u);
   EXPECT_GT(field("compactions"), 0u);
-  // Tiering flushes bypass the executor: no flush merges here.
+  // Tiering flushes write new runs: no flush merges here.
   EXPECT_EQ(field("flush_merges"), 0u);
   // Quiesced: everything scheduled has completed, nothing is running.
   EXPECT_EQ(field("scheduled"), field("completed"));

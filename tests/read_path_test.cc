@@ -320,9 +320,9 @@ TEST(ReadPath, ScansAndGetsDuringBackgroundMaintenance) {
   EXPECT_EQ(rows.size(), static_cast<size_t>(kKeys));
 }
 
-// Only foreground reads fill the block cache. Leveling flush merges (under
-// the mutex inline, through the compaction pipeline in background mode) and
-// CompactAll stream their inputs past it: after GETs warm the cache,
+// Only foreground reads fill the block cache. Leveling flush merges and
+// CompactAll (both through the maintenance pipeline, in either mode)
+// stream their inputs past it: after GETs warm the cache,
 // maintenance may neither look up nor insert a block, so the counters hold
 // and usage can only fall as deleted inputs' blocks are scrubbed.
 TEST(ReadPath, MaintenanceStreamsPastBlockCache) {

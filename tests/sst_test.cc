@@ -187,68 +187,67 @@ TEST(Sst, PosixEnvRoundTrip) {
 }
 
 // Compatibility matrix: SSTs written with either filter variant must read
-// back correctly through both the PointGet fast path and the legacy
-// iterator path — one reader handles any mix of file vintages.
-TEST(Sst, FilterVariantAndGetPathMatrix) {
+// back correctly through the PointGet lookup — one reader handles any mix
+// of file vintages.
+TEST(Sst, FilterVariantMatrix) {
   for (const FilterVariant variant :
        {FilterVariant::kLegacy, FilterVariant::kBlocked}) {
+    SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)));
     SstFixture fx;
     fx.Build(2000, 10.0, 4096, variant);
-    for (const bool fast_path : {false, true}) {
-      SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)) +
-                   " fast_path=" + std::to_string(fast_path));
-      for (const auto& [k, v] : fx.model) {
-        std::string value;
-        Status s;
-        LookupKey lkey(k, kMaxSequenceNumber);
-        ASSERT_TRUE(fx.reader->Get(lkey, &value, &s, nullptr, fast_path))
-            << k;
-        EXPECT_TRUE(s.ok());
-        EXPECT_EQ(value, v);
-      }
-      // Missing keys stay undecided and the filter still fires.
-      int decided = 0, filter_negative = 0;
-      for (int i = 0; i < 1000; i++) {
-        char key[32];
-        snprintf(key, sizeof(key), "zzzz%08d", i);
-        std::string value;
-        Status s;
-        SstReader::GetStats stats;
-        if (fx.reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s,
-                           &stats, fast_path)) {
-          decided++;
-        }
-        if (stats.filter_negative) filter_negative++;
-      }
-      EXPECT_EQ(decided, 0);
-      EXPECT_GT(filter_negative, 900);
+    for (const auto& [k, v] : fx.model) {
+      std::string value;
+      Status s;
+      LookupKey lkey(k, kMaxSequenceNumber);
+      ASSERT_TRUE(fx.reader->Get(lkey, &value, &s)) << k;
+      EXPECT_TRUE(s.ok());
+      EXPECT_EQ(value, v);
     }
+    // Missing keys stay undecided and the filter still fires.
+    int decided = 0, filter_negative = 0;
+    for (int i = 0; i < 1000; i++) {
+      char key[32];
+      snprintf(key, sizeof(key), "zzzz%08d", i);
+      std::string value;
+      Status s;
+      SstReader::GetStats stats;
+      if (fx.reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s,
+                         &stats)) {
+        decided++;
+      }
+      if (stats.filter_negative) filter_negative++;
+    }
+    EXPECT_EQ(decided, 0);
+    EXPECT_GT(filter_negative, 900);
   }
 }
 
-// Both Get paths must report identical per-lookup stats: the amp counters
-// built from them feed the cost model and must not shift with the path.
-TEST(Sst, GetStatsIdenticalAcrossPaths) {
-  SstFixture slow, fast;
-  slow.Build(3000);
-  fast.Build(3000);
-  for (int i = 0; i < 3000; i++) {
+// Get must agree with the file iterator: Seek to the lookup key lands on
+// the entry Get decides (same user key and value), or on none. Per-lookup
+// stats stay coherent: a filter negative reads no block.
+TEST(Sst, GetMatchesIteratorSeek) {
+  SstFixture fx;
+  fx.Build(3000);
+  auto iter = fx.reader->NewIterator();
+  for (int i = 0; i < 9000; i++) {
     char key[32];
     snprintf(key, sizeof(key), "user%08d", i);  // Mix of hits and misses.
-    std::string v1, v2;
-    Status s1, s2;
-    SstReader::GetStats g1, g2;
-    const bool d1 = slow.reader->Get(LookupKey(key, kMaxSequenceNumber), &v1,
-                                     &s1, &g1, /*fast_path=*/false);
-    const bool d2 = fast.reader->Get(LookupKey(key, kMaxSequenceNumber), &v2,
-                                     &s2, &g2, /*fast_path=*/true);
-    ASSERT_EQ(d1, d2) << key;
-    EXPECT_EQ(g1.filter_negative, g2.filter_negative) << key;
-    EXPECT_EQ(g1.block_read, g2.block_read) << key;
-    EXPECT_EQ(g1.cache_hit, g2.cache_hit) << key;
-    if (d1) {
-      EXPECT_EQ(s1.ok(), s2.ok());
-      EXPECT_EQ(v1, v2);
+    LookupKey lkey(key, kMaxSequenceNumber);
+    std::string value;
+    Status s;
+    SstReader::GetStats stats;
+    const bool decided = fx.reader->Get(lkey, &value, &s, &stats);
+    iter->Seek(lkey.internal_key());
+    ASSERT_TRUE(iter->status().ok());
+    const bool present =
+        iter->Valid() && ExtractUserKey(iter->key()) == Slice(key);
+    ASSERT_EQ(decided, present) << key;
+    if (decided) {
+      EXPECT_TRUE(s.ok()) << key;
+      EXPECT_EQ(value, iter->value().ToString()) << key;
+    }
+    if (stats.filter_negative) {
+      EXPECT_FALSE(stats.block_read || stats.cache_hit) << key;
     }
   }
 }

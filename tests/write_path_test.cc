@@ -388,15 +388,6 @@ TEST(GroupCommit, WalSyncModeAccounting) {
     const metrics::GroupCommitStats gc = db->GetGroupCommitStats();
     EXPECT_EQ(gc.wal_syncs, gc.group_commits);
   }
-  {  // Legacy wal_sync_writes upgrades to kPerGroup.
-    auto env = NewMemEnv();
-    DbOptions opts = Opts(env.get(), "/gc6c");
-    opts.wal_sync_writes = true;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(opts, &db).ok());
-    for (int i = 0; i < 10; i++) ASSERT_TRUE(db->Put(Key(i), "v").ok());
-    EXPECT_EQ(db->GetGroupCommitStats().wal_syncs, 10u);
-  }
   {  // kInterval with a huge interval: at most the first sync fires.
     auto env = NewMemEnv();
     DbOptions opts = Opts(env.get(), "/gc6d");
