@@ -16,6 +16,9 @@ Status LogWriter::AddRecord(const Slice& payload) {
   if (s.ok()) {
     s = file_->Append(payload);
   }
+  // One write() per record: once AddRecord returns, the record is in the OS
+  // page cache and survives a process crash even without a Sync.
+  if (s.ok()) s = file_->Flush();
   if (s.ok()) unsynced_bytes_ += kHeaderSize + payload.size();
   return s;
 }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace talus {
 namespace {
@@ -27,6 +28,36 @@ class EnvTest : public ::testing::TestWithParam<bool> {
     if (env_->GetChildren(base_, &children).ok()) {
       for (const auto& c : children) env_->RemoveFile(base_ + "/" + c);
     }
+  }
+
+  // Reads `fname` to EOF through a SequentialFile.
+  std::string ReadFile(const std::string& fname) {
+    std::unique_ptr<SequentialFile> sf;
+    EXPECT_TRUE(env_->NewSequentialFile(fname, &sf).ok());
+    if (sf == nullptr) return "";
+    std::string contents;
+    std::string scratch(10000, '\0');
+    while (true) {
+      Slice chunk;
+      EXPECT_TRUE(sf->Read(scratch.size(), &chunk, scratch.data()).ok());
+      if (chunk.empty()) return contents;
+      contents.append(chunk.data(), chunk.size());
+    }
+  }
+
+  uint64_t FileSize(const std::string& fname) {
+    uint64_t size = 0;
+    EXPECT_TRUE(env_->GetFileSize(fname, &size).ok());
+    return size;
+  }
+
+  // `n` bytes that differ from one append to the next.
+  static std::string Payload(size_t n, size_t seed) {
+    std::string out(n, '\0');
+    for (size_t i = 0; i < n; i++) {
+      out[i] = static_cast<char>((i * 131 + seed * 7919) >> 3);
+    }
+    return out;
   }
 
   std::unique_ptr<Env> owned_;
@@ -113,6 +144,63 @@ TEST_P(EnvTest, MissingFileErrors) {
   EXPECT_FALSE(env_->NewSequentialFile(base_ + "/nope", &sf).ok());
   uint64_t size;
   EXPECT_FALSE(env_->GetFileSize(base_ + "/nope", &size).ok());
+}
+
+TEST_P(EnvTest, AppendsAcrossBufferBoundary) {
+  // Sizes around the posix writer's 64 KiB buffer, small and large
+  // interleaved so appends land at many buffer offsets.
+  constexpr size_t kBuf = 64 << 10;
+  const std::vector<size_t> sizes = {
+      1, kBuf - 1, 1, kBuf, 3, kBuf + 1, kBuf, 1, 200 << 10, 7,
+      kBuf - 1, kBuf - 1, 2, kBuf + 1, 1};
+  const std::string fname = base_ + "/boundary";
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &wf).ok());
+  IoStats* io = env_->io_stats();
+  const uint64_t requests_before = io->write_requests();
+  const uint64_t bytes_before = io->bytes_written();
+  std::string expected;
+  for (size_t i = 0; i < sizes.size(); i++) {
+    const std::string chunk = Payload(sizes[i], i);
+    ASSERT_TRUE(wf->Append(chunk).ok());
+    expected += chunk;
+  }
+  ASSERT_TRUE(wf->Close().ok());
+  // IoStats counts logical appends, whatever the writer does below them.
+  EXPECT_EQ(io->write_requests() - requests_before, sizes.size());
+  EXPECT_EQ(io->bytes_written() - bytes_before, expected.size());
+
+  EXPECT_EQ(FileSize(fname), expected.size());
+  EXPECT_TRUE(ReadFile(fname) == expected);
+}
+
+TEST_P(EnvTest, FlushMakesBytesVisible) {
+  const std::string fname = base_ + "/flushed";
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &wf).ok());
+  std::string expected;
+  for (size_t n : {size_t{1}, size_t{4096}, size_t{100}}) {
+    const std::string chunk = Payload(n, expected.size());
+    ASSERT_TRUE(wf->Append(chunk).ok());
+    expected += chunk;
+    // No Sync or Close: Flush alone must hand every byte to the filesystem.
+    ASSERT_TRUE(wf->Flush().ok());
+    EXPECT_EQ(FileSize(fname), expected.size());
+    EXPECT_TRUE(ReadFile(fname) == expected);
+  }
+  ASSERT_TRUE(wf->Close().ok());
+}
+
+TEST_P(EnvTest, DestructorDrainsBuffer) {
+  const std::string fname = base_ + "/dropped";
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &wf).ok());
+  const std::string expected = Payload(5000, 1);
+  ASSERT_TRUE(wf->Append(expected).ok());
+  wf.reset();  // Destroyed without Flush, Sync or Close.
+
+  EXPECT_EQ(FileSize(fname), expected.size());
+  EXPECT_TRUE(ReadFile(fname) == expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(MemAndPosix, EnvTest, ::testing::Values(true, false),
