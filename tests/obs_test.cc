@@ -10,10 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "shard/sharded_db.h"
 #include "tuning/vertical_cost_model.h"
 #include "util/histogram.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -1135,6 +1140,310 @@ TEST(ObsSharded, FleetAmpModelAndSnapshotSurfaces) {
   EXPECT_NE(prom.find("talus_amp_bytes_written_total"), std::string::npos);
   EXPECT_NE(prom.find("talus_write_amp"), std::string::npos);
   CheckPrometheusConformance(prom);
+}
+
+
+// ------------------------------------------------ Golden metric surface
+
+// A fixed-seed kInline engine on MemEnv: no clock feeds its counters, so
+// every talus.stats value and every Prometheus series is reproducible bit
+// for bit. The constants below pin the whole metric surface; they are
+// never edited to make a refactor pass.
+std::unique_ptr<DB> RunGoldenMetricsWorkload(Env* env) {
+  DbOptions opts = SmallDbOptions(env);
+  opts.adaptive_tuning = true;
+  opts.tune_interval_ms = 0;  // Decisions only via RetuneNow below.
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(opts, &db).ok());
+  Random rnd(301);
+  std::string value;
+  std::vector<std::pair<std::string, std::string>> scanned;
+  for (int i = 0; i < 6000; i++) {
+    const uint32_t r = rnd.Uniform(100);
+    const std::string key = workload::FormatKey(rnd.Uniform(2000), 16);
+    if (r < 55) {
+      EXPECT_TRUE(
+          db->Put(key, std::string(64 + rnd.Uniform(64), 'v')).ok());
+    } else if (r < 60) {
+      EXPECT_TRUE(db->Delete(key).ok());
+    } else if (r < 95) {
+      db->Get(key, &value);
+    } else {
+      EXPECT_TRUE(db->Scan(key, 20, &scanned).ok());
+    }
+    if (i % 1500 == 1499) db->RetuneNow();
+  }
+  return db;
+}
+
+// talus.stats key → value, tokens split on whitespace.
+std::map<std::string, std::string> ParseStatsLine(const std::string& text) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) {
+      out[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+  }
+  return out;
+}
+
+struct PromDump {
+  std::map<std::string, std::string> types;   // family → TYPE
+  std::map<std::string, std::string> series;  // name{labels} → value
+};
+
+// Parses an exposition dump. `_bucket` series are left out: which `le`
+// buckets exist depends on measured latencies.
+PromDump ParsePrometheus(const std::string& text) {
+  PromDump out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const size_t sp = line.find(' ', 7);
+      out.types[line.substr(7, sp - 7)] = line.substr(sp + 1);
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const size_t sp = line.rfind(' ');
+    const std::string name = line.substr(0, sp);
+    if (name.find("_bucket{") != std::string::npos) continue;
+    out.series[name] = line.substr(sp + 1);
+  }
+  return out;
+}
+
+bool IsInteger(const std::string& v) {
+  return !v.empty() && v.find_first_not_of("0123456789") == std::string::npos;
+}
+
+void ExpectRelativelyEqual(const std::string& what, const std::string& got,
+                           const std::string& want) {
+  const double g = std::strtod(got.c_str(), nullptr);
+  const double w = std::strtod(want.c_str(), nullptr);
+  EXPECT_LE(std::fabs(g - w), 1e-6 * std::fabs(w)) << what << " = " << got
+                                                    << ", golden " << want;
+}
+
+struct GoldenPair {
+  const char* name;
+  const char* value;
+};
+
+// talus.stats after RunGoldenMetricsWorkload: integers exact, decimals
+// to a relative 1e-6.
+const GoldenPair kGoldenStats[] = {
+    {"batches", "3643"},
+    {"bc_cap", "8388608"},
+    {"bc_evictions", "0"},
+    {"bc_hits", "1543"},
+    {"bc_misses", "912"},
+    {"bc_usage", "120486"},
+    {"bg_compactions", "0"},
+    {"bg_flushes", "0"},
+    {"cache_hits", "757"},
+    {"comp_read", "488418"},
+    {"compactions", "3"},
+    {"conflicts", "0"},
+    {"deletes", "292"},
+    {"filter_negatives", "1669"},
+    {"flush_read", "1564047"},
+    {"flushes", "24"},
+    {"gc_deleted", "95"},
+    {"gc_pending", "0"},
+    {"gets", "2033"},
+    {"group_commits", "3643"},
+    {"group_size_avg", "1.00"},
+    {"group_size_max", "1"},
+    {"group_size_p50", "1.0"},
+    {"max_stall", "16.3"},
+    {"parallel_applies", "0"},
+    {"puts", "3351"},
+    {"read_amp", "1.432"},
+    {"scans", "324"},
+    {"slowdowns", "0"},
+    {"slowdowns_l0", "0"},
+    {"slowdowns_memtable", "0"},
+    {"stall_slowdown_us", "0"},
+    {"stall_stop_us", "0"},
+    {"stall_us", "0"},
+    {"stops", "0"},
+    {"stops_l0", "0"},
+    {"stops_memtable", "0"},
+    {"switches", "0"},
+    {"tc_cap", "512"},
+    {"tc_evictions", "0"},
+    {"tc_hits", "3480"},
+    {"tc_misses", "107"},
+    {"tc_open_readers", "12"},
+    {"tc_opens", "107"},
+    {"wal_syncs", "0"},
+    {"write_amp", "4.353"},
+    {"write_queue_wait_us", "0"},
+};
+
+// Every family's TYPE.
+const GoldenPair kGoldenTypes[] = {
+    {"talus_amp_block_reads_total", "counter"},
+    {"talus_amp_bloom_fp_total", "counter"},
+    {"talus_amp_bytes_written_total", "counter"},
+    {"talus_amp_compaction_bytes_read_total", "counter"},
+    {"talus_amp_files_probed_total", "counter"},
+    {"talus_amp_filter_negatives_total", "counter"},
+    {"talus_amp_hits_total", "counter"},
+    {"talus_amp_live_bytes", "gauge"},
+    {"talus_amp_lookups_total", "counter"},
+    {"talus_amp_memtable_hits_total", "counter"},
+    {"talus_amp_misses_total", "counter"},
+    {"talus_amp_user_payload_bytes_total", "counter"},
+    {"talus_blocks_per_lookup", "gauge"},
+    {"talus_compaction_bytes_written_total", "counter"},
+    {"talus_compaction_conflicts_total", "counter"},
+    {"talus_compactions_total", "counter"},
+    {"talus_data_bytes", "gauge"},
+    {"talus_deletes_total", "counter"},
+    {"talus_events_total", "counter"},
+    {"talus_flush_bytes_written_total", "counter"},
+    {"talus_flushes_total", "counter"},
+    {"talus_gets_total", "counter"},
+    {"talus_latency_us", "histogram"},
+    {"talus_obsolete_files_deleted_total", "counter"},
+    {"talus_puts_total", "counter"},
+    {"talus_read_amp", "gauge"},
+    {"talus_scans_total", "counter"},
+    {"talus_space_amp", "gauge"},
+    {"talus_stall_micros_total", "counter"},
+    {"talus_stalls_total", "counter"},
+    {"talus_tune_cost", "gauge"},
+    {"talus_tune_drift_events_total", "counter"},
+    {"talus_tune_holds_total", "counter"},
+    {"talus_tune_last_gain", "gauge"},
+    {"talus_tune_retunes_total", "counter"},
+    {"talus_tune_switches_total", "counter"},
+    {"talus_tune_ticks_total", "counter"},
+    {"talus_write_amp", "gauge"},
+};
+
+// Every series except histogram buckets. Counters and histogram counts
+// are exact, gauges match to a relative 1e-6, and a histogram `_sum`
+// (nullptr: measured wall time) only has to be present.
+const GoldenPair kGoldenSeries[] = {
+    {"talus_amp_block_reads_total{level=\"0\"}", "334"},
+    {"talus_amp_block_reads_total{level=\"1\"}", "152"},
+    {"talus_amp_bloom_fp_total{level=\"0\"}", "185"},
+    {"talus_amp_bloom_fp_total{level=\"1\"}", "87"},
+    {"talus_amp_bytes_written_total{level=\"0\",source=\"compaction\"}", "0"},
+    {"talus_amp_bytes_written_total{level=\"0\",source=\"flush\"}", "1357321"},
+    {"talus_amp_bytes_written_total{level=\"1\",source=\"compaction\"}",
+     "359645"},
+    {"talus_amp_bytes_written_total{level=\"1\",source=\"flush\"}", "0"},
+    {"talus_amp_compaction_bytes_read_total{level=\"0\"}", "0"},
+    {"talus_amp_compaction_bytes_read_total{level=\"1\"}", "488418"},
+    {"talus_amp_files_probed_total{level=\"0\"}", "1615"},
+    {"talus_amp_files_probed_total{level=\"1\"}", "1297"},
+    {"talus_amp_filter_negatives_total{level=\"0\"}", "1039"},
+    {"talus_amp_filter_negatives_total{level=\"1\"}", "630"},
+    {"talus_amp_hits_total{level=\"0\"}", "391"},
+    {"talus_amp_hits_total{level=\"1\"}", "580"},
+    {"talus_amp_live_bytes{level=\"0\",kind=\"payload\"}", "30407"},
+    {"talus_amp_live_bytes{level=\"0\",kind=\"sst\"}", "30354"},
+    {"talus_amp_live_bytes{level=\"1\",kind=\"payload\"}", "171315"},
+    {"talus_amp_live_bytes{level=\"1\",kind=\"sst\"}", "171132"},
+    {"talus_amp_lookups_total", "2033"},
+    {"talus_amp_memtable_hits_total", "65"},
+    {"talus_amp_misses_total", "997"},
+    {"talus_amp_user_payload_bytes_total", "394470"},
+    {"talus_blocks_per_lookup", "0.239056"},
+    {"talus_compaction_bytes_written_total", "359645"},
+    {"talus_compaction_conflicts_total", "0"},
+    {"talus_compactions_total", "3"},
+    {"talus_data_bytes", "201827"},
+    {"talus_deletes_total", "292"},
+    {"talus_events_total", "158"},
+    {"talus_flush_bytes_written_total", "1357321"},
+    {"talus_flushes_total", "24"},
+    {"talus_gets_total", "2033"},
+    {"talus_latency_us_count{op=\"compaction\"}", "3"},
+    {"talus_latency_us_count{op=\"flush\"}", "24"},
+    {"talus_latency_us_count{op=\"get\"}", "2033"},
+    {"talus_latency_us_count{op=\"group_wait\"}", "3643"},
+    {"talus_latency_us_count{op=\"iter_seek\"}", "324"},
+    {"talus_latency_us_count{op=\"put\"}", "3643"},
+    {"talus_latency_us_count{op=\"scan\"}", "324"},
+    {"talus_latency_us_count{op=\"wal_append\"}", "3643"},
+    {"talus_latency_us_sum{op=\"compaction\"}", nullptr},
+    {"talus_latency_us_sum{op=\"flush\"}", nullptr},
+    {"talus_latency_us_sum{op=\"get\"}", nullptr},
+    {"talus_latency_us_sum{op=\"group_wait\"}", nullptr},
+    {"talus_latency_us_sum{op=\"iter_seek\"}", nullptr},
+    {"talus_latency_us_sum{op=\"put\"}", nullptr},
+    {"talus_latency_us_sum{op=\"scan\"}", nullptr},
+    {"talus_latency_us_sum{op=\"wal_append\"}", nullptr},
+    {"talus_obsolete_files_deleted_total", "95"},
+    {"talus_puts_total", "3351"},
+    {"talus_read_amp", "1.43237"},
+    {"talus_scans_total", "324"},
+    {"talus_space_amp", "0.99883"},
+    {"talus_stall_micros_total{regime=\"slowdown\"}", "0"},
+    {"talus_stall_micros_total{regime=\"stop\"}", "0"},
+    {"talus_stalls_total{regime=\"slowdown\",cause=\"l0\"}", "0"},
+    {"talus_stalls_total{regime=\"slowdown\",cause=\"memtable\"}", "0"},
+    {"talus_stalls_total{regime=\"stop\",cause=\"l0\"}", "0"},
+    {"talus_stalls_total{regime=\"stop\",cause=\"memtable\"}", "0"},
+    {"talus_tune_cost{design=\"best\"}", "0.475276"},
+    {"talus_tune_cost{design=\"current\"}", "0.601887"},
+    {"talus_tune_drift_events_total", "1"},
+    {"talus_tune_holds_total{kind=\"cooldown\"}", "2"},
+    {"talus_tune_holds_total{kind=\"hysteresis\"}", "1"},
+    {"talus_tune_holds_total{kind=\"thin_window\"}", "0"},
+    {"talus_tune_last_gain", "0.266394"},
+    {"talus_tune_retunes_total", "1"},
+    {"talus_tune_switches_total", "1"},
+    {"talus_tune_ticks_total", "4"},
+    {"talus_write_amp", "4.35259"},
+};
+
+TEST(MetricSurfaceGolden, InlineDbStatsAndPrometheus) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db = RunGoldenMetricsWorkload(env.get());
+
+  std::string stats_text;
+  ASSERT_TRUE(db->GetProperty("talus.stats", &stats_text));
+  const std::map<std::string, std::string> stats = ParseStatsLine(stats_text);
+  EXPECT_EQ(stats.size(), std::size(kGoldenStats)) << stats_text;
+  for (const GoldenPair& g : kGoldenStats) {
+    const auto it = stats.find(g.name);
+    ASSERT_NE(it, stats.end()) << "talus.stats lacks " << g.name;
+    if (IsInteger(g.value)) {
+      EXPECT_EQ(it->second, g.value) << g.name;
+    } else {
+      ExpectRelativelyEqual(g.name, it->second, g.value);
+    }
+  }
+
+  const PromDump prom = ParsePrometheus(db->DumpPrometheus());
+  EXPECT_EQ(prom.types.size(), std::size(kGoldenTypes));
+  for (const GoldenPair& g : kGoldenTypes) {
+    const auto it = prom.types.find(g.name);
+    ASSERT_NE(it, prom.types.end()) << "no family " << g.name;
+    EXPECT_EQ(it->second, g.value) << g.name;
+  }
+  EXPECT_EQ(prom.series.size(), std::size(kGoldenSeries));
+  for (const GoldenPair& g : kGoldenSeries) {
+    const auto it = prom.series.find(g.name);
+    ASSERT_NE(it, prom.series.end()) << "no series " << g.name;
+    if (g.value == nullptr) continue;
+    const std::string family = it->first.substr(0, it->first.find('{'));
+    const auto type = prom.types.find(family);
+    if (type != prom.types.end() && type->second == "gauge") {
+      ExpectRelativelyEqual(g.name, it->second, g.value);
+    } else {
+      EXPECT_EQ(it->second, g.value) << g.name;
+    }
+  }
 }
 
 }  // namespace
