@@ -55,7 +55,7 @@ struct BenchConfig {
 struct RunResult {
   double kops_per_sec = 0;
   double wall_seconds = 0;
-  metrics::GroupCommitStats gc;
+  obs::GroupCommitStats gc;
   uint64_t stall_ms = 0;
   // Caller-observed Put percentiles (microseconds) from talus.latency.
   double lat_p50_us = 0;

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metric_catalog.h"
 #include "shard/sharded_db.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -147,10 +148,13 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
     r.min_shard_puts = std::min(r.min_shard_puts, puts);
     r.max_shard_puts = std::max(r.max_shard_puts, puts);
   }
-  const EngineStats agg = db->AggregatedStats();
-  r.stall_ms = agg.stall_micros / 1000;
-  r.bg_flushes = agg.bg_flushes;
-  r.bg_compactions = agg.bg_compactions;
+  uint64_t stall_micros = 0;
+  for (const obs::MetricSnapshot& s : db->SnapshotMetrics()) {
+    stall_micros += s.stats.stall_micros;
+    r.bg_flushes += s.stats.bg_flushes;
+    r.bg_compactions += s.stats.bg_compactions;
+  }
+  r.stall_ms = stall_micros / 1000;
   {
     const std::vector<Histogram> lat = db->GetLatencyHistograms();
     const Histogram& put = lat[static_cast<size_t>(obs::OpType::kPut)];

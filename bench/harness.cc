@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <numeric>
 
-#include "metrics/throughput.h"
+#include "obs/throughput.h"
 #include "util/random.h"
 
 namespace talus {
@@ -63,7 +63,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   io->ResetPeak();
   const EngineStats before = db->stats();
 
-  metrics::ThroughputMeter meter(config.worst_case_window);
+  obs::ThroughputMeter meter(config.worst_case_window);
   workload::OpStream stream(config.keys, config.mix, config.seed);
   double update_clock = 0, lookup_clock = 0, range_clock = 0;
   uint64_t updates = 0, lookups = 0, ranges = 0;

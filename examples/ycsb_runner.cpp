@@ -25,7 +25,7 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
-#include "metrics/throughput.h"
+#include "obs/throughput.h"
 #include "server/client.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
   IoStats* io = env->io_stats();
   io->Reset();
   io->ResetPeak();
-  metrics::ThroughputMeter meter(1000);
+  obs::ThroughputMeter meter(1000);
   workload::OpStream stream(keys, mix, 7);
   for (uint64_t i = 0; i < num_ops; i++) {
     const auto op = stream.Next();

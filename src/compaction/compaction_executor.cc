@@ -237,8 +237,8 @@ void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
   subs_completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
-metrics::SubcompactionStats CompactionExecutor::GetStats() const {
-  metrics::SubcompactionStats stats;
+obs::SubcompactionStats CompactionExecutor::GetStats() const {
+  obs::SubcompactionStats stats;
   stats.scheduled = subs_scheduled_.load(std::memory_order_relaxed);
   stats.completed = subs_completed_.load(std::memory_order_relaxed);
   stats.active = subs_active_.load(std::memory_order_relaxed);

@@ -23,7 +23,7 @@
 #include "compaction/compaction_plan.h"
 #include "compaction/sorted_output.h"
 #include "exec/thread_pool.h"
-#include "metrics/subcompaction_stats.h"
+#include "obs/component_stats.h"
 #include "read/table_cache.h"
 #include "util/histogram.h"
 #include "util/status.h"
@@ -55,7 +55,7 @@ class CompactionExecutor {
   /// take the DB mutex.
   Status Run(const CompactionPlan& plan, Result* result);
 
-  metrics::SubcompactionStats GetStats() const;
+  obs::SubcompactionStats GetStats() const;
 
  private:
   struct Subcompaction {

@@ -24,10 +24,10 @@ struct JobScheduler::Core {
 
   mutable std::mutex mu;
   std::condition_variable idle_cv;
-  std::deque<QueuedJob> queues[metrics::BackgroundJobStats::kNumJobTypes];
+  std::deque<QueuedJob> queues[obs::BackgroundJobStats::kNumJobTypes];
   std::unordered_map<JobId, JobState> states;
   std::deque<JobId> finished_order;  // For pruning states oldest-first.
-  metrics::BackgroundJobStats stats;
+  obs::BackgroundJobStats stats;
   Status first_error;
   JobId next_id = 1;
   bool stopping = false;
@@ -170,7 +170,7 @@ Status JobScheduler::first_error() const {
   return core_->first_error;
 }
 
-metrics::BackgroundJobStats JobScheduler::GetStats() const {
+obs::BackgroundJobStats JobScheduler::GetStats() const {
   std::lock_guard<std::mutex> l(core_->mu);
   return core_->stats;
 }

@@ -22,7 +22,7 @@
 #include <memory>
 
 #include "exec/thread_pool.h"
-#include "metrics/background_stats.h"
+#include "obs/component_stats.h"
 #include "util/status.h"
 
 namespace talus {
@@ -64,7 +64,7 @@ class JobScheduler {
   /// First job failure since construction, latched (OK if none).
   Status first_error() const;
 
-  metrics::BackgroundJobStats GetStats() const;
+  obs::BackgroundJobStats GetStats() const;
 
  private:
   struct Core;

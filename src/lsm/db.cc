@@ -12,7 +12,7 @@
 #include "compaction/compaction_planner.h"
 #include "compaction/sorted_output.h"
 #include "lsm/filename.h"
-#include "metrics/shard_stats.h"
+#include "obs/metric_catalog.h"
 #include "shard/backpressure.h"
 #include "shard/sequence_allocator.h"
 #include "table/merging_iterator.h"
@@ -397,7 +397,9 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     snap_opts.jsonl_path = options.stats_snapshot_path;
     DB* raw = db.get();
     db->snapshotter_ = std::make_unique<obs::StatsSnapshotter>(
-        db->pool_, snap_opts, [raw] { return raw->BuildStatsSample(); });
+        db->pool_, snap_opts, [raw] {
+          return obs::RenderJsonSample({raw->SampleMetrics()}, NowMicros());
+        });
     db->snapshotter_->Start();
   }
 
@@ -1243,6 +1245,10 @@ Status DB::CompactAll() {
 
 bool DB::GetProperty(const std::string& property, std::string* value) {
   value->clear();
+  if (property == "talus.stats") {
+    *value = obs::RenderStats({SnapshotMetrics()});
+    return true;
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   if (property == "talus.levels") {
     *value = current_->DebugString();
@@ -1254,66 +1260,6 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
   }
   if (property == "talus.data-bytes") {
     *value = std::to_string(ApproximateDataBytesLocked());
-    return true;
-  }
-  if (property == "talus.stats") {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "puts=%llu deletes=%llu gets=%llu scans=%llu flushes=%llu "
-        "compactions=%llu write_amp=%.3f read_amp=%.3f "
-        "flush_read=%llu comp_read=%llu conflicts=%llu "
-        "filter_negatives=%llu cache_hits=%llu max_stall=%.1f "
-        "switches=%llu bg_flushes=%llu bg_compactions=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu "
-        "stall_slowdown_us=%llu stall_stop_us=%llu "
-        "slowdowns_memtable=%llu slowdowns_l0=%llu "
-        "stops_memtable=%llu stops_l0=%llu",
-        static_cast<unsigned long long>(stats_.puts),
-        static_cast<unsigned long long>(stats_.deletes),
-        static_cast<unsigned long long>(stats_.gets),
-        static_cast<unsigned long long>(stats_.scans),
-        static_cast<unsigned long long>(stats_.flushes),
-        static_cast<unsigned long long>(stats_.compactions),
-        stats_.WriteAmplification(), stats_.ReadAmplification(),
-        static_cast<unsigned long long>(stats_.flush_bytes_read),
-        static_cast<unsigned long long>(stats_.compaction_bytes_read),
-        static_cast<unsigned long long>(stats_.compaction_conflicts),
-        static_cast<unsigned long long>(stats_.filter_negatives),
-        static_cast<unsigned long long>(stats_.block_cache_hits),
-        stats_.max_stall_clock,
-        static_cast<unsigned long long>(stats_.memtable_switches),
-        static_cast<unsigned long long>(stats_.bg_flushes),
-        static_cast<unsigned long long>(stats_.bg_compactions),
-        static_cast<unsigned long long>(stats_.stall_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns),
-        static_cast<unsigned long long>(stats_.stall_stops),
-        static_cast<unsigned long long>(stats_.stall_slowdown_micros),
-        static_cast<unsigned long long>(stats_.stall_stop_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns_memtable),
-        static_cast<unsigned long long>(stats_.stall_slowdowns_l0),
-        static_cast<unsigned long long>(stats_.stall_stops_memtable),
-        static_cast<unsigned long long>(stats_.stall_stops_l0));
-    const read::TableCache::Stats tc = table_cache_->GetStats();
-    char caches[512];
-    std::snprintf(
-        caches, sizeof(caches),
-        " bc_hits=%llu bc_misses=%llu bc_evictions=%llu bc_usage=%zu "
-        "bc_cap=%zu tc_hits=%llu tc_misses=%llu tc_opens=%llu "
-        "tc_evictions=%llu tc_open_readers=%zu tc_cap=%zu "
-        "gc_pending=%zu gc_deleted=%llu",
-        static_cast<unsigned long long>(block_cache_->hits()),
-        static_cast<unsigned long long>(block_cache_->misses()),
-        static_cast<unsigned long long>(block_cache_->evictions()),
-        block_cache_->usage(), block_cache_->capacity(),
-        static_cast<unsigned long long>(tc.hits),
-        static_cast<unsigned long long>(tc.misses),
-        static_cast<unsigned long long>(tc.opens),
-        static_cast<unsigned long long>(tc.evictions), tc.open_readers,
-        tc.capacity, gc_pending_.size(),
-        static_cast<unsigned long long>(stats_.obsolete_files_deleted));
-    *value = std::string(buf) + caches + " | " +
-             write_stats_.Snapshot().ToString();
     return true;
   }
   if (property == "talus.cstats") {
@@ -1387,41 +1333,23 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
       *value = "enabled=0";
       return true;
     }
-    const std::string policy_name = policy_->name();
-    const double size_ratio = options_.policy.size_ratio;
-    lock.unlock();  // The tuner has its own lock.
-    const tune::TunerStats ts = tuner_->GetStats();
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "enabled=1 policy=%s T=%.1f hysteresis=%.2f ticks=%llu "
-        "retunes=%llu switches=%llu holds=%llu thin=%llu cooldown=%llu "
-        "drift_events=%llu last_gain=%.3f last_cost_cur=%.4f "
-        "last_cost_best=%.4f last_action=%s last_design=%s",
-        policy_name.c_str(), size_ratio, tuner_->config().hysteresis,
-        static_cast<unsigned long long>(ts.ticks),
-        static_cast<unsigned long long>(ts.retunes),
-        static_cast<unsigned long long>(ts.switches_applied),
-        static_cast<unsigned long long>(ts.holds),
-        static_cast<unsigned long long>(ts.thin_windows),
-        static_cast<unsigned long long>(ts.cooldown_holds),
-        static_cast<unsigned long long>(ts.drift_events), ts.last_gain,
-        ts.last_current_cost, ts.last_best_cost,
-        ts.last_action.empty() ? "none" : ts.last_action.c_str(),
-        ts.last_design.empty() ? "none" : ts.last_design.c_str());
-    *value = buf;
+    char head[160];
+    std::snprintf(head, sizeof(head), "enabled=1 policy=%s T=%.1f "
+                  "hysteresis=%.2f ", policy_->name().c_str(),
+                  options_.policy.size_ratio, tuner_->config().hysteresis);
+    lock.unlock();  // SnapshotMetrics takes it again.
+    const obs::MetricSnapshot snap = SnapshotMetrics();
+    const tune::TunerStats& ts = snap.tune;
+    *value = head + obs::RenderStats({snap}, obs::kTune) +
+             " last_action=" +
+             (ts.last_action.empty() ? "none" : ts.last_action) +
+             " last_design=" +
+             (ts.last_design.empty() ? "none" : ts.last_design);
     return true;
   }
   if (property == "talus.snapshots") {
-    if (snapshotter_ != nullptr) {
-      lock.unlock();  // The snapshotter has its own lock.
-      std::string out;
-      for (const std::string& line : snapshotter_->RingContents()) {
-        out += line;
-        out += '\n';
-      }
-      *value = out;
-    }
+    lock.unlock();  // The snapshotter has its own lock.
+    if (snapshotter_ != nullptr) *value = snapshotter_->RingText();
     return true;
   }
   return false;
@@ -1587,15 +1515,12 @@ Status DB::Get(const Slice& key, std::string* value,
   Status result = GetFromView(*view, lkey, value, &probe);
 
   // Read-path stats are relaxed atomics: no second mutex acquisition.
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) stats_.gets_found.fetch_add(1, std::memory_order_relaxed);
-  stats_.runs_probed.fetch_add(probe.runs_probed, std::memory_order_relaxed);
-  stats_.filter_negatives.fetch_add(probe.filter_negatives,
-                                    std::memory_order_relaxed);
-  stats_.data_block_reads.fetch_add(probe.block_reads,
-                                    std::memory_order_relaxed);
-  stats_.block_cache_hits.fetch_add(probe.cache_hits,
-                                    std::memory_order_relaxed);
+  stats_.gets.fetch_add(1);
+  if (result.ok()) stats_.gets_found.fetch_add(1);
+  stats_.runs_probed.fetch_add(probe.runs_probed);
+  stats_.filter_negatives.fetch_add(probe.filter_negatives);
+  stats_.data_block_reads.fetch_add(probe.block_reads);
+  stats_.block_cache_hits.fetch_add(probe.cache_hits);
   if (amp_ != nullptr) amp_->RecordLookup(probe.amp);
   mix_tracker_.RecordPointLookup();
   return result;
@@ -1711,12 +1636,12 @@ Status DB::Scan(const Slice& start, size_t count,
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     iter->Next();
   }
-  stats_.scans.fetch_add(1, std::memory_order_relaxed);
+  stats_.scans.fetch_add(1);
   mix_tracker_.RecordRangeLookup();
   return iter->status();
 }
 
-metrics::GroupCommitStats DB::GetGroupCommitStats() const {
+obs::GroupCommitStats DB::GetGroupCommitStats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return write_stats_.Snapshot();
 }
@@ -1753,24 +1678,48 @@ std::vector<Histogram> DB::GetLatencyHistograms() const {
 }
 
 std::string DB::DumpPrometheus() const {
-  EngineStats stats;
-  uint64_t data_bytes = 0;
-  obs::AmpSnapshot amp;
+  return obs::RenderPrometheus({SnapshotMetrics()});
+}
+
+obs::MetricSnapshot DB::SnapshotMetrics() const {
+  obs::MetricSnapshot s;
+  s.sections = obs::kEngine | obs::kWrite;
+  s.shard_index = options_.shard_index;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stats = stats_;
-    data_bytes = ApproximateDataBytesLocked();
+    std::lock_guard<std::mutex> lock(mutex_);
+    s.stats = stats_;
+    s.writes = write_stats_.Snapshot();
+    s.gc_pending = gc_pending_.size();
+    s.data_bytes = ApproximateDataBytesLocked();
+    s.num_runs = current_->TotalRuns();
     if (amp_ != nullptr) {
-      amp = amp_->Snapshot();
-      FillLiveSpaceLocked(&amp);
+      s.sections |= obs::kAmp;
+      s.amp = amp_->Snapshot();
+      FillLiveSpaceLocked(&s.amp);
     }
   }
-  tune::TunerStats tune_stats;
-  if (tuner_ != nullptr) tune_stats = tuner_->GetStats();
-  return metrics::DumpPrometheusText(stats, ring_->TotalEmitted(), data_bytes,
-                                     GetLatencyHistograms(),
-                                     amp_ != nullptr ? &amp : nullptr,
-                                     tuner_ != nullptr ? &tune_stats : nullptr);
+  s.bc_hits = block_cache_->hits();
+  s.bc_misses = block_cache_->misses();
+  s.bc_evictions = block_cache_->evictions();
+  s.bc_usage = block_cache_->usage();
+  s.bc_capacity = block_cache_->capacity();
+  s.tables = table_cache_->GetStats();
+  s.events_total = ring_->TotalEmitted();
+  s.latency = GetLatencyHistograms();
+  if (tuner_ != nullptr) {
+    s.sections |= obs::kTune;
+    s.tune = tuner_->GetStats();
+  }
+  return s;
+}
+
+obs::MetricSnapshot DB::SampleMetrics() {
+  obs::MetricSnapshot s = SnapshotMetrics();
+  if (amp_ != nullptr) {
+    s.sections |= obs::kDrift;
+    s.drift = EvaluateModelDrift();
+  }
+  return s;
 }
 
 void DB::FillLiveSpaceLocked(obs::AmpSnapshot* snap) const {
@@ -1992,37 +1941,6 @@ obs::DriftSample DB::EvaluateModelDrift() {
   amp_->AdvanceWindow();
   mix_tracker_.AdvanceWindow();
   return sample;
-}
-
-std::string DB::BuildStatsSample() {
-  const obs::AmpSnapshot amp = GetAmpSnapshot();
-  const obs::DriftSample drift = EvaluateModelDrift();
-  uint64_t data_bytes = ApproximateDataBytes();
-
-  double put_p99 = 0;
-  double get_p99 = 0;
-  if (latency_ != nullptr) {
-    put_p99 = latency_->SnapshotOp(obs::OpType::kPut).Percentile(99.0);
-    get_p99 = latency_->SnapshotOp(obs::OpType::kGet).Percentile(99.0);
-  }
-
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"t_us\": %llu, \"shard\": %zu, \"write_amp\": %.4f, "
-      "\"read_amp\": %.4f, \"space_amp\": %.4f, \"blocks_per_lookup\": %.4f, "
-      "\"lookups\": %llu, \"user_payload\": %llu, \"data_bytes\": %llu, "
-      "\"put_p99_us\": %.1f, \"get_p99_us\": %.1f, \"mix_w\": %.3f, "
-      "\"mix_r\": %.3f, \"predicted_point\": %.4f, \"measured_point\": %.4f, "
-      "\"drift_score\": %.3f, \"drifted\": %d}",
-      static_cast<unsigned long long>(NowMicros()), options_.shard_index,
-      amp.WriteAmp(), amp.ReadAmp(), amp.SpaceAmp(), amp.BlocksPerLookup(),
-      static_cast<unsigned long long>(amp.lookups),
-      static_cast<unsigned long long>(amp.user_payload_bytes),
-      static_cast<unsigned long long>(data_bytes), put_p99, get_p99,
-      drift.mix.updates, drift.mix.point_lookups, drift.predicted_point,
-      drift.measured_point, drift.drift_score, drift.drifted ? 1 : 0);
-  return buf;
 }
 
 }  // namespace talus

@@ -53,8 +53,8 @@
 #include "lsm/version.h"
 #include "lsm/write_batch.h"
 #include "mem/memtable.h"
-#include "metrics/write_stats.h"
 #include "obs/amp_tracker.h"
+#include "obs/component_stats.h"
 #include "obs/event_ring.h"
 #include "obs/latency_recorder.h"
 #include "obs/model_drift.h"
@@ -68,9 +68,30 @@
 
 namespace talus {
 
+namespace obs {
+struct MetricSnapshot;
+}  // namespace obs
 namespace shard {
 class ShardedDB;
 }  // namespace shard
+
+/// A relaxed atomic counter that copies by value, so a struct holding
+/// some copies field-wise with the implicit copy operations.
+class RelaxedCounter {
+ public:
+  RelaxedCounter() = default;
+  RelaxedCounter(const RelaxedCounter& o) : v_(o.load()) {}
+  RelaxedCounter& operator=(const RelaxedCounter& o) {
+    v_.store(o.load(), std::memory_order_relaxed);
+    return *this;
+  }
+  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
+  void fetch_add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  operator uint64_t() const { return load(); }
+
+ private:
+  std::atomic<uint64_t> v_{0};
+};
 
 /// Cumulative engine statistics (virtual-clock based where noted).
 /// Write-path fields are updated under the DB mutex; read-path fields are
@@ -92,13 +113,13 @@ struct EngineStats {
   uint64_t compaction_conflicts = 0;
 
   // Read path (mutex-free increments).
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> gets_found{0};
-  std::atomic<uint64_t> scans{0};
-  std::atomic<uint64_t> runs_probed{0};
-  std::atomic<uint64_t> filter_negatives{0};
-  std::atomic<uint64_t> data_block_reads{0};
-  std::atomic<uint64_t> block_cache_hits{0};
+  RelaxedCounter gets;
+  RelaxedCounter gets_found;
+  RelaxedCounter scans;
+  RelaxedCounter runs_probed;
+  RelaxedCounter filter_negatives;
+  RelaxedCounter data_block_reads;
+  RelaxedCounter block_cache_hits;
 
   // Obsolete SSTs physically deleted after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).
@@ -132,45 +153,6 @@ struct EngineStats {
     uint64_t bytes_written = 0;
   };
   std::vector<LevelStats> level_stats;
-
-  EngineStats() = default;
-  EngineStats(const EngineStats& o) { *this = o; }
-  EngineStats& operator=(const EngineStats& o) {
-    puts = o.puts;
-    deletes = o.deletes;
-    flushes = o.flushes;
-    compactions = o.compactions;
-    flush_bytes_read = o.flush_bytes_read;
-    flush_bytes_written = o.flush_bytes_written;
-    compaction_bytes_read = o.compaction_bytes_read;
-    compaction_bytes_written = o.compaction_bytes_written;
-    user_payload_written = o.user_payload_written;
-    compaction_conflicts = o.compaction_conflicts;
-    gets.store(o.gets.load());
-    gets_found.store(o.gets_found.load());
-    scans.store(o.scans.load());
-    runs_probed.store(o.runs_probed.load());
-    filter_negatives.store(o.filter_negatives.load());
-    data_block_reads.store(o.data_block_reads.load());
-    block_cache_hits.store(o.block_cache_hits.load());
-    obsolete_files_deleted = o.obsolete_files_deleted;
-    max_stall_clock = o.max_stall_clock;
-    memtable_switches = o.memtable_switches;
-    bg_flushes = o.bg_flushes;
-    bg_compactions = o.bg_compactions;
-    stall_slowdowns = o.stall_slowdowns;
-    stall_stops = o.stall_stops;
-    stall_micros = o.stall_micros;
-    stall_slowdown_micros = o.stall_slowdown_micros;
-    stall_stop_micros = o.stall_stop_micros;
-    stall_slowdowns_memtable = o.stall_slowdowns_memtable;
-    stall_slowdowns_l0 = o.stall_slowdowns_l0;
-    stall_stops_memtable = o.stall_stops_memtable;
-    stall_stops_l0 = o.stall_stops_l0;
-    max_imm_queue_depth = o.max_imm_queue_depth;
-    level_stats = o.level_stats;
-    return *this;
-  }
 
   /// Physical bytes written per user payload byte.
   double WriteAmplification() const {
@@ -239,36 +221,10 @@ class DB {
   /// background work first.
   Status CompactAll();
 
-  /// Introspection. Returns false for unknown names. Every property is
-  /// also fetchable over the wire via the PROPERTY opcode
-  /// (docs/PROTOCOL.md) when the DB is served by server::Server; the
-  /// operator-facing guide to reading them is docs/OPERATIONS.md.
-  ///   "talus.stats"      engine counters, incl. stall split by regime/cause
-  ///   "talus.levels"     per-level shape
-  ///   "talus.cstats"     per-level compaction accounting
-  ///   "talus.num-runs"   total sorted runs
-  ///   "talus.data-bytes" approximate live logical bytes
-  ///   "talus.exec"       background execution / scheduler state
-  ///   "talus.latency"    per-op latency histograms, one line per op:
-  ///                      `op=put count=N p50_us=.. p99_us=.. p999_us=..
-  ///                      max_us=.. avg_us=..` (empty string when
-  ///                      enable_latency_stats is off; DESIGN.md §6.1)
-  ///   "talus.events"     the in-memory event ring, oldest first:
-  ///                      `t_us=.. seq=.. shard=.. event=.. a=.. b=..`
-  ///                      (DESIGN.md §6.2)
-  ///   "talus.amp"        per-level amplification accounting, cumulative
-  ///                      then windowed (empty when enable_amp_stats is
-  ///                      off; DESIGN.md §6.6)
-  ///   "talus.model"      cost-model drift: predicted vs measured per-op
-  ///                      cost for the active policy's design. Evaluates
-  ///                      one window (advancing it) and emits kAmpSample /
-  ///                      kModelDrift events (DESIGN.md §6.7)
-  ///   "talus.snapshots"  the stats snapshotter's in-memory ring, one JSON
-  ///                      sample per line, oldest first (empty unless
-  ///                      stats_snapshot_interval_ms > 0; DESIGN.md §6.8)
-  ///   "talus.tune"       adaptive-tuner state: active policy, decision
-  ///                      counters, last predicted costs/gain ("enabled=0"
-  ///                      when adaptive_tuning is off; DESIGN.md §9)
+  /// Introspection: the talus.* properties declared in the metric catalog
+  /// (obs::FindProperty, obs/metric_catalog.h). Returns false for unknown
+  /// names. talus.latency and talus.amp are empty when their stats are
+  /// off, talus.snapshots without a snapshotter.
   bool GetProperty(const std::string& property, std::string* value);
 
   /// Collects up to `count` live entries with user key >= start, in order.
@@ -307,7 +263,7 @@ class DB {
   /// mode; quiesce (FlushMemTable) before precise accounting.
   const EngineStats& stats() const { return stats_; }
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
-  metrics::GroupCommitStats GetGroupCommitStats() const;
+  obs::GroupCommitStats GetGroupCommitStats() const;
   /// Per-op latency recorder; null when enable_latency_stats is off.
   obs::LatencyRecorder* latency_recorder() { return latency_.get(); }
   /// Per-level amplification tracker; null when enable_amp_stats is off.
@@ -331,9 +287,17 @@ class DB {
   /// histograms when latency stats are disabled. The sharding layer merges
   /// these per-shard vectors into fleet-wide talus.latency.
   std::vector<Histogram> GetLatencyHistograms() const;
-  /// Prometheus text exposition of the engine counters and latency
-  /// histograms (talus_* families; DESIGN.md §6.4).
+  /// Prometheus text exposition of every talus_* engine family in the
+  /// metric catalog (DESIGN.md §6.3–§6.4).
   std::string DumpPrometheus() const;
+  /// This engine's metric values (obs/metric_catalog.h): the state the
+  /// DB owns is copied in one critical section, the components with their
+  /// own synchronization are read after it. Every stats surface renders
+  /// from these snapshots.
+  obs::MetricSnapshot SnapshotMetrics() const;
+  /// SnapshotMetrics plus one drift evaluation, which consumes the drift
+  /// window (EvaluateModelDrift). The JSONL sample's source.
+  obs::MetricSnapshot SampleMetrics();
   /// Largest sequence this engine has committed (recovery/sharding
   /// bookkeeping; takes the mutex).
   SequenceNumber LastSequence() const;
@@ -545,7 +509,7 @@ class DB {
   // lock held or inside mutex_ (never the reverse).
   std::unique_ptr<write::WriteQueue> write_queue_;
   // Group-commit counters; updated and snapshotted under mutex_.
-  metrics::GroupCommitTracker write_stats_;
+  obs::GroupCommitTracker write_stats_;
   // True while a group leader is appending to the WAL / inserting into
   // mem_ with the mutex released. FlushMemTable waits for it to clear
   // before switching or flushing the active memtable, so a mid-commit
@@ -615,8 +579,6 @@ class DB {
   std::unique_ptr<tune::AdaptiveTuner> tuner_;
   /// Fills the per-level live_sst/live_payload fields from current_.
   void FillLiveSpaceLocked(obs::AmpSnapshot* snap) const;
-  /// One snapshotter JSON sample line (amp + latency + drift).
-  std::string BuildStatsSample();
 
   // ---- Background execution (null / unused under kInline) ----
   // The pool is either owned (standalone DB) or borrowed from the sharded

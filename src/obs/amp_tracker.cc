@@ -14,18 +14,18 @@ uint64_t SatSub(uint64_t a, uint64_t b) { return a >= b ? a - b : 0; }
 
 }  // namespace
 
-uint64_t AmpSnapshot::TotalBytesFlushed() const {
+uint64_t AmpSnapshot::Total(uint64_t Level::*field) const {
   uint64_t total = 0;
-  for (int i = 0; i < num_levels; i++) total += levels[i].flush_bytes_written;
+  for (int i = 0; i < num_levels; i++) total += levels[i].*field;
   return total;
 }
 
+uint64_t AmpSnapshot::TotalBytesFlushed() const {
+  return Total(&Level::flush_bytes_written);
+}
+
 uint64_t AmpSnapshot::TotalBytesCompacted() const {
-  uint64_t total = 0;
-  for (int i = 0; i < num_levels; i++) {
-    total += levels[i].compaction_bytes_written;
-  }
-  return total;
+  return Total(&Level::compaction_bytes_written);
 }
 
 double AmpSnapshot::WriteAmp() const {
@@ -36,27 +36,21 @@ double AmpSnapshot::WriteAmp() const {
 
 double AmpSnapshot::ReadAmp() const {
   if (lookups == 0) return 0.0;
-  uint64_t probed = 0;
-  for (int i = 0; i < num_levels; i++) probed += levels[i].files_probed;
-  return static_cast<double>(probed) / static_cast<double>(lookups);
+  return static_cast<double>(Total(&Level::files_probed)) /
+         static_cast<double>(lookups);
 }
 
 double AmpSnapshot::BlocksPerLookup() const {
   if (lookups == 0) return 0.0;
-  uint64_t blocks = 0;
-  for (int i = 0; i < num_levels; i++) blocks += levels[i].block_reads;
-  return static_cast<double>(blocks) / static_cast<double>(lookups);
+  return static_cast<double>(Total(&Level::block_reads)) /
+         static_cast<double>(lookups);
 }
 
 double AmpSnapshot::SpaceAmp() const {
-  uint64_t sst = 0;
-  uint64_t payload = 0;
-  for (int i = 0; i < num_levels; i++) {
-    sst += levels[i].live_sst_bytes;
-    payload += levels[i].live_payload_bytes;
-  }
+  const uint64_t payload = Total(&Level::live_payload_bytes);
   if (payload == 0) return 1.0;
-  return static_cast<double>(sst) / static_cast<double>(payload);
+  return static_cast<double>(Total(&Level::live_sst_bytes)) /
+         static_cast<double>(payload);
 }
 
 void AmpSnapshot::Add(const AmpSnapshot& other) {

@@ -62,6 +62,8 @@ struct AmpSnapshot {
   uint64_t misses = 0;
   uint64_t user_payload_bytes = 0;  // committed key+value bytes
 
+  /// One per-level field summed over the levels.
+  uint64_t Total(uint64_t Level::*field) const;
   uint64_t TotalBytesFlushed() const;
   uint64_t TotalBytesCompacted() const;
   // (flush + compaction bytes written) / user payload; 0 when no payload.

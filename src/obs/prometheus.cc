@@ -1,5 +1,6 @@
 #include "obs/prometheus.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace talus {
@@ -10,6 +11,15 @@ namespace {
 std::string SampleName(const std::string& name, const std::string& labels) {
   if (labels.empty()) return name;
   return name + "{" + labels + "}";
+}
+
+// " <value>\n". Integral values print exactly (byte gauges, latency sums);
+// others keep six significant digits.
+std::string ValueText(double value) {
+  char buf[48];
+  const bool integral = std::fabs(value) < 1e18 && value == std::floor(value);
+  std::snprintf(buf, sizeof(buf), integral ? " %.0f\n" : " %.6g\n", value);
+  return buf;
 }
 
 }  // namespace
@@ -42,9 +52,7 @@ void PrometheusWriter::AddGauge(const std::string& name,
                                 const std::string& labels, double value,
                                 const std::string& help) {
   Family* f = FamilyFor(name, "gauge", help);
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), " %.6g\n", value);
-  f->body += SampleName(name, labels) + buf;
+  f->body += SampleName(name, labels) + ValueText(value);
 }
 
 void PrometheusWriter::AddHistogram(const std::string& name,
@@ -71,8 +79,7 @@ void PrometheusWriter::AddHistogram(const std::string& name,
   std::snprintf(buf, sizeof(buf), "le=\"+Inf\"} %llu\n",
                 static_cast<unsigned long long>(h.Count()));
   f->body += name + "_bucket{" + labels + sep + buf;
-  std::snprintf(buf, sizeof(buf), " %.6g\n", h.Sum());
-  f->body += SampleName(name + "_sum", labels) + buf;
+  f->body += SampleName(name + "_sum", labels) + ValueText(h.Sum());
   std::snprintf(buf, sizeof(buf), " %llu\n",
                 static_cast<unsigned long long>(h.Count()));
   f->body += SampleName(name + "_count", labels) + buf;

@@ -123,6 +123,12 @@ std::vector<std::string> StatsSnapshotter::RingContents() const {
   return out;
 }
 
+std::string StatsSnapshotter::RingText() const {
+  std::string out;
+  for (const std::string& line : RingContents()) out += line + "\n";
+  return out;
+}
+
 uint64_t StatsSnapshotter::TotalSamples() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_samples_;

@@ -57,6 +57,8 @@ class StatsSnapshotter {
 
   /// Oldest-first copy of the retained samples.
   std::vector<std::string> RingContents() const;
+  /// The same samples, one per line (the talus.snapshots property).
+  std::string RingText() const;
   uint64_t TotalSamples() const;
 
  private:

@@ -1,9 +1,9 @@
-#include "metrics/throughput.h"
+#include "obs/throughput.h"
 
 #include <algorithm>
 
 namespace talus {
-namespace metrics {
+namespace obs {
 
 double ThroughputMeter::AverageThroughput() const {
   if (completions_.size() < 2) return 0;
@@ -27,5 +27,5 @@ double ThroughputMeter::WorstCaseThroughput() const {
   return worst < 0 ? 0 : worst;
 }
 
-}  // namespace metrics
+}  // namespace obs
 }  // namespace talus

@@ -2,15 +2,15 @@
 // The paper's worst-case metric is the lowest throughput observed in any
 // sliding window of the most recent `window_ops` operations — compaction
 // stalls surface here.
-#ifndef TALUS_METRICS_THROUGHPUT_H_
-#define TALUS_METRICS_THROUGHPUT_H_
+#ifndef TALUS_OBS_THROUGHPUT_H_
+#define TALUS_OBS_THROUGHPUT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace talus {
-namespace metrics {
+namespace obs {
 
 class ThroughputMeter {
  public:
@@ -36,7 +36,7 @@ class ThroughputMeter {
   std::vector<double> completions_;
 };
 
-}  // namespace metrics
+}  // namespace obs
 }  // namespace talus
 
-#endif  // TALUS_METRICS_THROUGHPUT_H_
+#endif  // TALUS_OBS_THROUGHPUT_H_

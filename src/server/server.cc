@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "lsm/write_batch.h"
-#include "obs/prometheus.h"
+#include "obs/metric_catalog.h"
 #include "util/wall_clock.h"
 
 namespace talus {
@@ -197,36 +197,11 @@ ServerStats Server::stats() const {
 }
 
 std::string Server::MetricsText() const {
-  std::string text = db_->DumpPrometheus();
-  obs::PrometheusWriter w;
-  const ServerStats s = stats();
-  w.AddCounter("talus_server_connections_accepted_total", "",
-               s.connections_accepted, "Connections accepted since Start().");
-  w.AddCounter("talus_server_connections_rejected_total", "",
-               s.connections_rejected,
-               "Connections closed for exceeding max_connections.");
-  w.AddGauge("talus_server_connections_active", "",
-             static_cast<double>(s.connections_active),
-             "Currently open client connections.");
-  w.AddCounter("talus_server_requests_total", "", s.requests_total,
-               "Binary-protocol requests answered.");
-  w.AddCounter("talus_server_request_errors_total", "", s.request_errors,
-               "Requests answered with a non-OK status.");
-  w.AddCounter("talus_server_bad_frames_total", "", s.bad_frames,
-               "Fatal framing errors (connection closed).");
-  w.AddCounter("talus_server_coalesced_batches_total", "",
-               s.coalesced_batches,
-               "WriteBatch commits formed by coalescing pipelined writes.");
-  w.AddCounter("talus_server_coalesced_ops_total", "", s.coalesced_ops,
-               "PUT/DELETE requests committed inside coalesced batches.");
-  w.AddCounter("talus_server_http_requests_total", "", s.http_requests,
-               "HTTP requests served (/metrics scrapes).");
-  w.AddCounter("talus_server_bytes_in_total", "", s.bytes_in,
-               "Bytes read from client sockets.");
-  w.AddCounter("talus_server_bytes_out_total", "", s.bytes_out,
-               "Bytes written to client sockets.");
-  text += w.Output();
-  return text;
+  std::vector<obs::MetricSnapshot> snaps = db_->SnapshotMetrics();
+  snaps.emplace_back();
+  snaps.back().sections = obs::kServer;
+  snaps.back().server = stats();
+  return obs::RenderPrometheus(snaps);
 }
 
 void Server::EventLoop() {

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/component_stats.h"
 #include "server/wire.h"
 #include "shard/sharded_db.h"
 #include "util/status.h"
@@ -83,20 +84,7 @@ struct ServerOptions {
 };
 
 /// Counters for the talus_server_* Prometheus families (OPERATIONS.md).
-/// Snapshot is value-copied; fields are cumulative since Start().
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  // Over max_connections.
-  uint64_t connections_active = 0;
-  uint64_t requests_total = 0;        // Binary protocol requests answered.
-  uint64_t request_errors = 0;        // Non-kOk responses.
-  uint64_t bad_frames = 0;            // Fatal framing errors.
-  uint64_t coalesced_batches = 0;     // WriteBatch commits from coalescing.
-  uint64_t coalesced_ops = 0;         // PUT/DELETEs inside those commits.
-  uint64_t http_requests = 0;         // /metrics scrapes and friends.
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-};
+using ServerStats = obs::ServerStats;
 
 class Server {
  public:
@@ -117,8 +105,8 @@ class Server {
   uint16_t port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
   ServerStats stats() const;
-  /// The /metrics body: the DB's Prometheus exposition plus the
-  /// talus_server_* families.
+  /// The /metrics body: every catalog family, the engine fleet's and the
+  /// talus_server_* ones, in one exposition.
   std::string MetricsText() const;
 
  private:

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "metrics/shard_stats.h"
+#include "obs/metric_catalog.h"
 #include "shard/shard_iterator.h"
 #include "shard/shard_manifest.h"
 #include "util/wall_clock.h"
@@ -164,8 +164,13 @@ Status ShardedDB::Open(const DbOptions& options,
     snap_opts.jsonl_path = options.stats_snapshot_path;
     ShardedDB* raw = db.get();
     db->snapshotter_ = std::make_unique<obs::StatsSnapshotter>(
-        db->pool_.get(), snap_opts,
-        [raw] { return raw->BuildStatsSample(); });
+        db->pool_.get(), snap_opts, [raw] {
+          // Each shard's drift evaluation emits its own kAmpSample /
+          // kModelDrift into the shared ring.
+          std::vector<obs::MetricSnapshot> snaps;
+          for (auto& sh : raw->shards_) snaps.push_back(sh->SampleMetrics());
+          return obs::RenderJsonSample(snaps, NowMicros());
+        });
     db->snapshotter_->Start();
   }
 
@@ -377,44 +382,23 @@ Status ShardedDB::CompactAll() {
   return result;
 }
 
-EngineStats ShardedDB::AggregatedStats() const {
-  std::vector<const EngineStats*> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const auto& sh : shards_) per_shard.push_back(&sh->stats());
-  return metrics::AggregateEngineStats(per_shard);
-}
-
-metrics::GroupCommitStats ShardedDB::GetGroupCommitStats() const {
-  std::vector<metrics::GroupCommitStats> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const auto& sh : shards_) per_shard.push_back(sh->GetGroupCommitStats());
-  return metrics::AggregateGroupCommitStats(per_shard);
+std::vector<obs::MetricSnapshot> ShardedDB::SnapshotMetrics() const {
+  std::vector<obs::MetricSnapshot> out;
+  out.reserve(shards_.size());
+  for (const auto& sh : shards_) out.push_back(sh->SnapshotMetrics());
+  return out;
 }
 
 bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
   value->clear();
   if (property == "talus.shards") {
-    for (size_t i = 0; i < shards_.size(); i++) {
-      const EngineStats& st = shards_[i]->stats();
-      std::string runs;
-      shards_[i]->GetProperty("talus.num-runs", &runs);
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "shard=%zu range=%s puts=%llu deletes=%llu gets=%llu scans=%llu "
-          "flushes=%llu compactions=%llu data_bytes=%llu runs=%s "
-          "switches=%llu stall_us=%llu\n",
-          i, router_.RangeLabel(i).c_str(),
-          static_cast<unsigned long long>(st.puts),
-          static_cast<unsigned long long>(st.deletes),
-          static_cast<unsigned long long>(st.gets.load()),
-          static_cast<unsigned long long>(st.scans.load()),
-          static_cast<unsigned long long>(st.flushes),
-          static_cast<unsigned long long>(st.compactions),
-          static_cast<unsigned long long>(shards_[i]->ApproximateDataBytes()),
-          runs.c_str(), static_cast<unsigned long long>(st.memtable_switches),
-          static_cast<unsigned long long>(st.stall_micros));
-      *value += buf;
+    // One line per shard: its range, size and runs, then its talus.stats.
+    for (const obs::MetricSnapshot& sh : SnapshotMetrics()) {
+      *value += "shard=" + std::to_string(sh.shard_index) + " range=" +
+                router_.RangeLabel(sh.shard_index) +
+                " data_bytes=" + std::to_string(sh.data_bytes) +
+                " runs=" + std::to_string(sh.num_runs) + " " +
+                obs::RenderStats({sh}) + "\n";
     }
     return true;
   }
@@ -422,12 +406,7 @@ bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
     // The fleet snapshotter's ring, not a shard's: per-shard snapshotters
     // are disabled at Open, so even with one shard this is the only ring
     // with samples in it.
-    if (snapshotter_ != nullptr) {
-      for (const std::string& line : snapshotter_->RingContents()) {
-        *value += line;
-        *value += '\n';
-      }
-    }
+    if (snapshotter_ != nullptr) *value = snapshotter_->RingText();
     return true;
   }
   // One shard: the engine's own output, bit-identical to a standalone DB.
@@ -435,186 +414,64 @@ bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
   // shared ring, and its recorder holds every observation.)
   if (shards_.size() == 1) return shards_[0]->GetProperty(property, value);
 
-  if (property == "talus.latency") {
-    // Exact fleet-wide percentiles: the shards share one bucket layout, so
-    // merging their histograms is a sum of bucket counts (DESIGN.md §6.3).
-    *value = obs::LatencyRecorder::Format(GetLatencyHistograms());
-    return true;
-  }
-  if (property == "talus.events") {
-    *value = ring_->ToString();
-    return true;
-  }
-
-  if (property == "talus.num-runs" || property == "talus.data-bytes") {
-    uint64_t total = 0;
-    for (auto& sh : shards_) {
-      std::string one;
-      if (!sh->GetProperty(property, &one)) return false;
-      total += std::strtoull(one.c_str(), nullptr, 10);
+  const obs::PropertyDef* def = obs::FindProperty(property);
+  if (def == nullptr) return false;
+  switch (def->merge) {
+    case obs::PropertyMerge::kCatalog:
+      *value = obs::RenderStats(SnapshotMetrics());
+      return true;
+    case obs::PropertyMerge::kSum: {
+      uint64_t total = 0;
+      for (auto& sh : shards_) {
+        std::string one;
+        if (!sh->GetProperty(property, &one)) return false;
+        total += std::strtoull(one.c_str(), nullptr, 10);
+      }
+      *value = std::to_string(total);
+      return true;
     }
-    *value = std::to_string(total);
-    return true;
-  }
-  if (property == "talus.amp") {
-    // Fleet-wide merge first (what a dashboard scrapes), then the
-    // per-shard cumulative/window breakdown.
-    const obs::AmpSnapshot fleet = AggregatedAmpSnapshot();
-    *value = "-- fleet cumulative --\n" + fleet.ToString();
-    for (size_t i = 0; i < shards_.size(); i++) {
-      std::string one;
-      if (!shards_[i]->GetProperty(property, &one)) return false;
-      char head[64];
-      std::snprintf(head, sizeof(head), "-- shard %zu --\n", i);
-      *value += head;
-      *value += one;
-      if (!one.empty() && one.back() != '\n') *value += '\n';
-    }
-    return true;
-  }
-  if (property == "talus.levels" || property == "talus.cstats" ||
-      property == "talus.exec" || property == "talus.model" ||
-      property == "talus.tune") {
-    for (size_t i = 0; i < shards_.size(); i++) {
-      std::string one;
-      if (!shards_[i]->GetProperty(property, &one)) return false;
-      char head[64];
-      std::snprintf(head, sizeof(head), "-- shard %zu --\n", i);
-      *value += head;
-      *value += one;
-      if (!one.empty() && one.back() != '\n') *value += '\n';
-    }
-    return true;
-  }
-  if (property == "talus.stats") {
-    const EngineStats agg = AggregatedStats();
-    uint64_t bc_hits = 0, bc_misses = 0, tc_hits = 0, tc_misses = 0;
-    for (auto& sh : shards_) {
-      bc_hits += sh->block_cache()->hits();
-      bc_misses += sh->block_cache()->misses();
-      const read::TableCache::Stats tc = sh->table_cache()->GetStats();
-      tc_hits += tc.hits;
-      tc_misses += tc.misses;
-    }
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "shards=%zu puts=%llu deletes=%llu gets=%llu scans=%llu "
-        "flushes=%llu compactions=%llu write_amp=%.3f read_amp=%.3f "
-        "flush_read=%llu comp_read=%llu conflicts=%llu "
-        "switches=%llu bg_flushes=%llu bg_compactions=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu "
-        "stall_slowdown_us=%llu stall_stop_us=%llu "
-        "slowdowns_memtable=%llu slowdowns_l0=%llu "
-        "stops_memtable=%llu stops_l0=%llu "
-        "bc_hits=%llu bc_misses=%llu tc_hits=%llu tc_misses=%llu",
-        shards_.size(), static_cast<unsigned long long>(agg.puts),
-        static_cast<unsigned long long>(agg.deletes),
-        static_cast<unsigned long long>(agg.gets.load()),
-        static_cast<unsigned long long>(agg.scans.load()),
-        static_cast<unsigned long long>(agg.flushes),
-        static_cast<unsigned long long>(agg.compactions),
-        agg.WriteAmplification(), agg.ReadAmplification(),
-        static_cast<unsigned long long>(agg.flush_bytes_read),
-        static_cast<unsigned long long>(agg.compaction_bytes_read),
-        static_cast<unsigned long long>(agg.compaction_conflicts),
-        static_cast<unsigned long long>(agg.memtable_switches),
-        static_cast<unsigned long long>(agg.bg_flushes),
-        static_cast<unsigned long long>(agg.bg_compactions),
-        static_cast<unsigned long long>(agg.stall_micros),
-        static_cast<unsigned long long>(agg.stall_slowdowns),
-        static_cast<unsigned long long>(agg.stall_stops),
-        static_cast<unsigned long long>(agg.stall_slowdown_micros),
-        static_cast<unsigned long long>(agg.stall_stop_micros),
-        static_cast<unsigned long long>(agg.stall_slowdowns_memtable),
-        static_cast<unsigned long long>(agg.stall_slowdowns_l0),
-        static_cast<unsigned long long>(agg.stall_stops_memtable),
-        static_cast<unsigned long long>(agg.stall_stops_l0),
-        static_cast<unsigned long long>(bc_hits),
-        static_cast<unsigned long long>(bc_misses),
-        static_cast<unsigned long long>(tc_hits),
-        static_cast<unsigned long long>(tc_misses));
-    *value = std::string(buf) + " | " +
-             GetGroupCommitStats().ToString();
-    return true;
+    case obs::PropertyMerge::kPerShard:
+      if (property == "talus.amp") {
+        // The fleet-wide merge first (what a dashboard scrapes).
+        *value = "-- fleet cumulative --\n" +
+                 AggregatedAmpSnapshot().ToString();
+      }
+      for (size_t i = 0; i < shards_.size(); i++) {
+        std::string one;
+        if (!shards_[i]->GetProperty(property, &one)) return false;
+        *value += "-- shard " + std::to_string(i) + " --\n" + one;
+        if (!one.empty() && one.back() != '\n') *value += '\n';
+      }
+      return true;
+    case obs::PropertyMerge::kFleet:
+      // talus.shards and talus.snapshots are answered above. Latency
+      // merges exactly: the shards share one bucket layout (DESIGN.md
+      // §6.3); events come from the ring every shard emits into.
+      *value = property == "talus.events"
+                   ? ring_->ToString()
+                   : obs::LatencyRecorder::Format(GetLatencyHistograms());
+      return true;
   }
   return false;
 }
 
-uint64_t ShardedDB::ApproximateDataBytes() const {
-  uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->ApproximateDataBytes();
-  return total;
-}
-
 std::vector<Histogram> ShardedDB::GetLatencyHistograms() const {
-  std::vector<std::vector<Histogram>> per_shard;
-  per_shard.reserve(shards_.size());
+  std::vector<Histogram> out(obs::kNumOpTypes);
   for (const auto& sh : shards_) {
-    per_shard.push_back(sh->GetLatencyHistograms());
+    const std::vector<Histogram> one = sh->GetLatencyHistograms();
+    for (size_t op = 0; op < out.size(); op++) out[op].Merge(one[op]);
   }
-  return metrics::MergeLatencyHistograms(per_shard);
+  return out;
 }
 
 std::string ShardedDB::DumpPrometheus() const {
-  const EngineStats agg = AggregatedStats();
-  const obs::AmpSnapshot amp = AggregatedAmpSnapshot();
-  std::vector<tune::TunerStats> per_shard_tune;
-  for (const auto& sh : shards_) {
-    if (sh->adaptive_tuner() != nullptr) {
-      per_shard_tune.push_back(sh->adaptive_tuner()->GetStats());
-    }
-  }
-  const tune::TunerStats tune_agg =
-      metrics::AggregateTunerStats(per_shard_tune);
-  return metrics::DumpPrometheusText(
-      agg, ring_->TotalEmitted(), ApproximateDataBytes(),
-      GetLatencyHistograms(), options_.enable_amp_stats ? &amp : nullptr,
-      per_shard_tune.empty() ? nullptr : &tune_agg);
+  return obs::RenderPrometheus(SnapshotMetrics());
 }
 
 obs::AmpSnapshot ShardedDB::AggregatedAmpSnapshot() const {
   obs::AmpSnapshot out;
   for (const auto& sh : shards_) out.Add(sh->GetAmpSnapshot());
   return out;
-}
-
-std::string ShardedDB::BuildStatsSample() {
-  const obs::AmpSnapshot amp = AggregatedAmpSnapshot();
-  // Each shard's drift evaluation consumes its window and emits its own
-  // kAmpSample/kModelDrift into the shared ring; the fleet sample keeps
-  // the worst score.
-  double max_drift = 0;
-  int drifted = 0;
-  for (auto& sh : shards_) {
-    const obs::DriftSample d = sh->EvaluateModelDrift();
-    max_drift = std::max(max_drift, d.drift_score);
-    if (d.drifted) drifted = 1;
-  }
-
-  const std::vector<Histogram> lat = GetLatencyHistograms();
-  double put_p99 = 0;
-  double get_p99 = 0;
-  const size_t put_op = static_cast<size_t>(obs::OpType::kPut);
-  const size_t get_op = static_cast<size_t>(obs::OpType::kGet);
-  if (put_op < lat.size()) put_p99 = lat[put_op].Percentile(99.0);
-  if (get_op < lat.size()) get_p99 = lat[get_op].Percentile(99.0);
-
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"t_us\": %llu, \"shards\": %zu, \"write_amp\": %.4f, "
-      "\"read_amp\": %.4f, \"space_amp\": %.4f, \"blocks_per_lookup\": %.4f, "
-      "\"lookups\": %llu, \"user_payload\": %llu, \"data_bytes\": %llu, "
-      "\"put_p99_us\": %.1f, \"get_p99_us\": %.1f, "
-      "\"drift_score\": %.3f, \"drifted\": %d}",
-      static_cast<unsigned long long>(NowMicros()),
-      shards_.size(), amp.WriteAmp(), amp.ReadAmp(), amp.SpaceAmp(),
-      amp.BlocksPerLookup(), static_cast<unsigned long long>(amp.lookups),
-      static_cast<unsigned long long>(amp.user_payload_bytes),
-      static_cast<unsigned long long>(ApproximateDataBytes()), put_p99,
-      get_p99, max_drift, drifted);
-  return buf;
 }
 
 std::string ShardedDB::DebugString() const {

@@ -89,27 +89,23 @@ class ShardedDB {
   Status FlushMemTable();
   Status CompactAll();
 
-  /// Same names as DB::GetProperty, aggregated across shards, plus
-  /// "talus.shards" — a per-shard breakdown (range, writes, reads, data
-  /// bytes, runs, stall time). "talus.latency" reports fleet-wide per-op
-  /// percentiles (exact merge of the per-shard histograms) and
-  /// "talus.events" the shared event ring every shard emits into. With one
-  /// shard every property passes through bit-identically.
+  /// Same names as DB::GetProperty, combined across shards by each
+  /// property's obs::PropertyMerge, plus "talus.shards": per shard, its
+  /// range, data bytes and runs, then its own talus.stats. With one shard
+  /// every property passes through bit-identically.
   bool GetProperty(const std::string& property, std::string* value);
 
-  uint64_t ApproximateDataBytes() const;
   std::string DebugString() const;
 
-  /// Field-wise aggregate of the per-shard engine stats. Like DB::stats(),
-  /// precise only when quiesced.
-  EngineStats AggregatedStats() const;
-  metrics::GroupCommitStats GetGroupCommitStats() const;
+  /// One metric snapshot per shard, each taken under that shard's mutex
+  /// (DB::SnapshotMetrics); the fleet surfaces merge them by the metric
+  /// catalog's rules (obs/metric_catalog.h).
+  std::vector<obs::MetricSnapshot> SnapshotMetrics() const;
   /// Exact fleet-wide per-op latency merge, indexed by obs::OpType.
   std::vector<Histogram> GetLatencyHistograms() const;
-  /// Prometheus exposition of the aggregated counters, merged latency
-  /// histograms, and fleet-wide talus_amp_* families (same talus_*
-  /// families as DB::DumpPrometheus). The network layer serves this text
-  /// at HTTP `GET /metrics` with its talus_server_* families appended
+  /// Prometheus exposition of every talus_* engine family, merged across
+  /// shards by the catalog's rules (same families as DB::DumpPrometheus).
+  /// HTTP `GET /metrics` serves it with the talus_server_* families added
   /// (server::Server::MetricsText, DESIGN.md §8; docs/OPERATIONS.md).
   std::string DumpPrometheus() const;
   /// Fleet-wide amplification accounting: field-wise sum of every shard's
@@ -151,11 +147,6 @@ class ShardedDB {
                     std::vector<const Snapshot*>* children);
   void ReleaseChildren(const std::vector<const Snapshot*>& children);
   std::unique_ptr<Iterator> NewIteratorAt(SequenceNumber sequence);
-  /// One fleet-wide JSONL stats sample (the snapshotter's SampleFn):
-  /// merged amp snapshot, per-shard drift evaluations (max score; each
-  /// shard emits its own kAmpSample/kModelDrift into the shared ring),
-  /// merged latency p99s.
-  std::string BuildStatsSample();
 
   DbOptions options_;  // As passed (env, path, shard_count, ...).
   ShardRouter router_;

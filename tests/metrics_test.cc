@@ -1,4 +1,4 @@
-#include "metrics/throughput.h"
+#include "obs/throughput.h"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@ namespace talus {
 namespace {
 
 TEST(ThroughputMeter, AverageOverWholeRun) {
-  metrics::ThroughputMeter meter(10);
+  obs::ThroughputMeter meter(10);
   for (int i = 0; i <= 100; i++) {
     meter.RecordOp(i * 2.0);  // One op every 2 clock units.
   }
@@ -24,7 +24,7 @@ TEST(ThroughputMeter, AverageOverWholeRun) {
 }
 
 TEST(ThroughputMeter, WorstCaseCatchesStall) {
-  metrics::ThroughputMeter meter(10);
+  obs::ThroughputMeter meter(10);
   double clock = 0;
   for (int i = 0; i < 50; i++) {
     clock += 1.0;
@@ -43,7 +43,7 @@ TEST(ThroughputMeter, WorstCaseCatchesStall) {
 }
 
 TEST(ThroughputMeter, UniformLoadWorstEqualsAverage) {
-  metrics::ThroughputMeter meter(100);
+  obs::ThroughputMeter meter(100);
   for (int i = 0; i <= 10000; i++) {
     meter.RecordOp(static_cast<double>(i));
   }
@@ -51,7 +51,7 @@ TEST(ThroughputMeter, UniformLoadWorstEqualsAverage) {
 }
 
 TEST(ThroughputMeter, FewOpsDegenerate) {
-  metrics::ThroughputMeter meter(1000);
+  obs::ThroughputMeter meter(1000);
   EXPECT_EQ(meter.AverageThroughput(), 0.0);
   EXPECT_EQ(meter.WorstCaseThroughput(), 0.0);
   meter.RecordOp(1.0);

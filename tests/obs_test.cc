@@ -13,10 +13,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,9 +29,11 @@
 #include "obs/amp_tracker.h"
 #include "obs/event_ring.h"
 #include "obs/latency_recorder.h"
+#include "obs/metric_catalog.h"
 #include "obs/model_drift.h"
 #include "obs/prometheus.h"
 #include "obs/stats_snapshotter.h"
+#include "server/server.h"
 #include "shard/sharded_db.h"
 #include "tuning/vertical_cost_model.h"
 #include "util/histogram.h"
@@ -220,7 +224,7 @@ TEST(ObsProperty, GroupWaitIsBoundedByPutLatency) {
   for (auto& w : writers) w.join();
 
   // Some writer queued behind another's group: a group held two batches.
-  const metrics::GroupCommitStats groups = db->GetGroupCommitStats();
+  const obs::GroupCommitStats groups = db->GetGroupCommitStats();
   ASSERT_GT(groups.batches_committed, groups.group_commits);
 
   const std::vector<Histogram> hists = db->GetLatencyHistograms();
@@ -988,11 +992,13 @@ TEST(PrometheusWriter, InterleavedFamiliesRegroupUnderSingleHeaders) {
 }
 
 // Scans an exposition dump for format conformance: every family declared
-// exactly once, and every sample sits under its own family's TYPE header
-// (which is equivalent to families being contiguous).
+// exactly once, right after a # HELP line that names its unit, and every
+// sample sits under its own family's TYPE header (which is equivalent to
+// families being contiguous).
 void CheckPrometheusConformance(const std::string& prom) {
   std::vector<std::string> declared;
   std::string family;
+  std::string last_help;
   size_t start = 0;
   int line_no = 0;
   while (start < prom.size()) {
@@ -1002,17 +1008,23 @@ void CheckPrometheusConformance(const std::string& prom) {
     start = end + 1;
     line_no++;
     if (line.empty()) continue;
+    if (line.rfind("# HELP ", 0) == 0) {
+      last_help = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_NE(line.find(" Unit: "), std::string::npos) << line;
+      continue;
+    }
     if (line.rfind("# TYPE ", 0) == 0) {
       const size_t sp = line.find(' ', 7);
       ASSERT_NE(sp, std::string::npos) << line;
       family = line.substr(7, sp - 7);
+      EXPECT_EQ(last_help, family) << "family without # HELP: " << family;
       for (const std::string& d : declared) {
         EXPECT_NE(d, family) << "family declared twice: " << family;
       }
       declared.push_back(family);
       continue;
     }
-    if (line[0] == '#') continue;  // HELP lines.
+    if (line[0] == '#') continue;  // Other comments.
     const std::string name = line.substr(0, line.find_first_of("{ "));
     // A sample belongs to the most recent TYPE family: its bare name, or a
     // histogram series suffix of it.
@@ -1444,6 +1456,174 @@ TEST(MetricSurfaceGolden, InlineDbStatsAndPrometheus) {
       EXPECT_EQ(it->second, g.value) << g.name;
     }
   }
+}
+
+
+// ------------------------------------------------------- Metric catalog
+
+TEST(MetricCatalog, DeclarationsAreCompleteAndUnique) {
+  std::set<std::string> series, stat_keys, tune_keys, json_keys;
+  std::map<std::string, const obs::MetricDef*> families;
+  for (const obs::MetricDef& def : obs::MetricCatalog()) {
+    ASSERT_NE(def.help, nullptr);
+    ASSERT_NE(def.unit, nullptr);
+    EXPECT_NE(def.help[0], '\0');
+    EXPECT_NE(def.unit[0], '\0') << def.help;
+    EXPECT_TRUE(def.prom != nullptr || def.stat != nullptr ||
+                def.json != nullptr)
+        << def.help;
+    if (def.prom != nullptr) {
+      EXPECT_TRUE(series.insert(def.prom).second) << def.prom;
+      const std::string name(def.prom, std::strcspn(def.prom, "{"));
+      const auto [it, fresh] = families.emplace(name, &def);
+      if (!fresh) {  // Series of one family agree on what it is.
+        EXPECT_EQ(it->second->kind, def.kind) << name;
+        EXPECT_STREQ(it->second->help, def.help) << name;
+        EXPECT_STREQ(it->second->unit, def.unit) << name;
+      }
+    }
+    if (def.stat != nullptr) {
+      std::set<std::string>& keys =
+          def.section == obs::kTune ? tune_keys : stat_keys;
+      EXPECT_TRUE(keys.insert(def.stat).second) << def.stat;
+    }
+    if (def.json != nullptr) {
+      EXPECT_TRUE(json_keys.insert(def.json).second) << def.json;
+    }
+  }
+  for (const char* property :
+       {"talus.stats", "talus.levels", "talus.cstats", "talus.num-runs",
+        "talus.data-bytes", "talus.exec", "talus.latency", "talus.events",
+        "talus.amp", "talus.model", "talus.snapshots", "talus.tune",
+        "talus.shards"}) {
+    EXPECT_NE(obs::FindProperty(property), nullptr) << property;
+  }
+  EXPECT_EQ(obs::FindProperty("talus.nope"), nullptr);
+}
+
+// Two shards' snapshots merged by each metric's rule: sums add, high-water
+// marks and the shared event count take the max, ratios divide summed
+// parts, group sizes merge as one histogram, and per-shard metrics keep a
+// shard label (Prometheus) or stay out (talus.stats, JSONL).
+TEST(MetricCatalog, FleetMergeRules) {
+  std::vector<obs::MetricSnapshot> snaps(2);
+  for (size_t i = 0; i < snaps.size(); i++) {
+    snaps[i].sections = obs::kEngine | obs::kWrite | obs::kTune | obs::kDrift;
+    snaps[i].shard_index = i;
+    snaps[i].latency.resize(obs::kNumOpTypes);
+    snaps[i].events_total = 40;  // Both shards emit into one ring.
+  }
+  snaps[0].stats.puts = 10;
+  snaps[1].stats.puts = 32;
+  snaps[0].stats.max_stall_clock = 2.5;
+  snaps[1].stats.max_stall_clock = 7.5;
+  snaps[0].stats.flush_bytes_written = 300;
+  snaps[0].stats.user_payload_written = 100;
+  snaps[1].stats.compaction_bytes_written = 500;
+  snaps[1].stats.user_payload_written = 300;
+  for (int g = 0; g < 3; g++) snaps[0].writes.group_sizes.Add(1);
+  snaps[1].writes.group_sizes.Add(8);
+  snaps[0].tune.last_gain = 0.25;
+  snaps[1].tune.last_gain = 0.5;
+  snaps[0].drift.drift_score = 1.5;
+  snaps[1].drift.drift_score = 3;
+  snaps[1].drift.mix.updates = 0.75;
+
+  Histogram merged = snaps[0].writes.group_sizes;
+  merged.Merge(snaps[1].writes.group_sizes);
+  char p50[32];
+  std::snprintf(p50, sizeof(p50), "%.1f", merged.Median());
+
+  const std::map<std::string, std::string> fleet =
+      ParseStatsLine(obs::RenderStats(snaps));
+  EXPECT_EQ(fleet.at("shards"), "2");
+  EXPECT_EQ(fleet.at("puts"), "42");
+  EXPECT_EQ(fleet.at("max_stall"), "7.5");
+  EXPECT_EQ(fleet.at("write_amp"), "2.000");  // (300 + 500) / (100 + 300).
+  EXPECT_EQ(fleet.at("group_size_avg"), "2.75");
+  EXPECT_EQ(fleet.at("group_size_p50"), p50);
+  EXPECT_NE(fleet.at("group_size_p50"), "8.0");  // Not a max of medians.
+  EXPECT_EQ(fleet.at("group_size_max"), "8");
+  EXPECT_EQ(fleet.count("ticks"), 0u);  // talus.tune's, not talus.stats'.
+
+  const std::string prom = obs::RenderPrometheus(snaps);
+  CheckPrometheusConformance(prom);
+  EXPECT_NE(prom.find("\ntalus_puts_total 42\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("\ntalus_events_total 40\n"), std::string::npos);
+  EXPECT_NE(prom.find("\ntalus_tune_last_gain{shard=\"0\"} 0.25\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\ntalus_tune_last_gain{shard=\"1\"} 0.5\n"),
+            std::string::npos);
+
+  const std::string json = obs::RenderJsonSample(snaps, 7);
+  EXPECT_EQ(json.rfind("{\"t_us\": 7, \"shards\": 2, ", 0), 0u) << json;
+  EXPECT_NE(json.find("\"drift_score\": 3.000"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"mix_w\""), std::string::npos) << json;
+
+  // A single engine shows its per-shard metrics plainly, and no shards=.
+  const std::vector<obs::MetricSnapshot> one(snaps.begin() + 1, snaps.end());
+  EXPECT_EQ(ParseStatsLine(obs::RenderStats(one)).count("shards"), 0u);
+  EXPECT_NE(obs::RenderPrometheus(one).find("\ntalus_tune_last_gain 0.5\n"),
+            std::string::npos);
+  EXPECT_NE(obs::RenderJsonSample(one, 7).find("\"mix_w\": 0.750"),
+            std::string::npos);
+  EXPECT_EQ(obs::RenderStats(one, obs::kTune).rfind("ticks=0 ", 0), 0u);
+}
+
+// Byte gauges and histogram sums print every digit; `%.6g` once turned
+// 60480123 into 6.04801e+07.
+TEST(MetricCatalog, IntegralValuesRenderExactly) {
+  obs::MetricSnapshot s;
+  s.sections = obs::kEngine | obs::kWrite | obs::kAmp;
+  s.latency.resize(obs::kNumOpTypes);
+  s.data_bytes = 60480123;
+  s.amp.num_levels = 1;
+  s.amp.levels[0].live_sst_bytes = 123456789;
+  s.amp.levels[0].live_payload_bytes = 98765431;
+  Histogram& put = s.latency[static_cast<size_t>(obs::OpType::kPut)];
+  put.Add(12345678);
+  put.Add(20000001);
+  const std::string prom = obs::RenderPrometheus({s});
+  EXPECT_NE(prom.find("\ntalus_data_bytes 60480123\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\ntalus_amp_live_bytes{level=\"0\",kind=\"sst\"} "
+                      "123456789\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\ntalus_amp_live_bytes{level=\"0\",kind=\"payload\"} "
+                      "98765431\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("\ntalus_latency_us_sum{op=\"put\"} 32345679\n"),
+            std::string::npos);
+  // A ratio keeps six significant digits.
+  EXPECT_NE(prom.find("\ntalus_space_amp 1.25\n"), std::string::npos);
+
+  obs::PrometheusWriter w;
+  w.AddGauge("talus_test_big", "", 12345678901.0);
+  EXPECT_NE(w.Output().find("\ntalus_test_big 12345678901\n"),
+            std::string::npos);
+}
+
+// /metrics is one exposition: the fleet's families and the server's, each
+// with HELP text and a unit.
+TEST(MetricCatalog, ServerMetricsTextConforms) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.shard_count = 2;
+  opts.shard_split_points = {workload::FormatKey(50, 16)};
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "v").ok());
+  }
+  server::Server srv(db.get(), server::ServerOptions());
+  const std::string text = srv.MetricsText();
+  CheckPrometheusConformance(text);
+  EXPECT_NE(text.find("\ntalus_puts_total 100\n"), std::string::npos);
+  EXPECT_NE(text.find("\ntalus_server_requests_total 0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_LT(text.find("talus_puts_total"),
+            text.find("talus_server_requests_total"));
 }
 
 }  // namespace

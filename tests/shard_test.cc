@@ -190,6 +190,89 @@ TEST(ShardedDB, SingleShardBitIdenticalToPlainDb) {
   EXPECT_EQ(plain_levels, sharded_levels);
 }
 
+// The talus.stats keys, in order.
+std::vector<std::string> StatsKeys(const std::string& stats) {
+  std::vector<std::string> keys;
+  size_t pos = 0;
+  while (pos < stats.size()) {
+    size_t end = stats.find(' ', pos);
+    if (end == std::string::npos) end = stats.size();
+    const std::string token = stats.substr(pos, end - pos);
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) keys.push_back(token.substr(0, eq));
+    pos = end + 1;
+  }
+  return keys;
+}
+
+// Every key a single engine reports survives into the fleet's talus.stats,
+// which adds shards=. Fleet values follow the metric catalog's merge rules.
+TEST(ShardedDB, FleetStatsKeysCoverSingleEngineKeys) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> plain;
+  ASSERT_TRUE(DB::Open(Opts(env.get(), "/plain"), &plain).ok());
+  DbOptions fleet_opts = Opts(env.get(), "/fleet");
+  fleet_opts.shard_count = 4;
+  fleet_opts.shard_split_points = SplitPoints(4, 1000);
+  std::unique_ptr<shard::ShardedDB> fleet;
+  ASSERT_TRUE(shard::ShardedDB::Open(fleet_opts, &fleet).ok());
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(plain->Put(Key(i), "v").ok());
+    ASSERT_TRUE(fleet->Put(Key(i), "v").ok());
+  }
+
+  std::string plain_stats, fleet_stats;
+  ASSERT_TRUE(plain->GetProperty("talus.stats", &plain_stats));
+  ASSERT_TRUE(fleet->GetProperty("talus.stats", &fleet_stats));
+  const std::vector<std::string> fleet_keys = StatsKeys(fleet_stats);
+  const std::set<std::string> have(fleet_keys.begin(), fleet_keys.end());
+  EXPECT_EQ(fleet_keys.front(), "shards");
+  for (const std::string& key : StatsKeys(plain_stats)) {
+    EXPECT_EQ(have.count(key), 1u) << "fleet talus.stats lacks " << key;
+  }
+  EXPECT_NE(fleet_stats.find(" puts=1000 "), std::string::npos);
+  EXPECT_NE(fleet_stats.find(" group_commits=1000 "), std::string::npos);
+}
+
+// Fleet stats come from per-shard snapshots, each taken under its shard's
+// mutex, so scraping while background jobs reshape the shards is race-free
+// (this suite runs under ThreadSanitizer in CI).
+TEST(ShardedDB, StatsScrapesDuringBackgroundWritesAreRaceFree) {
+  auto env = NewMemEnv();
+  DbOptions opts = Opts(env.get(), "/scraped");
+  opts.execution_mode = ExecutionMode::kBackground;
+  opts.shard_count = 2;
+  opts.shard_split_points = SplitPoints(2, 2000);
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&db, &done] {
+    for (int i = 0; i < 6000; i++) {
+      EXPECT_TRUE(db->Put(Key(i * 7 % 2000), std::string(100, 'v')).ok());
+    }
+    done.store(true);
+  });
+  int scrapes = 0;
+  do {
+    std::string stats;
+    ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
+    EXPECT_EQ(stats.rfind("shards=2 ", 0), 0u) << stats;
+    EXPECT_NE(db->DumpPrometheus().find("\ntalus_puts_total "),
+              std::string::npos);
+    scrapes++;
+  } while (!done.load());
+  writer.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  EXPECT_GT(scrapes, 0);
+
+  std::string stats;
+  ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
+  EXPECT_NE(stats.find(" puts=6000 "), std::string::npos) << stats;
+  EXPECT_NE(db->DumpPrometheus().find("\ntalus_flushes_total "),
+            std::string::npos);
+}
+
 // ---- Routing and cross-shard reads ----------------------------------------
 
 TEST(ShardedDB, RoutesAndScansAcrossShards) {

@@ -157,7 +157,7 @@ TEST(GroupCommit, SingleWriterCountersAndContent) {
   EXPECT_EQ(stats.puts, 100u);
   EXPECT_EQ(stats.deletes, 1u);
 
-  const metrics::GroupCommitStats gc = db->GetGroupCommitStats();
+  const obs::GroupCommitStats gc = db->GetGroupCommitStats();
   EXPECT_EQ(gc.group_commits, 101u);
   EXPECT_EQ(gc.batches_committed, 101u);
   EXPECT_DOUBLE_EQ(gc.group_size_avg, 1.0);
@@ -385,7 +385,7 @@ TEST(GroupCommit, WalSyncModeAccounting) {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
     for (int i = 0; i < 50; i++) ASSERT_TRUE(db->Put(Key(i), "v").ok());
-    const metrics::GroupCommitStats gc = db->GetGroupCommitStats();
+    const obs::GroupCommitStats gc = db->GetGroupCommitStats();
     EXPECT_EQ(gc.wal_syncs, gc.group_commits);
   }
   {  // kInterval with a huge interval: at most the first sync fires.
