@@ -1334,9 +1334,10 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
       return true;
     }
     char head[160];
-    std::snprintf(head, sizeof(head), "enabled=1 policy=%s T=%.1f "
-                  "hysteresis=%.2f ", policy_->name().c_str(),
-                  options_.policy.size_ratio, tuner_->config().hysteresis);
+    std::snprintf(head, sizeof(head),
+                  "enabled=1 policy=%s T=%.1f hysteresis=%.2f ",
+                  policy_->name().c_str(), options_.policy.size_ratio,
+                  tuner_->config().hysteresis);
     lock.unlock();  // SnapshotMetrics takes it again.
     const obs::MetricSnapshot snap = SnapshotMetrics();
     const tune::TunerStats& ts = snap.tune;

@@ -75,24 +75,6 @@ namespace shard {
 class ShardedDB;
 }  // namespace shard
 
-/// A relaxed atomic counter that copies by value, so a struct holding
-/// some copies field-wise with the implicit copy operations.
-class RelaxedCounter {
- public:
-  RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
-  void fetch_add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  operator uint64_t() const { return load(); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
 /// Cumulative engine statistics (virtual-clock based where noted).
 /// Write-path fields are updated under the DB mutex; read-path fields are
 /// relaxed atomics because Get/Scan run without the mutex (DESIGN.md §2.7).
@@ -113,13 +95,13 @@ struct EngineStats {
   uint64_t compaction_conflicts = 0;
 
   // Read path (mutex-free increments).
-  RelaxedCounter gets;
-  RelaxedCounter gets_found;
-  RelaxedCounter scans;
-  RelaxedCounter runs_probed;
-  RelaxedCounter filter_negatives;
-  RelaxedCounter data_block_reads;
-  RelaxedCounter block_cache_hits;
+  obs::RelaxedCounter gets;
+  obs::RelaxedCounter gets_found;
+  obs::RelaxedCounter scans;
+  obs::RelaxedCounter runs_probed;
+  obs::RelaxedCounter filter_negatives;
+  obs::RelaxedCounter data_block_reads;
+  obs::RelaxedCounter block_cache_hits;
 
   // Obsolete SSTs physically deleted after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).

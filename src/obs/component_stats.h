@@ -6,6 +6,7 @@
 #ifndef TALUS_OBS_COMPONENT_STATS_H_
 #define TALUS_OBS_COMPONENT_STATS_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -14,6 +15,26 @@
 
 namespace talus {
 namespace obs {
+
+/// An atomic counter, changed with relaxed ordering, that copies by value:
+/// a struct of them copies field-wise with the implicit copy operations,
+/// which is how the owner takes a snapshot.
+class RelaxedCounter {
+ public:
+  RelaxedCounter() = default;
+  RelaxedCounter(const RelaxedCounter& o) : v_(o.load()) {}
+  RelaxedCounter& operator=(const RelaxedCounter& o) {
+    v_.store(o.load());
+    return *this;
+  }
+  uint64_t load() const { return v_.load(); }
+  void fetch_add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void fetch_sub(uint64_t n) { v_.fetch_sub(n, std::memory_order_relaxed); }
+  operator uint64_t() const { return load(); }
+
+ private:
+  std::atomic<uint64_t> v_{0};
+};
 
 /// The background execution subsystem (exec::JobScheduler::GetStats()).
 struct BackgroundJobStats {
@@ -102,19 +123,20 @@ class GroupCommitTracker {
 };
 
 /// Counters for the talus_server_* families, cumulative since
-/// server::Server::Start().
+/// server::Server::Start(). The server bumps them from its event loop and
+/// workers; Server::stats() copies them.
 struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  // Over max_connections.
-  uint64_t connections_active = 0;
-  uint64_t requests_total = 0;        // Binary protocol requests answered.
-  uint64_t request_errors = 0;        // Non-kOk responses.
-  uint64_t bad_frames = 0;            // Fatal framing errors.
-  uint64_t coalesced_batches = 0;     // WriteBatch commits from coalescing.
-  uint64_t coalesced_ops = 0;         // PUT/DELETEs inside those commits.
-  uint64_t http_requests = 0;         // /metrics scrapes and friends.
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
+  RelaxedCounter connections_accepted;
+  RelaxedCounter connections_rejected;  // Over max_connections.
+  RelaxedCounter connections_active;
+  RelaxedCounter requests_total;        // Binary protocol requests answered.
+  RelaxedCounter request_errors;        // Non-kOk responses.
+  RelaxedCounter bad_frames;            // Fatal framing errors.
+  RelaxedCounter coalesced_batches;     // WriteBatch commits from coalescing.
+  RelaxedCounter coalesced_ops;         // PUT/DELETEs inside those commits.
+  RelaxedCounter http_requests;         // /metrics scrapes and friends.
+  RelaxedCounter bytes_in;
+  RelaxedCounter bytes_out;
 };
 
 }  // namespace obs

@@ -55,7 +55,7 @@ class LatencyRecorder {
   /// Folds every stripe of `op` into one Histogram (microsecond units).
   Histogram SnapshotOp(OpType op) const;
   /// SnapshotOp for all ops, indexed by OpType. The vector form is what
-  /// ShardedDB::GetLatencyHistograms merges them across shards.
+  /// shard::ShardedDB::GetLatencyHistograms merges across shards.
   std::vector<Histogram> SnapshotAll() const;
 
   /// The "talus.latency" text: one line per op type,

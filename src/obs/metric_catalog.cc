@@ -325,20 +325,19 @@ const std::vector<MetricDef> kCatalog = {
 // Every property is also served over the wire (PROPERTY, docs/PROTOCOL.md);
 // docs/OPERATIONS.md is the guide to reading them.
 const PropertyDef kProperties[] = {
-    {"talus.stats", PropertyMerge::kCatalog, "Metrics with a stat key."},
-    {"talus.levels", PropertyMerge::kPerShard, "Per-level shape."},
-    {"talus.cstats", PropertyMerge::kPerShard, "Per-level compaction bytes."},
-    {"talus.num-runs", PropertyMerge::kSum, "Total sorted runs."},
-    {"talus.data-bytes", PropertyMerge::kSum, "Approximate live bytes."},
-    {"talus.exec", PropertyMerge::kPerShard, "Background scheduler state."},
-    {"talus.latency", PropertyMerge::kFleet, "Per-op latency (§6.1)."},
-    {"talus.events", PropertyMerge::kFleet, "Event ring, oldest first (§6.2)."},
-    {"talus.amp", PropertyMerge::kPerShard, "Per-level amplification (§6.6)."},
-    {"talus.model", PropertyMerge::kPerShard,
-     "Cost-model drift; consumes a drift window (§6.7)."},
-    {"talus.snapshots", PropertyMerge::kFleet, "JSONL sample ring (§6.8)."},
-    {"talus.tune", PropertyMerge::kPerShard, "Adaptive-tuner state (§9)."},
-    {"talus.shards", PropertyMerge::kFleet, "ShardedDB: one line per shard."},
+    {"talus.stats", PropertyMerge::kCatalog},    // Metrics with a stat key.
+    {"talus.levels", PropertyMerge::kPerShard},  // Per-level shape.
+    {"talus.cstats", PropertyMerge::kPerShard},  // Compaction bytes.
+    {"talus.num-runs", PropertyMerge::kSum},     // Sorted runs.
+    {"talus.data-bytes", PropertyMerge::kSum},   // Live logical bytes.
+    {"talus.exec", PropertyMerge::kPerShard},    // Scheduler state.
+    {"talus.latency", PropertyMerge::kFleet},    // Per-op latency, §6.1.
+    {"talus.events", PropertyMerge::kFleet},     // Event ring, §6.2.
+    {"talus.amp", PropertyMerge::kPerShard},     // Amplification, §6.6.
+    {"talus.model", PropertyMerge::kPerShard},   // Drift; uses up a window.
+    {"talus.snapshots", PropertyMerge::kFleet},  // JSONL samples, §6.8.
+    {"talus.tune", PropertyMerge::kPerShard},    // Adaptive tuner, §9.
+    {"talus.shards", PropertyMerge::kFleet},     // ShardedDB: per shard.
 };
 
 using Shards = std::vector<const MetricSnapshot*>;
@@ -352,10 +351,11 @@ Shards Carrying(const std::vector<MetricSnapshot>& snaps, unsigned section) {
 }
 
 int Width(const MetricDef& def, const Shards& in) {
+  if (def.dim == Dim::kOne) return 1;
   if (def.dim == Dim::kOp) return kNumOpTypes;
-  int levels = def.dim == Dim::kOne ? 1 : 0;
+  int levels = 0;
   for (const MetricSnapshot* s : in) {
-    if (def.dim == Dim::kLevel) levels = std::max(levels, s->amp.num_levels);
+    levels = std::max(levels, s->amp.num_levels);
   }
   return levels;
 }

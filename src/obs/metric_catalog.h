@@ -127,7 +127,6 @@ enum class PropertyMerge : uint8_t {
 struct PropertyDef {
   const char* name;
   PropertyMerge merge;
-  const char* help;
 };
 
 /// The declaration of `name`; null when no such property exists.

@@ -180,21 +180,7 @@ void Server::Wake() {
   }
 }
 
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.connections_accepted = stats_.connections_accepted.load();
-  out.connections_rejected = stats_.connections_rejected.load();
-  out.connections_active = stats_.connections_active.load();
-  out.requests_total = stats_.requests_total.load();
-  out.request_errors = stats_.request_errors.load();
-  out.bad_frames = stats_.bad_frames.load();
-  out.coalesced_batches = stats_.coalesced_batches.load();
-  out.coalesced_ops = stats_.coalesced_ops.load();
-  out.http_requests = stats_.http_requests.load();
-  out.bytes_in = stats_.bytes_in.load();
-  out.bytes_out = stats_.bytes_out.load();
-  return out;
-}
+ServerStats Server::stats() const { return stats_; }
 
 std::string Server::MetricsText() const {
   std::vector<obs::MetricSnapshot> snaps = db_->SnapshotMetrics();
@@ -295,7 +281,7 @@ void Server::AcceptReady() {
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a transient error; epoll will re-arm.
     if (conns_.size() >= options_.max_connections) {
-      stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+      stats_.connections_rejected.fetch_add(1);
       ::close(fd);
       continue;
     }
@@ -313,8 +299,8 @@ void Server::AcceptReady() {
     }
     conn->events = EPOLLIN;
     conns_.emplace(fd, std::move(conn));
-    stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections_accepted.fetch_add(1);
+    stats_.connections_active.fetch_add(1);
   }
 }
 
@@ -332,8 +318,7 @@ void Server::ReadInput(Connection* c) {
     const ssize_t n = ::read(c->fd, chunk, sizeof(chunk));
     if (n > 0) {
       c->inbuf.append(chunk, static_cast<size_t>(n));
-      stats_.bytes_in.fetch_add(static_cast<uint64_t>(n),
-                                std::memory_order_relaxed);
+      stats_.bytes_in.fetch_add(static_cast<uint64_t>(n));
       continue;
     }
     if (n == 0) {
@@ -406,7 +391,7 @@ bool Server::DecodeRequests(Connection* c, std::vector<Request>* out) {
     // Fatal framing error: remember it; the error frame is emitted (and
     // the connection closed) only after already-decoded requests answer,
     // preserving response order.
-    stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    stats_.bad_frames.fetch_add(1);
     c->fatal_pending = true;
     c->fatal_code = r == wire::DecodeResult::kBadVersion
                         ? wire::StatusCode::kBadVersion
@@ -575,9 +560,8 @@ void Server::ExecuteBatch(Connection* c, std::vector<Request>& batch) {
     if (wb.Count() > 0) {
       commit = db_->Write(wb);
       if (wb.Count() > 1) {
-        stats_.coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-        stats_.coalesced_ops.fetch_add(wb.Count(),
-                                       std::memory_order_relaxed);
+        stats_.coalesced_batches.fetch_add(1);
+        stats_.coalesced_ops.fetch_add(wb.Count());
       }
     }
     for (const PendingWrite& p : run) {
@@ -594,7 +578,7 @@ void Server::ExecuteBatch(Connection* c, std::vector<Request>& batch) {
     i = j;
   }
 
-  stats_.requests_total.fetch_add(answered, std::memory_order_relaxed);
+  stats_.requests_total.fetch_add(answered);
   {
     std::lock_guard<std::mutex> lock(c->mu);
     c->outbuf += responses;
@@ -612,7 +596,7 @@ void Server::ExecuteOne(const Request& req, std::string* responses) {
   std::string ok_payload;
 
   const auto bad_request = [&](const char* what) {
-    stats_.request_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.request_errors.fetch_add(1);
     AppendErrorFrame(responses, wire::StatusCode::kBadRequest, f.request_id,
                      what);
   };
@@ -696,17 +680,17 @@ void Server::ExecuteOne(const Request& req, std::string* responses) {
       // Handled by the coalescing path in ExecuteBatch.
       return bad_request("write op outside coalescing path");
     default:
-      stats_.request_errors.fetch_add(1, std::memory_order_relaxed);
+      stats_.request_errors.fetch_add(1);
       AppendErrorFrame(responses, wire::StatusCode::kNotSupported,
                        f.request_id, "unknown opcode");
       return;
   }
-  if (!s.ok()) stats_.request_errors.fetch_add(1, std::memory_order_relaxed);
+  if (!s.ok()) stats_.request_errors.fetch_add(1);
   AppendStatusFrame(responses, s, f.request_id, ok_payload);
 }
 
 void Server::ExecuteHttp(const Request& req, std::string* responses) {
-  stats_.http_requests.fetch_add(1, std::memory_order_relaxed);
+  stats_.http_requests.fetch_add(1);
   std::string body;
   const char* status_line = "HTTP/1.0 200 OK";
   const char* content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -744,8 +728,7 @@ bool Server::FlushOutput(Connection* c) {
         ::write(c->fd, pending.data() + written, pending.size() - written);
     if (n > 0) {
       written += static_cast<size_t>(n);
-      stats_.bytes_out.fetch_add(static_cast<uint64_t>(n),
-                                 std::memory_order_relaxed);
+      stats_.bytes_out.fetch_add(static_cast<uint64_t>(n));
       continue;
     }
     if (errno == EINTR) continue;
@@ -790,7 +773,7 @@ void Server::CloseConnection(Connection* c) {
   const int fd = c->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
+  stats_.connections_active.fetch_sub(1);
   conns_.erase(fd);  // Destroys c.
 }
 

@@ -159,21 +159,7 @@ class Server {
   std::mutex ready_mu_;
   std::vector<int> ready_fds_;
 
-  // stats_: loop-owned fields are plain; cross-thread ones are atomic.
-  struct AtomicStats {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_rejected{0};
-    std::atomic<uint64_t> connections_active{0};
-    std::atomic<uint64_t> requests_total{0};
-    std::atomic<uint64_t> request_errors{0};
-    std::atomic<uint64_t> bad_frames{0};
-    std::atomic<uint64_t> coalesced_batches{0};
-    std::atomic<uint64_t> coalesced_ops{0};
-    std::atomic<uint64_t> http_requests{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-  };
-  AtomicStats stats_;
+  ServerStats stats_;
 };
 
 }  // namespace server

@@ -5,11 +5,12 @@ Documentation rots by referencing things that were renamed or removed, so
 this script fails CI on dangling references. Four checks, all grep-level —
 no build needed:
 
-  1. Every `talus.<name>` property named in the markdown exists as a
-     string literal somewhere under src/.
+  1. Every `talus.<name>` property named in the markdown is declared in
+     the metric catalog (src/obs/metric_catalog.cc).
   2. Every `talus_<name>` Prometheus family named in the markdown (modulo
-     the _bucket/_sum/_count suffixes histograms synthesize) is emitted
-     somewhere under src/.
+     the _bucket/_sum/_count suffixes histograms synthesize) is declared
+     in the metric catalog, and every family the catalog declares appears
+     in docs/OPERATIONS.md.
   3. Every `DESIGN.md §X[.Y]` reference — in markdown OR in source
      comments — resolves to a real `## §X` / `### §X.Y` heading in
      DESIGN.md.
@@ -92,6 +93,18 @@ def dboptions_fields():
     return names
 
 
+CATALOG = os.path.join(REPO, "src", "obs", "metric_catalog.cc")
+
+
+def catalog():
+    """(families, properties) declared in the metric catalog: the leading
+    string of each declaration, a Prometheus series or a property name."""
+    text = read(CATALOG)
+    families = set(re.findall(r'\{"(talus_[a-z0-9_]+)[{"]', text))
+    properties = set(re.findall(r'\{"(talus\.[a-z-]+)"', text))
+    return families, properties
+
+
 def design_sections():
     sections = set()
     for line in read(os.path.join(REPO, "DESIGN.md")).splitlines():
@@ -105,9 +118,12 @@ def main():
     src = source_corpus()
     sections = design_sections()
     fields = dboptions_fields()
+    families, properties = catalog()
     errors = []
     if not fields:
         errors.append("src/lsm/options.h: could not parse struct DbOptions")
+    if not families or not properties:
+        errors.append("src/obs/metric_catalog.cc: no declarations found")
 
     docs = [p for p in DOC_FILES if os.path.basename(p) not in DOC_SKIP]
     for path in docs:
@@ -115,8 +131,8 @@ def main():
         text = read(path)
 
         for prop in sorted(set(PROPERTY_RE.findall(text))):
-            if f'"{prop}"' not in src:
-                errors.append(f"{rel}: property {prop} not found in source")
+            if prop not in properties:
+                errors.append(f"{rel}: property {prop} not in the catalog")
 
         metric_mentions = set()
         for m in METRIC_RE.finditer(text):
@@ -127,13 +143,17 @@ def main():
             metric_mentions.add((m.group(0), is_prefix))
         for metric, is_prefix in sorted(metric_mentions):
             if is_prefix:
-                if f'"{metric}' not in src:
+                if not any(f.startswith(metric) for f in families):
                     errors.append(
-                        f"{rel}: no metric with prefix {metric}* in source")
+                        f"{rel}: no catalog family with prefix {metric}*")
                 continue
             base = re.sub(r"_(bucket|sum|count)$", "", metric)
-            if f'"{base}"' not in src and f'"{metric}"' not in src:
-                errors.append(f"{rel}: metric {metric} not found in source")
+            if base not in families and metric not in families:
+                errors.append(f"{rel}: metric {metric} not in the catalog")
+        if rel == os.path.join("docs", "OPERATIONS.md"):
+            documented = {m for m, _ in metric_mentions}
+            for family in sorted(families - documented):
+                errors.append(f"{rel}: catalog family {family} undocumented")
 
         for sec in sorted(set(SECTION_RE.findall(text))):
             if sec not in sections:
