@@ -1,9 +1,8 @@
 // Prometheus text-exposition builder (DESIGN.md §6.4). A small generic
-// writer so the obs layer stays decoupled from lsm/EngineStats: the DB (and
-// ShardedDB) walk their own counters/histograms and feed them in here; the
-// server's HTTP `GET /metrics` endpoint (src/server/server.h, DESIGN.md §8)
-// serves the resulting string verbatim, appending its own talus_server_*
-// families through this same writer.
+// writer that knows the format, not the metrics: obs::RenderPrometheus
+// (obs/metric_catalog.h) feeds it every declared series, and the server's
+// HTTP `GET /metrics` endpoint (src/server/server.h, DESIGN.md §8) serves
+// the result.
 //
 // Samples are buffered per family (metric name) and assembled in Output():
 // each family appears exactly once, in first-insertion order, with one
