@@ -4,11 +4,11 @@
 // Wall-clock put throughput under concurrent writers against a ShardedDB.
 // One shard is the PR-4 engine (single write queue, single WAL, single
 // version mutex); more shards split the key space into independent engines
-// behind one thread pool, one unified backpressure view, and one global
-// sequence allocator — so the interesting column is throughput scaling as
-// shards are added at a fixed writer count. The balance column (min/max
-// per-shard puts) confirms the uniform workload actually spreads across
-// the explicit split points.
+// behind one thread pool and one global sequence allocator, each shard
+// admitting its own writers with its own stall controller — so the
+// interesting column is throughput scaling as shards are added at a fixed
+// writer count. The balance column (min/max per-shard puts) confirms the
+// uniform workload actually spreads across the explicit split points.
 //
 // Runs on the real filesystem by default; --mem switches to the in-memory
 // env. --smoke shrinks the sweep to a CI-friendly run; --json PATH emits

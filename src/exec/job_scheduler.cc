@@ -3,21 +3,15 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <unordered_map>
 
 #include "util/wall_clock.h"
 
 namespace talus {
 namespace exec {
 
-namespace {
-// Finished-job records kept for GetState() before pruning kicks in.
-constexpr size_t kMaxFinishedRecords = 1024;
-}  // namespace
-
 struct JobScheduler::Core {
   struct QueuedJob {
-    JobId id = kInvalidJobId;
+    uint64_t id = 0;
     JobType type = JobType::kFlush;
     std::function<Status()> fn;
   };
@@ -25,20 +19,17 @@ struct JobScheduler::Core {
   mutable std::mutex mu;
   std::condition_variable idle_cv;
   std::deque<QueuedJob> queues[obs::BackgroundJobStats::kNumJobTypes];
-  std::unordered_map<JobId, JobState> states;
-  std::deque<JobId> finished_order;  // For pruning states oldest-first.
   obs::BackgroundJobStats stats;
-  Status first_error;
-  JobId next_id = 1;
+  uint64_t next_id = 1;
   bool stopping = false;
 
-  JobId Enqueue(JobType type, std::function<Status()> job) {
+  /// Returns the queued job's id, 0 when the scheduler is stopping.
+  uint64_t Enqueue(JobType type, std::function<Status()> job) {
     std::lock_guard<std::mutex> l(mu);
-    if (stopping) return kInvalidJobId;
-    const JobId id = next_id++;
+    if (stopping) return 0;
+    const uint64_t id = next_id++;
     const size_t t = static_cast<size_t>(type);
     queues[t].push_back(QueuedJob{id, type, std::move(job)});
-    states[id] = JobState::kQueued;
     stats.scheduled[t]++;
     stats.queue_depth[t]++;
     const size_t depth = stats.total_queue_depth();
@@ -52,25 +43,21 @@ struct JobScheduler::Core {
   /// whose Submit failed may already have been run by an earlier task while
   /// a different job sits queued with no task left to claim it. Drop every
   /// queued job so WaitIdle()/Shutdown() cannot hang on a stranded entry.
-  /// Returns `id` if that job did run anyway, kInvalidJobId if it was
-  /// dropped without running.
-  JobId HandleRefusedDispatch(JobId id) {
+  /// Returns true if job `id` ran anyway (another dispatch task picked it
+  /// up before Submit failed), false if it was dropped without running.
+  bool HandleRefusedDispatch(uint64_t id) {
     std::lock_guard<std::mutex> l(mu);
     stopping = true;
+    bool dropped = false;
     for (auto& queue : queues) {
       for (const auto& job : queue) {
         stats.queue_depth[static_cast<size_t>(job.type)]--;
-        states[job.id] = JobState::kDropped;
+        dropped = dropped || job.id == id;
       }
       queue.clear();
     }
     idle_cv.notify_all();
-    auto it = states.find(id);
-    if (it != states.end() && it->second != JobState::kDropped &&
-        it->second != JobState::kQueued) {
-      return id;  // Another dispatch task picked it up before Submit failed.
-    }
-    return kInvalidJobId;
+    return !dropped;
   }
 
   /// Pool-task entry: runs the highest-priority queued job, if any.
@@ -92,7 +79,6 @@ struct JobScheduler::Core {
       }
       if (!found) return;  // Job was dropped; nothing to do.
       stats.queue_depth[static_cast<size_t>(job.type)]--;
-      states[job.id] = JobState::kRunning;
       stats.running++;
     }
 
@@ -106,16 +92,8 @@ struct JobScheduler::Core {
       stats.busy_micros[t] += elapsed;
       if (s.ok()) {
         stats.completed[t]++;
-        states[job.id] = JobState::kDone;
       } else {
         stats.failed[t]++;
-        states[job.id] = JobState::kFailed;
-        if (first_error.ok()) first_error = s;
-      }
-      finished_order.push_back(job.id);
-      while (finished_order.size() > kMaxFinishedRecords) {
-        states.erase(finished_order.front());
-        finished_order.pop_front();
       }
       stats.running--;
     }
@@ -139,20 +117,13 @@ JobScheduler::JobScheduler(ThreadPool* pool)
 
 JobScheduler::~JobScheduler() { Shutdown(); }
 
-JobScheduler::JobId JobScheduler::Schedule(JobType type,
-                                           std::function<Status()> job) {
-  const JobId id = core_->Enqueue(type, std::move(job));
-  if (id == kInvalidJobId) return kInvalidJobId;
+bool JobScheduler::Schedule(JobType type, std::function<Status()> job) {
+  const uint64_t id = core_->Enqueue(type, std::move(job));
+  if (id == 0) return false;
   if (!pool_->Submit([core = core_] { core->RunNext(); })) {
     return core_->HandleRefusedDispatch(id);
   }
-  return id;
-}
-
-JobState JobScheduler::GetState(JobId id) const {
-  std::lock_guard<std::mutex> l(core_->mu);
-  auto it = core_->states.find(id);
-  return it == core_->states.end() ? JobState::kDropped : it->second;
+  return true;
 }
 
 void JobScheduler::WaitIdle() { core_->WaitIdle(); }
@@ -163,11 +134,6 @@ void JobScheduler::Shutdown() {
     core_->stopping = true;
   }
   core_->WaitIdle();
-}
-
-Status JobScheduler::first_error() const {
-  std::lock_guard<std::mutex> l(core_->mu);
-  return core_->first_error;
 }
 
 obs::BackgroundJobStats JobScheduler::GetStats() const {

@@ -3,10 +3,10 @@
 // Flush jobs always dispatch before compaction jobs: a full immutable
 // memtable blocks writers directly, while a pending compaction only degrades
 // read amplification, so the scheduler drains the flush queue first (the
-// same discipline as RocksDB's HIGH/LOW pool split). Each scheduled job gets
-// an id whose state can be polled, errors are latched for the owner to
-// surface, and Shutdown() completes every queued job before returning so DB
-// teardown never abandons a half-installed flush.
+// same discipline as RocksDB's HIGH/LOW pool split). Outcomes are counted in
+// GetStats() (the owner latches errors itself), and Shutdown() completes
+// every queued job before returning so DB teardown never abandons a
+// half-installed flush.
 //
 // The scheduler submits one pool task per scheduled job; each task pops and
 // runs the highest-priority job available, so a task may execute a different
@@ -30,28 +30,19 @@ namespace exec {
 
 enum class JobType : int { kFlush = 0, kCompaction = 1 };
 
-enum class JobState { kQueued, kRunning, kDone, kFailed, kDropped };
-
 class JobScheduler {
  public:
-  using JobId = uint64_t;
-
   /// The pool is borrowed and must outlive the scheduler.
   explicit JobScheduler(ThreadPool* pool);
   ~JobScheduler();
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Enqueues a job and returns its id. Returns kInvalidJobId when the job
-  /// was dropped without running: after Shutdown() began, or when the
-  /// borrowed pool refused the dispatch (pool shutdown) — the latter also
-  /// drops every still-queued job, since no dispatch will ever arrive.
-  JobId Schedule(JobType type, std::function<Status()> job);
-  static constexpr JobId kInvalidJobId = 0;
-
-  /// State of a job by id; kDropped for ids that are invalid or so old that
-  /// their record has been pruned.
-  JobState GetState(JobId id) const;
+  /// Enqueues a job. Returns false when the job was dropped without
+  /// running: after Shutdown() began, or when the borrowed pool refused the
+  /// dispatch (pool shutdown) — the latter also drops every still-queued
+  /// job, since no dispatch will ever arrive.
+  bool Schedule(JobType type, std::function<Status()> job);
 
   /// Blocks until no job is queued or running. Callers must not hold locks
   /// that running jobs acquire.
@@ -60,9 +51,6 @@ class JobScheduler {
   /// Stops accepting new jobs and waits for every accepted job to finish.
   /// Idempotent. Does not shut down the borrowed pool.
   void Shutdown();
-
-  /// First job failure since construction, latched (OK if none).
-  Status first_error() const;
 
   obs::BackgroundJobStats GetStats() const;
 

@@ -14,32 +14,22 @@ StallController::StallController(const StallConfig& config) : config_(config) {
       std::max(config_.l0_stop_runs, config_.l0_slowdown_runs + 1);
 }
 
-StallDecision StallController::Decide(size_t imm_count,
-                                      size_t l0_runs) const {
-  StallCause cause;
-  return Decide(imm_count, l0_runs, &cause);
-}
-
 StallDecision StallController::Decide(size_t imm_count, size_t l0_runs,
                                       StallCause* cause) const {
-  if (imm_count >= config_.max_immutable_memtables ||
-      l0_runs >= config_.l0_stop_runs) {
-    *cause = imm_count >= config_.max_immutable_memtables
-                 ? StallCause::kMemtable
-                 : StallCause::kL0;
-    return StallDecision::kStop;
+  const bool imm_stop = imm_count >= config_.max_immutable_memtables;
+  const bool imm_slow = config_.max_immutable_memtables > 1 &&
+                        imm_count + 1 >= config_.max_immutable_memtables;
+  StallDecision decision = StallDecision::kNone;
+  StallCause why = StallCause::kNone;
+  if (imm_stop || l0_runs >= config_.l0_stop_runs) {
+    decision = StallDecision::kStop;
+    why = imm_stop ? StallCause::kMemtable : StallCause::kL0;
+  } else if (imm_slow || l0_runs >= config_.l0_slowdown_runs) {
+    decision = StallDecision::kSlowdown;
+    why = imm_slow ? StallCause::kMemtable : StallCause::kL0;
   }
-  if ((config_.max_immutable_memtables > 1 &&
-       imm_count + 1 >= config_.max_immutable_memtables) ||
-      l0_runs >= config_.l0_slowdown_runs) {
-    *cause = (config_.max_immutable_memtables > 1 &&
-              imm_count + 1 >= config_.max_immutable_memtables)
-                 ? StallCause::kMemtable
-                 : StallCause::kL0;
-    return StallDecision::kSlowdown;
-  }
-  *cause = StallCause::kNone;
-  return StallDecision::kNone;
+  if (cause != nullptr) *cause = why;
+  return decision;
 }
 
 }  // namespace exec

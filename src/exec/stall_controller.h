@@ -45,12 +45,10 @@ class StallController {
   explicit StallController(const StallConfig& config);
 
   /// Decision for the current engine state (imm_count = immutable memtables
-  /// queued or flushing, l0_runs = sorted runs in level 0).
-  StallDecision Decide(size_t imm_count, size_t l0_runs) const;
-  /// Same, also reporting which debt triggered the decision (kNone cause for
-  /// a kNone decision).
+  /// queued or flushing, l0_runs = sorted runs in level 0). A non-null
+  /// `cause` receives which debt triggered it (kNone for kNone).
   StallDecision Decide(size_t imm_count, size_t l0_runs,
-                       StallCause* cause) const;
+                       StallCause* cause = nullptr) const;
 
   /// Sanitized configuration (thresholds re-ordered, caps clamped).
   const StallConfig& config() const { return config_; }

@@ -13,7 +13,6 @@
 #include "compaction/sorted_output.h"
 #include "lsm/filename.h"
 #include "obs/metric_catalog.h"
-#include "shard/backpressure.h"
 #include "shard/sequence_allocator.h"
 #include "table/merging_iterator.h"
 #include "table/run_iterator.h"
@@ -214,9 +213,6 @@ DB::DB(const DbOptions& options) : options_(options) {
   } else {
     owned_ring_ = std::make_unique<obs::EventRing>(options_.event_ring_size);
     ring_ = owned_ring_.get();
-    if (!options_.trace_file_path.empty()) {
-      ring_->OpenTraceFile(options_.trace_file_path);
-    }
   }
   current_ = new Version();
   current_->Ref();
@@ -235,9 +231,9 @@ compaction::OutputShape DB::OutputShapeForDb() {
 }
 
 DB::~DB() {
-  // The tuner's tick and the snapshotter's samples read live engine state;
-  // quiesce both before anything else is torn down.
-  if (tuner_ != nullptr) tuner_->Stop();
+  // The ticker's tasks and the snapshotter's samples read live engine
+  // state; quiesce both before anything else is torn down.
+  ticker_.Stop();
   if (snapshotter_ != nullptr) snapshotter_->Stop();
   // Drain accepted background jobs, then the pool's task queue, before any
   // member is destroyed. Both calls are idempotent. A borrowed pool (shared
@@ -256,6 +252,11 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     return Status::InvalidArgument("env and path are required");
   }
   auto db = std::unique_ptr<DB>(new DB(options));
+  // A borrowed ring's owner decides about tracing.
+  if (db->owned_ring_ != nullptr && !options.trace_file_path.empty() &&
+      !db->ring_->OpenTraceFile(options.trace_file_path)) {
+    return Status::IOError("cannot open trace file", options.trace_file_path);
+  }
   Env* env = options.env;
   Status s = env->CreateDirIfMissing(options.path);
   if (!s.ok()) return s;
@@ -390,17 +391,20 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     db->compaction_exec_->SetPool(db->pool_);
   }
 
+  DB* raw = db.get();
   if (options.stats_snapshot_interval_ms > 0) {
     obs::StatsSnapshotter::Options snap_opts;
-    snap_opts.interval_ms = options.stats_snapshot_interval_ms;
     snap_opts.ring_capacity = options.stats_snapshot_ring;
     snap_opts.jsonl_path = options.stats_snapshot_path;
-    DB* raw = db.get();
-    db->snapshotter_ = std::make_unique<obs::StatsSnapshotter>(
-        db->pool_, snap_opts, [raw] {
+    s = obs::StatsSnapshotter::Open(
+        db->pool_, snap_opts,
+        [raw] {
           return obs::RenderJsonSample({raw->SampleMetrics()}, NowMicros());
-        });
-    db->snapshotter_->Start();
+        },
+        &db->snapshotter_);
+    if (!s.ok()) return s;
+    db->ticker_.Add(options.stats_snapshot_interval_ms,
+                    [raw] { raw->snapshotter_->SampleAsync(); });
   }
 
   // The tuner needs the measured windows (amp stats) and only tunes the
@@ -412,12 +416,12 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     tcfg.hysteresis = options.tune_hysteresis;
     tcfg.min_window_ops = options.tune_min_window_ops;
     tcfg.cooldown_ticks = options.tune_cooldown_ticks;
-    tcfg.interval_ms = options.tune_interval_ms;
-    DB* raw = db.get();
-    db->tuner_ = std::make_unique<tune::AdaptiveTuner>(
-        tcfg, [raw] { raw->RetuneNow(); });
-    db->tuner_->Start();
+    db->tuner_ = std::make_unique<tune::AdaptiveTuner>(tcfg);
+    // Inline on the ticker thread, never the pool: a pass may wait for an
+    // active compaction chain that needs pool threads (DESIGN.md §9.1).
+    db->ticker_.Add(options.tune_interval_ms, [raw] { raw->RetuneNow(); });
   }
+  db->ticker_.Start();
 
   *dbptr = std::move(db);
   return Status::OK();
@@ -754,8 +758,6 @@ Status DB::CommitWriter(write::Writer* writer) {
 
 Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
   bool already_slowed = false;
-  bool already_agg_stopped = false;
-  shard::ShardBackpressure* agg = options_.shard_backpressure;
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   while (true) {
     if (!bg_error_.ok()) return bg_error_;
@@ -769,29 +771,6 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
                                     : cause == exec::StallCause::kL0
                                           ? obs::kCauseL0
                                           : obs::kCauseNone;
-    const exec::StallDecision agg_decision =
-        agg != nullptr ? agg->Decide() : exec::StallDecision::kNone;
-    if (decision != exec::StallDecision::kStop &&
-        agg_decision == exec::StallDecision::kStop && !already_agg_stopped) {
-      // Unified backpressure (DESIGN.md §3): the sharded store's aggregate
-      // debt — possibly all on one hot shard — stops intake everywhere.
-      // The wait is bounded (and taken at most once per write) because the
-      // local controllers own unbounded stops; this layer only paces
-      // intake while the shared pool catches up. The debt is remote, so it
-      // counts toward stop time but not the local memtable/l0 causes.
-      already_agg_stopped = true;
-      stats_.stall_stops++;
-      ring_->Emit(obs::EventType::kShardBackpressure, shard, 1, 0);
-      const uint64_t start = NowMicros();
-      lock.unlock();
-      agg->WaitWhileStopped();
-      lock.lock();
-      const uint64_t waited = NowMicros() - start;
-      stats_.stall_micros += waited;
-      stats_.stall_stop_micros += waited;
-      ring_->Emit(obs::EventType::kShardBackpressure, shard, 0, waited);
-      continue;
-    }
     if (decision == exec::StallDecision::kStop) {
       // Safety valve: if no background job is pending, no background
       // progress can clear the condition (the policy's stable shape exceeds
@@ -823,23 +802,14 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
       ring_->Emit(obs::EventType::kStallExit, shard, cause_code, waited);
       continue;
     }
-    if ((decision == exec::StallDecision::kSlowdown ||
-         agg_decision == exec::StallDecision::kSlowdown) &&
-        !already_slowed) {
+    if (decision == exec::StallDecision::kSlowdown && !already_slowed) {
       already_slowed = true;
-      // An aggregate-only slowdown has no local cause; its event carries
-      // cause=none and it stays out of the local cause counters.
-      const uint64_t slow_cause =
-          decision == exec::StallDecision::kSlowdown ? cause_code
-                                                     : obs::kCauseNone;
-      if (decision == exec::StallDecision::kSlowdown) {
-        if (cause == exec::StallCause::kMemtable) {
-          stats_.stall_slowdowns_memtable++;
-        } else {
-          stats_.stall_slowdowns_l0++;
-        }
+      if (cause == exec::StallCause::kMemtable) {
+        stats_.stall_slowdowns_memtable++;
+      } else {
+        stats_.stall_slowdowns_l0++;
       }
-      ring_->Emit(obs::EventType::kStallEnter, shard, slow_cause, 0);
+      ring_->Emit(obs::EventType::kStallEnter, shard, cause_code, 0);
       const uint64_t start = NowMicros();
       lock.unlock();
       std::this_thread::sleep_for(std::chrono::microseconds(
@@ -849,7 +819,7 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
       stats_.stall_slowdowns++;
       stats_.stall_micros += waited;
       stats_.stall_slowdown_micros += waited;
-      ring_->Emit(obs::EventType::kStallExit, shard, slow_cause, waited);
+      ring_->Emit(obs::EventType::kStallExit, shard, cause_code, waited);
       continue;
     }
     return Status::OK();
@@ -866,7 +836,6 @@ Status DB::SwitchMemTableLocked() {
     stats_.max_imm_queue_depth = imm_.size();
   }
   mem_ = std::make_shared<MemTable>();
-  ReportBackpressureLocked();
   Status s = NewWalLocked();
   if (!s.ok()) {
     bg_error_ = s;
@@ -877,17 +846,15 @@ Status DB::SwitchMemTableLocked() {
 }
 
 void DB::ScheduleFlushLocked() {
-  if (scheduler_->Schedule(exec::JobType::kFlush, [this] {
-        return BackgroundFlush();
-      }) != exec::JobScheduler::kInvalidJobId) {
+  if (scheduler_->Schedule(exec::JobType::kFlush,
+                          [this] { return BackgroundFlush(); })) {
     bg_jobs_pending_++;
   }
 }
 
 void DB::ScheduleCompactionLocked() {
-  if (scheduler_->Schedule(exec::JobType::kCompaction, [this] {
-        return BackgroundCompaction();
-      }) != exec::JobScheduler::kInvalidJobId) {
+  if (scheduler_->Schedule(exec::JobType::kCompaction,
+                          [this] { return BackgroundCompaction(); })) {
     bg_jobs_pending_++;
   }
 }
@@ -912,7 +879,6 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
     s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
     if (!s.ok()) break;
     imm_.pop_front();
-    ReportBackpressureLocked();
     stats_.bg_flushes++;
     policy_->OnFlushCompleted(*current_);
     s = InstallManifestLocked();
@@ -1387,15 +1353,6 @@ void DB::InstallVersionLocked(std::unique_ptr<Version> next) {
   Version* old = current_;
   current_ = next.release();
   if (old != nullptr && old->Unref()) delete old;
-  ReportBackpressureLocked();  // L0 run count may have changed.
-}
-
-void DB::ReportBackpressureLocked() {
-  if (options_.shard_backpressure == nullptr) return;
-  const size_t l0_runs =
-      current_->levels.empty() ? 0 : current_->levels[0].runs.size();
-  options_.shard_backpressure->Report(options_.shard_index, imm_.size(),
-                                      l0_runs);
 }
 
 void DB::EnsurePaddedLocked(size_t min_levels) {

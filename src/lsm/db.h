@@ -48,6 +48,7 @@
 #include "exec/job_scheduler.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
+#include "exec/ticker.h"
 #include "lsm/manifest.h"
 #include "lsm/options.h"
 #include "lsm/version.h"
@@ -305,7 +306,7 @@ class DB {
   /// One adaptive-tuning decision pass: consumes one drift window
   /// (EvaluateModelDrift, emitting kAmpSample/kModelDrift), runs the
   /// navigator, and applies a winning design via ApplyPolicyConfig. The
-  /// tuner's timer calls this each interval; the sharded fleet timer and
+  /// DB's ticker calls this every tune_interval_ms; ShardedDB::TuneNow and
   /// tests call it directly. No-op default decision when adaptive tuning
   /// is off.
   tune::TuneDecision RetuneNow();
@@ -458,10 +459,6 @@ class DB {
   Status BackgroundCompaction();
   void ScheduleFlushLocked();
   void ScheduleCompactionLocked();
-  /// Reports this shard's write debt (immutable queue depth, L0 run count)
-  /// to the sharded store's unified backpressure view. No-op unless
-  /// DbOptions::shard_backpressure is set.
-  void ReportBackpressureLocked();
 
   bool is_background() const {
     return options_.execution_mode == ExecutionMode::kBackground;
@@ -551,14 +548,16 @@ class DB {
   std::unique_ptr<obs::AmpTracker> amp_;
   // Null when amp stats are off (drift needs measured amplification).
   std::unique_ptr<obs::ModelDriftMonitor> drift_;
-  // Null unless stats_snapshot_interval_ms > 0. ~DB stops it first thing:
-  // its samples read engine state and may run on the shared pool, so it
-  // must quiesce before anything else is torn down.
+  // Null unless stats_snapshot_interval_ms > 0. Its samples read engine
+  // state and may run on the shared pool, so ~DB stops it right after the
+  // ticker, before anything else is torn down.
   std::unique_ptr<obs::StatsSnapshotter> snapshotter_;
-  // Adaptive tuner (null unless adaptive_tuning is active): decision state
-  // plus, for a standalone DB, the timer driving RetuneNow. Stopped first
-  // in ~DB for the same reason as the snapshotter.
+  // Adaptive tuner decision state (null unless adaptive_tuning is active).
   std::unique_ptr<tune::AdaptiveTuner> tuner_;
+  // Runs the snapshot and tune tasks at their intervals; no thread when
+  // both are off (always, for a shard: its ShardedDB ticks instead).
+  // Stopped first in ~DB.
+  exec::Ticker ticker_;
   /// Fills the per-level live_sst/live_payload fields from current_.
   void FillLiveSpaceLocked(obs::AmpSnapshot* snap) const;
 

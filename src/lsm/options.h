@@ -24,7 +24,6 @@ class EventRing;
 }  // namespace obs
 namespace shard {
 class SequenceAllocator;
-class ShardBackpressure;
 }  // namespace shard
 
 /// When the write path fsyncs the WAL (DESIGN.md §2.9). Syncs are issued by
@@ -116,7 +115,6 @@ struct DbOptions {
   // Internal wiring, set by ShardedDB::Open on the per-shard options it
   // derives. User code leaves these untouched.
   shard::SequenceAllocator* sequence_allocator = nullptr;  // Global seqs.
-  shard::ShardBackpressure* shard_backpressure = nullptr;  // Unified stall.
   size_t shard_index = 0;  // This engine's index within the sharded store.
   /// Borrowed pool shared by every shard's background jobs; the DB neither
   /// owns nor shuts it down. Null = the DB creates its own.
@@ -154,8 +152,9 @@ struct DbOptions {
   size_t event_ring_size = 1024;
   /// When non-empty, every engine event is appended to this file as one
   /// JSON object per line (the talus.events taxonomy) for postmortem stall
-  /// reconstruction. Ignored when event_ring is supplied (the owner of the
-  /// shared ring decides where its trace goes).
+  /// reconstruction; Open fails with IOError if it cannot be created.
+  /// Ignored when event_ring is supplied (the owner of the shared ring
+  /// decides where its trace goes).
   std::string trace_file_path;
   /// Borrowed shared event ring (ShardedDB passes its own to every shard so
   /// cross-shard events land in one ordered stream). Null = the DB owns a
@@ -176,15 +175,18 @@ struct DbOptions {
   /// distance from the previous window (a workload flip the cost model's
   /// design inputs no longer reflect).
   double model_mix_shift_threshold = 0.35;
-  /// When > 0, a background obs::StatsSnapshotter samples amp, latency and
-  /// drift stats every this many milliseconds into a bounded in-memory
-  /// ring (talus.snapshots) and, when stats_snapshot_path is set, an
-  /// append-only JSONL time-series file. 0 disables the snapshotter.
-  /// ShardedDB runs one fleet-level snapshotter instead of per-shard ones.
+  /// When > 0, an obs::StatsSnapshotter samples amp, latency and drift
+  /// stats every this many milliseconds into a bounded in-memory ring
+  /// (talus.snapshots) and, when stats_snapshot_path is set, an
+  /// append-only JSONL time-series file. 0 disables the snapshotter. The
+  /// store's one exec::Ticker thread sets the cadence; the samples run on
+  /// the background pool. ShardedDB runs one fleet-level snapshotter on
+  /// its own ticker instead of per-shard ones.
   uint64_t stats_snapshot_interval_ms = 0;
   /// Samples retained in the snapshotter's in-memory ring.
   size_t stats_snapshot_ring = 240;
-  /// Snapshotter JSONL output file ("" = in-memory ring only).
+  /// Snapshotter JSONL output file ("" = in-memory ring only); Open fails
+  /// with IOError if it cannot be created.
   std::string stats_snapshot_path;
 
   // ---- Adaptive tuning (src/tune/, DESIGN.md §9) ----
@@ -200,11 +202,11 @@ struct DbOptions {
   /// re-resolves it on reopen, so a store reopened with adaptive_tuning
   /// keeps its tuned design rather than failing the policy-name check.
   bool adaptive_tuning = false;
-  /// Cadence of the tuner's decision loop. Per engine; under
-  /// shard::ShardedDB one fleet-level timer ticks every shard instead
-  /// (per-shard timers are disabled at Open, mirroring the snapshotter).
-  /// 0 = no timer: decisions happen only via explicit DB::RetuneNow()
-  /// calls (tests drive this directly).
+  /// Cadence of the tuner's decision loop, run inline on the store's one
+  /// exec::Ticker thread (shared with the snapshotter, never the pool).
+  /// Under shard::ShardedDB the store's ticker runs every shard's pass
+  /// (ShardedDB::TuneNow). 0 = no tune task: decisions happen only via
+  /// explicit DB::RetuneNow() calls (tests drive this directly).
   uint64_t tune_interval_ms = 1000;
   /// Minimum predicted fractional cost win (model ζ ratio − 1) before the
   /// tuner switches designs — the band that prevents flapping when two

@@ -16,7 +16,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kStallEnter: return "stall_enter";
     case EventType::kStallExit: return "stall_exit";
     case EventType::kGcDelete: return "gc_delete";
-    case EventType::kShardBackpressure: return "shard_backpressure";
     case EventType::kMemtableSwitch: return "memtable_switch";
     case EventType::kAmpSample: return "amp_sample";
     case EventType::kModelDrift: return "model_drift";

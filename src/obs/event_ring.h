@@ -1,6 +1,6 @@
 // EventRing: timestamped structured engine events for postmortem stall
-// reconstruction (DESIGN.md §6). Flushes, compactions, stalls, GC and shard
-// backpressure are rare (tens per second at most), so the ring is a simple
+// reconstruction (DESIGN.md §6). Flushes, compactions, stalls, GC and policy
+// changes are rare (tens per second at most), so the ring is a simple
 // mutex-protected circular buffer — contention is irrelevant at this rate and
 // a mutex keeps the global event order exact, which is what makes a JSONL
 // trace replayable: stall_enter -> flush_begin -> flush_end -> stall_exit.
@@ -31,13 +31,11 @@ enum class EventType : uint8_t {
   kStallEnter,          // a: cause (see StallCauseName), b: 1 stop / 0 slowdown
   kStallExit,           // a: cause, b: stalled micros
   kGcDelete,            // a: tables deleted
-  kShardBackpressure,   // a: 1 entered / 0 cleared, b: aggregate L0 runs
   kMemtableSwitch,      // a: sealed memtable bytes
   kAmpSample,           // a: window write-amp (milli), b: window blocks/lookup (milli)
   kModelDrift,          // a: drift score (milli), b: mix shift (milli)
   kPolicyChange,        // a: 1 tiering / 0 leveling, b: size ratio (milli)
 };
-constexpr int kNumEventTypes = 14;
 
 const char* EventTypeName(EventType type);
 

@@ -1,18 +1,33 @@
 #include "obs/stats_snapshotter.h"
 
-#include <chrono>
 #include <utility>
 
 namespace talus {
 namespace obs {
 
-StatsSnapshotter::StatsSnapshotter(exec::ThreadPool* pool, Options options,
-                                   SampleFn fn)
-    : pool_(pool), options_(std::move(options)), fn_(std::move(fn)) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  if (!options_.jsonl_path.empty()) {
-    file_ = std::fopen(options_.jsonl_path.c_str(), "w");
+Status StatsSnapshotter::Open(exec::ThreadPool* pool, Options options,
+                              SampleFn fn,
+                              std::unique_ptr<StatsSnapshotter>* out) {
+  std::FILE* file = nullptr;
+  if (!options.jsonl_path.empty()) {
+    file = std::fopen(options.jsonl_path.c_str(), "w");
+    if (file == nullptr) {
+      return Status::IOError("cannot open stats snapshot file",
+                             options.jsonl_path);
+    }
   }
+  out->reset(
+      new StatsSnapshotter(pool, std::move(options), std::move(fn), file));
+  return Status::OK();
+}
+
+StatsSnapshotter::StatsSnapshotter(exec::ThreadPool* pool, Options options,
+                                   SampleFn fn, std::FILE* file)
+    : pool_(pool),
+      options_(std::move(options)),
+      fn_(std::move(fn)),
+      file_(file) {
+  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
 }
 
 StatsSnapshotter::~StatsSnapshotter() {
@@ -20,58 +35,27 @@ StatsSnapshotter::~StatsSnapshotter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void StatsSnapshotter::Start() {
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  if (started_ || stopping_) return;
-  started_ = true;
-  timer_ = std::thread([this] { TimerLoop(); });
+void StatsSnapshotter::SampleAsync() {
+  // Skip the tick if the previous sample is still running: a stalled
+  // sampler must not pile jobs onto the shared pool.
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (sample_in_flight_ || stopped_) return;
+    sample_in_flight_ = true;
+  }
+  if (pool_ == nullptr || !pool_->Submit([this] { DoSample(); })) DoSample();
 }
 
 void StatsSnapshotter::Stop() {
-  bool take_final = false;
   {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    take_final = started_ && !final_sample_taken_;
-    final_sample_taken_ = true;
-    stopping_ = true;
-    timer_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    if (stopped_) return;
+    stopped_ = true;
   }
-  if (timer_.joinable()) timer_.join();
-  // A pool-submitted sample may still be running; it must finish before
-  // the owner destroys the state it reads.
-  {
-    std::unique_lock<std::mutex> lock(inflight_mu_);
-    inflight_cv_.wait(lock, [this] { return !sample_in_flight_; });
-  }
-  // Closing sample: a run shorter than the interval still leaves one, and
-  // the series always ends with the final state. Runs inline on the
-  // caller's thread — the owner calls Stop while its state is intact.
-  if (take_final) SampleNow();
-}
-
-void StatsSnapshotter::TimerLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.interval_ms == 0
-                                    ? 1000
-                                    : options_.interval_ms);
-  std::unique_lock<std::mutex> lock(timer_mu_);
-  while (!stopping_) {
-    if (timer_cv_.wait_for(lock, interval, [this] { return stopping_; })) {
-      break;
-    }
-    // Skip the tick if the previous sample is still running: a stalled
-    // sampler must not pile jobs onto the shared pool.
-    {
-      std::lock_guard<std::mutex> inflight_lock(inflight_mu_);
-      if (sample_in_flight_) continue;
-      sample_in_flight_ = true;
-    }
-    lock.unlock();
-    bool submitted =
-        pool_ != nullptr && pool_->Submit([this] { DoSample(); });
-    if (!submitted) DoSample();
-    lock.lock();
-  }
+  // Closing sample, inline on the caller's thread once a pool-submitted
+  // sample (which reads the owner's state) has finished — the owner calls
+  // Stop while its state is intact.
+  SampleNow();
 }
 
 void StatsSnapshotter::DoSample() {

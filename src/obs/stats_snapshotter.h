@@ -1,28 +1,28 @@
 #ifndef TALUS_OBS_STATS_SNAPSHOTTER_H_
 #define TALUS_OBS_STATS_SNAPSHOTTER_H_
 
-// Background time-series sampler: periodically materializes one JSON
-// line of engine stats (the sample function is supplied by the owner —
-// a DB or a ShardedDB) into a bounded in-memory ring and, optionally,
-// an append-only JSONL file. Nightly runs archive the file, turning
-// endpoint bench numbers into amp/latency trajectories.
+// Time-series sampler: materializes one JSON line of engine stats (the
+// sample function is supplied by the owner — a DB or a ShardedDB) into a
+// bounded in-memory ring and, optionally, an append-only JSONL file.
+// Nightly runs archive the file, turning endpoint bench numbers into
+// amp/latency trajectories.
 //
-// A dedicated timer thread owns the cadence (the shared exec::ThreadPool
-// has no delayed scheduling) but the sampling work itself runs on the
-// pool so a slow sample never blocks the clock; ticks that arrive while
-// a sample is still in flight are dropped rather than queued. With no
-// pool (inline-mode engines) samples run on the timer thread.
+// The owner's exec::Ticker calls SampleAsync() each interval. The sampling
+// work runs on the pool so a slow sample never blocks the ticker; a tick
+// that arrives while a sample is still in flight is dropped rather than
+// queued. With no pool (inline-mode engines) samples run on the caller.
 
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "util/status.h"
 
 namespace talus {
 namespace obs {
@@ -30,7 +30,6 @@ namespace obs {
 class StatsSnapshotter {
  public:
   struct Options {
-    uint64_t interval_ms = 1000;
     size_t ring_capacity = 240;
     std::string jsonl_path;  // empty = in-memory ring only
   };
@@ -38,22 +37,25 @@ class StatsSnapshotter {
   /// Returns one JSON object (no trailing newline) per call.
   using SampleFn = std::function<std::string()>;
 
-  StatsSnapshotter(exec::ThreadPool* pool, Options options, SampleFn fn);
+  /// IOError naming the path when options.jsonl_path cannot be opened.
+  static Status Open(exec::ThreadPool* pool, Options options, SampleFn fn,
+                     std::unique_ptr<StatsSnapshotter>* out);
   ~StatsSnapshotter();
 
   StatsSnapshotter(const StatsSnapshotter&) = delete;
   StatsSnapshotter& operator=(const StatsSnapshotter&) = delete;
 
-  void Start();
-  /// Stops the timer, waits out any in-flight sample, and takes one
-  /// closing sample — so even a run shorter than the interval leaves a
-  /// sample behind and the series always ends with the final state.
-  /// Idempotent (the closing sample is taken once).
-  void Stop();
-
+  /// Submits one sample to the pool; a no-op while the previous sample is
+  /// still in flight or after Stop().
+  void SampleAsync();
   /// Takes one sample synchronously (also lands in ring/file). Used by
   /// tests and by owners that want a final sample before shutdown.
   void SampleNow();
+  /// Waits out any in-flight sample and takes one closing sample — so
+  /// even a run shorter than the interval leaves a sample behind and the
+  /// series always ends with the final state. Idempotent (the closing
+  /// sample is taken once).
+  void Stop();
 
   /// Oldest-first copy of the retained samples.
   std::vector<std::string> RingContents() const;
@@ -62,7 +64,8 @@ class StatsSnapshotter {
   uint64_t TotalSamples() const;
 
  private:
-  void TimerLoop();
+  StatsSnapshotter(exec::ThreadPool* pool, Options options, SampleFn fn,
+                   std::FILE* file);
   void DoSample();
 
   exec::ThreadPool* pool_;  // borrowed; may be null (inline sampling)
@@ -75,16 +78,10 @@ class StatsSnapshotter {
   uint64_t total_samples_ = 0;
   std::FILE* file_ = nullptr;
 
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  bool stopping_ = false;
-  bool started_ = false;
-  bool final_sample_taken_ = false;
-  std::thread timer_;
-
   std::mutex inflight_mu_;
   std::condition_variable inflight_cv_;
   bool sample_in_flight_ = false;
+  bool stopped_ = false;
 };
 
 }  // namespace obs

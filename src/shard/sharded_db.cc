@@ -51,6 +51,21 @@ Status ShardedDB::Open(const DbOptions& options,
   }
   auto db = std::unique_ptr<ShardedDB>(new ShardedDB());
   db->options_ = options;
+  // One shared event ring for the whole store: every shard emits into it,
+  // so cross-shard causality (a hot shard's stall vs. another's flush)
+  // lands in one ordered stream — and one JSONL trace file.
+  if (options.event_ring != nullptr) {
+    db->ring_ = options.event_ring;
+  } else {
+    db->owned_ring_ =
+        std::make_unique<obs::EventRing>(options.event_ring_size);
+    db->ring_ = db->owned_ring_.get();
+    if (!options.trace_file_path.empty() &&
+        !db->ring_->OpenTraceFile(options.trace_file_path)) {
+      return Status::IOError("cannot open trace file",
+                             options.trace_file_path);
+    }
+  }
   Env* env = options.env;
   Status s = env->CreateDirIfMissing(options.path);
   if (!s.ok()) return s;
@@ -84,29 +99,8 @@ Status ShardedDB::Open(const DbOptions& options,
   if (!s.ok()) return s;
 
   const size_t n = db->router_.shard_count();
-  // One shared event ring for the whole store: every shard emits into it,
-  // so cross-shard causality (a hot shard's stall vs. another's flush)
-  // lands in one ordered stream — and one JSONL trace file.
-  if (options.event_ring != nullptr) {
-    db->ring_ = options.event_ring;
-  } else {
-    db->owned_ring_ =
-        std::make_unique<obs::EventRing>(options.event_ring_size);
-    db->ring_ = db->owned_ring_.get();
-    if (!options.trace_file_path.empty()) {
-      db->ring_->OpenTraceFile(options.trace_file_path);
-    }
-  }
   db->pool_ =
       std::make_unique<exec::ThreadPool>(options.num_background_threads);
-  if (options.execution_mode == ExecutionMode::kBackground) {
-    exec::StallConfig stall_config;
-    stall_config.max_immutable_memtables = options.max_immutable_memtables;
-    stall_config.l0_slowdown_runs = options.l0_slowdown_runs;
-    stall_config.l0_stop_runs = options.l0_stop_runs;
-    stall_config.slowdown_delay_micros = options.slowdown_delay_micros;
-    db->backpressure_ = std::make_unique<ShardBackpressure>(stall_config, n);
-  }
 
   // Open the shards in parallel on the shared pool: recovery (WAL replay +
   // the recovered-memtable flush) dominates reopen time and the shards are
@@ -123,16 +117,14 @@ Status ShardedDB::Open(const DbOptions& options,
     shard_opts.shard_split_points.clear();
     shard_opts.shard_index = i;
     shard_opts.sequence_allocator = &db->alloc_;
-    shard_opts.shard_backpressure = db->backpressure_.get();
     shard_opts.shared_pool = db->pool_.get();
     shard_opts.event_ring = db->ring_;
-    // One fleet-level snapshotter (created below) samples the whole store;
-    // per-shard snapshotters would multiply timer threads and JSONL files.
+    // The store's ticker (below) runs one fleet-level snapshotter and
+    // every shard's tuning pass; zero intervals leave a shard's own ticker
+    // without tasks, hence without a thread. Each shard keeps its own
+    // tuner (decision state, counters).
     shard_opts.stats_snapshot_interval_ms = 0;
     shard_opts.stats_snapshot_path.clear();
-    // Same single-timer rule for adaptive tuning: each shard keeps its own
-    // tuner (decision state, counters), but interval 0 means no per-shard
-    // timer thread — the fleet tuner below paces every shard's RetuneNow.
     shard_opts.tune_interval_ms = 0;
     auto open_one = [&db, &results, &mu, &cv, &remaining, i, shard_opts] {
       Status os = DB::Open(shard_opts, &db->shards_[i]);
@@ -157,31 +149,29 @@ Status ShardedDB::Open(const DbOptions& options,
   }
   db->alloc_.Reset(last);
 
+  ShardedDB* raw = db.get();
   if (options.stats_snapshot_interval_ms > 0) {
     obs::StatsSnapshotter::Options snap_opts;
-    snap_opts.interval_ms = options.stats_snapshot_interval_ms;
     snap_opts.ring_capacity = options.stats_snapshot_ring;
     snap_opts.jsonl_path = options.stats_snapshot_path;
-    ShardedDB* raw = db.get();
-    db->snapshotter_ = std::make_unique<obs::StatsSnapshotter>(
-        db->pool_.get(), snap_opts, [raw] {
+    s = obs::StatsSnapshotter::Open(
+        db->pool_.get(), snap_opts,
+        [raw] {
           // Each shard's drift evaluation emits its own kAmpSample /
           // kModelDrift into the shared ring.
           std::vector<obs::MetricSnapshot> snaps;
           for (auto& sh : raw->shards_) snaps.push_back(sh->SampleMetrics());
           return obs::RenderJsonSample(snaps, NowMicros());
-        });
-    db->snapshotter_->Start();
+        },
+        &db->snapshotter_);
+    if (!s.ok()) return s;
+    db->ticker_.Add(options.stats_snapshot_interval_ms,
+                    [raw] { raw->snapshotter_->SampleAsync(); });
   }
-
-  if (options.adaptive_tuning && options.tune_interval_ms > 0) {
-    tune::TunerConfig tcfg;
-    tcfg.interval_ms = options.tune_interval_ms;
-    ShardedDB* raw = db.get();
-    db->fleet_tuner_ = std::make_unique<tune::AdaptiveTuner>(
-        tcfg, [raw] { raw->TuneNow(); });
-    db->fleet_tuner_->Start();
+  if (options.adaptive_tuning) {
+    db->ticker_.Add(options.tune_interval_ms, [raw] { raw->TuneNow(); });
   }
+  db->ticker_.Start();
 
   *dbptr = std::move(db);
   return Status::OK();
@@ -192,9 +182,9 @@ void ShardedDB::TuneNow() {
 }
 
 ShardedDB::~ShardedDB() {
-  // The fleet tuner's tick and the snapshotter's SampleFn walk every
-  // shard; stop both before any shard (or the pool) goes away.
-  if (fleet_tuner_ != nullptr) fleet_tuner_->Stop();
+  // The ticker's tasks and the snapshotter's SampleFn walk every shard;
+  // stop both before any shard (or the pool) goes away.
+  ticker_.Stop();
   if (snapshotter_ != nullptr) snapshotter_->Stop();
   // Stray snapshots (the caller should have released them) must drop their
   // per-shard registrations before the shards go away.

@@ -4,11 +4,15 @@
 //
 //   * one exec::ThreadPool runs every shard's flushes and compactions (and
 //     opens the shards in parallel at recovery),
-//   * one shard::ShardBackpressure aggregates write debt so a single hot
-//     shard throttles intake everywhere instead of only its own range,
+//   * one exec::Ticker thread paces the fleet's stats sampling and every
+//     shard's adaptive-tuning pass,
 //   * one shard::SequenceAllocator issues sequence numbers, whose visible
 //     watermark makes snapshots, scans, and iterators consistent ACROSS
 //     shards: every read pins all shards at one global sequence.
+//
+// Write admission stays local: each shard's exec::StallController paces
+// the writers that hit that shard's range, against that shard's own debt
+// (DESIGN.md §3). A hot shard slows its own range, not the whole store.
 //
 // Put/Delete/Get route by key. A Write whose batch spans shards claims one
 // contiguous sequence range, commits per-shard sub-batches at pre-assigned
@@ -37,8 +41,8 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "exec/ticker.h"
 #include "lsm/db.h"
-#include "shard/backpressure.h"
 #include "shard/sequence_allocator.h"
 #include "shard/shard_router.h"
 
@@ -119,13 +123,11 @@ class ShardedDB {
   /// One adaptive-tuning pass over every shard (DESIGN.md §9): each shard
   /// senses its own drift window, navigates, and retunes independently —
   /// a read-heavy shard can go leveled while its write-heavy neighbour
-  /// goes tiered. The fleet timer calls exactly this; tests and benches
-  /// call it directly for a deterministic cadence.
+  /// goes tiered. The store's ticker calls exactly this every
+  /// tune_interval_ms; tests and benches call it directly for a
+  /// deterministic cadence. Decision state lives in the per-shard tuners
+  /// (shard(i)->adaptive_tuner()).
   void TuneNow();
-  /// The fleet-level tuner TIMER (null unless adaptive_tuning with
-  /// tune_interval_ms > 0). Decision state lives in the per-shard tuners
-  /// (shard(i)->adaptive_tuner()); this object only paces TuneNow.
-  tune::AdaptiveTuner* adaptive_tuner() { return fleet_tuner_.get(); }
   /// The shared event ring every shard emits into (one globally ordered
   /// stream; cross-shard causality preserved).
   obs::EventRing* event_ring() { return ring_; }
@@ -151,7 +153,6 @@ class ShardedDB {
   DbOptions options_;  // As passed (env, path, shard_count, ...).
   ShardRouter router_;
   SequenceAllocator alloc_;
-  std::unique_ptr<ShardBackpressure> backpressure_;
   // Shared event ring, passed to every shard via DbOptions::event_ring.
   // Declared before shards_ so it outlives them: shard destructors still
   // emit (GC events) while draining. ring_ is owned_ring_ unless the caller
@@ -163,13 +164,13 @@ class ShardedDB {
   std::unique_ptr<exec::ThreadPool> pool_;
   std::vector<std::unique_ptr<DB>> shards_;
   // Fleet-level stats snapshotter; its SampleFn touches every shard and
-  // the pool, so ~ShardedDB stops it before anything else is torn down.
+  // the pool, so ~ShardedDB stops it right after the ticker, before
+  // anything else is torn down.
   std::unique_ptr<obs::StatsSnapshotter> snapshotter_;
-  // Fleet-level tuner timer (ticks TuneNow across all shards; per-shard
-  // tuners are opened with interval 0 so only this one thread paces the
-  // fleet, mirroring the snapshotter). Stopped first in ~ShardedDB: its
-  // tick walks every shard.
-  std::unique_ptr<tune::AdaptiveTuner> fleet_tuner_;
+  // The store's one timer thread: the snapshot task and TuneNow across
+  // all shards (shards are opened with zero intervals and run none).
+  // Stopped first in ~ShardedDB: its tasks walk every shard.
+  exec::Ticker ticker_;
 
   // Live cross-shard snapshots → their per-shard registrations.
   std::mutex snapshot_mu_;

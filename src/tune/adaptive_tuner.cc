@@ -1,7 +1,5 @@
 #include "tune/adaptive_tuner.h"
 
-#include <chrono>
-
 namespace talus {
 namespace tune {
 
@@ -15,46 +13,7 @@ const char* TuneDecision::ActionName() const {
   return "unknown";
 }
 
-AdaptiveTuner::AdaptiveTuner(const TunerConfig& config, TickFn tick)
-    : config_(config), tick_(std::move(tick)) {}
-
-AdaptiveTuner::~AdaptiveTuner() { Stop(); }
-
-void AdaptiveTuner::Start() {
-  if (config_.interval_ms == 0 || tick_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  if (started_) return;
-  started_ = true;
-  stopping_ = false;
-  timer_ = std::thread([this] { TimerLoop(); });
-}
-
-void AdaptiveTuner::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(timer_mu_);
-    if (!started_) return;
-    stopping_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-  std::lock_guard<std::mutex> lock(timer_mu_);
-  started_ = false;
-}
-
-void AdaptiveTuner::TimerLoop() {
-  std::unique_lock<std::mutex> lock(timer_mu_);
-  while (!stopping_) {
-    if (timer_cv_.wait_for(lock, std::chrono::milliseconds(config_.interval_ms),
-                           [this] { return stopping_; })) {
-      break;
-    }
-    // Run the tick with the timer lock released so Stop() never waits on
-    // a tick that is itself waiting on engine state.
-    lock.unlock();
-    tick_();
-    lock.lock();
-  }
-}
+AdaptiveTuner::AdaptiveTuner(const TunerConfig& config) : config_(config) {}
 
 TuneDecision AdaptiveTuner::Decide(const TunerInputs& in) {
   TuneDecision d;

@@ -14,10 +14,9 @@
 //   * The owner (DB::RetuneNow) evaluates one drift window, feeds the
 //     measurements in, and applies a kRetune decision via
 //     DB::ApplyPolicyConfig (the live-migration path).
-//   * An optional timer thread gives a standalone DB its own cadence.
-//     Under shard::ShardedDB the per-shard tuners keep the decision state
-//     but the fleet runs ONE timer that ticks every shard, mirroring the
-//     fleet-level stats snapshotter.
+//   * The owner's exec::Ticker sets the cadence: a standalone DB ticks
+//     RetuneNow, a shard::ShardedDB ticks every shard from its one ticker
+//     while the per-shard tuners keep the decision state.
 //
 // Hysteresis semantics: a switch is recommended only when
 // zeta(current design) / zeta(best design) - 1 > hysteresis. At the
@@ -28,12 +27,9 @@
 #ifndef TALUS_TUNE_ADAPTIVE_TUNER_H_
 #define TALUS_TUNE_ADAPTIVE_TUNER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "tuning/vertical_cost_model.h"
 #include "tuning/workload_mix.h"
@@ -50,9 +46,6 @@ struct TunerConfig {
   uint64_t min_window_ops = 256;
   /// Decision ticks held after a switch while measurements refill.
   int cooldown_ticks = 2;
-  /// Timer cadence; 0 = externally driven (fleet timer or explicit
-  /// RetuneNow calls) and Start() is a no-op.
-  uint64_t interval_ms = 0;
 };
 
 /// One decision tick's measured inputs (all from the just-consumed drift
@@ -101,20 +94,9 @@ struct TunerStats {
 
 class AdaptiveTuner {
  public:
-  using TickFn = std::function<void()>;
-
-  /// `tick` runs on the tuner's own timer thread (never a shared pool: a
-  /// tick may wait for an active compaction chain, which on a small pool
-  /// could be queued behind the tick itself). Null tick or interval 0
-  /// makes Start a no-op.
-  AdaptiveTuner(const TunerConfig& config, TickFn tick);
-  ~AdaptiveTuner();
+  explicit AdaptiveTuner(const TunerConfig& config);
   AdaptiveTuner(const AdaptiveTuner&) = delete;
   AdaptiveTuner& operator=(const AdaptiveTuner&) = delete;
-
-  void Start();
-  /// Stops the timer thread and waits for an in-flight tick. Idempotent.
-  void Stop();
 
   /// One navigation decision over the measured window. Thread-safe;
   /// updates the anti-flap state and counters.
@@ -129,20 +111,11 @@ class AdaptiveTuner {
   const TunerConfig& config() const { return config_; }
 
  private:
-  void TimerLoop();
-
   const TunerConfig config_;
-  TickFn tick_;
 
   mutable std::mutex mu_;  // decision state + stats
   int cooldown_ = 0;
   TunerStats stats_;
-
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  bool started_ = false;
-  bool stopping_ = false;
-  std::thread timer_;
 };
 
 }  // namespace tune

@@ -1,10 +1,12 @@
 // Background execution subsystem tests: thread-pool ordering/shutdown,
-// scheduler prioritization and status tracking, stall-controller thresholds,
+// scheduler prioritization and outcome counting, the periodic ticker,
+// stall-controller thresholds,
 // and whole-engine inline-vs-background equivalence under concurrent
 // writers (the acceptance bar for DESIGN.md §2).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "exec/job_scheduler.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
+#include "exec/ticker.h"
 #include "lsm/db.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -117,25 +120,21 @@ TEST(JobSchedulerTest, FlushJobsDispatchBeforeCompactions) {
   EXPECT_EQ(order[2], "compaction");
 }
 
-TEST(JobSchedulerTest, TracksJobStatesAndErrors) {
+TEST(JobSchedulerTest, CountsCompletedAndFailedJobs) {
   exec::ThreadPool pool(2);
   exec::JobScheduler sched(&pool);
 
-  auto ok_id = sched.Schedule(exec::JobType::kFlush,
-                              [] { return Status::OK(); });
-  auto bad_id = sched.Schedule(exec::JobType::kCompaction, [] {
+  ASSERT_TRUE(
+      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
+  ASSERT_TRUE(sched.Schedule(exec::JobType::kCompaction, [] {
     return Status::IOError("disk on fire");
-  });
-  ASSERT_NE(ok_id, exec::JobScheduler::kInvalidJobId);
-  ASSERT_NE(bad_id, exec::JobScheduler::kInvalidJobId);
+  }));
   sched.WaitIdle();
-
-  EXPECT_EQ(sched.GetState(ok_id), exec::JobState::kDone);
-  EXPECT_EQ(sched.GetState(bad_id), exec::JobState::kFailed);
-  EXPECT_TRUE(sched.first_error().IsIOError());
 
   auto stats = sched.GetStats();
   EXPECT_EQ(stats.completed[0], 1u);
+  EXPECT_EQ(stats.failed[0], 0u);
+  EXPECT_EQ(stats.completed[1], 0u);
   EXPECT_EQ(stats.failed[1], 1u);
   EXPECT_TRUE(stats.idle());
 }
@@ -144,8 +143,96 @@ TEST(JobSchedulerTest, ShutdownRejectsNewJobs) {
   exec::ThreadPool pool(1);
   exec::JobScheduler sched(&pool);
   sched.Shutdown();
-  EXPECT_EQ(sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }),
-            exec::JobScheduler::kInvalidJobId);
+  EXPECT_FALSE(
+      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
+}
+
+TEST(JobSchedulerTest, RefusedDispatchDropsQueuedJobs) {
+  exec::ThreadPool pool(1);
+  exec::JobScheduler sched(&pool);
+  pool.Shutdown();
+  EXPECT_FALSE(
+      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
+  sched.WaitIdle();  // Nothing stranded in the queue.
+  EXPECT_TRUE(sched.GetStats().idle());
+  EXPECT_EQ(sched.GetStats().completed[0], 0u);
+}
+
+// -------------------------------------------------------------------- Ticker
+
+TEST(TickerTest, PacesTasksAndStopIsIdempotent) {
+  std::atomic<int> fast{0};
+  std::atomic<int> slow{0};
+  exec::Ticker ticker;
+  ticker.Add(2, [&fast] { fast.fetch_add(1); });
+  ticker.Add(60000, [&slow] { slow.fetch_add(1); });
+  ticker.Add(0, [] { ADD_FAILURE() << "a zero period registers nothing"; });
+  ticker.Start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fast.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(fast.load(), 3);
+  EXPECT_EQ(slow.load(), 0);
+  ticker.Stop();
+  ticker.Stop();  // Idempotent.
+  const int after = fast.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(fast.load(), after);  // No runs after Stop returns.
+}
+
+TEST(TickerTest, TaskDueDuringAnotherRunsOnceNotAsBacklog) {
+  // A 1 ms task waits ~200 ms behind a blocked one. Replaying the missed
+  // periods would burst ~200 runs right after the release; skipping them
+  // allows at most one run per elapsed millisecond.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocked = false;
+  bool release = false;
+  std::atomic<int> quick{0};
+  exec::Ticker ticker;
+  ticker.Add(1, [&quick] { quick.fetch_add(1); });
+  ticker.Add(1, [&] {
+    std::unique_lock<std::mutex> l(mu);
+    if (release) return;
+    blocked = true;
+    cv.notify_all();
+    cv.wait(l, [&] { return release; });
+  });
+  ticker.Start();
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return blocked; });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const int before = quick.load();
+  const auto released_at = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> l(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const auto deadline = released_at + std::chrono::seconds(5);
+  while (quick.load() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ticker.Stop();
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - released_at)
+          .count();
+  const int after = quick.load() - before;
+  EXPECT_GE(after, 1);  // The overdue task did run once.
+  EXPECT_LE(after, elapsed_ms + 2) << "missed periods were replayed";
+}
+
+TEST(TickerTest, NoTasksMeansNoThread) {
+  exec::Ticker ticker;
+  ticker.Add(0, [] {});
+  ticker.Start();  // Nothing registered: no thread to join.
+  ticker.Stop();
 }
 
 // ---------------------------------------------------------- StallController

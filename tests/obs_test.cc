@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -846,23 +848,26 @@ TEST(StatsSnapshotter, RingBoundJsonlAndIdempotentStop) {
                            std::to_string(::getpid()) + ".jsonl";
   std::atomic<int> next{0};
   obs::StatsSnapshotter::Options sopts;
-  sopts.interval_ms = 5;
   sopts.ring_capacity = 4;
   sopts.jsonl_path = path;
-  obs::StatsSnapshotter snap(/*pool=*/nullptr, sopts, [&next] {
+  auto sample = [&next] {
     return "{\"n\": " + std::to_string(next.fetch_add(1)) + "}";
-  });
-  snap.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  snap.Stop();
-  const uint64_t total = snap.TotalSamples();
-  EXPECT_GE(total, 2u);
+  };
+  std::unique_ptr<obs::StatsSnapshotter> snap;
+  ASSERT_TRUE(
+      obs::StatsSnapshotter::Open(/*pool=*/nullptr, sopts, sample, &snap)
+          .ok());
+  // Without a pool the ticks sample inline, so every one lands.
+  for (int i = 0; i < 5; i++) snap->SampleAsync();
+  snap->SampleNow();
+  snap->Stop();
+  const uint64_t total = snap->TotalSamples();
+  EXPECT_EQ(total, 7u);  // Five ticks, one explicit, one closing.
 
   // The ring is bounded and oldest-first: consecutive sample numbers
   // ending at the newest.
-  const std::vector<std::string> ring = snap.RingContents();
-  ASSERT_LE(ring.size(), 4u);
-  ASSERT_FALSE(ring.empty());
+  const std::vector<std::string> ring = snap->RingContents();
+  ASSERT_EQ(ring.size(), 4u);
   for (size_t i = 0; i < ring.size(); i++) {
     const uint64_t expect_n = total - ring.size() + i;
     EXPECT_EQ(ring[i], "{\"n\": " + std::to_string(expect_n) + "}");
@@ -874,32 +879,62 @@ TEST(StatsSnapshotter, RingBoundJsonlAndIdempotentStop) {
   std::string line;
   uint64_t lines = 0;
   while (std::getline(in, line)) {
-    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line, "{\"n\": " + std::to_string(lines) + "}");
     lines++;
   }
   EXPECT_EQ(lines, total);
 
-  // Stop is idempotent: no second closing sample.
-  snap.Stop();
-  EXPECT_EQ(snap.TotalSamples(), total);
+  // Stop is idempotent: no second closing sample, and ticks after Stop
+  // are ignored.
+  snap->Stop();
+  snap->SampleAsync();
+  EXPECT_EQ(snap->TotalSamples(), total);
   std::remove(path.c_str());
+}
+
+TEST(StatsSnapshotter, SampleAsyncDropsTicksWhileASampleIsInFlight) {
+  exec::ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> calls{0};
+  auto sample = [&] {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return release; });
+    calls.fetch_add(1);
+    return std::string("{}");
+  };
+  std::unique_ptr<obs::StatsSnapshotter> snap;
+  ASSERT_TRUE(obs::StatsSnapshotter::Open(&pool, {}, sample, &snap).ok());
+  snap->SampleAsync();  // Submitted; blocks the pool's worker.
+  snap->SampleAsync();  // Dropped, not queued: a sample is in flight.
+  snap->SampleAsync();
+  {
+    std::lock_guard<std::mutex> l(mu);
+    release = true;
+  }
+  cv.notify_all();
+  snap->Stop();  // Waits out the pool sample, then the closing one.
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(snap->TotalSamples(), 2u);
+  pool.Shutdown();
 }
 
 TEST(StatsSnapshotter, ClosingSampleCoversRunsShorterThanInterval) {
   std::atomic<int> calls{0};
-  obs::StatsSnapshotter::Options sopts;
-  sopts.interval_ms = 60000;  // No timer tick will ever fire in this test.
-  obs::StatsSnapshotter snap(/*pool=*/nullptr, sopts, [&calls] {
+  auto sample = [&calls] {
     calls.fetch_add(1);
     return std::string("{\"closing\": true}");
-  });
-  snap.Start();
-  snap.Stop();
-  // The closing sample guarantees a short run still leaves one sample.
-  EXPECT_EQ(snap.TotalSamples(), 1u);
+  };
+  std::unique_ptr<obs::StatsSnapshotter> snap;
+  ASSERT_TRUE(
+      obs::StatsSnapshotter::Open(/*pool=*/nullptr, {}, sample, &snap).ok());
+  // No tick ever fired; the closing sample still leaves one sample.
+  snap->Stop();
+  EXPECT_EQ(snap->TotalSamples(), 1u);
   EXPECT_EQ(calls.load(), 1);
-  ASSERT_EQ(snap.RingContents().size(), 1u);
-  EXPECT_EQ(snap.RingContents()[0], "{\"closing\": true}");
+  ASSERT_EQ(snap->RingContents().size(), 1u);
+  EXPECT_EQ(snap->RingContents()[0], "{\"closing\": true}");
 }
 
 TEST(StatsSnapshotter, DbTimeSeriesEndsWithClosingSample) {
@@ -942,6 +977,52 @@ TEST(StatsSnapshotter, DbTimeSeriesEndsWithClosingSample) {
     EXPECT_NE(l.find("\"blocks_per_lookup\": "), std::string::npos) << l;
   }
   std::remove(path.c_str());
+}
+
+// An output file that cannot be created fails Open with IOError naming
+// the path, instead of a store that silently writes nothing.
+TEST(UnwritableOutput, DbOpenFailsForTraceAndSnapshotFiles) {
+  const std::string path = "/tmp/talus_no_such_dir_" +
+                           std::to_string(::getpid()) + "/out.jsonl";
+  for (bool trace : {true, false}) {
+    SCOPED_TRACE(trace ? "trace_file_path" : "stats_snapshot_path");
+    auto env = NewMemEnv();
+    DbOptions opts = SmallDbOptions(env.get());
+    if (trace) {
+      opts.trace_file_path = path;
+    } else {
+      opts.stats_snapshot_interval_ms = 60000;
+      opts.stats_snapshot_path = path;
+    }
+    std::unique_ptr<DB> db;
+    const Status s = DB::Open(opts, &db);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find(path), std::string::npos) << s.ToString();
+    EXPECT_EQ(db, nullptr);
+  }
+}
+
+TEST(UnwritableOutput, ShardedDbOpenFailsForTraceAndSnapshotFiles) {
+  const std::string path = "/tmp/talus_no_such_dir_" +
+                           std::to_string(::getpid()) + "/out.jsonl";
+  for (bool trace : {true, false}) {
+    SCOPED_TRACE(trace ? "trace_file_path" : "stats_snapshot_path");
+    auto env = NewMemEnv();
+    DbOptions opts = SmallDbOptions(env.get());
+    opts.execution_mode = ExecutionMode::kBackground;
+    opts.shard_count = 2;
+    if (trace) {
+      opts.trace_file_path = path;
+    } else {
+      opts.stats_snapshot_interval_ms = 60000;
+      opts.stats_snapshot_path = path;
+    }
+    std::unique_ptr<shard::ShardedDB> db;
+    const Status s = shard::ShardedDB::Open(opts, &db);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find(path), std::string::npos) << s.ToString();
+    EXPECT_EQ(db, nullptr);
+  }
 }
 
 // ------------------------------------------------- Prometheus exposition

@@ -3,13 +3,15 @@
 // re-resolution, the live ApplyPolicyConfig migration path (under
 // concurrent writers, with catch-up convergence, across reopen), the
 // sense→navigate→act loop's JSONL trace signature
-// (kModelDrift → kPolicyChange), and per-shard tuning isolation.
+// (kModelDrift → kPolicyChange), per-shard tuning isolation, and the one
+// ticker thread that paces tuning and stats sampling.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <dirent.h>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -81,7 +83,7 @@ TEST(TunerNavigator, StationaryMixNeverFlaps) {
   for (int w10 = 0; w10 <= 10; w10++) {
     tune::TunerConfig cfg;
     cfg.cooldown_ticks = 0;
-    tune::AdaptiveTuner tuner(cfg, nullptr);
+    tune::AdaptiveTuner tuner(cfg);
     tune::TunerInputs in = BaseInputs(w10 / 10.0);
     int switches = 0;
     for (int tick = 0; tick < 10; tick++) {
@@ -99,7 +101,7 @@ TEST(TunerNavigator, StationaryMixNeverFlaps) {
 
 TEST(TunerNavigator, ClearWinRetunesThenCooldownHolds) {
   tune::TunerConfig cfg;  // Defaults: hysteresis 0.35, cooldown 2.
-  tune::AdaptiveTuner tuner(cfg, nullptr);
+  tune::AdaptiveTuner tuner(cfg);
 
   // Write-heavy against leveling: tiering's flat write cost wins by far
   // more than the band, so the first decision is a retune.
@@ -128,25 +130,6 @@ TEST(TunerNavigator, ClearWinRetunesThenCooldownHolds) {
   EXPECT_EQ(stats.retunes, 2u);
   EXPECT_EQ(stats.cooldown_holds, 2u);
   EXPECT_EQ(stats.thin_windows, 1u);
-}
-
-TEST(TunerNavigator, TimerPacesTicksAndStopIsIdempotent) {
-  std::atomic<int> ticks{0};
-  tune::TunerConfig cfg;
-  cfg.interval_ms = 2;
-  tune::AdaptiveTuner tuner(cfg, [&ticks] { ticks.fetch_add(1); });
-  tuner.Start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (ticks.load() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(ticks.load(), 3);
-  tuner.Stop();
-  tuner.Stop();  // Idempotent.
-  const int after = ticks.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(ticks.load(), after);  // No ticks after Stop returns.
 }
 
 // ------------------------------------------------------------ Config codec
@@ -409,7 +392,7 @@ TEST(TuneSharded, OnlyTheDriftingShardRetunes) {
   DbOptions opts = SmallDbOptions(env.get());
   opts.enable_amp_stats = true;
   opts.adaptive_tuning = true;
-  opts.tune_interval_ms = 0;  // No fleet timer: TuneNow below.
+  opts.tune_interval_ms = 0;  // No tune task: TuneNow below.
   opts.tune_min_window_ops = 64;
   opts.shard_count = 2;
   constexpr uint64_t kKeySpace = 2000;
@@ -418,7 +401,6 @@ TEST(TuneSharded, OnlyTheDriftingShardRetunes) {
   ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
   ASSERT_NE(db->shard(0)->adaptive_tuner(), nullptr);
   ASSERT_NE(db->shard(1)->adaptive_tuner(), nullptr);
-  EXPECT_EQ(db->adaptive_tuner(), nullptr);  // interval 0 = no fleet timer.
 
   // Preload both halves, then consume the write-heavy load window
   // sense-only so it doesn't count against either shard's navigator.
@@ -461,6 +443,92 @@ TEST(TuneSharded, OnlyTheDriftingShardRetunes) {
   const std::string metrics = db->DumpPrometheus();
   EXPECT_NE(metrics.find("talus_tune_switches_total"), std::string::npos);
   EXPECT_NE(metrics.find("talus_tune_ticks_total"), std::string::npos);
+}
+
+// ------------------------------------------------------------ One ticker
+
+size_t ReadThreadCount() {
+  size_t n = 0;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  while (struct dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') n++;
+  }
+  closedir(dir);
+  return n;
+}
+
+// This process's thread count once it holds still: a thread joined by an
+// earlier test can linger in /proc for a moment after its join returns.
+// A throwaway thread goes first because a sanitizer runtime may spawn its
+// own helper thread at the process's first thread creation.
+size_t CountThreads() {
+  std::thread([] {}).join();
+  size_t last = ReadThreadCount();
+  for (int stable = 0, tries = 0; stable < 3 && tries < 200; tries++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t now = ReadThreadCount();
+    stable = now == last ? stable + 1 : 0;
+    last = now;
+  }
+  return last;
+}
+
+// Polls until every tuner has ticked and the snapshotter has sampled.
+void WaitForTicks(const std::vector<tune::AdaptiveTuner*>& tuners,
+                  obs::StatsSnapshotter* snapshotter) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto done = [&] {
+    for (tune::AdaptiveTuner* t : tuners) {
+      if (t->GetStats().ticks == 0) return false;
+    }
+    return snapshotter->TotalSamples() > 0;
+  };
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(done()) << "the ticker never ran both tasks";
+}
+
+TEST(OneTicker, StandaloneDbRunsOneTimerThreadForBothTasks) {
+  if (CountThreads() == 0) GTEST_SKIP() << "no /proc/self/task";
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());  // kInline: no pool.
+  opts.adaptive_tuning = true;
+  opts.tune_interval_ms = 5;
+  opts.stats_snapshot_interval_ms = 5;
+  const size_t before = CountThreads();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  EXPECT_EQ(CountThreads() - before, 1u);
+  ASSERT_NE(db->adaptive_tuner(), nullptr);
+  ASSERT_NE(db->stats_snapshotter(), nullptr);
+  WaitForTicks({db->adaptive_tuner()}, db->stats_snapshotter());
+}
+
+TEST(OneTicker, ShardedDbRunsOneTimerThreadForBothTasks) {
+  if (CountThreads() == 0) GTEST_SKIP() << "no /proc/self/task";
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.execution_mode = ExecutionMode::kBackground;
+  opts.num_background_threads = 2;
+  opts.shard_count = 2;
+  opts.adaptive_tuning = true;
+  opts.tune_interval_ms = 5;
+  opts.stats_snapshot_interval_ms = 5;
+  const size_t before = CountThreads();
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  // The shared pool, plus exactly one timer thread for the whole store.
+  EXPECT_EQ(CountThreads() - before, 2u + 1u);
+  ASSERT_NE(db->stats_snapshotter(), nullptr);
+  std::vector<tune::AdaptiveTuner*> tuners;
+  for (size_t i = 0; i < db->shard_count(); i++) {
+    tuners.push_back(db->shard(i)->adaptive_tuner());
+    ASSERT_NE(tuners.back(), nullptr);
+  }
+  WaitForTicks(tuners, db->stats_snapshotter());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Docs-vs-source linter (CI: the docs-check job).
 
 Documentation rots by referencing things that were renamed or removed, so
-this script fails CI on dangling references. Four checks, all grep-level —
+this script fails CI on dangling references. Six checks, all grep-level —
 no build needed:
 
   1. Every `talus.<name>` property named in the markdown is declared in
@@ -18,6 +18,9 @@ no build needed:
      (generated artifacts like BENCH_*.json are allowlisted).
   5. Every `DbOptions::<field>` reference — in markdown OR in source
      comments — names a field actually declared in src/lsm/options.h.
+  6. The event list in DESIGN.md §6.2 (one "- `<wire name>` — ..." bullet
+     per event) names exactly the events obs::EventTypeName returns in
+     src/obs/event_ring.cc, in both directions.
 
 Run locally from the repo root: python3 tools/check_docs.py
 """
@@ -105,6 +108,25 @@ def catalog():
     return families, properties
 
 
+def wire_event_names():
+    """Names returned by obs::EventTypeName."""
+    text = read(os.path.join(REPO, "src", "obs", "event_ring.cc"))
+    m = re.search(r"const char\* EventTypeName\(.*?\n\}", text, re.DOTALL)
+    if not m:
+        return set()
+    return set(re.findall(r'case EventType::k\w+: return "([a-z_]+)";',
+                          m.group(0)))
+
+
+def documented_event_names():
+    """Wire names bulleted in DESIGN.md §6.2."""
+    text = read(os.path.join(REPO, "DESIGN.md"))
+    m = re.search(r"^### §6\.2 .*?(?=^#)", text, re.DOTALL | re.MULTILINE)
+    if not m:
+        return set()
+    return set(re.findall(r"^- `([a-z_]+)` —", m.group(0), re.MULTILINE))
+
+
 def design_sections():
     sections = set()
     for line in read(os.path.join(REPO, "DESIGN.md")).splitlines():
@@ -178,6 +200,16 @@ def main():
     for field in sorted(set(DBOPTIONS_RE.findall(src))):
         if field not in fields:
             errors.append(f"src: DbOptions::{field} is not a DbOptions field")
+
+    wire = wire_event_names()
+    documented = documented_event_names()
+    if not wire:
+        errors.append("src/obs/event_ring.cc: no EventTypeName cases found")
+    for name in sorted(wire - documented):
+        errors.append(f"DESIGN.md §6.2: event {name} is not listed")
+    for name in sorted(documented - wire):
+        errors.append(
+            f"DESIGN.md §6.2: event {name} is not in obs::EventTypeName")
 
     if errors:
         for e in errors:
