@@ -4,11 +4,11 @@
 // Wall-clock put throughput under concurrent writers. "serial" caps the
 // group byte budget so every batch commits alone (one WAL append + one sync
 // per batch — the pre-pipeline engine's behavior); "group" uses the default
-// budget so the leader absorbs queued batches; "group+par" additionally
-// applies follower sub-batches to the memtable concurrently
-// (parallel_memtable_writes). The interesting columns are the throughput
-// scaling as writers are added under wal_sync=per_group (where the
-// amortized fsync dominates) and the group-size / queue-wait counters.
+// budget so the leader absorbs queued batches. Either way the leader is the
+// memtable's only writer: it applies every batch of its group itself. The
+// interesting columns are the throughput scaling as writers are added under
+// wal_sync=per_group (where the amortized fsync dominates) and the
+// group-size / queue-wait counters.
 //
 // Runs on the real filesystem by default so fsync costs are real; --mem
 // switches to the deterministic in-memory env. --smoke shrinks the sweep to
@@ -70,7 +70,6 @@ struct RunResult {
 struct Variant {
   const char* name;          // Row label and JSON "mode".
   bool grouped;              // false: byte budget forces 1-batch groups.
-  bool parallel_memtable;
   WalSyncMode sync_mode;
   const char* sync_name;
 };
@@ -115,7 +114,6 @@ RunResult RunOne(const BenchConfig& cfg, const Variant& variant, int writers,
   opts.execution_mode = ExecutionMode::kBackground;
   opts.num_background_threads = 2;
   opts.wal_sync_mode = variant.sync_mode;
-  opts.parallel_memtable_writes = variant.parallel_memtable;
   opts.enable_latency_stats = latency_stats;
   if (!cfg.trace_path.empty()) {
     // One trace per run: OpenTraceFile truncates, so sharing PATH across
@@ -280,8 +278,7 @@ int main(int argc, char** argv) {
     // on and off, alternated and best-of-N so background noise hits both
     // arms equally. wal_sync=none keeps the workload CPU-bound — fsync
     // time would mask the recorder's cost.
-    const Variant variant = {"group", true, false, WalSyncMode::kNone,
-                             "none"};
+    const Variant variant = {"group", true, WalSyncMode::kNone, "none"};
     const int writers = 8;
     const int reps = cfg.smoke ? 2 : 3;
     double best_on = 0, best_off = 0;
@@ -348,12 +345,11 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<Variant> variants = {
-      {"serial", false, false, WalSyncMode::kNone, "none"},
-      {"group", true, false, WalSyncMode::kNone, "none"},
-      {"serial", false, false, WalSyncMode::kPerGroup, "per_group"},
-      {"group", true, false, WalSyncMode::kPerGroup, "per_group"},
-      {"group", true, false, WalSyncMode::kInterval, "interval"},
-      {"group+par", true, true, WalSyncMode::kPerGroup, "per_group"},
+      {"serial", false, WalSyncMode::kNone, "none"},
+      {"group", true, WalSyncMode::kNone, "none"},
+      {"serial", false, WalSyncMode::kPerGroup, "per_group"},
+      {"group", true, WalSyncMode::kPerGroup, "per_group"},
+      {"group", true, WalSyncMode::kInterval, "interval"},
   };
   const std::vector<int> thread_counts =
       cfg.smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8};

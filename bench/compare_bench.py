@@ -11,7 +11,7 @@ value rising above the band.
 Raw throughput is machine-dependent, so CI passes --normalize: each side's
 metric is divided by that side's geometric mean over all matched configs
 before comparing. Normalized values measure the SHAPE of the performance
-profile — how much grouping, parallel applies, or sharding buy relative to
+profile — how much grouping, a WAL sync mode, or sharding buy relative to
 the other configs — which is stable across runner generations, while a
 plain delta would fail every time GitHub swaps CPU models. The trade-off: a
 change that slows every config by the same factor is invisible to the

@@ -9,7 +9,9 @@
 //     --shards=N          shard count for a fresh database (default 4)
 //     --workers=N         request worker threads (default 4)
 //     --depth=N           max pipeline depth per connection (default 64)
-//     --policy=<name>     growth policy (default vertiorizon)
+//     --policy=<name>     growth policy at T=6 (default vertiorizon); the
+//                         names are ycsb_runner's roster, and an unknown
+//                         one exits with the accepted list
 //
 // Quickstart (README.md):
 //   ./example_talus_server --mem --port=4980 &
@@ -25,6 +27,7 @@
 #include <string>
 
 #include "env/env.h"
+#include "policy/policy_config.h"
 #include "server/server.h"
 #include "shard/sharded_db.h"
 #include "workload/generator.h"
@@ -55,14 +58,6 @@ bool FlagPresent(int argc, char** argv, const char* name) {
   return false;
 }
 
-GrowthPolicyConfig PolicyByName(const std::string& name) {
-  if (name == "vt-level-part") return GrowthPolicyConfig::VTLevelPart(6);
-  if (name == "vt-level-full") return GrowthPolicyConfig::VTLevelFull(6);
-  if (name == "lazy") return GrowthPolicyConfig::LazyLeveling(6);
-  if (name == "rocksdb-tuned") return GrowthPolicyConfig::RocksDBTuned();
-  return GrowthPolicyConfig::Vertiorizon(6);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,6 +71,11 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<Env> owned_env;
   DbOptions opts;
+  if (!GrowthPolicyConfigByName(policy_name, 6, 0, &opts.policy)) {
+    std::fprintf(stderr, "unknown --policy=%s (accepted: %s)\n",
+                 policy_name.c_str(), GrowthPolicyNames().c_str());
+    return 2;
+  }
   if (use_mem) {
     owned_env = NewMemEnv();
     opts.env = owned_env.get();
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
     opts.path = path;
     opts.env->CreateDirIfMissing(path);
   }
-  opts.policy = PolicyByName(policy_name);
   opts.execution_mode = ExecutionMode::kBackground;
   opts.shard_count = shards > 0 ? shards : 1;
 

@@ -5,7 +5,8 @@
 //   ./examples/ycsb_runner [options]
 //     --policy=<vt-level-part|vt-level-full|vt-tier-part|vt-tier-full|
 //               rocksdb-tuned|universal|hr-level|hr-tier|vrn-level|
-//               vrn-tier|vertiorizon|lazy|lazy-vrn>
+//               vrn-tier|vertiorizon|lazy|lazy-vrn>  (an unknown name
+//               exits non-zero with this list)
 //     --workload=<read-heavy|balanced|write-heavy|range-scan>
 //     --dist=<uniform|zipfian|hotcold>
 //     --keys=N --ops=N --ratio=T --bpk=B --cache=BYTES
@@ -26,6 +27,7 @@
 #include "env/env.h"
 #include "lsm/db.h"
 #include "obs/throughput.h"
+#include "policy/policy_config.h"
 #include "server/client.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -43,23 +45,6 @@ std::string FlagValue(int argc, char** argv, const char* name,
     }
   }
   return def;
-}
-
-GrowthPolicyConfig PolicyByName(const std::string& name, double T,
-                                uint64_t data_bytes) {
-  if (name == "vt-level-part") return GrowthPolicyConfig::VTLevelPart(T);
-  if (name == "vt-level-full") return GrowthPolicyConfig::VTLevelFull(T);
-  if (name == "vt-tier-part") return GrowthPolicyConfig::VTTierPart(T);
-  if (name == "vt-tier-full") return GrowthPolicyConfig::VTTierFull(T);
-  if (name == "rocksdb-tuned") return GrowthPolicyConfig::RocksDBTuned();
-  if (name == "universal") return GrowthPolicyConfig::Universal();
-  if (name == "hr-level") return GrowthPolicyConfig::HRLevel(3);
-  if (name == "hr-tier") return GrowthPolicyConfig::HRTier(3, data_bytes);
-  if (name == "vrn-level") return GrowthPolicyConfig::VRNLevel(T);
-  if (name == "vrn-tier") return GrowthPolicyConfig::VRNTier(T);
-  if (name == "lazy") return GrowthPolicyConfig::LazyLeveling(T, 4, false);
-  if (name == "lazy-vrn") return GrowthPolicyConfig::LazyLeveling(T, 4, true);
-  return GrowthPolicyConfig::Vertiorizon(T);
 }
 
 // Runs load + op mix against a remote talus server. The pipelined window
@@ -186,6 +171,12 @@ int main(int argc, char** argv) {
       std::strtod(FlagValue(argc, argv, "bpk", "5").c_str(), nullptr);
   const uint64_t cache = std::strtoull(
       FlagValue(argc, argv, "cache", "262144").c_str(), nullptr, 10);
+  GrowthPolicyConfig policy;
+  if (!GrowthPolicyConfigByName(policy_name, T, num_keys * 1024, &policy)) {
+    std::fprintf(stderr, "unknown --policy=%s (accepted: %s)\n",
+                 policy_name.c_str(), GrowthPolicyNames().c_str());
+    return 2;
+  }
 
   workload::KeySpaceSpec keys;
   keys.num_keys = num_keys;
@@ -218,7 +209,7 @@ int main(int argc, char** argv) {
   options.target_file_size = 64 << 10;
   options.block_cache_bytes = cache;
   options.bloom_bits_per_key = bpk;
-  options.policy = PolicyByName(policy_name, T, num_keys * 1024);
+  options.policy = policy;
 
   std::unique_ptr<DB> db;
   Status s = DB::Open(options, &db);

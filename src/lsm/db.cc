@@ -672,28 +672,12 @@ Status DB::CommitWriter(write::Writer* writer) {
   }
 
   // ---- Memtable inserts (no mutex). ----
-  size_t parallel_applies = 0;
+  // The leader is the memtable's only writer (DESIGN.md §2.9).
   if (s.ok() && group_count > 0) {
-    if (options_.parallel_memtable_writes && group.writers.size() > 1) {
-      // Followers insert their own sub-batches concurrently (CAS skiplist
-      // inserts); the leader applies its own and then waits for them.
-      group.apply = [mem_raw = mem.get()](write::Writer* wr) {
-        if (!wr->status.ok()) return;
-        MemTableInserter inserter(mem_raw, wr->base_seq);
-        wr->status = wr->batch->Iterate(&inserter);
-      };
-      write_queue_->StartParallelApplies(&group);
-      group.apply(&w);  // The leader's own sub-batch, same path.
-      write_queue_->AwaitParallelApplies(&group);
-      for (size_t i = 1; i < group.writers.size(); i++) {
-        if (group.writers[i]->status.ok()) parallel_applies++;
-      }
-    } else {
-      for (write::Writer* wr : group.writers) {
-        if (!wr->status.ok()) continue;
-        MemTableInserter inserter(mem.get(), wr->base_seq);
-        wr->status = wr->batch->Iterate(&inserter);
-      }
+    for (write::Writer* wr : group.writers) {
+      if (!wr->status.ok()) continue;
+      MemTableInserter inserter(mem.get(), wr->base_seq);
+      wr->status = wr->batch->Iterate(&inserter);
     }
   }
 
@@ -740,8 +724,7 @@ Status DB::CommitWriter(write::Writer* writer) {
     options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_write);
   }
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
-                                group.queue_wait_micros, synced,
-                                parallel_applies);
+                                group.queue_wait_micros, synced);
   Status flush_status;
   if (mem_->payload_bytes() >= options_.write_buffer_size) {
     // The flush (inline) or switch (background) is attributed to the

@@ -12,6 +12,7 @@
 #define TALUS_LSM_DBFORMAT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "util/coding.h"
@@ -112,19 +113,50 @@ class InternalKey {
   std::string rep_;
 };
 
-/// Key formatted for a memtable/SST lookup at a given snapshot.
+/// Key formatted for a memtable/SST lookup at a given snapshot. Laid out
+/// as the memtable key — varint32 length | internal key — so the memtable
+/// seeks with memtable_key() and SSTs with its internal_key() suffix, and
+/// neither builds a temporary.
 class LookupKey {
  public:
   LookupKey(const Slice& user_key, SequenceNumber sequence) {
-    internal_key_.reserve(user_key.size() + 8);
-    AppendInternalKey(&internal_key_, user_key, sequence, kValueTypeForSeek);
+    char* dst = Reserve(user_key.size() + 8);
+    memcpy(dst, user_key.data(), user_key.size());
+    EncodeFixed64BE(dst + user_key.size(),
+                    ~PackSequenceAndType(sequence, kValueTypeForSeek));
   }
+  /// Wraps an arbitrary internal key (an iterator's Seek target).
+  explicit LookupKey(const Slice& internal_key) {
+    memcpy(Reserve(internal_key.size()), internal_key.data(),
+           internal_key.size());
+  }
+  ~LookupKey() {
+    if (start_ != space_) delete[] start_;
+  }
+  LookupKey(const LookupKey&) = delete;
+  LookupKey& operator=(const LookupKey&) = delete;
 
-  Slice internal_key() const { return Slice(internal_key_); }
-  Slice user_key() const { return ExtractUserKey(Slice(internal_key_)); }
+  /// varint32 length-prefixed internal key: the memtable's entry prefix.
+  Slice memtable_key() const { return Slice(start_, end_ - start_); }
+  Slice internal_key() const { return Slice(kstart_, end_ - kstart_); }
+  Slice user_key() const { return Slice(kstart_, end_ - kstart_ - 8); }
 
  private:
-  std::string internal_key_;
+  // Points start_ at room for the length prefix plus `ikey_size` bytes,
+  // writes the prefix, and returns where the internal key goes.
+  char* Reserve(size_t ikey_size) {
+    const size_t needed = ikey_size + 5;
+    start_ = needed <= sizeof(space_) ? space_ : new char[needed];
+    char* k = EncodeVarint32(start_, static_cast<uint32_t>(ikey_size));
+    kstart_ = k;
+    end_ = k + ikey_size;
+    return k;
+  }
+
+  char* start_ = nullptr;
+  const char* kstart_ = nullptr;
+  const char* end_ = nullptr;
+  char space_[200];  // Inline storage for keys up to 187 bytes.
 };
 
 }  // namespace talus

@@ -91,12 +91,9 @@ struct DbOptions {
   /// until their combined encoded size would exceed this (its own batch
   /// always commits). Larger groups amortize WAL appends and syncs further
   /// but lengthen the tail of the writers at the back of the group.
+  /// The leader also applies every sub-batch of its group to the memtable,
+  /// so one thread at a time inserts (DESIGN.md §2.9).
   uint64_t max_write_group_bytes = 1 << 20;
-  /// When true, followers insert their own sub-batches into the memtable
-  /// concurrently (CAS skiplist inserts) instead of the leader applying the
-  /// whole group serially. Off by default: leader-applies keeps kInline
-  /// single-writer behavior bit-identical to the pre-pipeline engine.
-  bool parallel_memtable_writes = false;
 
   GrowthPolicyConfig policy;
 

@@ -1,5 +1,7 @@
 #include "mem/memtable.h"
 
+#include <cassert>
+
 #include "util/coding.h"
 
 namespace talus {
@@ -34,14 +36,14 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
                              internal_key_size + VarintLength(val_size) +
                              val_size;
   char* buf = arena_.Allocate(encoded_len);
-  std::string tmp;
-  tmp.reserve(encoded_len);
-  PutVarint32(&tmp, static_cast<uint32_t>(internal_key_size));
-  tmp.append(key.data(), key_size);
-  PutFixed64BE(&tmp, ~PackSequenceAndType(seq, type));
-  PutVarint32(&tmp, static_cast<uint32_t>(val_size));
-  tmp.append(value.data(), val_size);
-  memcpy(buf, tmp.data(), encoded_len);
+  char* p = EncodeVarint32(buf, static_cast<uint32_t>(internal_key_size));
+  memcpy(p, key.data(), key_size);
+  p += key_size;
+  EncodeFixed64BE(p, ~PackSequenceAndType(seq, type));
+  p += 8;
+  p = EncodeVarint32(p, static_cast<uint32_t>(val_size));
+  memcpy(p, value.data(), val_size);
+  assert(p + val_size == buf + encoded_len);
   table_.Insert(buf);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
   payload_bytes_.fetch_add(key_size + val_size, std::memory_order_relaxed);
@@ -50,11 +52,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
 bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
   Table::Iterator iter(&table_);
   // Seek to the first entry >= the lookup internal key.
-  std::string seek_target;
-  Slice ik = lkey.internal_key();
-  PutVarint32(&seek_target, static_cast<uint32_t>(ik.size()));
-  seek_target.append(ik.data(), ik.size());
-  iter.Seek(seek_target.data());
+  iter.Seek(lkey.memtable_key().data());
   if (!iter.Valid()) return false;
 
   const char* entry = iter.key();
@@ -83,10 +81,8 @@ class MemTableIterator final : public Iterator {
 
   bool Valid() const override { return iter_.Valid(); }
   void Seek(const Slice& k) override {
-    scratch_.clear();
-    PutVarint32(&scratch_, static_cast<uint32_t>(k.size()));
-    scratch_.append(k.data(), k.size());
-    iter_.Seek(scratch_.data());
+    const LookupKey target(k);
+    iter_.Seek(target.memtable_key().data());
   }
   void SeekToFirst() override { iter_.SeekToFirst(); }
   void SeekToLast() override { iter_.SeekToLast(); }
@@ -104,7 +100,6 @@ class MemTableIterator final : public Iterator {
 
  private:
   MemTable::Table::Iterator iter_;
-  std::string scratch_;  // For Seek target encoding.
 };
 
 std::unique_ptr<Iterator> MemTable::NewIterator() {

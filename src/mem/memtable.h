@@ -1,14 +1,12 @@
 // MemTable: the in-memory write buffer. Entries are stored in a skiplist over
 // length-prefixed internal keys; flushing iterates in internal-key order.
 //
-// Concurrency: concurrent Add()s are safe as long as every concurrent entry
-// carries a distinct (user key, sequence) pair — which the group-commit
-// pipeline guarantees by assigning disjoint sequence ranges to the writers
-// of a group (DESIGN.md §2.9); the skiplist links nodes with CAS and the
-// arena serializes allocation internally. Get() and iterators are safe
-// without any lock concurrently with writers — the skiplist publishes nodes
-// with release-stores (skiplist.h), which is what lets the DB read path
-// drop the mutex (DESIGN.md §2.7).
+// Concurrency: one writer, many readers. Add() needs external
+// synchronization — the commit-group leader is the only thread that calls
+// it, and leadership passes through the WriteQueue mutex (DESIGN.md §2.9).
+// Get() and iterators are safe without any lock concurrently with that
+// writer: the skiplist publishes nodes with release-stores (skiplist.h),
+// which is what lets the DB read path drop the mutex (DESIGN.md §2.7).
 #ifndef TALUS_MEM_MEMTABLE_H_
 #define TALUS_MEM_MEMTABLE_H_
 
@@ -29,7 +27,8 @@ class MemTable {
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
-  /// Adds an entry (kTypeValue) or a tombstone (kTypeDeletion).
+  /// Adds an entry (kTypeValue) or a tombstone (kTypeDeletion), encoded
+  /// straight into its arena slot. Single writer: see above.
   void Add(SequenceNumber seq, ValueType type, const Slice& key,
            const Slice& value);
 
@@ -67,8 +66,8 @@ class MemTable {
   KeyComparator comparator_;
   Arena arena_;
   Table table_;
-  // Relaxed atomics: bumped by (possibly concurrent) Add()s and read by the
-  // flush trigger and property/stat paths without a common lock.
+  // Relaxed atomics: bumped by the writer's Add()s and read by the flush
+  // trigger and property/stat paths without a common lock.
   std::atomic<uint64_t> num_entries_{0};
   std::atomic<uint64_t> payload_bytes_{0};
 };

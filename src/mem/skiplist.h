@@ -1,12 +1,10 @@
-// Arena-backed skiplist, the memtable's core index. Multi-writer,
-// multi-reader: Insert links nodes with per-level CAS retry loops, so the
-// parallel-memtable-write mode can apply commit-group sub-batches from
-// several threads at once (DESIGN.md §2.9), while readers traverse with
+// Arena-backed skiplist, the memtable's core index. One writer, many
+// readers: Insert needs external synchronization (the memtable's only
+// writer is the commit-group leader, and leadership handoff goes through
+// the WriteQueue mutex, DESIGN.md §2.9), while readers traverse with
 // acquire loads and never lock (DESIGN.md §2.7). A new node is fully built
-// before the release-CAS that links it in, so a reader either sees the node
-// completely or not at all. With a single writer the CAS never fails and
-// the resulting structure is bit-identical to the classic single-writer
-// insert (heights are drawn from one serialized PRNG stream).
+// before the release-store that links it in at each level, so a reader
+// either sees the node completely or not at all.
 #ifndef TALUS_MEM_SKIPLIST_H_
 #define TALUS_MEM_SKIPLIST_H_
 
@@ -39,45 +37,27 @@ class SkipList {
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
 
-  /// REQUIRES: nothing that compares equal to key is in the list or being
-  /// inserted concurrently. Concurrent Inserts of distinct keys are safe:
-  /// each level is linked with a CAS that retries from the surviving
-  /// predecessor on contention (nodes are never removed, so a stale
-  /// predecessor is always a valid search start).
+  /// REQUIRES: external synchronization against other Inserts, and
+  /// nothing that compares equal to key is in the list.
   void Insert(const Key& key) {
-    const int height = RandomHeight();
-    Node* x = NewNode(key, height);
+    Node* prev[kMaxHeight];
+    Node* x = FindGreaterOrEqual(key, prev);
+    assert(x == nullptr || !Equal(key, x->key));
 
-    int max_h = max_height_.load(std::memory_order_relaxed);
-    while (height > max_h &&
-           !max_height_.compare_exchange_weak(max_h, height,
-                                              std::memory_order_relaxed)) {
-      // max_h reloaded by the failed CAS; concurrent readers observing the
-      // new height before any tall node is linked just fall through head_'s
-      // nullptr at the extra levels.
+    const int height = RandomHeight();
+    if (height > GetMaxHeight()) {
+      for (int i = GetMaxHeight(); i < height; i++) prev[i] = head_;
+      // A reader that sees the new height before the node is linked just
+      // falls through head_'s nullptr at the extra levels.
+      max_height_.store(height, std::memory_order_relaxed);
     }
 
-    Node* prev[kMaxHeight];
-    for (int i = 0; i < kMaxHeight; i++) prev[i] = head_;
-    FindGreaterOrEqual(key, prev);
-
-    // Link bottom-up: once level 0 succeeds the node is in the list; upper
-    // levels only accelerate searches, so readers tolerate the window where
-    // they are not linked yet.
+    x = NewNode(key, height);
     for (int i = 0; i < height; i++) {
-      while (true) {
-        Node* before = prev[i];
-        Node* next;
-        FindSpliceForLevel(key, &before, &next, i);
-        // The new node's pointer is not yet visible at this level, so a
-        // relaxed store is enough; the release-CAS into `before` publishes
-        // the whole node.
-        x->NoBarrierSetNext(i, next);
-        if (before->CasNext(i, next, x)) break;
-        // Lost the race at this level: rescan forward from the surviving
-        // predecessor and retry.
-        prev[i] = before;
-      }
+      // The new node is not visible yet, so a relaxed store is enough; the
+      // release-store into prev[i] publishes the whole node.
+      x->NoBarrierSetNext(i, prev[i]->NoBarrierNext(i));
+      prev[i]->SetNext(i, x);
     }
   }
 
@@ -134,11 +114,6 @@ class SkipList {
       assert(n >= 0);
       slot(n)->store(x, std::memory_order_release);
     }
-    bool CasNext(int n, Node* expected, Node* x) {
-      return slot(n)->compare_exchange_strong(expected, x,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed);
-    }
     Node* NoBarrierNext(int n) {
       return slot(n)->load(std::memory_order_relaxed);
     }
@@ -168,16 +143,10 @@ class SkipList {
   }
 
   int RandomHeight() {
-    // One PRNG stream shared by all inserters behind a spinlock: concurrent
-    // inserts stay thread-safe, and a single writer draws the exact
-    // sequence the seed engine drew (bit-identical structures).
-    while (rnd_lock_.test_and_set(std::memory_order_acquire)) {
-    }
     int height = 1;
     while (height < kMaxHeight && rnd_.OneIn(kBranching)) {
       height++;
     }
-    rnd_lock_.clear(std::memory_order_release);
     return height;
   }
 
@@ -185,21 +154,6 @@ class SkipList {
 
   bool KeyIsAfterNode(const Key& key, Node* n) const {
     return (n != nullptr) && (compare_(n->key, key) < 0);
-  }
-
-  /// Advances *before along `level` until (*before, *next) brackets key.
-  /// REQUIRES: (*before)->key < key (head_ counts as < everything).
-  void FindSpliceForLevel(const Key& key, Node** before, Node** next,
-                          int level) const {
-    while (true) {
-      Node* n = (*before)->Next(level);
-      if (!KeyIsAfterNode(key, n)) {
-        assert(n == nullptr || !Equal(key, n->key));
-        *next = n;
-        return;
-      }
-      *before = n;
-    }
   }
 
   Node* FindGreaterOrEqual(const Key& key, Node** prev) const {
@@ -248,9 +202,9 @@ class SkipList {
   Comparator const compare_;
   Arena* const arena_;
   Node* const head_;
+  // Written only by Insert; read by readers, which tolerate a stale value.
   std::atomic<int> max_height_;
-  std::atomic_flag rnd_lock_ = ATOMIC_FLAG_INIT;
-  Random rnd_;
+  Random rnd_;  // Only Insert draws from it.
 };
 
 }  // namespace talus

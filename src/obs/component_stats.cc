@@ -43,11 +43,9 @@ std::string SubcompactionStats::ToString() const {
 void GroupCommitTracker::OnGroupCommitted(size_t group_size,
                                           uint64_t committed_batches,
                                           uint64_t queue_wait_micros,
-                                          bool wal_synced,
-                                          size_t parallel_applies) {
+                                          bool wal_synced) {
   stats_.group_commits++;
   stats_.batches_committed += committed_batches;
-  stats_.parallel_applies += parallel_applies;
   if (wal_synced) stats_.wal_syncs++;
   stats_.write_queue_wait_micros += queue_wait_micros;
   stats_.group_sizes.Add(static_cast<double>(group_size));

@@ -94,9 +94,6 @@ struct GroupCommitStats {
   /// Writer batches committed across all groups (excludes per-writer
   /// failures such as malformed batches).
   uint64_t batches_committed = 0;
-  /// Follower batches inserted by their own thread
-  /// (DbOptions::parallel_memtable_writes).
-  uint64_t parallel_applies = 0;
   /// WAL fsyncs issued by the write path (wal_sync_mode accounting; one
   /// sync covers every batch in its group).
   uint64_t wal_syncs = 0;
@@ -114,8 +111,7 @@ struct GroupCommitStats {
 class GroupCommitTracker {
  public:
   void OnGroupCommitted(size_t group_size, uint64_t committed_batches,
-                        uint64_t queue_wait_micros, bool wal_synced,
-                        size_t parallel_applies);
+                        uint64_t queue_wait_micros, bool wal_synced);
   GroupCommitStats Snapshot() const;
 
  private:

@@ -153,9 +153,6 @@ const std::vector<MetricDef> kCatalog = {
     {nullptr, "write_queue_wait_us", nullptr, kCounter, kSum, "us",
      "Time writers queued before their group formed.",
      FROM(s.writes.write_queue_wait_micros), kWrite},
-    {nullptr, "parallel_applies", nullptr, kCounter, kSum, "batches",
-     "Follower batches inserted by their own thread.",
-     FROM(s.writes.parallel_applies), kWrite},
 
     // ---- Engine, Prometheus and JSONL only ----
     {"talus_flush_bytes_written_total", nullptr, nullptr, kCounter, kSum,

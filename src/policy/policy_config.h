@@ -94,6 +94,15 @@ struct GrowthPolicyConfig {
                                          bool embed = false);
 };
 
+/// Resolves a command-line policy name (vt-level-part, ..., lazy-vrn; see
+/// GrowthPolicyNames) to its preset with size ratio T. `data_bytes` seeds
+/// HR-Tier's expected data size (0 = unknown). Returns false, leaving
+/// *config untouched, when the name is not in the roster.
+bool GrowthPolicyConfigByName(const std::string& name, double T,
+                              uint64_t data_bytes, GrowthPolicyConfig* config);
+/// Every name GrowthPolicyConfigByName accepts, '|'-separated.
+std::string GrowthPolicyNames();
+
 /// Instantiates the policy described by `config`.
 std::unique_ptr<GrowthPolicy> CreateGrowthPolicy(
     const GrowthPolicyConfig& config, const PolicyContext& ctx);

@@ -130,6 +130,53 @@ GrowthPolicyConfig GrowthPolicyConfig::LazyLeveling(double T, int levels,
   return c;
 }
 
+namespace {
+
+struct NamedPolicy {
+  const char* name;
+  GrowthPolicyConfig (*make)(double T, uint64_t data_bytes);
+};
+
+using C = GrowthPolicyConfig;
+constexpr NamedPolicy kNamedPolicies[] = {
+    {"vt-level-part", [](double T, uint64_t) { return C::VTLevelPart(T); }},
+    {"vt-level-full", [](double T, uint64_t) { return C::VTLevelFull(T); }},
+    {"vt-tier-part", [](double T, uint64_t) { return C::VTTierPart(T); }},
+    {"vt-tier-full", [](double T, uint64_t) { return C::VTTierFull(T); }},
+    {"rocksdb-tuned", [](double, uint64_t) { return C::RocksDBTuned(); }},
+    {"universal", [](double, uint64_t) { return C::Universal(); }},
+    {"hr-level", [](double, uint64_t) { return C::HRLevel(3); }},
+    {"hr-tier", [](double, uint64_t n) { return C::HRTier(3, n); }},
+    {"vrn-level", [](double T, uint64_t) { return C::VRNLevel(T); }},
+    {"vrn-tier", [](double T, uint64_t) { return C::VRNTier(T); }},
+    {"vertiorizon", [](double T, uint64_t) { return C::Vertiorizon(T); }},
+    {"lazy", [](double T, uint64_t) { return C::LazyLeveling(T, 4, false); }},
+    {"lazy-vrn",
+     [](double T, uint64_t) { return C::LazyLeveling(T, 4, true); }},
+};
+
+}  // namespace
+
+bool GrowthPolicyConfigByName(const std::string& name, double T,
+                              uint64_t data_bytes, GrowthPolicyConfig* config) {
+  for (const NamedPolicy& p : kNamedPolicies) {
+    if (name == p.name) {
+      *config = p.make(T, data_bytes);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string GrowthPolicyNames() {
+  std::string names;
+  for (const NamedPolicy& p : kNamedPolicies) {
+    if (!names.empty()) names += '|';
+    names += p.name;
+  }
+  return names;
+}
+
 std::string EncodeGrowthPolicyConfig(const GrowthPolicyConfig& c) {
   char buf[640];
   std::snprintf(

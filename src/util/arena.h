@@ -1,7 +1,7 @@
 // Arena: bump-pointer allocator backing the memtable skiplist. All memory is
-// freed at once when the arena is destroyed. A spinlock serializes the bump
-// pointer so parallel memtable inserts (DESIGN.md §2.9) can allocate
-// concurrently; uncontended, the lock costs a couple of atomic operations.
+// freed at once when the arena is destroyed. Not thread-safe: only the
+// memtable's single writer allocates (DESIGN.md §2.9). MemoryUsage() is the
+// one call that may run concurrently with it, so that counter is atomic.
 #ifndef TALUS_UTIL_ARENA_H_
 #define TALUS_UTIL_ARENA_H_
 
@@ -22,7 +22,6 @@ class Arena {
 
   char* Allocate(size_t bytes) {
     assert(bytes > 0);
-    SpinGuard guard(lock_);
     if (bytes <= alloc_bytes_remaining_) {
       char* result = alloc_ptr_;
       alloc_ptr_ += bytes;
@@ -35,7 +34,6 @@ class Arena {
   /// Allocation with the alignment guarantees of malloc (8/16 bytes).
   char* AllocateAligned(size_t bytes) {
     const int align = (sizeof(void*) > 8) ? sizeof(void*) : 8;
-    SpinGuard guard(lock_);
     size_t current_mod = reinterpret_cast<uintptr_t>(alloc_ptr_) & (align - 1);
     size_t slop = (current_mod == 0 ? 0 : align - current_mod);
     size_t needed = bytes + slop;
@@ -59,16 +57,6 @@ class Arena {
  private:
   static constexpr size_t kBlockSize = 4096;
 
-  struct SpinGuard {
-    explicit SpinGuard(std::atomic_flag& f) : flag(f) {
-      while (flag.test_and_set(std::memory_order_acquire)) {
-      }
-    }
-    ~SpinGuard() { flag.clear(std::memory_order_release); }
-    std::atomic_flag& flag;
-  };
-
-  // REQUIRES: lock_ held.
   char* AllocateFallback(size_t bytes) {
     if (bytes > kBlockSize / 4) {
       // Large objects get their own block to avoid wasting the current one.
@@ -89,7 +77,6 @@ class Arena {
     return blocks_.back().get();
   }
 
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   char* alloc_ptr_;
   size_t alloc_bytes_remaining_;
   std::vector<std::unique_ptr<char[]>> blocks_;

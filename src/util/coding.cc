@@ -14,7 +14,7 @@ void PutFixed64(std::string* dst, uint64_t value) {
   dst->append(buf, sizeof(buf));
 }
 
-static char* EncodeVarint32(char* dst, uint32_t v) {
+char* EncodeVarint32(char* dst, uint32_t v) {
   auto* ptr = reinterpret_cast<unsigned char*>(dst);
   static const unsigned B = 128;
   while (v >= B) {

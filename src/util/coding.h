@@ -49,6 +49,10 @@ inline void PutFixed64BE(std::string* dst, uint64_t value) {
   dst->append(buf, 8);
 }
 
+/// Writes the varint32 encoding of `value` (at most 5 bytes) to dst and
+/// returns the byte just past it.
+char* EncodeVarint32(char* dst, uint32_t value);
+
 void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
 void PutVarint32(std::string* dst, uint32_t value);

@@ -15,32 +15,13 @@ bool WriteQueue::JoinAndAwaitLeadership(Writer* w) {
     return true;
   }
   w->join_micros = NowMicros();
-  while (true) {
-    cv_.wait(lk, [&] {
-      return w->state == Writer::kDone || w->state == Writer::kParallelApply ||
-             queue_.front() == w;
-    });
-    if (w->state == Writer::kDone) return false;
-    if (w->state == Writer::kParallelApply) {
-      // The leader asked this follower to insert its own sub-batch. Run the
-      // apply without the queue lock (it is a memtable insert), signal the
-      // leader, and go back to waiting for the commit to finish.
-      WriteGroup* group = w->group;
-      w->state = Writer::kWaiting;
-      lk.unlock();
-      group->apply(w);
-      lk.lock();
-      if (group->pending_applies.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        cv_.notify_all();  // Last follower: the leader can proceed.
-      }
-      continue;
-    }
-    // Front of the queue: the previous group committed without absorbing
-    // this writer, so it leads the next one.
-    w->state = Writer::kLeader;
-    return true;
-  }
+  cv_.wait(lk,
+           [&] { return w->state == Writer::kDone || queue_.front() == w; });
+  if (w->state == Writer::kDone) return false;
+  // Front of the queue: the previous group committed without absorbing this
+  // writer, so it leads the next one.
+  w->state = Writer::kLeader;
+  return true;
 }
 
 void WriteQueue::BuildGroup(Writer* leader, uint64_t max_group_bytes,
@@ -65,24 +46,6 @@ void WriteQueue::BuildGroup(Writer* leader, uint64_t max_group_bytes,
     if (now == 0) now = NowMicros();
     group->queue_wait_micros += now - wr->join_micros;
   }
-}
-
-void WriteQueue::StartParallelApplies(WriteGroup* group) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const int followers = static_cast<int>(group->writers.size()) - 1;
-  group->pending_applies.store(followers, std::memory_order_relaxed);
-  for (size_t i = 1; i < group->writers.size(); i++) {
-    group->writers[i]->group = group;
-    group->writers[i]->state = Writer::kParallelApply;
-  }
-  cv_.notify_all();
-}
-
-void WriteQueue::AwaitParallelApplies(WriteGroup* group) {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return group->pending_applies.load(std::memory_order_acquire) == 0;
-  });
 }
 
 void WriteQueue::ExitGroup(WriteGroup* group) {

@@ -3,6 +3,9 @@
 // and block; the front writer becomes the group leader, absorbs queued
 // followers up to a byte budget, commits the whole group (WAL + memtable)
 // off the DB mutex, and wakes each follower with its individual Status.
+// Only a leader inserts into the memtable, and leadership passes through
+// mu_ (ExitGroup → JoinAndAwaitLeadership), so consecutive leaders'
+// inserts are ordered: the skiplist and arena see one writer at a time.
 //
 // Lock ordering: the queue's internal mutex is taken either with no other
 // lock held (JoinAndAwaitLeadership, ExitGroup) or inside DB::mutex_
@@ -29,8 +32,6 @@ class WriteQueue {
 
   /// Enqueues *w and blocks until it is the group leader (returns true) or
   /// a leader has committed it (returns false; w->status holds the result).
-  /// While blocked, a follower may be asked to apply its own sub-batch to
-  /// the memtable (parallel applies) before going back to sleep.
   bool JoinAndAwaitLeadership(Writer* w);
 
   /// Leader-only: collects the leader plus queued followers into *group, in
@@ -39,14 +40,6 @@ class WriteQueue {
   /// writers stay queued — ExitGroup removes them.
   void BuildGroup(Writer* leader, uint64_t max_group_bytes, WriteGroup* group);
 
-  /// Leader-only: wakes every follower in *group to run group->apply on its
-  /// own writer. The caller applies the leader's batch itself, then calls
-  /// AwaitParallelApplies.
-  void StartParallelApplies(WriteGroup* group);
-
-  /// Leader-only: blocks until every follower finished its parallel apply.
-  void AwaitParallelApplies(WriteGroup* group);
-
   /// Leader-only: pops the group off the queue, wakes each follower with
   /// its final status (set by the leader beforehand), and promotes the next
   /// queued writer — if any — to leader.
@@ -54,9 +47,9 @@ class WriteQueue {
 
  private:
   std::mutex mu_;
-  // One broadcast condvar covers leadership handoff, follower completion,
-  // and parallel-apply wakeups; write groups are small enough that the
-  // thundering herd is cheaper than per-writer parking.
+  // One broadcast condvar covers leadership handoff and follower
+  // completion; write groups are small enough that the thundering herd is
+  // cheaper than per-writer parking.
   std::condition_variable cv_;
   std::deque<Writer*> queue_;
 };

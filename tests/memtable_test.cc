@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "util/random.h"
 
@@ -90,6 +91,41 @@ TEST(MemTable, IteratorOrdered) {
     iter->Next();
   }
   EXPECT_EQ(seen, model);
+}
+
+// Keys on both sides of LookupKey's inline buffer, and of the one-byte
+// varint length prefix (internal keys of 127 and 128 bytes): Get and
+// iterator Seek find each entry, and the encoded layout round-trips.
+TEST(MemTable, LookupKeyLayoutAtEveryKeyLength) {
+  MemTable mem;
+  const std::vector<size_t> sizes = {1, 119, 120, 186, 187, 188, 500, 4000};
+  for (size_t i = 0; i < sizes.size(); i++) {
+    const std::string key(sizes[i], static_cast<char>('a' + i));
+    mem.Add(i + 1, kTypeValue, key, "v" + std::to_string(sizes[i]));
+
+    const LookupKey lkey(key, kMaxSequenceNumber);
+    EXPECT_EQ(lkey.user_key(), Slice(key));
+    EXPECT_EQ(lkey.internal_key().size(), key.size() + 8);
+    Slice mkey = lkey.memtable_key();
+    Slice ikey;
+    ASSERT_TRUE(GetLengthPrefixedSlice(&mkey, &ikey));
+    EXPECT_TRUE(mkey.empty());
+    EXPECT_EQ(ikey, lkey.internal_key());
+  }
+  for (size_t i = 0; i < sizes.size(); i++) {
+    const std::string key(sizes[i], static_cast<char>('a' + i));
+    std::string value;
+    Status s;
+    ASSERT_TRUE(mem.Get(LookupKey(key, kMaxSequenceNumber), &value, &s))
+        << sizes[i];
+    EXPECT_EQ(value, "v" + std::to_string(sizes[i]));
+
+    auto iter = mem.NewIterator();
+    iter->Seek(LookupKey(key, kMaxSequenceNumber).internal_key());
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(ExtractUserKey(iter->key()), Slice(key));
+    EXPECT_EQ(iter->value(), Slice(value));
+  }
 }
 
 TEST(MemTable, PayloadAccounting) {

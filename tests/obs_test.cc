@@ -1353,7 +1353,6 @@ const GoldenPair kGoldenStats[] = {
     {"group_size_max", "1"},
     {"group_size_p50", "1.0"},
     {"max_stall", "16.3"},
-    {"parallel_applies", "0"},
     {"puts", "3351"},
     {"read_amp", "1.432"},
     {"scans", "324"},

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "policy/horizontal_policy.h"
 #include "policy/policy_config.h"
@@ -259,6 +262,40 @@ TEST(PolicyLabels, PresetsNameThemselves) {
             "Lazy-Level");
   EXPECT_EQ(GrowthPolicyConfig::LazyLeveling(6, 4, true).Label(),
             "Lazy-Level+VRN");
+}
+
+// The command-line roster both examples share: every name resolves to the
+// preset its Label() names, and an unknown name is rejected rather than
+// silently mapped to a default.
+TEST(PolicyNames, EveryNameResolvesAndUnknownIsRejected) {
+  const std::vector<std::pair<std::string, std::string>> roster = {
+      {"vt-level-part", "VT-Level-Part"}, {"vt-level-full", "VT-Level-Full"},
+      {"vt-tier-part", "VT-Tier-Part"},   {"vt-tier-full", "VT-Tier-Full"},
+      {"rocksdb-tuned", "RocksDB-Tuned"}, {"universal", "Universal"},
+      {"hr-level", "HR-Level"},           {"hr-tier", "HR-Tier"},
+      {"vrn-level", "VRN-Level"},         {"vrn-tier", "VRN-Tier"},
+      {"vertiorizon", "Vertiorizon"},     {"lazy", "Lazy-Level"},
+      {"lazy-vrn", "Lazy-Level+VRN"},
+  };
+  std::string names;
+  for (const auto& [name, label] : roster) {
+    GrowthPolicyConfig c;
+    ASSERT_TRUE(GrowthPolicyConfigByName(name, 4, 1 << 20, &c)) << name;
+    EXPECT_EQ(c.Label(), label) << name;
+    names += (names.empty() ? "" : "|") + name;
+  }
+  EXPECT_EQ(GrowthPolicyNames(), names);
+
+  GrowthPolicyConfig c;
+  ASSERT_TRUE(GrowthPolicyConfigByName("vt-tier-full", 4, 0, &c));
+  EXPECT_EQ(c.size_ratio, 4);
+  ASSERT_TRUE(GrowthPolicyConfigByName("hr-tier", 4, 1 << 20, &c));
+  EXPECT_EQ(c.horizontal_data_size, 1u << 20);
+
+  for (const char* unknown : {"", "hr-levels", "Vertiorizon", "vt_level"}) {
+    EXPECT_FALSE(GrowthPolicyConfigByName(unknown, 4, 0, &c)) << unknown;
+  }
+  EXPECT_EQ(c.Label(), "HR-Tier");  // Untouched by the rejected names.
 }
 
 TEST(VertiorizonUnit, CapacityMathUsesEq2Ratio) {

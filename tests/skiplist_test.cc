@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/arena.h"
 #include "util/random.h"
@@ -100,6 +104,88 @@ TEST(SkipList, LargeSequentialInsert) {
   EXPECT_FALSE(list.Contains(99999));
   EXPECT_FALSE(list.Contains(12345));
   EXPECT_TRUE(list.Contains(12346));
+}
+
+// The memtable's concurrency contract: one inserting thread, many lock-free
+// readers. Every scan must be strictly ordered and must contain every key
+// whose insert was published (through `published`) before the scan began;
+// a Seek to such a key must land on it.
+TEST(SkipList, OneWriterManyReaders) {
+  constexpr uint64_t kKeys = 10000;
+  constexpr int kReaders = 4;
+  Arena arena;
+  IntSkipList list(IntComparator(), &arena);
+
+  // Odd keys in shuffled order, so inserts land all over the list and even
+  // numbers are always absent Seek targets.
+  std::vector<uint64_t> order(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) order[i] = 2 * i + 1;
+  Random shuffle(301);
+  for (uint64_t i = kKeys - 1; i > 0; i--) {
+    std::swap(order[i], order[shuffle.Uniform(i + 1)]);
+  }
+
+  std::atomic<uint64_t> published{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> unordered{0}, missing{0}, bad_seeks{0}, scans{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&, r] {
+      Random rnd(1000 + r);
+      std::vector<bool> seen(2 * kKeys + 1);
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writer_done.load(std::memory_order_acquire);
+        const uint64_t before = published.load(std::memory_order_acquire);
+
+        std::fill(seen.begin(), seen.end(), false);
+        IntSkipList::Iterator iter(&list);
+        uint64_t prev = 0;
+        for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+          if (iter.key() <= prev) unordered++;
+          prev = iter.key();
+          seen[prev] = true;
+        }
+        for (uint64_t i = 0; i < before; i++) {
+          if (!seen[order[i]]) missing++;
+        }
+        scans++;
+
+        for (int i = 0; i < 20; i++) {
+          if (before > 0) {
+            const uint64_t k = order[rnd.Uniform(before)];
+            iter.Seek(k);
+            if (!iter.Valid() || iter.key() != k) bad_seeks++;
+          }
+          const uint64_t target = rnd.Uniform(2 * kKeys + 2);
+          iter.Seek(target);
+          if (iter.Valid()) {
+            const uint64_t found = iter.key();
+            if (found < target) bad_seeks++;
+            iter.Next();
+            if (iter.Valid() && iter.key() <= found) unordered++;
+          }
+        }
+      }
+    });
+  }
+
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kKeys; i++) {
+      list.Insert(order[i]);
+      published.store(i + 1, std::memory_order_release);
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(unordered.load(), 0u);
+  EXPECT_EQ(missing.load(), 0u);
+  EXPECT_EQ(bad_seeks.load(), 0u);
+  EXPECT_GE(scans.load(), static_cast<uint64_t>(kReaders));
+  for (uint64_t k : order) EXPECT_TRUE(list.Contains(k)) << k;
 }
 
 }  // namespace

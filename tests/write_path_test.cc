@@ -2,8 +2,8 @@
 // leadership handoff, N-writer group-commit vs. serial content equality,
 // WAL-failure sequence rollback, per-writer status isolation (a poisoned
 // batch never fails its group), recovery replay of group-committed records,
-// wal_sync_mode accounting, and parallel (CAS) memtable inserts — the last
-// two also run under TSan/ASan/UBSan in CI.
+// and wal_sync_mode accounting. The suite also runs under TSan/ASan/UBSan
+// in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 
 #include "env/fault_env.h"
 #include "lsm/db.h"
-#include "mem/memtable.h"
 #include "wal/log_writer.h"
 #include "workload/generator.h"
 #include "write/write_queue.h"
@@ -279,11 +278,10 @@ TEST(GroupCommit, PoisonedBatchFailsAloneInGroup) {
 // N concurrent writers through the group-commit pipeline must produce
 // exactly the content a serial single-writer run produces (threads own
 // disjoint key ranges, so the final state is deterministic).
-ScanResult RunConcurrentWorkload(bool parallel_memtable, int writers) {
+ScanResult RunConcurrentWorkload(int writers) {
   auto env = NewMemEnv();
   DbOptions opts = Opts(env.get(), "/gcw");
   opts.execution_mode = ExecutionMode::kBackground;
-  opts.parallel_memtable_writes = parallel_memtable;
   std::unique_ptr<DB> db;
   EXPECT_TRUE(DB::Open(opts, &db).ok());
 
@@ -313,26 +311,16 @@ ScanResult RunConcurrentWorkload(bool parallel_memtable, int writers) {
 }
 
 TEST(GroupCommit, ConcurrentWritersMatchSerialContent) {
-  const ScanResult serial = RunConcurrentWorkload(false, 1);
+  const ScanResult serial = RunConcurrentWorkload(1);
   // Sanity: a 1-writer serial run has every key at its round-2 value.
   ASSERT_EQ(serial.size(), 400u);
-  const ScanResult concurrent = RunConcurrentWorkload(false, 4);
+  const ScanResult concurrent = RunConcurrentWorkload(4);
   // 4 writers × the same per-thread workload over 4 disjoint ranges.
   ASSERT_EQ(concurrent.size(), 1600u);
   // Thread 0's range must be bit-identical to the serial run.
   for (size_t i = 0; i < serial.size(); i++) {
     EXPECT_EQ(concurrent[i].first, serial[i].first);
     EXPECT_EQ(concurrent[i].second, serial[i].second);
-  }
-}
-
-TEST(GroupCommit, ParallelMemtableWritesMatchLeaderApplies) {
-  const ScanResult leader_applies = RunConcurrentWorkload(false, 4);
-  const ScanResult parallel = RunConcurrentWorkload(true, 4);
-  ASSERT_EQ(parallel.size(), leader_applies.size());
-  for (size_t i = 0; i < parallel.size(); i++) {
-    EXPECT_EQ(parallel[i].first, leader_applies[i].first);
-    EXPECT_EQ(parallel[i].second, leader_applies[i].second);
   }
 }
 
@@ -413,40 +401,6 @@ TEST(GroupCommit, LogWriterTracksUnsyncedBytes) {
   EXPECT_EQ(writer.unsynced_bytes(), 2 * wal::kHeaderSize + 6);
   ASSERT_TRUE(writer.Sync().ok());
   EXPECT_EQ(writer.unsynced_bytes(), 0u);
-}
-
-// Direct MemTable exercise of the CAS skiplist: concurrent inserters with
-// disjoint sequence ranges must yield a complete, strictly ordered table.
-TEST(GroupCommit, ConcurrentMemtableInsertsStayOrdered) {
-  MemTable mem;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&mem, t] {
-      for (int i = 0; i < kPerThread; i++) {
-        const uint64_t k = static_cast<uint64_t>(t) * kPerThread + i;
-        mem.Add(/*seq=*/1 + k, kTypeValue, Key(k), "v" + std::to_string(k));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(mem.num_entries(), static_cast<uint64_t>(kThreads * kPerThread));
-  auto iter = mem.NewIterator();
-  iter->SeekToFirst();
-  InternalKeyComparator cmp;
-  std::string prev;
-  uint64_t count = 0;
-  while (iter->Valid()) {
-    if (count > 0) {
-      EXPECT_LT(cmp.Compare(Slice(prev), iter->key()), 0);
-    }
-    prev.assign(iter->key().data(), iter->key().size());
-    count++;
-    iter->Next();
-  }
-  EXPECT_EQ(count, static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 }  // namespace
