@@ -4,8 +4,8 @@
 //
 //   plan    — built under the DB mutex by PlanCompaction() against a pinned
 //             base Version: input file refs, target overlaps, tombstone-GC
-//             admissibility, output spec, subcompaction boundaries.
-//   merge   — executed with the mutex released by CompactionExecutor: the
+//             admissibility, output spec.
+//   merge   — executed with the mutex released by RunMerge(): the
 //             plan's FileMetaPtr references pin every input file (deferred
 //             GC never deletes a referenced file), so the merge reads a
 //             frozen snapshot no matter what installs concurrently.
@@ -32,7 +32,7 @@ namespace talus {
 namespace compaction {
 
 /// Builds an iterator over a flush's immutable memtable. Called once per
-/// subcompaction; every iterator must stay valid for the whole merge.
+/// merge; the iterator must stay valid for the whole merge.
 using MemTableInput = std::function<std::unique_ptr<Iterator>()>;
 
 struct CompactionPlan {
@@ -68,12 +68,6 @@ struct CompactionPlan {
   /// have_range == false with no memtable means the plan is empty.
   std::string min_user, max_user;
   bool have_range = false;
-
-  /// Ascending user keys splitting the merge into key-range subcompactions:
-  /// N boundaries → N+1 ranges [-inf,b0), [b0,b1), ..., [bN-1,+inf). Picked
-  /// at input-file boundaries so every version of a user key lands in
-  /// exactly one range (tombstone/shadow dropping stays local).
-  std::vector<std::string> boundaries;
 
   /// Ordered run-id snapshot of the output level at plan time. Install
   /// guard for front placement into level 0, the one level a concurrent

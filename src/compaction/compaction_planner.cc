@@ -1,6 +1,5 @@
 #include "compaction/compaction_planner.h"
 
-#include <algorithm>
 #include <set>
 
 namespace talus {
@@ -139,75 +138,7 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
     }
   }
   plan->drop_tombstones = !older_data_below;
-
-  PickSubcompactionBoundaries(req, ctx.max_subcompactions, plan);
   return Status::OK();
-}
-
-void PickSubcompactionBoundaries(const CompactionRequest& req,
-                                 int max_subcompactions,
-                                 CompactionPlan* plan) {
-  plan->boundaries.clear();
-  if (max_subcompactions <= 1 || !plan->have_range) return;
-
-  // Every merge input file, sorted by smallest key, with prefix byte sums.
-  std::vector<FileMetaPtr> files;
-  for (const auto& ri : plan->inputs) {
-    for (const auto& f : ri.files) files.push_back(f);
-  }
-  for (const auto& f : plan->target_overlaps) files.push_back(f);
-  if (files.size() < 2) return;  // One file cannot be split further.
-  std::sort(files.begin(), files.end(),
-            [](const FileMetaPtr& a, const FileMetaPtr& b) {
-              return a->smallest.user_key().compare(b->smallest.user_key()) <
-                     0;
-            });
-  uint64_t total_bytes = 0;
-  for (const auto& f : files) total_bytes += f->file_size;
-  if (total_bytes == 0) return;
-
-  // Candidate split keys: file smallest keys strictly inside the range,
-  // plus the request's planner-visible hints. Splitting only at user-key
-  // boundaries keeps all versions of a key in one subcompaction.
-  std::set<std::string> candidates;
-  for (const auto& f : files) {
-    std::string k = f->smallest.user_key().ToString();
-    if (k > plan->min_user && k <= plan->max_user) candidates.insert(k);
-  }
-  for (const auto& hint : req.boundary_hints) {
-    if (hint > plan->min_user && hint <= plan->max_user) {
-      candidates.insert(hint);
-    }
-  }
-  if (candidates.empty()) return;
-
-  // Byte position of each candidate: bytes of files that start before it.
-  // Walking the sorted files once gives an increasing cumulative map.
-  std::vector<std::pair<std::string, uint64_t>> positioned;
-  {
-    size_t fi = 0;
-    uint64_t cum = 0;
-    for (const auto& cand : candidates) {  // std::set: ascending.
-      while (fi < files.size() &&
-             files[fi]->smallest.user_key().compare(Slice(cand)) < 0) {
-        cum += files[fi]->file_size;
-        fi++;
-      }
-      positioned.emplace_back(cand, cum);
-    }
-  }
-
-  // Pick the candidate nearest (at or after) each even byte cut.
-  const int ranges = max_subcompactions;
-  size_t ci = 0;
-  for (int i = 1; i < ranges && ci < positioned.size(); i++) {
-    const uint64_t cut =
-        total_bytes / static_cast<uint64_t>(ranges) * static_cast<uint64_t>(i);
-    while (ci < positioned.size() && positioned[ci].second < cut) ci++;
-    if (ci >= positioned.size()) break;
-    plan->boundaries.push_back(positioned[ci].first);
-    ci++;
-  }
 }
 
 }  // namespace compaction

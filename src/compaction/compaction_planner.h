@@ -15,9 +15,6 @@ namespace talus {
 namespace compaction {
 
 struct PlannerContext {
-  /// Upper bound on key-range subcompactions for the merge stage
-  /// (DbOptions::max_subcompactions). 1 disables splitting.
-  int max_subcompactions = 1;
   /// Output filter budget for the plan's output level.
   double bits_per_key = 0;
   /// Smallest sequence any live snapshot can observe; versions shadowed at
@@ -40,13 +37,6 @@ struct PlannerContext {
 /// it, so an admissible drop can never become unsafe (DESIGN.md §2.8).
 Status PlanCompaction(const Version& base, const CompactionRequest& req,
                       const PlannerContext& ctx, CompactionPlan* plan);
-
-/// Splits the plan's key space into at most `max_subcompactions` ranges at
-/// input-file boundaries (plus any boundary_hints carried by the request),
-/// byte-balanced across ranges. Called by PlanCompaction; exposed for tests.
-void PickSubcompactionBoundaries(const CompactionRequest& req,
-                                 int max_subcompactions,
-                                 CompactionPlan* plan);
 
 }  // namespace compaction
 }  // namespace talus

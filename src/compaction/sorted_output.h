@@ -1,11 +1,11 @@
 // WriteSortedOutput: streams a positioned internal-key iterator into a
 // sequence of size-bounded SST files, dropping snapshot-shadowed versions
 // and (when admissible) tombstones. The single sorted-output pass behind
-// every subcompaction of every flush and compaction (CompactionExecutor).
+// every flush and compaction (RunMerge).
 //
 // Thread-safe when given an exclusive input iterator: file numbers come from
-// the shared atomic counter and nothing else is engine state, so parallel
-// subcompactions call it with the DB mutex released.
+// the shared atomic counter and nothing else is engine state, so merges on
+// different background threads call it with the DB mutex released.
 #ifndef TALUS_COMPACTION_SORTED_OUTPUT_H_
 #define TALUS_COMPACTION_SORTED_OUTPUT_H_
 

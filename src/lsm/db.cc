@@ -190,8 +190,6 @@ DB::DB(const DbOptions& options) : options_(options) {
   table_cache_ = std::make_unique<read::TableCache>(
       options_.env, options_.path, block_cache_.get(),
       options_.table_cache_open_files);
-  compaction_exec_ = std::make_unique<compaction::CompactionExecutor>(
-      OutputShapeForDb(), table_cache_.get());
   if (options_.enable_latency_stats) {
     latency_ = std::make_unique<obs::LatencyRecorder>();
   }
@@ -386,9 +384,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     stall_config.l0_stop_runs = options.l0_stop_runs;
     stall_config.slowdown_delay_micros = options.slowdown_delay_micros;
     db->stall_ = std::make_unique<exec::StallController>(stall_config);
-    // Attach the pool so background compactions fan their subcompactions
-    // out (bounded by DbOptions::max_subcompactions).
-    db->compaction_exec_->SetPool(db->pool_);
   }
 
   DB* raw = db.get();
@@ -1003,7 +998,7 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
     return std::optional<CompactionRequest>(std::move(req));
   };
   std::optional<CompactionRequest> job;
-  compaction::CompactionExecutor::Result result;
+  compaction::MergeResult result;
   Status s = RunJobLocked(lock, pick, mem, &job, &result, obsolete);
   if (!s.ok()) return s;
 
@@ -1045,7 +1040,6 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
 Status DB::PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
                                 compaction::CompactionPlan* plan) {
   compaction::PlannerContext ctx;
-  ctx.max_subcompactions = std::max(1, options_.max_subcompactions);
   ctx.bits_per_key = BitsPerKeyForLevelLocked(req.output_level);
   ctx.smallest_snapshot = SmallestLiveSnapshotLocked();
   if (mem != nullptr) ctx.memtable = [mem] { return mem->NewIterator(); };
@@ -1064,9 +1058,10 @@ void DB::DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs) {
 Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
                         const JobPicker& pick, MemTable* mem,
                         std::optional<CompactionRequest>* job,
-                        compaction::CompactionExecutor::Result* result,
+                        compaction::MergeResult* result,
                         std::vector<FileMetaPtr>* consumed) {
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
+  const compaction::OutputShape shape = OutputShapeForDb();
   compaction::CompactionPlan plan;
   for (int conflicts = 0;; conflicts++) {
     // ---- Plan (under the mutex). ----
@@ -1089,7 +1084,7 @@ Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
     const bool unlocked = is_background() && conflicts < kMaxConflicts;
     const uint64_t t0 = NowMicros();
     if (unlocked) lock.unlock();
-    s = compaction_exec_->Run(plan, result);
+    s = compaction::RunMerge(shape, table_cache_.get(), plan, result);
     if (unlocked) lock.lock();
     if (!s.ok()) {
       DeleteUninstalledOutputs(result->outputs);
@@ -1120,7 +1115,7 @@ Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
                                const JobPicker& pick,
                                std::optional<CompactionRequest>* job) {
   const uint64_t comp_t0 = latency_ != nullptr ? NowMicros() : 0;
-  compaction::CompactionExecutor::Result result;
+  compaction::MergeResult result;
   std::vector<FileMetaPtr> consumed;
   Status s = RunJobLocked(lock, pick, nullptr, job, &result, &consumed);
   // A merged compaction always consumes a file: nothing consumed means
@@ -1175,14 +1170,6 @@ Status DB::CompactAll() {
     req.output_level = bottom;
     req.placement = CompactionRequest::Placement::kReplaceInputs;
     req.reason = "manual-compact-all";
-    // Planner hint: the bottommost run's file cuts are natural
-    // subcompaction split points for a whole-tree merge.
-    for (const auto& run : current_->levels[bottom].runs) {
-      for (size_t i = 1; i < run.files.size(); i++) {
-        req.boundary_hints.push_back(
-            run.files[i]->smallest.user_key().ToString());
-      }
-    }
     return req;
   };
   std::optional<CompactionRequest> job;
@@ -1240,8 +1227,7 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
         static_cast<unsigned long long>(stats_.stall_micros),
         static_cast<unsigned long long>(stats_.stall_slowdowns),
         static_cast<unsigned long long>(stats_.stall_stops));
-    *value = std::string(buf) + scheduler_->GetStats().ToString() + " | " +
-             compaction_exec_->GetStats().ToString();
+    *value = std::string(buf) + scheduler_->GetStats().ToString();
     return true;
   }
   if (property == "talus.latency") {

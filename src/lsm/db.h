@@ -408,9 +408,9 @@ class DB {
   /// there is nothing to do. Called again after every conflict.
   using JobPicker = std::function<std::optional<CompactionRequest>()>;
   /// Resolves `req` against the current version into an immutable plan
-  /// (bits-per-key, smallest snapshot, and subcompaction boundaries are
-  /// captured here so the merge needs no DB state). A flush passes its
-  /// memtable `mem`, which becomes the plan's newest input.
+  /// (bits-per-key and smallest snapshot are captured here so the merge
+  /// needs no DB state). A flush passes its memtable `mem`, which becomes
+  /// the plan's newest input.
   Status PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
                               compaction::CompactionPlan* plan);
   /// The one maintenance path, shared by flushes (`mem` set) and every
@@ -424,7 +424,7 @@ class DB {
   Status RunJobLocked(std::unique_lock<std::mutex>& lock,
                       const JobPicker& pick, MemTable* mem,
                       std::optional<CompactionRequest>* job,
-                      compaction::CompactionExecutor::Result* result,
+                      compaction::MergeResult* result,
                       std::vector<FileMetaPtr>* consumed);
   /// RunJobLocked for a compaction, then its stats and manifest install;
   /// the consumed files are queued for deferred GC, which the caller runs.
@@ -468,9 +468,6 @@ class DB {
   std::unique_ptr<GrowthPolicy> policy_;
   std::unique_ptr<LruCache> block_cache_;
   std::unique_ptr<read::TableCache> table_cache_;
-  // Merge-stage executor (src/compaction/). Stateless apart from
-  // observability counters; safe to call with the mutex released.
-  std::unique_ptr<compaction::CompactionExecutor> compaction_exec_;
 
   // Guards every mutable field below unless noted otherwise.
   mutable std::mutex mutex_;

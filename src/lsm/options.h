@@ -131,12 +131,6 @@ struct DbOptions {
   size_t l0_stop_runs = 20;
   /// Delay injected per write while in the slowdown regime.
   uint64_t slowdown_delay_micros = 1000;
-  /// Upper bound on key-range subcompactions one merge — a compaction or a
-  /// leveling flush — is split into (DESIGN.md §2.8). In kBackground mode
-  /// the ranges fan out over the background thread pool; in kInline mode
-  /// they run serially, so 1 (the default) preserves the seed's
-  /// bit-identical behavior while larger values stay scan-equivalent.
-  int max_subcompactions = 1;
 
   // ---- Observability (src/obs/, DESIGN.md §6) ----
   /// Record per-op latency histograms (talus.latency) via the lock-free

@@ -25,21 +25,6 @@ std::string BackgroundJobStats::ToString() const {
   return buf;
 }
 
-std::string SubcompactionStats::ToString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "subcompactions{scheduled=%llu completed=%llu active=%zu "
-      "compactions=%llu flush_merges=%llu fanout_avg=%.2f fanout_p50=%.1f "
-      "fanout_max=%.0f}",
-      static_cast<unsigned long long>(scheduled),
-      static_cast<unsigned long long>(completed), active,
-      static_cast<unsigned long long>(compactions),
-      static_cast<unsigned long long>(flush_merges), fanout_avg, fanout_p50,
-      fanout_max);
-  return buf;
-}
-
 void GroupCommitTracker::OnGroupCommitted(size_t group_size,
                                           uint64_t committed_batches,
                                           uint64_t queue_wait_micros,

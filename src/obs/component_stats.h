@@ -1,8 +1,8 @@
 // Point-in-time counter snapshots of the engine's components and of the
 // network server. Each component fills its own struct (JobScheduler,
-// CompactionExecutor, GroupCommitTracker, server::Server); the metric
-// catalog (obs/metric_catalog.h) reads them out of a MetricSnapshot, and
-// talus.exec prints the first two as structured text.
+// GroupCommitTracker, server::Server); the metric catalog
+// (obs/metric_catalog.h) reads them out of a MetricSnapshot, and talus.exec
+// prints the first as structured text.
 #ifndef TALUS_OBS_COMPONENT_STATS_H_
 #define TALUS_OBS_COMPONENT_STATS_H_
 
@@ -59,29 +59,6 @@ struct BackgroundJobStats {
   }
   /// No job queued or executing.
   bool idle() const { return running == 0 && total_queue_depth() == 0; }
-
-  std::string ToString() const;
-};
-
-/// The compaction executor's parallel merge activity
-/// (compaction::CompactionExecutor::GetStats()).
-struct SubcompactionStats {
-  /// Key-range subcompactions handed to the merge stage (cumulative).
-  uint64_t scheduled = 0;
-  /// Subcompactions that finished their sorted-output pass.
-  uint64_t completed = 0;
-  /// Subcompactions executing right now.
-  size_t active = 0;
-  /// Compactions executed through the pipeline.
-  uint64_t compactions = 0;
-  /// Leveling flush merges (every one, in either execution mode), counted
-  /// apart so the fanout histogram reflects compactions only.
-  uint64_t flush_merges = 0;
-  /// Per-compaction parallel-fanout distribution (subcompactions per
-  /// compaction): mean / p50 / max.
-  double fanout_avg = 0;
-  double fanout_p50 = 0;
-  double fanout_max = 0;
 
   std::string ToString() const;
 };

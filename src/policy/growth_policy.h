@@ -58,14 +58,6 @@ struct CompactionRequest {
   /// creates a new run placed per `placement` (tiering-style).
   std::optional<uint64_t> output_run_id;
   Placement placement = Placement::kFront;
-  /// Optional user keys the compaction planner should prefer as
-  /// subcompaction split points (compaction/compaction_planner.h). Policies
-  /// that know natural partition boundaries — e.g. the file cuts of the
-  /// widest input run — surface them here; the planner merges the hints
-  /// with the input-file boundaries it derives itself and ignores keys
-  /// outside the inputs' range. Purely advisory: correctness never depends
-  /// on hints.
-  std::vector<std::string> boundary_hints;
   /// Debugging label, e.g. "horizontal-cascade[0..2]".
   std::string reason;
 };

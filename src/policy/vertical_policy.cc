@@ -119,16 +119,8 @@ std::optional<CompactionRequest> VerticalPolicy::PickTiering(
     req.output_level = i + 1;
     if (config_.granularity == Granularity::kFull) {
       // Merge every run of this level into one new run below.
-      const SortedRun* widest = &level.runs[0];
       for (const auto& run : level.runs) {
         req.inputs.push_back({i, run.run_id, {}});
-        if (run.files.size() > widest->files.size()) widest = &run;
-      }
-      // Planner hint: the widest run's file cuts are the evenest
-      // subcompaction split points for this merge.
-      for (size_t f = 1; f < widest->files.size(); f++) {
-        req.boundary_hints.push_back(
-            widest->files[f]->smallest.user_key().ToString());
       }
       req.reason = "vertical-tiering-full L" + std::to_string(i);
       return req;

@@ -1,9 +1,9 @@
 // Analytical cost model for the *vertical* growth scheme (the classic
 // Monkey/Dostoevsky formulas), complementing the horizontal model in
-// cost_model.h. Used by the frontier bench to draw the model-space
-// trade-off curves behind Figure 10(a) and by tests certifying the paper's
-// qualitative claim: for matched read cost, the horizontal scheme's write
-// cost never exceeds the vertical scheme's (Bentley–Saxe optimality).
+// cost_model.h. Used by the adaptive tuner, the drift monitor, and by
+// tests certifying the paper's model-space claim behind Figure 10(a): for
+// matched read cost, the horizontal scheme's write cost never exceeds the
+// vertical scheme's (Bentley–Saxe optimality).
 //
 // With L levels, size ratio T, Bloom FPR f, page size P entries:
 //   leveling: W = L·(T+1)/(2P)   R = L·f      Q = L

@@ -1,12 +1,12 @@
-// Compaction pipeline tests (DESIGN.md §2.8): planner resolution and
-// subcompaction boundary picking, flush plans (the memtable as newest
-// input), the install conflict rule (PlanStillValid) against
-// concurrent-flush reshapes, version splicing (ApplyCompactionPlan),
-// subcompaction output-boundary correctness, and
-// whole-engine inline-vs-background equivalence with parallel
-// subcompactions across growth policies under concurrent writers.
+// Compaction pipeline tests (DESIGN.md §2.8): planner resolution, flush
+// plans (the memtable as newest input), the install conflict rule
+// (PlanStillValid) against concurrent-flush reshapes, version splicing
+// (ApplyCompactionPlan), run-file disjointness after a whole-tree merge,
+// and whole-engine inline-vs-background equivalence across growth policies
+// under concurrent writers.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,65 +97,6 @@ TEST(CompactionPlannerTest, UnknownRunIsInvalidArgument) {
   EXPECT_TRUE(compaction::PlanCompaction(v, req, compaction::PlannerContext(),
                                          &plan)
                   .IsInvalidArgument());
-}
-
-TEST(CompactionPlannerTest, PicksBoundedIncreasingBoundaries) {
-  Version v;
-  v.EnsureLevels(1);
-  std::vector<FileMetaPtr> files;
-  const char* keys[] = {"b", "d", "f", "h", "j", "l", "n", "p"};
-  for (int i = 0; i < 8; i++) {
-    std::string lo = keys[i];
-    files.push_back(MakeFile(100 + i, lo, lo + "x", 1000));
-  }
-  v.levels[0].runs.push_back(MakeRun(1, std::move(files)));
-
-  CompactionRequest req;
-  req.inputs.push_back({0, 1, {}});
-  req.output_level = 0;
-  compaction::PlannerContext ctx;
-  ctx.max_subcompactions = 4;
-  compaction::CompactionPlan plan;
-  ASSERT_TRUE(compaction::PlanCompaction(v, req, ctx, &plan).ok());
-
-  ASSERT_LE(plan.boundaries.size(), 3u);
-  ASSERT_GE(plan.boundaries.size(), 1u);
-  for (size_t i = 0; i < plan.boundaries.size(); i++) {
-    EXPECT_GT(plan.boundaries[i], plan.min_user);
-    EXPECT_LE(plan.boundaries[i], plan.max_user);
-    if (i > 0) EXPECT_LT(plan.boundaries[i - 1], plan.boundaries[i]);
-  }
-  // With equal-size files the cuts land on file boundaries, ~evenly.
-  EXPECT_EQ(plan.boundaries.size(), 3u);
-}
-
-TEST(CompactionPlannerTest, MergesPolicyBoundaryHints) {
-  Version v;
-  v.EnsureLevels(1);
-  v.levels[0].runs.push_back(
-      MakeRun(1, {MakeFile(10, "a", "m", 100), MakeFile(11, "n", "z", 100)}));
-  CompactionRequest req;
-  req.inputs.push_back({0, 1, {}});
-  req.output_level = 0;
-  req.boundary_hints = {"g", "zzz-out-of-range"};
-  compaction::PlannerContext ctx;
-  ctx.max_subcompactions = 4;
-  compaction::CompactionPlan plan;
-  ASSERT_TRUE(compaction::PlanCompaction(v, req, ctx, &plan).ok());
-  // The in-range hint is a usable split point; the out-of-range one is not.
-  EXPECT_NE(std::find(plan.boundaries.begin(), plan.boundaries.end(), "g"),
-            plan.boundaries.end());
-  for (const auto& b : plan.boundaries) EXPECT_LE(b, plan.max_user);
-}
-
-TEST(CompactionPlannerTest, SingleSubcompactionPicksNoBoundaries) {
-  Version v = TwoLevelVersion();
-  compaction::PlannerContext ctx;
-  ctx.max_subcompactions = 1;
-  compaction::CompactionPlan plan;
-  ASSERT_TRUE(
-      compaction::PlanCompaction(v, LevelingRequest(), ctx, &plan).ok());
-  EXPECT_TRUE(plan.boundaries.empty());
 }
 
 // ------------------------------------------------- install conflict checking
@@ -359,8 +300,7 @@ TEST(FlushPlanTest, LevelingFlushRewritesWholeRunKeepingItsId) {
 // --------------------------------------------- engine-level pipeline checks
 
 DbOptions PipelineOptions(Env* env, ExecutionMode mode,
-                          const GrowthPolicyConfig& policy,
-                          int max_subcompactions) {
+                          const GrowthPolicyConfig& policy) {
   DbOptions opts;
   opts.env = env;
   opts.path = "/db";
@@ -371,7 +311,6 @@ DbOptions PipelineOptions(Env* env, ExecutionMode mode,
   opts.policy = policy;
   opts.execution_mode = mode;
   opts.num_background_threads = 3;
-  opts.max_subcompactions = max_subcompactions;
   opts.slowdown_delay_micros = 100;
   return opts;
 }
@@ -383,8 +322,7 @@ std::vector<std::pair<std::string, std::string>> FullScan(DB* db) {
 }
 
 // Every run in every level must be internally sorted and key-disjoint —
-// the invariant point lookups rely on (one file probed per run), and the
-// one subcompaction output concatenation could break.
+// the invariant point lookups rely on (one file probed per run).
 void CheckRunFileInvariants(DB* db) {
   const Version& v = db->current_version();
   for (const auto& level : v.levels) {
@@ -399,38 +337,34 @@ void CheckRunFileInvariants(DB* db) {
   }
 }
 
-TEST(CompactionPipelineDbTest, SubcompactionScanIdenticalAndDisjoint) {
-  // The same inline workload under 1 and 4 subcompactions must produce a
-  // bit-identical full scan and respect the run-file invariants.
-  std::vector<std::vector<std::pair<std::string, std::string>>> scans;
-  for (int msc : {1, 4}) {
-    auto env = NewMemEnv();
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(PipelineOptions(env.get(), ExecutionMode::kInline,
-                                         GrowthPolicyConfig::VTLevelFull(3),
-                                         msc),
-                         &db)
-                    .ok());
-    Random rnd(77);
-    for (int i = 0; i < 4000; i++) {
-      const uint32_t k = rnd.Uniform(900);
-      if (rnd.Uniform(10) < 8) {
-        ASSERT_TRUE(db->Put(workload::FormatKey(k, 16),
-                            "v" + std::to_string(i))
-                        .ok());
-      } else {
-        ASSERT_TRUE(db->Delete(workload::FormatKey(k, 16)).ok());
-      }
+TEST(CompactionPipelineDbTest, InlineCompactAllKeepsRunsDisjoint) {
+  // A whole-tree merge of an inline workload must respect the run-file
+  // invariants and scan back exactly the model's final state.
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(PipelineOptions(env.get(), ExecutionMode::kInline,
+                                       GrowthPolicyConfig::VTLevelFull(3)),
+                       &db)
+                  .ok());
+  std::map<std::string, std::string> model;
+  Random rnd(77);
+  for (int i = 0; i < 4000; i++) {
+    const std::string key = workload::FormatKey(rnd.Uniform(900), 16);
+    if (rnd.Uniform(10) < 8) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(db->Put(key, value).ok());
+      model[key] = value;
+    } else {
+      ASSERT_TRUE(db->Delete(key).ok());
+      model.erase(key);
     }
-    ASSERT_TRUE(db->CompactAll().ok());
-    CheckRunFileInvariants(db.get());
-    scans.push_back(FullScan(db.get()));
-    EXPECT_GT(db->stats().compactions, 0u);
   }
-  ASSERT_EQ(scans[0].size(), scans[1].size());
-  for (size_t i = 0; i < scans[0].size(); i++) {
-    EXPECT_EQ(scans[0][i], scans[1][i]);
-  }
+  ASSERT_TRUE(db->CompactAll().ok());
+  CheckRunFileInvariants(db.get());
+  EXPECT_GT(db->stats().compactions, 0u);
+  const std::vector<std::pair<std::string, std::string>> expect(
+      model.begin(), model.end());
+  EXPECT_EQ(FullScan(db.get()), expect);
 }
 
 // Deterministic per-thread op stream over a disjoint key range: the final
@@ -481,29 +415,28 @@ std::vector<NamedPolicy> PipelinePolicies() {
 class PipelineEquivalenceTest : public ::testing::TestWithParam<NamedPolicy> {
 };
 
-TEST_P(PipelineEquivalenceTest, BackgroundMatchesInlineWithSubcompactions) {
+TEST_P(PipelineEquivalenceTest, BackgroundMatchesInline) {
   constexpr int kWorkers = 4;
   constexpr int kOpsPerWorker = 1500;
 
-  // Inline reference: same per-worker streams applied sequentially, one
-  // subcompaction (the seed-identical configuration).
+  // Inline reference: same per-worker streams applied sequentially.
   auto inline_env = NewMemEnv();
   std::unique_ptr<DB> inline_db;
   ASSERT_TRUE(DB::Open(PipelineOptions(inline_env.get(),
                                        ExecutionMode::kInline,
-                                       GetParam().config, 1),
+                                       GetParam().config),
                        &inline_db)
                   .ok());
   for (int w = 0; w < kWorkers; w++) {
     ApplyWorkerOps(inline_db.get(), w, kOpsPerWorker);
   }
 
-  // Background run: concurrent writers, parallel subcompactions.
+  // Background run: concurrent writers.
   auto bg_env = NewMemEnv();
   std::unique_ptr<DB> bg_db;
   ASSERT_TRUE(DB::Open(PipelineOptions(bg_env.get(),
                                        ExecutionMode::kBackground,
-                                       GetParam().config, 4),
+                                       GetParam().config),
                        &bg_db)
                   .ok());
   std::vector<std::thread> workers;
@@ -528,9 +461,6 @@ TEST_P(PipelineEquivalenceTest, BackgroundMatchesInlineWithSubcompactions) {
   std::string stats_str;
   ASSERT_TRUE(bg_db->GetProperty("talus.stats", &stats_str));
   EXPECT_NE(stats_str.find("conflicts="), std::string::npos);
-  std::string exec_info;
-  ASSERT_TRUE(bg_db->GetProperty("talus.exec", &exec_info));
-  EXPECT_NE(exec_info.find("subcompactions{"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PipelineEquivalenceTest,
@@ -550,7 +480,7 @@ TEST(CompactionPipelineDbTest, CompactAllUnderConcurrentWriters) {
   auto env = NewMemEnv();
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(PipelineOptions(env.get(), ExecutionMode::kBackground,
-                                       GrowthPolicyConfig::VTLevelFull(3), 4),
+                                       GrowthPolicyConfig::VTLevelFull(3)),
                        &db)
                   .ok());
   std::thread writer([&db] {

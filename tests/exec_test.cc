@@ -492,7 +492,17 @@ TEST(ExecDbTest, FlushMemTableDrainsBackgroundWork) {
   EXPECT_EQ(db->stats().flushes, db->stats().bg_flushes);
   std::string exec_info;
   ASSERT_TRUE(db->GetProperty("talus.exec", &exec_info));
-  EXPECT_NE(exec_info.find("imm_queued=0"), std::string::npos);
+  // The scheduler is idle too. These are the job counts a client polls to
+  // tell that background work has finished.
+  EXPECT_NE(exec_info.find("imm_queued=0"), std::string::npos) << exec_info;
+  EXPECT_NE(exec_info.find("running=0"), std::string::npos) << exec_info;
+  for (const char* job : {"flush{", "compaction{"}) {
+    const size_t begin = exec_info.find(job);
+    ASSERT_NE(begin, std::string::npos) << exec_info;
+    const std::string counts =
+        exec_info.substr(begin, exec_info.find('}', begin) - begin);
+    EXPECT_NE(counts.find(" queued=0"), std::string::npos) << counts;
+  }
 }
 
 TEST(ExecDbTest, ReopenAfterBackgroundModeRecovers) {

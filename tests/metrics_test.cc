@@ -264,59 +264,6 @@ TEST(CacheCounters, FlushReadBytesSeparatedFromCompactionReads) {
             StatField(stats, "conflicts"));
 }
 
-// --------------------------------------- Subcompaction counters (talus.exec)
-
-TEST(SubcompactionCounters, SurfacedInTalusExec) {
-  auto env = NewMemEnv();
-  DbOptions opts;
-  opts.env = env.get();
-  opts.path = "/db";
-  opts.write_buffer_size = 4 << 10;
-  opts.target_file_size = 4 << 10;
-  opts.block_size = 1024;
-  opts.policy = GrowthPolicyConfig::VTTierFull(3);
-  opts.execution_mode = ExecutionMode::kBackground;
-  opts.num_background_threads = 2;
-  opts.max_subcompactions = 4;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-
-  for (int i = 0; i < 3000; i++) {
-    ASSERT_TRUE(
-        db->Put(workload::FormatKey(i % 700, 16), std::string(64, 'v')).ok());
-  }
-  ASSERT_TRUE(db->FlushMemTable().ok());
-  ASSERT_TRUE(db->CompactAll().ok());
-
-  std::string exec_info;
-  ASSERT_TRUE(db->GetProperty("talus.exec", &exec_info));
-  const size_t start = exec_info.find("subcompactions{");
-  ASSERT_NE(start, std::string::npos) << exec_info;
-  // Parse inside the subcompactions block only: the scheduler's job
-  // counters use the same field names.
-  const std::string sub = exec_info.substr(start);
-  auto field = [&sub](const std::string& token) -> uint64_t {
-    const std::string needle = token + "=";
-    size_t pos = sub.find(needle);
-    EXPECT_NE(pos, std::string::npos) << token << " missing in: " << sub;
-    if (pos == std::string::npos) return 0;
-    return std::strtoull(sub.c_str() + pos + needle.size(), nullptr, 10);
-  };
-  EXPECT_GT(field("scheduled"), 0u);
-  EXPECT_GT(field("compactions"), 0u);
-  // Tiering flushes write new runs: no flush merges here.
-  EXPECT_EQ(field("flush_merges"), 0u);
-  // Quiesced: everything scheduled has completed, nothing is running.
-  EXPECT_EQ(field("scheduled"), field("completed"));
-  EXPECT_EQ(field("active"), 0u);
-  // Per-compaction fanout histogram: at least one subcompaction per
-  // compaction.
-  EXPECT_GE(field("scheduled"), field("compactions"));
-  EXPECT_NE(sub.find("fanout_avg="), std::string::npos);
-  EXPECT_NE(sub.find("fanout_p50="), std::string::npos);
-  EXPECT_NE(sub.find("fanout_max="), std::string::npos);
-}
-
 TEST(CacheCounters, BlockCacheEvictionsCounted) {
   LruCache cache(64);  // Tiny: every second insert evicts.
   cache.Insert("a", std::make_shared<int>(1), 48);

@@ -323,6 +323,8 @@ TEST(ObsEndToEnd, WriteStallReconstructibleFromTrace) {
     if (i % 64 == 0) stalled = db->stats().stall_stops > 0;
   }
   ASSERT_TRUE(stalled) << "no write stall after 50000 puts";
+  // stats() is unsynchronized: quiesce the background jobs before copying.
+  ASSERT_TRUE(db->FlushMemTable().ok());
   const EngineStats stats = db->stats();
   // The regime/cause split accounts for every stop we hit.
   EXPECT_EQ(stats.stall_stops_memtable + stats.stall_stops_l0,

@@ -107,7 +107,8 @@ TEST_P(FrontierDominanceTest, HorizontalDominatesVertical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, FrontierDominanceTest,
-                         ::testing::Values(0.2, 0.3, 0.5, 0.8, 1.2, 2.0, 3.0,
+                         ::testing::Values(0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0,
+                                           1.2, 1.5, 2.0, 2.5, 3.0, 4.0,
                                            5.0));
 
 }  // namespace
