@@ -1540,6 +1540,41 @@ TEST(MetricSurfaceGolden, InlineDbStatsAndPrometheus) {
   }
 }
 
+// The exact per-level text of talus.cstats and talus.amp after the same
+// workload. The last RetuneNow consumed the drift window, so the window
+// section shows only live space.
+TEST(MetricSurfaceGolden, InlineDbCstatsAndAmpText) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db = RunGoldenMetricsWorkload(env.get());
+
+  std::string cstats;
+  ASSERT_TRUE(db->GetProperty("talus.cstats", &cstats));
+  EXPECT_EQ(cstats,
+            "level compactions bytes_read bytes_written\n"
+            "L0 0 0 0\n"
+            "L1 3 488418 359645\n");
+
+  std::string amp;
+  ASSERT_TRUE(db->GetProperty("talus.amp", &amp));
+  EXPECT_EQ(amp,
+            "cumulative:\n"
+            "write_amp=4.353 read_amp=1.432 space_amp=0.999 "
+            "blocks_per_lookup=0.239 lookups=2033 memtable_hits=65 "
+            "misses=997 user_payload=394470\n"
+            "level flush_w comp_w comp_r probes fneg bloom_fp blocks hits "
+            "live_sst live_payload\n"
+            "L0 1357321 0 0 1615 1039 185 334 391 30354 30407\n"
+            "L1 0 359645 488418 1297 630 87 152 580 171132 171315\n"
+            "window:\n"
+            "write_amp=0.000 read_amp=0.000 space_amp=0.999 "
+            "blocks_per_lookup=0.000 lookups=0 memtable_hits=0 misses=0 "
+            "user_payload=0\n"
+            "level flush_w comp_w comp_r probes fneg bloom_fp blocks hits "
+            "live_sst live_payload\n"
+            "L0 0 0 0 0 0 0 0 0 30354 30407\n"
+            "L1 0 0 0 0 0 0 0 0 171132 171315\n");
+}
+
 
 // ------------------------------------------------------- Metric catalog
 
