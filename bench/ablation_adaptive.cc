@@ -206,7 +206,6 @@ std::vector<PhaseResult> RunOne(const BenchConfig& cfg, const Variant& v,
   opts.policy = v.start;
   opts.execution_mode = ExecutionMode::kBackground;
   opts.num_background_threads = 4;
-  opts.enable_amp_stats = true;  // The tuner's sensing substrate.
   opts.shard_count = kShards;
   opts.shard_split_points.push_back(workload::FormatKey(kKeySpace / 2, 16));
   opts.adaptive_tuning = v.adaptive;

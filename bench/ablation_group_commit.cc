@@ -22,9 +22,8 @@
 // stalls) to PATH as JSONL while the sweep runs; --stats-jsonl PREFIX
 // additionally runs the obs::StatsSnapshotter during each run, writing the
 // amp/latency/drift time series to PREFIX.<run>.jsonl. --overhead replaces
-// the sweep with two A/Bs at 8 threads: enable_latency_stats on/off on the
-// write path (DESIGN.md §6.5, target <3%) and enable_amp_stats on/off on
-// the read path, where the per-lookup probe fold lives (DESIGN.md §6.9).
+// the sweep with an A/B at 8 threads: enable_latency_stats on/off on the
+// write path (DESIGN.md §6.5, target <3%).
 #include <unistd.h>
 
 #include <chrono>
@@ -181,69 +180,6 @@ RunResult RunOne(const BenchConfig& cfg, const Variant& variant, int writers,
   return r;
 }
 
-// Read-path arm of --overhead: load a fixed key space once, then time
-// concurrent point lookups with amp accounting on or off. The write-only
-// sweep cannot see the probe fold (it only runs on Get), so this is where
-// the enable_amp_stats cost is measured.
-double ReadRunOne(const BenchConfig& cfg, int readers, int run_index,
-                  bool amp_stats) {
-  std::unique_ptr<Env> owned_env;
-  Env* env;
-  if (cfg.use_mem_env) {
-    owned_env = NewMemEnv();
-    env = owned_env.get();
-  } else {
-    env = Env::Default();
-  }
-
-  DbOptions opts;
-  opts.env = env;
-  opts.path = RunPath(cfg, 100 + run_index);
-  opts.write_buffer_size = 256 << 10;
-  opts.target_file_size = 256 << 10;
-  opts.block_cache_bytes = 4 << 20;
-  opts.policy = GrowthPolicyConfig::VTLevelFull(3);
-  opts.enable_latency_stats = false;  // Isolate the probe-fold cost.
-  opts.enable_amp_stats = amp_stats;
-
-  std::unique_ptr<DB> db;
-  Status s = DB::Open(opts, &db);
-  if (!s.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
-    return 0;
-  }
-
-  const uint64_t key_space = 50000;
-  const std::string value(100, 'g');
-  for (uint64_t k = 0; k < key_space; k++) {
-    db->Put(workload::FormatKey(k, 16), value);
-  }
-  db->FlushMemTable();
-
-  const uint64_t ops = OpsPerThread(cfg);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int w = 0; w < readers; w++) {
-    threads.emplace_back([&db, w, ops, key_space] {
-      Random rnd(9300 + w);
-      std::string got;
-      for (uint64_t i = 0; i < ops; i++) {
-        db->Get(workload::FormatKey(rnd.Uniform(key_space), 16), &got);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto end = std::chrono::steady_clock::now();
-  const double wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-
-  const std::string path = opts.path;
-  db.reset();
-  if (!cfg.use_mem_env) CleanupDir(env, path);
-  return static_cast<double>(ops) * readers / wall / 1000;
-}
-
 }  // namespace
 }  // namespace talus
 
@@ -301,29 +237,6 @@ int main(int argc, char** argv) {
                 "observer overhead %.2f%%\n",
                 best_on, best_off, overhead_pct);
 
-    // Read-path arm: same alternated best-of-N discipline, amp accounting
-    // on vs off, 8 concurrent readers over a loaded key space.
-    std::printf("# Probe-accounting ablation: %llu gets/thread, 8 readers, "
-                "%s env, best of %d\n",
-                static_cast<unsigned long long>(OpsPerThread(cfg)),
-                cfg.use_mem_env ? "mem" : "posix", reps);
-    double best_amp_on = 0, best_amp_off = 0;
-    for (int rep = 0; rep < reps; rep++) {
-      const double on = ReadRunOne(cfg, writers, 2 * rep, true);
-      const double off = ReadRunOne(cfg, writers, 2 * rep + 1, false);
-      std::printf("rep %d: amp_on %9.1f kops/s   amp_off %9.1f kops/s\n",
-                  rep, on, off);
-      best_amp_on = std::max(best_amp_on, on);
-      best_amp_off = std::max(best_amp_off, off);
-    }
-    const double amp_overhead_pct =
-        best_amp_off > 0
-            ? (best_amp_off - best_amp_on) / best_amp_off * 100
-            : 0;
-    std::printf("best: amp_on %.1f kops/s, amp_off %.1f kops/s, "
-                "probe-accounting overhead %.2f%%\n",
-                best_amp_on, best_amp_off, amp_overhead_pct);
-
     if (!cfg.json_path.empty()) {
       std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
       if (f == nullptr) {
@@ -333,11 +246,8 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "{\"bench\":\"ablation_observer_overhead\","
                    "\"writers\":%d,\"kops_stats_on\":%.1f,"
-                   "\"kops_stats_off\":%.1f,\"overhead_pct\":%.2f,"
-                   "\"kops_amp_on\":%.1f,\"kops_amp_off\":%.1f,"
-                   "\"amp_overhead_pct\":%.2f}\n",
-                   writers, best_on, best_off, overhead_pct, best_amp_on,
-                   best_amp_off, amp_overhead_pct);
+                   "\"kops_stats_off\":%.1f,\"overhead_pct\":%.2f}\n",
+                   writers, best_on, best_off, overhead_pct);
       std::fclose(f);
       std::printf("wrote %s\n", cfg.json_path.c_str());
     }

@@ -62,6 +62,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   io->Reset();
   io->ResetPeak();
   const EngineStats before = db->stats();
+  const obs::AmpSnapshot amp_before = db->GetAmpSnapshot();
 
   obs::ThroughputMeter meter(config.worst_case_window);
   workload::OpStream stream(config.keys, config.mix, config.seed);
@@ -118,17 +119,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (result.space_amp < 0) result.space_amp = 0;
 
   const EngineStats& stats = db->stats();
-  const uint64_t payload =
-      stats.user_payload_written - before.user_payload_written;
-  const uint64_t physical = (stats.flush_bytes_written +
-                             stats.compaction_bytes_written) -
-                            (before.flush_bytes_written +
-                             before.compaction_bytes_written);
-  result.write_amp =
-      payload > 0 ? static_cast<double>(physical) / payload : 0;
-  const uint64_t gets = stats.gets - before.gets;
-  const uint64_t probed = stats.runs_probed - before.runs_probed;
-  result.read_amp = gets > 0 ? static_cast<double>(probed) / gets : 0;
+  obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  amp.Subtract(amp_before);
+  result.write_amp = amp.WriteAmp();
+  result.read_amp = amp.ReadAmp();
   result.update_cost = updates > 0 ? update_clock / updates : 0;
   result.lookup_cost = lookups > 0 ? lookup_clock / lookups : 0;
   result.range_cost = ranges > 0 ? range_clock / ranges : 0;

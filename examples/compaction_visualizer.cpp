@@ -73,9 +73,9 @@ void Visualize(const std::string& name, const GrowthPolicyConfig& policy) {
       DrawTree(db->current_version(), options.write_buffer_size);
     }
   }
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   std::printf(" final write-amp %.2f, read-amp %.2f, runs total %zu\n",
-              db->stats().WriteAmplification(),
-              db->stats().ReadAmplification(),
+              amp.WriteAmp(), amp.ReadAmp(),
               db->current_version().TotalRuns());
 }
 

@@ -78,12 +78,13 @@ int main(int argc, char** argv) {
 
   // Engine introspection.
   const EngineStats& stats = db->stats();
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   std::printf("\nengine stats: %llu puts, %llu flushes, %llu compactions, "
               "write-amp %.2f, read-amp %.2f\n",
               static_cast<unsigned long long>(stats.puts),
               static_cast<unsigned long long>(stats.flushes),
               static_cast<unsigned long long>(stats.compactions),
-              stats.WriteAmplification(), stats.ReadAmplification());
+              amp.WriteAmp(), amp.ReadAmp());
   std::printf("tree shape:\n%s", db->DebugString().c_str());
 
   // Reopen: everything must come back (WAL + manifest recovery).

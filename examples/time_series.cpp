@@ -108,8 +108,9 @@ RunResult RunScenario(const std::string& name,
 
   RunResult result;
   result.scheme = name;
-  result.write_amp = db->stats().WriteAmplification();
-  result.read_amp = db->stats().ReadAmplification();
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  result.write_amp = amp.WriteAmp();
+  result.read_amp = amp.ReadAmp();
   result.window_rows = window_rows;
   result.clock = env->io_stats()->clock();
   return result;

@@ -266,18 +266,21 @@ int main(int argc, char** argv) {
   }
 
   const EngineStats& stats = db->stats();
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  using Level = obs::AmpSnapshot::Level;
   std::printf("\nresults:\n");
   std::printf("  avg throughput     : %.4f ops/clock-unit\n",
               meter.AverageThroughput());
   std::printf("  worst-case tput    : %.4f (window 1000 ops)\n",
               meter.WorstCaseThroughput());
-  std::printf("  write-amp          : %.2f\n", stats.WriteAmplification());
+  std::printf("  write-amp          : %.2f\n", amp.WriteAmp());
   std::printf("  read-amp           : %.3f runs probed per lookup\n",
-              stats.ReadAmplification());
+              amp.ReadAmp());
   std::printf("  bloom negatives    : %llu\n",
-              static_cast<unsigned long long>(stats.filter_negatives));
+              static_cast<unsigned long long>(
+                  amp.Total(&Level::filter_negatives)));
   std::printf("  cache hits         : %llu\n",
-              static_cast<unsigned long long>(stats.block_cache_hits));
+              static_cast<unsigned long long>(amp.Total(&Level::cache_hits)));
   std::printf("  peak storage       : %.1f MB\n",
               io->peak_storage_bytes() / 1048576.0);
   std::printf("  flushes/compactions: %llu / %llu\n",

@@ -80,6 +80,17 @@ tuning::HorizontalMerge MergeForDriftModel(const GrowthPolicyConfig& config) {
   return tuning::HorizontalMerge::kLeveling;
 }
 
+// The drift monitor's model of the configured design. Optimal-k Bloom FPR
+// for the configured bits/key: f = 2^(-bits·ln 2).
+obs::ModelDriftMonitor::Params DriftParams(const DbOptions& options) {
+  obs::ModelDriftMonitor::Params params;
+  params.merge = MergeForDriftModel(options.policy);
+  params.size_ratio = options.policy.size_ratio;
+  params.bloom_fpr =
+      std::pow(2.0, -options.bloom_bits_per_key * 0.6931471805599453);
+  return params;
+}
+
 // Applies a batch to a memtable with sequences base, base+1, ...
 class MemTableInserter : public WriteBatch::Handler {
  public:
@@ -184,7 +195,8 @@ class DbIterator final : public Iterator {
 
 }  // namespace
 
-DB::DB(const DbOptions& options) : options_(options) {
+DB::DB(const DbOptions& options)
+    : options_(options), drift_(DriftParams(options)) {
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -193,23 +205,12 @@ DB::DB(const DbOptions& options) : options_(options) {
   if (options_.enable_latency_stats) {
     latency_ = std::make_unique<obs::LatencyRecorder>();
   }
-  if (options_.enable_amp_stats) {
-    amp_ = std::make_unique<obs::AmpTracker>();
-    obs::ModelDriftMonitor::Params drift_params;
-    drift_params.merge = MergeForDriftModel(options_.policy);
-    drift_params.size_ratio = options_.policy.size_ratio;
-    // Optimal-k Bloom FPR for the configured bits/key: f = 2^(-bits·ln 2).
-    drift_params.bloom_fpr =
-        std::pow(2.0, -options_.bloom_bits_per_key * 0.6931471805599453);
-    drift_params.drift_threshold = options_.model_drift_threshold;
-    drift_params.mix_shift_threshold = options_.model_mix_shift_threshold;
-    drift_ = std::make_unique<obs::ModelDriftMonitor>(drift_params);
-  }
   if (options_.event_ring != nullptr) {
     // Borrowed ring (sharded store): its owner decides about tracing.
     ring_ = options_.event_ring;
   } else {
-    owned_ring_ = std::make_unique<obs::EventRing>(options_.event_ring_size);
+    owned_ring_ = std::make_unique<obs::EventRing>(
+        obs::EventRing::kDefaultCapacity);
     ring_ = owned_ring_.get();
   }
   current_ = new Version();
@@ -289,10 +290,8 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
       if (db->policy_ == nullptr) {
         return Status::Corruption("unresolvable growth policy in manifest");
       }
-      if (db->drift_ != nullptr) {
-        db->drift_->Reconfigure(MergeForDriftModel(persisted),
-                                persisted.size_ratio);
-      }
+      db->drift_.Reconfigure(MergeForDriftModel(persisted),
+                             persisted.size_ratio);
     }
     if (manifest.policy_name != db->policy_->name()) {
       return Status::InvalidArgument(
@@ -389,7 +388,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
   DB* raw = db.get();
   if (options.stats_snapshot_interval_ms > 0) {
     obs::StatsSnapshotter::Options snap_opts;
-    snap_opts.ring_capacity = options.stats_snapshot_ring;
     snap_opts.jsonl_path = options.stats_snapshot_path;
     s = obs::StatsSnapshotter::Open(
         db->pool_, snap_opts,
@@ -402,15 +400,12 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
                     [raw] { raw->snapshotter_->SampleAsync(); });
   }
 
-  // The tuner needs the measured windows (amp stats) and only tunes the
-  // vertical family — the shapes the cost model solves and the only ones
-  // with a cheap live-migration path between them.
-  if (options.adaptive_tuning && db->amp_ != nullptr &&
+  // The tuner only tunes the vertical family — the shapes the cost model
+  // solves and the only ones with a cheap live-migration path between them.
+  if (options.adaptive_tuning &&
       db->options_.policy.scheme == GrowthScheme::kVertical) {
     tune::TunerConfig tcfg;
-    tcfg.hysteresis = options.tune_hysteresis;
     tcfg.min_window_ops = options.tune_min_window_ops;
-    tcfg.cooldown_ticks = options.tune_cooldown_ticks;
     db->tuner_ = std::make_unique<tune::AdaptiveTuner>(tcfg);
     // Inline on the ticker thread, never the pool: a pass may wait for an
     // active compaction chain that needs pool threads (DESIGN.md §9.1).
@@ -708,16 +703,17 @@ Status DB::CommitWriter(write::Writer* writer) {
   // pending until the sharding layer publishes their whole range.
   PublishGroupSequences(alloc, base_seq, claim_count, group);
   uint64_t committed = 0;
+  uint64_t payload = 0;
   for (write::Writer* wr : group.writers) {
     if (!wr->status.ok()) continue;
     committed++;
     stats_.puts += wr->batch->Puts();
     stats_.deletes += wr->batch->Deletes();
-    stats_.user_payload_written += wr->batch->PayloadBytes();
-    if (amp_ != nullptr) amp_->RecordUserPayload(wr->batch->PayloadBytes());
+    payload += wr->batch->PayloadBytes();
     mix_tracker_.RecordUpdate();
     options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_write);
   }
+  amp_.RecordUserPayload(payload);
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
                                 group.queue_wait_micros, synced);
   Status flush_status;
@@ -881,9 +877,9 @@ Status DB::BackgroundCompaction() {
   Status s = Status::OK();
   if (!compaction_active_) {  // Otherwise the active chain picks the work up.
     compaction_active_ = true;
-    const uint64_t before = stats_.compactions;
+    const uint64_t before = TotalCompactions();
     s = RunCompactionLoopLocked(lock);
-    stats_.bg_compactions += stats_.compactions - before;
+    stats_.bg_compactions += TotalCompactions() - before;
     if (!s.ok()) bg_error_ = s;
     compaction_active_ = false;
   }
@@ -1003,12 +999,10 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   if (!s.ok()) return s;
 
   stats_.flushes++;
-  // Existing-SST bytes read by a flush merge are flush work, not
-  // compaction work.
-  stats_.flush_bytes_read += result.bytes_read;
-  stats_.flush_bytes_written += result.bytes_written;
+  // A flush merge's reads, the memtable's entries and those of a run it
+  // merges into, are flush work, not compaction work.
+  amp_.RecordFlush(0, result.bytes_read, result.bytes_written);
   flush_count_++;
-  if (amp_ != nullptr) amp_->RecordFlushWrite(0, result.bytes_written);
   const uint64_t dur = NowMicros() - flush_t0;
   ring_->Emit(obs::EventType::kFlushEnd, shard, result.bytes_written, dur);
   if (latency_ != nullptr) latency_->Record(obs::OpType::kFlush, dur);
@@ -1122,24 +1116,11 @@ Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
   // nothing to do, or an empty plan (which counts as done).
   if (!s.ok() || consumed.empty()) return s;
 
-  const int level = (*job)->output_level;
-  stats_.compactions++;
   if (latency_ != nullptr) {
     latency_->Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
   }
-  stats_.compaction_bytes_read += result.bytes_read;
-  stats_.compaction_bytes_written += result.bytes_written;
-  if (stats_.level_stats.size() <= static_cast<size_t>(level)) {
-    stats_.level_stats.resize(level + 1);
-  }
-  auto& ls = stats_.level_stats[level];
-  ls.compactions++;
-  ls.bytes_read += result.bytes_read;
-  ls.bytes_written += result.bytes_written;
-  if (amp_ != nullptr) {
-    amp_->RecordCompactionWrite(level, result.bytes_read,
-                                result.bytes_written);
-  }
+  amp_.RecordCompaction((*job)->output_level, result.bytes_read,
+                        result.bytes_written);
 
   // Persist the new structure before queueing the inputs for deletion
   // (crash safety); the caller runs CollectObsoleteLocked once the merge
@@ -1199,17 +1180,8 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "talus.cstats") {
-    std::string out = "level compactions bytes_read bytes_written\n";
-    for (size_t i = 0; i < stats_.level_stats.size(); i++) {
-      const auto& ls = stats_.level_stats[i];
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "L%zu %llu %llu %llu\n", i,
-                    static_cast<unsigned long long>(ls.compactions),
-                    static_cast<unsigned long long>(ls.bytes_read),
-                    static_cast<unsigned long long>(ls.bytes_written));
-      out += buf;
-    }
-    *value = out;
+    lock.unlock();  // The tracker is lock-free.
+    *value = amp_.Snapshot().CompactionsToString();
     return true;
   }
   if (property == "talus.exec") {
@@ -1244,23 +1216,18 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "talus.amp") {
-    // Empty (but recognized) when amp accounting is disabled.
-    if (amp_ != nullptr) {
-      obs::AmpSnapshot cumulative = amp_->Snapshot();
-      obs::AmpSnapshot window = amp_->WindowSnapshot();
-      FillLiveSpaceLocked(&cumulative);
-      FillLiveSpaceLocked(&window);
-      lock.unlock();
-      *value = "cumulative:\n" + cumulative.ToString() + "window:\n" +
-               window.ToString();
-    }
+    obs::AmpSnapshot cumulative = amp_.Snapshot();
+    obs::AmpSnapshot window = amp_.WindowSnapshot();
+    FillLiveSpaceLocked(&cumulative);
+    FillLiveSpaceLocked(&window);
+    lock.unlock();
+    *value = "cumulative:\n" + cumulative.ToString() + "window:\n" +
+             window.ToString();
     return true;
   }
   if (property == "talus.model") {
-    if (amp_ != nullptr) {
-      lock.unlock();  // EvaluateModelDrift manages its own locking.
-      *value = EvaluateModelDrift().ToString();
-    }
+    lock.unlock();  // EvaluateModelDrift manages its own locking.
+    *value = EvaluateModelDrift().ToString();
     return true;
   }
   if (property == "talus.tune") {
@@ -1438,32 +1405,25 @@ Status DB::Get(const Slice& key, std::string* value,
   LookupKey lkey(
       key, snapshot != nullptr ? snapshot->sequence() : view->sequence);
 
-  ReadProbeStats probe;
+  obs::LookupProbe probe;
   Status result = GetFromView(*view, lkey, value, &probe);
-
-  // Read-path stats are relaxed atomics: no second mutex acquisition.
-  stats_.gets.fetch_add(1);
-  if (result.ok()) stats_.gets_found.fetch_add(1);
-  stats_.runs_probed.fetch_add(probe.runs_probed);
-  stats_.filter_negatives.fetch_add(probe.filter_negatives);
-  stats_.data_block_reads.fetch_add(probe.block_reads);
-  stats_.block_cache_hits.fetch_add(probe.cache_hits);
-  if (amp_ != nullptr) amp_->RecordLookup(probe.amp);
+  // One striped fold, no second mutex acquisition.
+  amp_.RecordLookup(probe);
   mix_tracker_.RecordPointLookup();
   return result;
 }
 
 Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
-                       std::string* value, ReadProbeStats* probe) {
+                       std::string* value, obs::LookupProbe* probe) {
   Status s;
   if (view.mem->Get(lkey, value, &s)) {
-    probe->amp.hit_level = obs::LookupProbe::kHitMemtable;
+    probe->hit_level = obs::LookupProbe::kHitMemtable;
     return s;
   }
   // Immutable memtables, newest first.
   for (const auto& mem : view.imm) {
     if (mem->Get(lkey, value, &s)) {
-      probe->amp.hit_level = obs::LookupProbe::kHitMemtable;
+      probe->hit_level = obs::LookupProbe::kHitMemtable;
       return s;
     }
   }
@@ -1487,7 +1447,8 @@ Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
       if (left == files.size()) continue;
       if (files[left]->smallest.user_key().compare(key) > 0) continue;
 
-      probe->runs_probed++;
+      probe->files_probed[slot]++;
+      if (slot > probe->deepest_slot) probe->deepest_slot = slot;
       std::shared_ptr<SstReader> reader =
           table_cache_->GetReader(files[left]->number);
       if (reader == nullptr) {
@@ -1495,21 +1456,17 @@ Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
       }
       SstReader::GetStats gs;
       bool decided = reader->Get(lkey, value, &s, &gs);
-      if (gs.filter_negative) probe->filter_negatives++;
-      if (gs.block_read) probe->block_reads++;
-      if (gs.cache_hit) probe->cache_hits++;
-      // Per-level attribution for the amp tracker. A probe whose filter
-      // passed but that did not decide the key is a Bloom false positive —
-      // exactly the per-lookup cost the model's R term prices.
-      probe->amp.files_probed[slot]++;
-      if (gs.filter_negative) probe->amp.filter_negatives[slot]++;
-      if (gs.block_read) probe->amp.block_reads[slot]++;
+      if (gs.filter_negative) probe->filter_negatives[slot]++;
+      if (gs.block_read) probe->block_reads[slot]++;
+      if (gs.cache_hit) probe->cache_hits[slot]++;
+      // A probe whose filter passed but that did not decide the key is a
+      // Bloom false positive — exactly the per-lookup cost the model's R
+      // term prices.
       if (!decided && !gs.filter_negative) {
-        probe->amp.bloom_false_positives[slot]++;
+        probe->bloom_false_positives[slot]++;
       }
-      if (slot > probe->amp.deepest_slot) probe->amp.deepest_slot = slot;
       if (decided) {
-        probe->amp.hit_level = static_cast<int>(level_idx);
+        probe->hit_level = static_cast<int>(level_idx);
         return s;
       }
     }
@@ -1568,6 +1525,17 @@ Status DB::Scan(const Slice& start, size_t count,
   return iter->status();
 }
 
+EngineStats DB::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  EngineStats copy = stats_;
+  copy.compactions = TotalCompactions();
+  return copy;
+}
+
+uint64_t DB::TotalCompactions() const {
+  return amp_.Snapshot().Total(&obs::AmpSnapshot::Level::compactions);
+}
+
 obs::GroupCommitStats DB::GetGroupCommitStats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return write_stats_.Snapshot();
@@ -1614,16 +1582,14 @@ obs::MetricSnapshot DB::SnapshotMetrics() const {
   s.shard_index = options_.shard_index;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    s.amp = amp_.Snapshot();
+    FillLiveSpaceLocked(&s.amp);
     s.stats = stats_;
+    s.stats.compactions = s.amp.Total(&obs::AmpSnapshot::Level::compactions);
     s.writes = write_stats_.Snapshot();
     s.gc_pending = gc_pending_.size();
     s.data_bytes = ApproximateDataBytesLocked();
     s.num_runs = current_->TotalRuns();
-    if (amp_ != nullptr) {
-      s.sections |= obs::kAmp;
-      s.amp = amp_->Snapshot();
-      FillLiveSpaceLocked(&s.amp);
-    }
   }
   s.bc_hits = block_cache_->hits();
   s.bc_misses = block_cache_->misses();
@@ -1642,10 +1608,8 @@ obs::MetricSnapshot DB::SnapshotMetrics() const {
 
 obs::MetricSnapshot DB::SampleMetrics() {
   obs::MetricSnapshot s = SnapshotMetrics();
-  if (amp_ != nullptr) {
-    s.sections |= obs::kDrift;
-    s.drift = EvaluateModelDrift();
-  }
+  s.sections |= obs::kDrift;
+  s.drift = EvaluateModelDrift();
   return s;
 }
 
@@ -1664,9 +1628,7 @@ void DB::FillLiveSpaceLocked(obs::AmpSnapshot* snap) const {
 }
 
 obs::AmpSnapshot DB::GetAmpSnapshot() const {
-  obs::AmpSnapshot snap;
-  if (amp_ == nullptr) return snap;
-  snap = amp_->Snapshot();
+  obs::AmpSnapshot snap = amp_.Snapshot();
   std::unique_lock<std::mutex> lock(mutex_);
   FillLiveSpaceLocked(&snap);
   return snap;
@@ -1707,9 +1669,7 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
 
   policy_ = std::move(next);
   options_.policy = resolved;
-  if (drift_ != nullptr) {
-    drift_->Reconfigure(MergeForDriftModel(resolved), resolved.size_ratio);
-  }
+  drift_.Reconfigure(MergeForDriftModel(resolved), resolved.size_ratio);
   ring_->Emit(obs::EventType::kPolicyChange,
               static_cast<uint16_t>(options_.shard_index),
               MergeForDriftModel(resolved) ==
@@ -1813,20 +1773,19 @@ tune::TuneDecision DB::RetuneNow() {
 }
 
 obs::DriftSample DB::EvaluateModelDrift() {
-  obs::DriftSample sample;
-  if (amp_ == nullptr || drift_ == nullptr) return sample;
-
-  const obs::AmpSnapshot window = amp_->WindowSnapshot();
+  const obs::AmpSnapshot window = amp_.WindowSnapshot();
   const WorkloadMixTracker::RawCounts window_ops =
       mix_tracker_.WindowRawCounts();
   uint64_t data_bytes = 0;
   uint64_t ops = 0;
   uint64_t payload = 0;
   {
+    // The payload is recorded under the mutex with the op counts, so the
+    // two agree.
     std::unique_lock<std::mutex> lock(mutex_);
     data_bytes = ApproximateDataBytesLocked();
     ops = stats_.puts + stats_.deletes;
-    payload = stats_.user_payload_written;
+    payload = amp_.Snapshot().user_payload_bytes;
   }
 
   obs::ModelDriftMonitor::Measured m;
@@ -1851,7 +1810,7 @@ obs::DriftSample DB::EvaluateModelDrift() {
   m.data_buffers = std::max<uint64_t>(
       1, data_bytes / std::max<uint64_t>(1, options_.write_buffer_size));
 
-  sample = drift_->Evaluate(m);
+  const obs::DriftSample sample = drift_.Evaluate(m);
 
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   ring_->Emit(obs::EventType::kAmpSample, shard,
@@ -1865,7 +1824,7 @@ obs::DriftSample DB::EvaluateModelDrift() {
 
   // The evaluated window is consumed; the next evaluation sees only newer
   // traffic.
-  amp_->AdvanceWindow();
+  amp_.AdvanceWindow();
   mix_tracker_.AdvanceWindow();
   return sample;
 }

@@ -76,33 +76,26 @@ namespace shard {
 class ShardedDB;
 }  // namespace shard
 
-/// Cumulative engine statistics (virtual-clock based where noted).
-/// Write-path fields are updated under the DB mutex; read-path fields are
-/// relaxed atomics because Get/Scan run without the mutex (DESIGN.md §2.7).
-/// Copying takes a field-wise snapshot.
+/// Cumulative engine statistics (virtual-clock based where noted): the
+/// operation, job and stall counts. The I/O the operations cause — bytes
+/// flushed and compacted, lookups and what they probed — is counted once,
+/// per level, by the amp tracker (DB::GetAmpSnapshot, DESIGN.md §6.6).
+/// Write-path fields are updated under the DB mutex; `scans` is a relaxed
+/// atomic because Scan runs without the mutex (DESIGN.md §2.7).
 struct EngineStats {
   // Write path.
   uint64_t puts = 0;
   uint64_t deletes = 0;
   uint64_t flushes = 0;
+  // Not counted here: DB::stats() fills it from the amp tracker's
+  // per-level compaction counts.
   uint64_t compactions = 0;
-  uint64_t flush_bytes_read = 0;  // Existing-SST bytes read by flush merges.
-  uint64_t flush_bytes_written = 0;
-  uint64_t compaction_bytes_read = 0;
-  uint64_t compaction_bytes_written = 0;
-  uint64_t user_payload_written = 0;  // Key+value bytes accepted from users.
   // Merge results discarded because a concurrent flush reshaped the plan's
   // inputs before install; the work was retried (DESIGN.md §2.8).
   uint64_t compaction_conflicts = 0;
 
   // Read path (mutex-free increments).
-  obs::RelaxedCounter gets;
-  obs::RelaxedCounter gets_found;
   obs::RelaxedCounter scans;
-  obs::RelaxedCounter runs_probed;
-  obs::RelaxedCounter filter_negatives;
-  obs::RelaxedCounter data_block_reads;
-  obs::RelaxedCounter block_cache_hits;
 
   // Obsolete SSTs physically deleted after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).
@@ -128,27 +121,6 @@ struct EngineStats {
   uint64_t stall_stops_memtable = 0;
   uint64_t stall_stops_l0 = 0;
   uint64_t max_imm_queue_depth = 0; // High-water immutable-memtable count.
-
-  // Per-output-level compaction accounting (index = output level).
-  struct LevelStats {
-    uint64_t compactions = 0;
-    uint64_t bytes_read = 0;
-    uint64_t bytes_written = 0;
-  };
-  std::vector<LevelStats> level_stats;
-
-  /// Physical bytes written per user payload byte.
-  double WriteAmplification() const {
-    if (user_payload_written == 0) return 0;
-    return static_cast<double>(flush_bytes_written +
-                               compaction_bytes_written) /
-           static_cast<double>(user_payload_written);
-  }
-  /// Mean sorted runs probed per point lookup.
-  double ReadAmplification() const {
-    if (gets == 0) return 0;
-    return static_cast<double>(runs_probed) / static_cast<double>(gets);
-  }
 };
 
 /// Read view pinned at a point in time. Obtained from DB::GetSnapshot();
@@ -206,8 +178,8 @@ class DB {
 
   /// Introspection: the talus.* properties declared in the metric catalog
   /// (obs::FindProperty, obs/metric_catalog.h). Returns false for unknown
-  /// names. talus.latency and talus.amp are empty when their stats are
-  /// off, talus.snapshots without a snapshotter.
+  /// names. talus.latency is empty when latency stats are off,
+  /// talus.snapshots without a snapshotter.
   bool GetProperty(const std::string& property, std::string* value);
 
   /// Collects up to `count` live entries with user key >= start, in order.
@@ -242,25 +214,24 @@ class DB {
   /// and the reference is valid only until the next flush or compaction
   /// installs a successor version.
   const Version& current_version() const { return *current_; }
-  /// Not synchronized: field reads may race background jobs in kBackground
-  /// mode; quiesce (FlushMemTable) before precise accounting.
-  const EngineStats& stats() const { return stats_; }
+  /// A copy taken under the mutex: safe to call while background jobs
+  /// run. Quiesce (FlushMemTable) first for counts that include every
+  /// accepted write.
+  EngineStats stats() const;
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
   obs::GroupCommitStats GetGroupCommitStats() const;
   /// Per-op latency recorder; null when enable_latency_stats is off.
   obs::LatencyRecorder* latency_recorder() { return latency_.get(); }
-  /// Per-level amplification tracker; null when enable_amp_stats is off.
-  obs::AmpTracker* amp_tracker() { return amp_.get(); }
-  /// Cumulative amp snapshot with live per-level space filled in from the
-  /// current version (takes the mutex briefly). All-zero when
-  /// enable_amp_stats is off. The sharding layer merges these per-shard
-  /// snapshots into fleet-wide talus.amp.
+  /// Cumulative per-level I/O counters (the amp tracker's snapshot) with
+  /// live per-level space filled in from the current version (takes the
+  /// mutex briefly). Subtract an earlier snapshot for a delta. The
+  /// sharding layer merges these per-shard snapshots into fleet-wide
+  /// talus.amp.
   obs::AmpSnapshot GetAmpSnapshot() const;
   /// Evaluates one drift window against the active policy's cost model:
   /// feeds the windowed workload mix and windowed amp measurements into
   /// the model, emits a kAmpSample event (and kModelDrift when drift
-  /// crosses the thresholds), then starts a new window. Returns a default
-  /// sample when enable_amp_stats is off.
+  /// crosses the thresholds), then starts a new window.
   obs::DriftSample EvaluateModelDrift();
   /// Time-series snapshotter; null unless stats_snapshot_interval_ms > 0.
   obs::StatsSnapshotter* stats_snapshotter() { return snapshotter_.get(); }
@@ -333,17 +304,6 @@ class DB {
     uint64_t wal_number = 0;
   };
 
-  /// Per-call read-path counters, folded into stats_ under one brief lock.
-  struct ReadProbeStats {
-    uint64_t runs_probed = 0;
-    uint64_t filter_negatives = 0;
-    uint64_t block_reads = 0;
-    uint64_t cache_hits = 0;
-    // Per-level attribution for the amp tracker (filled only when amp
-    // accounting is on; folded once per Get).
-    obs::LookupProbe amp;
-  };
-
   // ---- Group-commit write pipeline (DESIGN.md §2.9) ----
   /// Shared body of Put/Delete/Write: joins the writer queue, and — when
   /// this call wins leadership — commits a whole batch group: one short
@@ -365,6 +325,8 @@ class DB {
   Status SwitchMemTableLocked();
   SequenceNumber SmallestLiveSnapshotLocked() const;
   uint64_t ApproximateDataBytesLocked() const;
+  /// Compactions installed so far, summed over the amp tracker's levels.
+  uint64_t TotalCompactions() const;
 
   // ---- Read path (mutex-free after the view pin; DESIGN.md §2.7) ----
   std::shared_ptr<const read::ReadView> AcquireReadViewLocked();
@@ -374,7 +336,7 @@ class DB {
   /// shared_ptr deleter target: returns the view's pins and runs GC.
   void ReleaseReadView(const read::ReadView* view);
   Status GetFromView(const read::ReadView& view, const LookupKey& lkey,
-                     std::string* value, ReadProbeStats* probe);
+                     std::string* value, obs::LookupProbe* probe);
   std::unique_ptr<Iterator> NewPinnedIterator(
       std::shared_ptr<const read::ReadView> view);
 
@@ -539,12 +501,11 @@ class DB {
   // has its own lock.
   std::unique_ptr<obs::EventRing> owned_ring_;
   obs::EventRing* ring_ = nullptr;
-  // Null when enable_amp_stats is off (the read path then skips the probe
-  // fold, mirroring latency_'s null fast path). Write-side hooks run under
-  // mutex_; the tracker itself is lock-free.
-  std::unique_ptr<obs::AmpTracker> amp_;
-  // Null when amp stats are off (drift needs measured amplification).
-  std::unique_ptr<obs::ModelDriftMonitor> drift_;
+  // The only store of the engine's I/O counters. Write-side hooks run
+  // under mutex_; the tracker itself is lock-free.
+  obs::AmpTracker amp_;
+  // Prices the amp tracker's windows against the active policy's model.
+  obs::ModelDriftMonitor drift_;
   // Null unless stats_snapshot_interval_ms > 0. Its samples read engine
   // state and may run on the shared pool, so ~DB stops it right after the
   // ticker, before anything else is torn down.

@@ -139,8 +139,6 @@ struct DbOptions {
   /// metric. When off the DB allocates no recorder and the hot paths skip
   /// the clock reads entirely.
   bool enable_latency_stats = true;
-  /// Capacity of the in-memory event ring behind talus.events.
-  size_t event_ring_size = 1024;
   /// When non-empty, every engine event is appended to this file as one
   /// JSON object per line (the talus.events taxonomy) for postmortem stall
   /// reconstruction; Open fails with IOError if it cannot be created.
@@ -149,23 +147,8 @@ struct DbOptions {
   std::string trace_file_path;
   /// Borrowed shared event ring (ShardedDB passes its own to every shard so
   /// cross-shard events land in one ordered stream). Null = the DB owns a
-  /// private ring of event_ring_size.
+  /// private ring of obs::EventRing::kDefaultCapacity events.
   obs::EventRing* event_ring = nullptr;
-  /// Per-level amplification accounting (talus.amp, talus.model, the
-  /// talus_amp_* Prometheus families) via the lock-free obs::AmpTracker.
-  /// On by default: write-side hooks ride rare flush/compaction installs
-  /// and the read-side probe fold costs one striped-atomic pass per Get
-  /// (measured in DESIGN.md §6.9). When off the DB allocates no tracker
-  /// and both properties return empty.
-  bool enable_amp_stats = true;
-  /// A talus.model evaluation flags drift (and emits kModelDrift) when the
-  /// measured/predicted per-op cost ratio exceeds this factor in either
-  /// direction.
-  double model_drift_threshold = 4.0;
-  /// ... or when the windowed workload mix moves more than this L1/2
-  /// distance from the previous window (a workload flip the cost model's
-  /// design inputs no longer reflect).
-  double model_mix_shift_threshold = 0.35;
   /// When > 0, an obs::StatsSnapshotter samples amp, latency and drift
   /// stats every this many milliseconds into a bounded in-memory ring
   /// (talus.snapshots) and, when stats_snapshot_path is set, an
@@ -174,8 +157,6 @@ struct DbOptions {
   /// the background pool. ShardedDB runs one fleet-level snapshotter on
   /// its own ticker instead of per-shard ones.
   uint64_t stats_snapshot_interval_ms = 0;
-  /// Samples retained in the snapshotter's in-memory ring.
-  size_t stats_snapshot_ring = 240;
   /// Snapshotter JSONL output file ("" = in-memory ring only); Open fails
   /// with IOError if it cannot be created.
   std::string stats_snapshot_path;
@@ -183,12 +164,12 @@ struct DbOptions {
   // ---- Adaptive tuning (src/tune/, DESIGN.md §9) ----
   /// Close the paper's sense→act loop: a tune::AdaptiveTuner periodically
   /// re-solves the vertical cost model against the windowed measured mix
-  /// and amplification, and — when the predicted win exceeds
-  /// tune_hysteresis — switches the growth policy or retunes its size
-  /// ratio at runtime via DB::ApplyPolicyConfig, emitting kPolicyChange.
-  /// Requires enable_amp_stats (the tuner feeds on the measured windows)
-  /// and a vertical-scheme policy (the family the cost model solves and
-  /// the only shapes with a cheap live-migration path); ignored otherwise.
+  /// and amplification, and — when the predicted win exceeds the tuner's
+  /// hysteresis band (tune::TunerConfig) — switches the growth policy or
+  /// retunes its size ratio at runtime via DB::ApplyPolicyConfig, emitting
+  /// kPolicyChange. Requires a vertical-scheme policy (the family the cost
+  /// model solves and the only shapes with a cheap live-migration path);
+  /// ignored otherwise.
   /// A tuned store persists its current policy config in the manifest and
   /// re-resolves it on reopen, so a store reopened with adaptive_tuning
   /// keeps its tuned design rather than failing the policy-name check.
@@ -199,16 +180,9 @@ struct DbOptions {
   /// (ShardedDB::TuneNow). 0 = no tune task: decisions happen only via
   /// explicit DB::RetuneNow() calls (tests drive this directly).
   uint64_t tune_interval_ms = 1000;
-  /// Minimum predicted fractional cost win (model ζ ratio − 1) before the
-  /// tuner switches designs — the band that prevents flapping when two
-  /// designs are near-equal at the decision boundary.
-  double tune_hysteresis = 0.35;
   /// Drift windows with fewer operations than this are skipped by the
   /// tuner: a thin window's mix estimate is noise, not workload.
   uint64_t tune_min_window_ops = 256;
-  /// Decision ticks the tuner holds after a switch, letting the windowed
-  /// measurements refill under the new shape before re-deciding.
-  int tune_cooldown_ticks = 2;
 
   // CPU epsilons for the virtual clock (see env/io_stats.h).
   double cpu_cost_per_write = 0.02;

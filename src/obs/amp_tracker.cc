@@ -12,6 +12,22 @@ namespace {
 
 uint64_t SatSub(uint64_t a, uint64_t b) { return a >= b ? a - b : 0; }
 
+// The per-level counters. The live_* space fields are not among them:
+// "live bytes now" is already a window quantity.
+constexpr uint64_t AmpSnapshot::Level::*kLevelCounters[] = {
+    &AmpSnapshot::Level::flush_bytes_written,
+    &AmpSnapshot::Level::flush_bytes_read,
+    &AmpSnapshot::Level::compaction_bytes_written,
+    &AmpSnapshot::Level::compaction_bytes_read,
+    &AmpSnapshot::Level::compactions,
+    &AmpSnapshot::Level::files_probed,
+    &AmpSnapshot::Level::filter_negatives,
+    &AmpSnapshot::Level::bloom_false_positives,
+    &AmpSnapshot::Level::block_reads,
+    &AmpSnapshot::Level::cache_hits,
+    &AmpSnapshot::Level::hits,
+};
+
 }  // namespace
 
 uint64_t AmpSnapshot::Total(uint64_t Level::*field) const {
@@ -57,14 +73,7 @@ void AmpSnapshot::Add(const AmpSnapshot& other) {
   for (int i = 0; i < kAmpMaxLevels; i++) {
     Level& l = levels[i];
     const Level& o = other.levels[i];
-    l.flush_bytes_written += o.flush_bytes_written;
-    l.compaction_bytes_written += o.compaction_bytes_written;
-    l.compaction_bytes_read += o.compaction_bytes_read;
-    l.files_probed += o.files_probed;
-    l.filter_negatives += o.filter_negatives;
-    l.bloom_false_positives += o.bloom_false_positives;
-    l.block_reads += o.block_reads;
-    l.hits += o.hits;
+    for (uint64_t Level::*field : kLevelCounters) l.*field += o.*field;
     l.live_sst_bytes += o.live_sst_bytes;
     l.live_payload_bytes += o.live_payload_bytes;
   }
@@ -77,20 +86,9 @@ void AmpSnapshot::Add(const AmpSnapshot& other) {
 
 void AmpSnapshot::Subtract(const AmpSnapshot& base) {
   for (int i = 0; i < kAmpMaxLevels; i++) {
-    Level& l = levels[i];
-    const Level& b = base.levels[i];
-    l.flush_bytes_written = SatSub(l.flush_bytes_written, b.flush_bytes_written);
-    l.compaction_bytes_written =
-        SatSub(l.compaction_bytes_written, b.compaction_bytes_written);
-    l.compaction_bytes_read =
-        SatSub(l.compaction_bytes_read, b.compaction_bytes_read);
-    l.files_probed = SatSub(l.files_probed, b.files_probed);
-    l.filter_negatives = SatSub(l.filter_negatives, b.filter_negatives);
-    l.bloom_false_positives =
-        SatSub(l.bloom_false_positives, b.bloom_false_positives);
-    l.block_reads = SatSub(l.block_reads, b.block_reads);
-    l.hits = SatSub(l.hits, b.hits);
-    // live_* stay: "live bytes now" is already the window value.
+    for (uint64_t Level::*field : kLevelCounters) {
+      levels[i].*field = SatSub(levels[i].*field, base.levels[i].*field);
+    }
   }
   lookups = SatSub(lookups, base.lookups);
   memtable_hits = SatSub(memtable_hits, base.memtable_hits);
@@ -127,25 +125,22 @@ std::string AmpSnapshot::ToString() const {
   return out;
 }
 
-AmpTracker::AmpTracker() {
-  for (int s = 0; s < kStripes; s++) {
-    ReadCell& c = cells_[s];
-    for (int i = 0; i < kAmpMaxLevels; i++) {
-      c.files_probed[i].store(0, std::memory_order_relaxed);
-      c.filter_negatives[i].store(0, std::memory_order_relaxed);
-      c.bloom_false_positives[i].store(0, std::memory_order_relaxed);
-      c.block_reads[i].store(0, std::memory_order_relaxed);
-      c.hits[i].store(0, std::memory_order_relaxed);
-    }
-    c.lookups.store(0, std::memory_order_relaxed);
-    c.memtable_hits.store(0, std::memory_order_relaxed);
-    c.misses.store(0, std::memory_order_relaxed);
+std::string AmpSnapshot::CompactionsToString() const {
+  int rows = 0;
+  for (int i = 0; i < num_levels; i++) {
+    if (levels[i].compactions > 0) rows = i + 1;
   }
-  for (int i = 0; i < kAmpMaxLevels; i++) {
-    flush_bytes_[i].store(0, std::memory_order_relaxed);
-    compaction_bytes_written_[i].store(0, std::memory_order_relaxed);
-    compaction_bytes_read_[i].store(0, std::memory_order_relaxed);
+  std::string out = "level compactions bytes_read bytes_written\n";
+  char buf[128];
+  for (int i = 0; i < rows; i++) {
+    const Level& l = levels[i];
+    std::snprintf(buf, sizeof(buf),
+                  "L%d %" PRIu64 " %" PRIu64 " %" PRIu64 "\n", i,
+                  l.compactions, l.compaction_bytes_read,
+                  l.compaction_bytes_written);
+    out += buf;
   }
+  return out;
 }
 
 int AmpTracker::StripeForThisThread() {
@@ -163,19 +158,22 @@ void AmpTracker::NoteSlot(int slot) {
   }
 }
 
-void AmpTracker::RecordFlushWrite(int level, uint64_t bytes) {
+void AmpTracker::RecordFlush(int level, uint64_t bytes_read,
+                             uint64_t bytes_written) {
   int slot = AmpSlot(level);
-  flush_bytes_[slot].fetch_add(bytes, std::memory_order_relaxed);
+  flush_bytes_read_[slot].fetch_add(bytes_read, std::memory_order_relaxed);
+  flush_bytes_[slot].fetch_add(bytes_written, std::memory_order_relaxed);
   NoteSlot(slot);
 }
 
-void AmpTracker::RecordCompactionWrite(int level, uint64_t bytes_read,
-                                       uint64_t bytes_written) {
+void AmpTracker::RecordCompaction(int level, uint64_t bytes_read,
+                                  uint64_t bytes_written) {
   int slot = AmpSlot(level);
   compaction_bytes_read_[slot].fetch_add(bytes_read,
                                          std::memory_order_relaxed);
   compaction_bytes_written_[slot].fetch_add(bytes_written,
                                             std::memory_order_relaxed);
+  compactions_[slot].fetch_add(1, std::memory_order_relaxed);
   NoteSlot(slot);
 }
 
@@ -202,6 +200,10 @@ void AmpTracker::RecordLookup(const LookupProbe& probe) {
       c.block_reads[i].fetch_add(probe.block_reads[i],
                                  std::memory_order_relaxed);
     }
+    if (probe.cache_hits[i] != 0) {
+      c.cache_hits[i].fetch_add(probe.cache_hits[i],
+                                std::memory_order_relaxed);
+    }
   }
   c.lookups.fetch_add(1, std::memory_order_relaxed);
   if (probe.hit_level == LookupProbe::kHitMemtable) {
@@ -221,10 +223,12 @@ AmpSnapshot AmpTracker::Snapshot() const {
   for (int i = 0; i < kAmpMaxLevels; i++) {
     AmpSnapshot::Level& l = snap.levels[i];
     l.flush_bytes_written = flush_bytes_[i].load(std::memory_order_relaxed);
+    l.flush_bytes_read = flush_bytes_read_[i].load(std::memory_order_relaxed);
     l.compaction_bytes_written =
         compaction_bytes_written_[i].load(std::memory_order_relaxed);
     l.compaction_bytes_read =
         compaction_bytes_read_[i].load(std::memory_order_relaxed);
+    l.compactions = compactions_[i].load(std::memory_order_relaxed);
   }
   for (int s = 0; s < kStripes; s++) {
     const ReadCell& c = cells_[s];
@@ -236,6 +240,7 @@ AmpSnapshot AmpTracker::Snapshot() const {
       l.bloom_false_positives +=
           c.bloom_false_positives[i].load(std::memory_order_relaxed);
       l.block_reads += c.block_reads[i].load(std::memory_order_relaxed);
+      l.cache_hits += c.cache_hits[i].load(std::memory_order_relaxed);
       l.hits += c.hits[i].load(std::memory_order_relaxed);
     }
     snap.lookups += c.lookups.load(std::memory_order_relaxed);

@@ -1,14 +1,17 @@
 #ifndef TALUS_OBS_AMP_TRACKER_H_
 #define TALUS_OBS_AMP_TRACKER_H_
 
-// Per-level amplification accounting: the measured counterpart of the
-// cost models in src/tuning/.  The write side counts bytes written per
-// level split flush-vs-compaction; the read side attributes every lookup
-// probe (files touched, bloom negatives and false positives, data blocks
-// fetched, the level that decided the key) to its level without taking a
-// lock on the read path.  Snapshots are linearizable enough for
-// monitoring: each counter is read atomically, cross-counter skew is
-// bounded by in-flight operations.
+// Per-level I/O accounting: the measured counterpart of the cost models in
+// src/tuning/, and the engine's only store of its I/O counters (DESIGN.md
+// §6.6). The write side counts the bytes each flush and compaction reads
+// and writes, and the compactions, per level; the read side attributes
+// every lookup probe (files touched, filter negatives and Bloom false
+// positives, data blocks fetched and cache hits, the level that decided
+// the key) to its level without taking a lock on the read path. Every
+// flat I/O total the engine reports (in talus.stats, talus.cstats and the
+// talus_*_total families) is a sum over these rows. Snapshots are
+// linearizable enough for monitoring: each counter is read atomically,
+// cross-counter skew is bounded by in-flight operations.
 //
 // Write-side events (flush/compaction install, committed batches) are
 // rare, so they use plain relaxed atomics.  Read-side folding happens
@@ -41,13 +44,18 @@ struct AmpSnapshot {
   struct Level {
     // Write side.
     uint64_t flush_bytes_written = 0;
-    uint64_t compaction_bytes_written = 0;
+    // Entry bytes a flush merged: the memtable's and those of a run it
+    // merges into.
+    uint64_t flush_bytes_read = 0;
+    uint64_t compaction_bytes_written = 0;  // Index = output level.
     uint64_t compaction_bytes_read = 0;
+    uint64_t compactions = 0;
     // Read side.
     uint64_t files_probed = 0;
     uint64_t filter_negatives = 0;
     uint64_t bloom_false_positives = 0;
     uint64_t block_reads = 0;
+    uint64_t cache_hits = 0;  // Data blocks the block cache served.
     uint64_t hits = 0;
     // Space (live Version at snapshot time; not windowed/merged-cumulative
     // semantics — Subtract leaves them at the "now" value).
@@ -87,10 +95,14 @@ struct AmpSnapshot {
   // The talus.amp text format: a summary line, then one line per level.
   // All byte counts are exact integers so tests can assert ground truth.
   std::string ToString() const;
+  // The talus.cstats text: compactions and their bytes per output level,
+  // through the deepest level any compaction wrote.
+  std::string CompactionsToString() const;
 };
 
 /// Per-lookup probe attribution, filled on the caller's stack by the
-/// read path and folded into the tracker once per Get.
+/// read path and folded into the tracker once per Get: the only record a
+/// lookup leaves in the engine's counters.
 struct LookupProbe {
   static constexpr int kHitMemtable = -1;
   static constexpr int kMiss = -2;
@@ -99,22 +111,24 @@ struct LookupProbe {
   uint16_t filter_negatives[kAmpMaxLevels] = {};
   uint16_t bloom_false_positives[kAmpMaxLevels] = {};
   uint16_t block_reads[kAmpMaxLevels] = {};
+  uint16_t cache_hits[kAmpMaxLevels] = {};
   int deepest_slot = -1;             // deepest slot with any activity
   int hit_level = kMiss;             // kHitMemtable, kMiss, or level index
 };
 
 class AmpTracker {
  public:
-  AmpTracker();
+  AmpTracker() = default;
 
   AmpTracker(const AmpTracker&) = delete;
   AmpTracker& operator=(const AmpTracker&) = delete;
 
-  // ---- Write side (rare; called with the DB mutex held or from the
-  // commit pipeline — plain relaxed atomics). ----
-  void RecordFlushWrite(int level, uint64_t bytes);
-  void RecordCompactionWrite(int level, uint64_t bytes_read,
-                             uint64_t bytes_written);
+  // ---- Write side (rare; called with the DB mutex held — plain relaxed
+  // atomics). ----
+  void RecordFlush(int level, uint64_t bytes_read, uint64_t bytes_written);
+  // One compaction installed at output `level`.
+  void RecordCompaction(int level, uint64_t bytes_read,
+                        uint64_t bytes_written);
   void RecordUserPayload(uint64_t bytes);
 
   // ---- Read side (hot; mutex-free, striped by thread). ----
@@ -137,6 +151,7 @@ class AmpTracker {
     std::atomic<uint64_t> filter_negatives[kAmpMaxLevels];
     std::atomic<uint64_t> bloom_false_positives[kAmpMaxLevels];
     std::atomic<uint64_t> block_reads[kAmpMaxLevels];
+    std::atomic<uint64_t> cache_hits[kAmpMaxLevels];
     std::atomic<uint64_t> hits[kAmpMaxLevels];
     std::atomic<uint64_t> lookups;
     std::atomic<uint64_t> memtable_hits;
@@ -145,11 +160,14 @@ class AmpTracker {
 
   static int StripeForThisThread();
 
-  ReadCell cells_[kStripes];
+  // Every counter is value-initialized, so it starts at zero.
+  ReadCell cells_[kStripes]{};
 
-  std::atomic<uint64_t> flush_bytes_[kAmpMaxLevels];
-  std::atomic<uint64_t> compaction_bytes_written_[kAmpMaxLevels];
-  std::atomic<uint64_t> compaction_bytes_read_[kAmpMaxLevels];
+  std::atomic<uint64_t> flush_bytes_[kAmpMaxLevels]{};
+  std::atomic<uint64_t> flush_bytes_read_[kAmpMaxLevels]{};
+  std::atomic<uint64_t> compaction_bytes_written_[kAmpMaxLevels]{};
+  std::atomic<uint64_t> compaction_bytes_read_[kAmpMaxLevels]{};
+  std::atomic<uint64_t> compactions_[kAmpMaxLevels]{};
   std::atomic<uint64_t> user_payload_bytes_{0};
   std::atomic<int> max_slot_{-1};
 

@@ -56,6 +56,9 @@ struct Event {
 
 class EventRing {
  public:
+  /// The capacity of every ring an engine or a sharded store owns.
+  static constexpr size_t kDefaultCapacity = 1024;
+
   explicit EventRing(size_t capacity);
   ~EventRing();
   EventRing(const EventRing&) = delete;

@@ -46,33 +46,37 @@ const std::vector<MetricDef> kCatalog = {
     {"talus_deletes_total", "deletes", nullptr, kCounter, kSum, "ops",
      "Deletes applied, batch entries included.", FROM(s.stats.deletes)},
     {"talus_gets_total", "gets", nullptr, kCounter, kSum, "ops",
-     "Point lookups.", FROM(s.stats.gets)},
+     "Point lookups.", FROM(s.amp.lookups)},
     {"talus_scans_total", "scans", nullptr, kCounter, kSum, "ops", "Scans.",
      FROM(s.stats.scans)},
     {"talus_flushes_total", "flushes", nullptr, kCounter, kSum, "jobs",
      "Memtable flushes.", FROM(s.stats.flushes)},
     {"talus_compactions_total", "compactions", nullptr, kCounter, kSum,
-     "jobs", "Compactions.", FROM(s.stats.compactions)},
+     "jobs", "Compactions.", FROM(s.amp.Total(&Level::compactions))},
     {nullptr, "write_amp", nullptr, kGauge, kRatio, "ratio",
      "Flush and compaction bytes written per user payload byte.",
-     RATIO(s.stats.flush_bytes_written + s.stats.compaction_bytes_written,
-           s.stats.user_payload_written),
+     RATIO(s.amp.TotalBytesFlushed() + s.amp.TotalBytesCompacted(),
+           s.amp.user_payload_bytes),
      kEngine, Dim::kOne, 3},
     {nullptr, "read_amp", nullptr, kGauge, kRatio, "ratio",
      "Sorted runs probed per point lookup.",
-     RATIO(s.stats.runs_probed, s.stats.gets), kEngine, Dim::kOne, 3},
+     RATIO(s.amp.Total(&Level::files_probed), s.amp.lookups), kEngine,
+     Dim::kOne, 3},
     {nullptr, "flush_read", nullptr, kCounter, kSum, "bytes",
-     "SST bytes flush merges read.", FROM(s.stats.flush_bytes_read)},
+     "Entry bytes flush merges read: the memtable's and a merged run's.",
+     FROM(s.amp.Total(&Level::flush_bytes_read))},
     {nullptr, "comp_read", nullptr, kCounter, kSum, "bytes",
-     "SST bytes compactions read.", FROM(s.stats.compaction_bytes_read)},
+     "Entry bytes compactions read.",
+     FROM(s.amp.Total(&Level::compaction_bytes_read))},
     {"talus_compaction_conflicts_total", "conflicts", nullptr, kCounter, kSum,
      "jobs", "Merges redone because a flush reshaped their inputs.",
      FROM(s.stats.compaction_conflicts)},
     {nullptr, "filter_negatives", nullptr, kCounter, kSum, "probes",
-     "Run probes a filter answered negative.", FROM(s.stats.filter_negatives)},
+     "Run probes a filter answered negative.",
+     FROM(s.amp.Total(&Level::filter_negatives))},
     {nullptr, "cache_hits", nullptr, kCounter, kSum, "blocks",
      "Lookup data blocks the block cache served.",
-     FROM(s.stats.block_cache_hits)},
+     FROM(s.amp.Total(&Level::cache_hits))},
     {nullptr, "max_stall", nullptr, kGauge, kMax, "clock",
      "Longest inline maintenance stall, virtual clock.",
      FROM(s.stats.max_stall_clock), kEngine, Dim::kOne, 1},
@@ -156,10 +160,10 @@ const std::vector<MetricDef> kCatalog = {
 
     // ---- Engine, Prometheus and JSONL only ----
     {"talus_flush_bytes_written_total", nullptr, nullptr, kCounter, kSum,
-     "bytes", "SST bytes flushes wrote.", FROM(s.stats.flush_bytes_written)},
+     "bytes", "SST bytes flushes wrote.", FROM(s.amp.TotalBytesFlushed())},
     {"talus_compaction_bytes_written_total", nullptr, nullptr, kCounter, kSum,
      "bytes", "SST bytes compactions wrote.",
-     FROM(s.stats.compaction_bytes_written)},
+     FROM(s.amp.TotalBytesCompacted())},
     // Shards share one event ring, so each snapshot holds the fleet total.
     {"talus_events_total", nullptr, nullptr, kCounter, kMax, "events",
      "Events emitted into the event ring.", FROM(s.events_total)},
@@ -176,60 +180,60 @@ const std::vector<MetricDef> kCatalog = {
 
     // ---- Amplification (DESIGN.md §6.6) ----
     {"talus_amp_bytes_written_total{source=\"flush\"}", nullptr, nullptr,
-     kCounter, kSum, "bytes", kWrittenHelp, LEVEL(flush_bytes_written), kAmp,
+     kCounter, kSum, "bytes", kWrittenHelp, LEVEL(flush_bytes_written), kEngine,
      Dim::kLevel},
     {"talus_amp_bytes_written_total{source=\"compaction\"}", nullptr, nullptr,
      kCounter, kSum, "bytes", kWrittenHelp, LEVEL(compaction_bytes_written),
-     kAmp, Dim::kLevel},
+     kEngine, Dim::kLevel},
     {"talus_amp_compaction_bytes_read_total", nullptr, nullptr, kCounter,
      kSum, "bytes", "Bytes compactions read, per level.",
-     LEVEL(compaction_bytes_read), kAmp, Dim::kLevel},
+     LEVEL(compaction_bytes_read), kEngine, Dim::kLevel},
     {"talus_amp_files_probed_total", nullptr, nullptr, kCounter, kSum,
      "files", "Point-lookup file probes, per level.", LEVEL(files_probed),
-     kAmp, Dim::kLevel},
+     kEngine, Dim::kLevel},
     {"talus_amp_filter_negatives_total", nullptr, nullptr, kCounter, kSum,
      "probes", "Probes a filter answered negative, per level.",
-     LEVEL(filter_negatives), kAmp, Dim::kLevel},
+     LEVEL(filter_negatives), kEngine, Dim::kLevel},
     {"talus_amp_bloom_fp_total", nullptr, nullptr, kCounter, kSum, "probes",
      "Probes whose Bloom filter passed but held no result.",
-     LEVEL(bloom_false_positives), kAmp, Dim::kLevel},
+     LEVEL(bloom_false_positives), kEngine, Dim::kLevel},
     {"talus_amp_block_reads_total", nullptr, nullptr, kCounter, kSum,
      "blocks", "Data blocks point lookups fetched, per level.",
-     LEVEL(block_reads), kAmp, Dim::kLevel},
+     LEVEL(block_reads), kEngine, Dim::kLevel},
     {"talus_amp_hits_total", nullptr, nullptr, kCounter, kSum, "lookups",
-     "Lookups decided per level (memtable hits apart).", LEVEL(hits), kAmp,
+     "Lookups decided per level (memtable hits apart).", LEVEL(hits), kEngine,
      Dim::kLevel},
     {"talus_amp_live_bytes{kind=\"sst\"}", nullptr, nullptr, kGauge, kSum,
-     "bytes", kLiveHelp, LEVEL(live_sst_bytes), kAmp, Dim::kLevel},
+     "bytes", kLiveHelp, LEVEL(live_sst_bytes), kEngine, Dim::kLevel},
     {"talus_amp_live_bytes{kind=\"payload\"}", nullptr, nullptr, kGauge, kSum,
-     "bytes", kLiveHelp, LEVEL(live_payload_bytes), kAmp, Dim::kLevel},
+     "bytes", kLiveHelp, LEVEL(live_payload_bytes), kEngine, Dim::kLevel},
     {"talus_amp_lookups_total", nullptr, "lookups", kCounter, kSum, "lookups",
-     "Point lookups.", FROM(s.amp.lookups), kAmp},
+     "Point lookups.", FROM(s.amp.lookups)},
     {"talus_amp_memtable_hits_total", nullptr, nullptr, kCounter, kSum,
      "lookups", "Point lookups a memtable answered.",
-     FROM(s.amp.memtable_hits), kAmp},
+     FROM(s.amp.memtable_hits)},
     {"talus_amp_misses_total", nullptr, nullptr, kCounter, kSum, "lookups",
-     "Point lookups that found nothing.", FROM(s.amp.misses), kAmp},
+     "Point lookups that found nothing.", FROM(s.amp.misses)},
     {"talus_amp_user_payload_bytes_total", nullptr, "user_payload", kCounter,
      kSum, "bytes", "User key+value bytes committed.",
-     FROM(s.amp.user_payload_bytes), kAmp},
+     FROM(s.amp.user_payload_bytes)},
     {"talus_write_amp", nullptr, "write_amp", kGauge, kRatio, "ratio",
      "Physical bytes written per user payload byte.",
      RATIO(s.amp.TotalBytesFlushed() + s.amp.TotalBytesCompacted(),
            s.amp.user_payload_bytes),
-     kAmp, Dim::kOne, 4},
+     kEngine, Dim::kOne, 4},
     {"talus_read_amp", nullptr, "read_amp", kGauge, kRatio, "ratio",
      "Files probed per point lookup.",
-     RATIO(s.amp.Total(&Level::files_probed), s.amp.lookups), kAmp,
+     RATIO(s.amp.Total(&Level::files_probed), s.amp.lookups), kEngine,
      Dim::kOne, 4},
     {"talus_space_amp", nullptr, "space_amp", kGauge, kRatio, "ratio",
      "Live SST bytes per live payload byte (1 when empty).",
      RATIO(s.amp.Total(&Level::live_sst_bytes),
            s.amp.Total(&Level::live_payload_bytes)),
-     kAmp, Dim::kOne, 4, 1},
+     kEngine, Dim::kOne, 4, 1},
     {"talus_blocks_per_lookup", nullptr, "blocks_per_lookup", kGauge, kRatio,
      "blocks", "Data blocks fetched per point lookup (the model's R).",
-     RATIO(s.amp.Total(&Level::block_reads), s.amp.lookups), kAmp, Dim::kOne,
+     RATIO(s.amp.Total(&Level::block_reads), s.amp.lookups), kEngine, Dim::kOne,
      4},
 
     // ---- Cost-model drift (DESIGN.md §6.7), JSONL samples only ----

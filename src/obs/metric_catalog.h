@@ -34,12 +34,11 @@ namespace obs {
 /// The parts a snapshot carries. A metric renders only when some snapshot
 /// carries its section, and merges over exactly those snapshots.
 enum MetricSection : unsigned {
-  kEngine = 1,   // Engine counters, caches, GC, latency.
+  kEngine = 1,   // Engine counters and per-level I/O, caches, GC, latency.
   kWrite = 2,    // Group commit (its own block of talus.stats).
-  kAmp = 4,      // DbOptions::enable_amp_stats.
-  kTune = 8,     // DbOptions::adaptive_tuning.
-  kDrift = 16,   // One drift evaluation (JSONL samples only).
-  kServer = 32,  // A server's talus_server_* counters.
+  kTune = 4,     // DbOptions::adaptive_tuning.
+  kDrift = 8,    // One drift evaluation (JSONL samples only).
+  kServer = 16,  // A server's talus_server_* counters.
 };
 
 /// One engine's (or one server's) observable state at one instant.

@@ -58,7 +58,7 @@ Status ShardedDB::Open(const DbOptions& options,
     db->ring_ = options.event_ring;
   } else {
     db->owned_ring_ =
-        std::make_unique<obs::EventRing>(options.event_ring_size);
+        std::make_unique<obs::EventRing>(obs::EventRing::kDefaultCapacity);
     db->ring_ = db->owned_ring_.get();
     if (!options.trace_file_path.empty() &&
         !db->ring_->OpenTraceFile(options.trace_file_path)) {
@@ -152,7 +152,6 @@ Status ShardedDB::Open(const DbOptions& options,
   ShardedDB* raw = db.get();
   if (options.stats_snapshot_interval_ms > 0) {
     obs::StatsSnapshotter::Options snap_opts;
-    snap_opts.ring_capacity = options.stats_snapshot_ring;
     snap_opts.jsonl_path = options.stats_snapshot_path;
     s = obs::StatsSnapshotter::Open(
         db->pool_.get(), snap_opts,

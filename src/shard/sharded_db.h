@@ -113,8 +113,7 @@ class ShardedDB {
   /// (server::Server::MetricsText, DESIGN.md §8; docs/OPERATIONS.md).
   std::string DumpPrometheus() const;
   /// Fleet-wide amplification accounting: field-wise sum of every shard's
-  /// cumulative DB::GetAmpSnapshot() (live-space fields included). All
-  /// zeros when DbOptions::enable_amp_stats is off.
+  /// cumulative DB::GetAmpSnapshot() (live-space fields included).
   obs::AmpSnapshot AggregatedAmpSnapshot() const;
   /// The fleet-level stats snapshotter behind "talus.snapshots" (null
   /// unless stats_snapshot_interval_ms > 0). One snapshotter samples the

@@ -160,15 +160,14 @@ TEST(EngineMatchesModel, HorizontalTieringRunCounts) {
   }
   // Probe random present-or-absent keys; each lookup probes at most one file
   // per run whose range covers the key, i.e. ≈ #runs for dense key spaces.
-  const uint64_t probes_before = db->stats().runs_probed;
-  const uint64_t gets_before = db->stats().gets;
+  const obs::AmpSnapshot before = db->GetAmpSnapshot();
   for (int i = 0; i < 2000; i++) {
     std::string value;
     db->Get(workload::FormatKey(rnd.Uniform(100000), 16), &value);
   }
-  const double observed =
-      static_cast<double>(db->stats().runs_probed - probes_before) /
-      static_cast<double>(db->stats().gets - gets_before);
+  obs::AmpSnapshot delta = db->GetAmpSnapshot();
+  delta.Subtract(before);
+  const double observed = delta.ReadAmp();
   const double structural = static_cast<double>(db->current_version().TotalRuns());
   // Observed probes per lookup can be below the run count (sparse coverage)
   // but never above it.

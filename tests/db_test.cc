@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/random.h"
 #include "workload/generator.h"
@@ -246,12 +249,13 @@ TEST(Db, StatsAccumulate) {
   }
   const EngineStats& stats = db->stats();
   EXPECT_EQ(stats.puts, 2000u);
-  EXPECT_EQ(stats.gets, 100u);
-  EXPECT_EQ(stats.gets_found, 100u);
   EXPECT_GT(stats.flushes, 0u);
   EXPECT_GT(stats.compactions, 0u);
-  EXPECT_GT(stats.WriteAmplification(), 1.0);
-  EXPECT_GT(stats.ReadAmplification(), 0.0);
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_EQ(amp.lookups, 100u);
+  EXPECT_EQ(amp.lookups - amp.misses, 100u);  // No deletes: every hit found.
+  EXPECT_GT(amp.WriteAmp(), 1.0);
+  EXPECT_GT(amp.ReadAmp(), 0.0);
   EXPECT_GT(env->io_stats()->peak_storage_bytes(), 0u);
 }
 
@@ -283,6 +287,44 @@ TEST(Db, PolicyMismatchOnReopenRejected) {
   Status s =
       DB::Open(SmallOptions(env.get(), GrowthPolicyConfig::HRLevel(3)), &db);
   EXPECT_TRUE(s.IsInvalidArgument());
+}
+
+// stats() copies the counters under the engine mutex, so a monitor may
+// poll it while background flushes and compactions update them.
+TEST(Db, StatsPollDuringBackgroundWrites) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallOptions(env.get(), GrowthPolicyConfig::VTTierFull(3));
+  opts.execution_mode = ExecutionMode::kBackground;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 2000;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&db, &running, w] {
+      for (int i = 0; i < kPerWriter; i++) {
+        EXPECT_TRUE(db->Put(workload::FormatKey(w * kPerWriter + i, 16),
+                            std::string(100, 'v'))
+                        .ok());
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last_flushes = 0;
+  while (running.load() > 0) {
+    const EngineStats st = db->stats();
+    EXPECT_GE(st.flushes, last_flushes);  // Counters never go back.
+    EXPECT_LE(st.bg_flushes, st.flushes);
+    last_flushes = st.flushes;
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  const EngineStats st = db->stats();
+  EXPECT_EQ(st.puts, uint64_t{kWriters} * kPerWriter);
+  EXPECT_GT(st.bg_flushes, 0u);
+  EXPECT_EQ(st.bg_flushes, st.flushes);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 namespace talus {
 namespace {
 
+using Level = obs::AmpSnapshot::Level;
+
 DbOptions BaseOptions(Env* env, const std::string& path) {
   DbOptions opts;
   opts.env = env;
@@ -50,20 +52,24 @@ TEST(BloomEffect, NegativeLookupsAvoidIo) {
                       .ok());
     }
 
-    const uint64_t reads_before = db->stats().data_block_reads;
+    const obs::AmpSnapshot before = db->GetAmpSnapshot();
     std::string value;
     for (int i = 0; i < 1000; i++) {
       EXPECT_TRUE(
           db->Get(workload::FormatKey(i * 2 + 1, 16), &value).IsNotFound());
     }
-    const uint64_t reads = db->stats().data_block_reads - reads_before;
+    obs::AmpSnapshot delta = db->GetAmpSnapshot();
+    delta.Subtract(before);
+    const uint64_t reads = delta.Total(&Level::block_reads);
+    const uint64_t negatives =
+        db->GetAmpSnapshot().Total(&Level::filter_negatives);
     if (bpk > 0) {
       // Filters must suppress nearly every probe for absent keys.
-      EXPECT_GT(db->stats().filter_negatives, 800u);
+      EXPECT_GT(negatives, 800u);
       EXPECT_LT(reads, 400u);
     } else {
       // No filters: every probe of a covering file costs a block read.
-      EXPECT_EQ(db->stats().filter_negatives, 0u);
+      EXPECT_EQ(negatives, 0u);
       EXPECT_GT(reads, 800u);
     }
   }
@@ -82,14 +88,16 @@ TEST(BloomEffect, HigherBitsFewerFalsePositiveReads) {
     ASSERT_TRUE(DB::Open(opts, &db).ok());
     Load(db.get(), 3000);
 
-    const uint64_t before = db->stats().data_block_reads;
+    const obs::AmpSnapshot before = db->GetAmpSnapshot();
     std::string value;
     Random rnd(3);
     for (int i = 0; i < 1500; i++) {
       // Absent keys interleaved within the populated range.
       db->Get(workload::FormatKey(100000 + rnd.Uniform(100000), 16), &value);
     }
-    reads_at[idx++] = db->stats().data_block_reads - before;
+    obs::AmpSnapshot delta = db->GetAmpSnapshot();
+    delta.Subtract(before);
+    reads_at[idx++] = delta.Total(&Level::block_reads);
   }
   EXPECT_LT(reads_at[1], reads_at[0] / 2 + 10);
 }
@@ -109,7 +117,8 @@ TEST(BlockCache, RepeatLookupsHitCache) {
     }
   }
   // After warmup, hits dominate reads.
-  EXPECT_GT(db->stats().block_cache_hits, db->stats().data_block_reads);
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_GT(amp.Total(&Level::cache_hits), amp.Total(&Level::block_reads));
 
   // And the virtual clock moved less per op than the uncached baseline.
   auto env2 = NewMemEnv();
@@ -168,23 +177,19 @@ TEST(StatsConsistency, CountersAddUp) {
     }
   }
   const EngineStats& stats = db->stats();
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   EXPECT_EQ(stats.puts, puts);
   EXPECT_EQ(stats.deletes, deletes);
-  EXPECT_EQ(stats.gets, gets);
+  EXPECT_EQ(amp.lookups, gets);
   EXPECT_EQ(stats.scans, scans);
-  EXPECT_EQ(stats.gets_found + (stats.gets - stats.gets_found), gets);
-  // Level stats sum to the global compaction counters.
-  uint64_t level_compactions = 0, level_written = 0;
-  for (const auto& ls : stats.level_stats) {
-    level_compactions += ls.compactions;
-    level_written += ls.bytes_written;
-  }
-  EXPECT_EQ(level_compactions, stats.compactions);
-  EXPECT_EQ(level_written, stats.compaction_bytes_written);
+  EXPECT_EQ(amp.memtable_hits + amp.Total(&Level::hits) + amp.misses, gets);
+  // stats().compactions is the sum of the tracker's per-level counts.
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_EQ(amp.Total(&Level::compactions), stats.compactions);
   // Physical writes at least the logical payload (no compression here).
-  EXPECT_GE(stats.flush_bytes_written + stats.compaction_bytes_written,
-            stats.flush_bytes_written);
-  EXPECT_GT(stats.WriteAmplification(), 1.0);
+  EXPECT_GE(amp.TotalBytesFlushed() + amp.TotalBytesCompacted(),
+            amp.TotalBytesFlushed());
+  EXPECT_GT(amp.WriteAmp(), 1.0);
 }
 
 TEST(VirtualClock, MonotoneAndChargedPerOp) {
@@ -300,12 +305,13 @@ GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
   const double clock = io->clock();
   std::memcpy(&fp.clock_bits, &clock, sizeof(clock));
   const EngineStats& st = db->stats();
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   fp.flushes = st.flushes;
   fp.compactions = st.compactions;
-  fp.flush_bytes_read = st.flush_bytes_read;
-  fp.flush_bytes_written = st.flush_bytes_written;
-  fp.compaction_bytes_read = st.compaction_bytes_read;
-  fp.compaction_bytes_written = st.compaction_bytes_written;
+  fp.flush_bytes_read = amp.Total(&Level::flush_bytes_read);
+  fp.flush_bytes_written = amp.TotalBytesFlushed();
+  fp.compaction_bytes_read = amp.Total(&Level::compaction_bytes_read);
+  fp.compaction_bytes_written = amp.TotalBytesCompacted();
   return fp;
 }
 

@@ -257,8 +257,10 @@ TEST(CacheCounters, FlushReadBytesSeparatedFromCompactionReads) {
   ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
   // Flush-merge reads are charged to the flush counter, not compaction's.
   EXPECT_GT(StatField(stats, "flush_read"), 0u);
-  EXPECT_EQ(db->stats().flush_bytes_read, StatField(stats, "flush_read"));
-  EXPECT_EQ(db->stats().compaction_bytes_read,
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_EQ(amp.Total(&obs::AmpSnapshot::Level::flush_bytes_read),
+            StatField(stats, "flush_read"));
+  EXPECT_EQ(amp.Total(&obs::AmpSnapshot::Level::compaction_bytes_read),
             StatField(stats, "comp_read"));
   EXPECT_EQ(db->stats().compaction_conflicts,
             StatField(stats, "conflicts"));

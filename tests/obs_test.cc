@@ -3,8 +3,8 @@
 // cost-model drift monitor, the stats snapshotter, the talus.* property
 // surface, and the Prometheus exposition — including the end-to-end
 // promises that a write stall is reconstructible from the trace alone and
-// that per-level write-amp accounting matches the engine's byte counters
-// exactly.
+// that per-level I/O accounting matches the files in the Version and the
+// probes the tree's shape implies exactly.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -323,7 +323,7 @@ TEST(ObsEndToEnd, WriteStallReconstructibleFromTrace) {
     if (i % 64 == 0) stalled = db->stats().stall_stops > 0;
   }
   ASSERT_TRUE(stalled) << "no write stall after 50000 puts";
-  // stats() is unsynchronized: quiesce the background jobs before copying.
+  // Quiesce the background jobs so the copy is final.
   ASSERT_TRUE(db->FlushMemTable().ok());
   const EngineStats stats = db->stats();
   // The regime/cause split accounts for every stop we hit.
@@ -445,9 +445,9 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
     });
   }
   for (auto& t : threads) t.join();
-  tracker.RecordFlushWrite(0, 100);
-  tracker.RecordFlushWrite(0, 200);
-  tracker.RecordCompactionWrite(1, 50, 300);
+  tracker.RecordFlush(0, 80, 100);
+  tracker.RecordFlush(0, 0, 200);
+  tracker.RecordCompaction(1, 50, 300);
   tracker.RecordUserPayload(1000);
 
   const obs::AmpSnapshot snap = tracker.Snapshot();
@@ -464,8 +464,10 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
   EXPECT_EQ(snap.memtable_hits, uint64_t{kThreads} * 1667);
   EXPECT_EQ(snap.misses, uint64_t{kThreads} * 1666);
   EXPECT_EQ(snap.levels[0].flush_bytes_written, 300u);
+  EXPECT_EQ(snap.levels[0].flush_bytes_read, 80u);
   EXPECT_EQ(snap.levels[1].compaction_bytes_written, 300u);
   EXPECT_EQ(snap.levels[1].compaction_bytes_read, 50u);
+  EXPECT_EQ(snap.levels[1].compactions, 1u);
   EXPECT_EQ(snap.user_payload_bytes, 1000u);
   // (300 flush + 300 compaction) / 1000 payload.
   EXPECT_DOUBLE_EQ(snap.WriteAmp(), 0.6);
@@ -494,151 +496,210 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
 
 // --------------------------------------------- Amp ground truth (whole DB)
 
-// The acceptance bar: per-level write-amp accounting matches the engine's
-// own byte counters exactly — flush bytes land on the flush side of level
-// 0, per-level compaction bytes equal the per-output-level EngineStats,
-// and live space equals the live Version.
-TEST(AmpGroundTruth, PerLevelWriteBytesMatchEngineCountersExactly) {
-  auto env = NewMemEnv();
-  DbOptions opts = SmallDbOptions(env.get());
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  for (int i = 0; i < 3000; i++) {
-    ASSERT_TRUE(
-        db->Put(workload::FormatKey(i, 16), std::string(100, 'v')).ok());
+// The tracker is the engine's only I/O counter store, so its ground truth
+// comes from elsewhere: the files the Version holds and the tree's shape.
+// A merge writes exactly its output files' sizes and reads every entry of
+// its inputs, each entry costing its user key + value + the 8-byte
+// sequence/type tag (FileMeta::payload_bytes + 8 * num_entries).
+
+using Level = obs::AmpSnapshot::Level;
+
+struct FileTotals {
+  uint64_t size = 0;         // Physical bytes.
+  uint64_t entry_bytes = 0;  // Internal key + value bytes.
+};
+
+// The files of `v` at `level` (every level when -1) whose numbers are not in
+// *seen, which then records them.
+FileTotals NewFiles(const Version& v, std::set<uint64_t>* seen,
+                    int level = -1) {
+  FileTotals t;
+  for (size_t l = 0; l < v.levels.size(); l++) {
+    if (level >= 0 && static_cast<int>(l) != level) continue;
+    for (const SortedRun& run : v.levels[l].runs) {
+      for (const FileMetaPtr& f : run.files) {
+        if (!seen->insert(f->number).second) continue;
+        t.size += f->file_size;
+        t.entry_bytes += f->payload_bytes + 8 * f->num_entries;
+      }
+    }
   }
-  ASSERT_TRUE(db->FlushMemTable().ok());
-
-  const EngineStats& st = db->stats();
-  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
-  ASSERT_GT(amp.num_levels, 0);
-  ASSERT_GT(st.flush_bytes_written, 0u);
-  ASSERT_GT(st.compaction_bytes_written, 0u);
-
-  // Flush bytes are attributed to level 0 (the flush target), nothing else.
-  EXPECT_EQ(amp.levels[0].flush_bytes_written, st.flush_bytes_written);
-  EXPECT_EQ(amp.TotalBytesFlushed(), st.flush_bytes_written);
-
-  // Compaction bytes match the per-output-level engine accounting exactly.
-  uint64_t comp_written = 0;
-  uint64_t comp_read = 0;
-  for (int i = 0; i < amp.num_levels; i++) {
-    const uint64_t engine_level_bytes =
-        static_cast<size_t>(i) < st.level_stats.size()
-            ? st.level_stats[i].bytes_written
-            : 0;
-    EXPECT_EQ(amp.levels[i].compaction_bytes_written, engine_level_bytes)
-        << "level " << i;
-    comp_written += amp.levels[i].compaction_bytes_written;
-    comp_read += amp.levels[i].compaction_bytes_read;
-  }
-  EXPECT_EQ(comp_written, st.compaction_bytes_written);
-  EXPECT_EQ(comp_read, st.compaction_bytes_read);
-  EXPECT_EQ(amp.user_payload_bytes, st.user_payload_written);
-  EXPECT_DOUBLE_EQ(amp.WriteAmp(), st.WriteAmplification());
-
-  // Live space mirrors the current Version: after the flush quiesced, the
-  // summed per-level live payload is the tree's approximate data bytes
-  // (memtables are empty) and physical SST bytes exceed it (block/filter
-  // overhead), so space amp >= 1.
-  uint64_t live_payload = 0;
-  uint64_t live_sst = 0;
-  for (int i = 0; i < amp.num_levels; i++) {
-    live_payload += amp.levels[i].live_payload_bytes;
-    live_sst += amp.levels[i].live_sst_bytes;
-  }
-  EXPECT_EQ(live_payload, db->ApproximateDataBytes());
-  EXPECT_GT(live_sst, live_payload);
-  EXPECT_GE(amp.SpaceAmp(), 1.0);
-
-  // The talus.amp property carries both cumulative and windowed sections.
-  std::string text;
-  ASSERT_TRUE(db->GetProperty("talus.amp", &text));
-  EXPECT_NE(text.find("cumulative:\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("window:\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("write_amp="), std::string::npos) << text;
-  EXPECT_NE(text.find("L0 "), std::string::npos) << text;
+  return t;
 }
 
-TEST(AmpGroundTruth, ProbeAccountingMatchesReadPathCounters) {
+// Flush-only loads under both flush modes: a tiering flush writes a new
+// run, a leveling flush rewrites level 0's run with the memtable merged in.
+// Either way the files a flush adds to the Version are exactly what it
+// wrote, and their entries exactly what it read (keys are unique, so the
+// merge drops nothing).
+TEST(AmpGroundTruth, FlushBytesMatchVersionFiles) {
+  for (const GrowthPolicyConfig& policy :
+       {GrowthPolicyConfig::VTTierFull(8), GrowthPolicyConfig::VTLevelFull(8)}) {
+    SCOPED_TRACE(policy.Label());
+    auto env = NewMemEnv();
+    DbOptions opts = SmallDbOptions(env.get());
+    opts.write_buffer_size = 1 << 20;  // Only the explicit flushes below.
+    opts.policy = policy;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+    std::set<uint64_t> seen;
+    uint64_t want_written = 0, want_read = 0;
+    for (int flush = 0; flush < 4; flush++) {
+      for (int i = 0; i < 300; i++) {
+        ASSERT_TRUE(db->Put(workload::FormatKey(i * 4 + flush, 16),
+                            std::string(100, 'v'))
+                        .ok());
+      }
+      ASSERT_TRUE(db->FlushMemTable().ok());
+      const FileTotals added = NewFiles(db->current_version(), &seen);
+      want_written += added.size;
+      want_read += added.entry_bytes;
+
+      const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+      ASSERT_EQ(amp.levels[0].live_sst_bytes,
+                amp.Total(&Level::live_sst_bytes))
+          << "a compaction moved data below level 0";
+      EXPECT_EQ(amp.levels[0].flush_bytes_written, want_written);
+      EXPECT_EQ(amp.TotalBytesFlushed(), want_written);
+      EXPECT_EQ(amp.levels[0].flush_bytes_read, want_read);
+      EXPECT_EQ(amp.Total(&Level::compactions), 0u);
+      EXPECT_EQ(amp.TotalBytesCompacted(), 0u);
+      // 20-byte keys, 100-byte values.
+      EXPECT_EQ(amp.user_payload_bytes, uint64_t{300} * (flush + 1) * 120);
+    }
+  }
+}
+
+// A flush-plus-compaction load under tiering, where every compaction moves
+// one level's runs one level down. Nothing ever consumes the deepest level,
+// so everything compactions wrote there is still live; a manual full
+// compaction then writes exactly the one run it leaves and reads every
+// entry the tree held.
+TEST(AmpGroundTruth, CompactionBytesMatchVersionFiles) {
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());
+  opts.policy = GrowthPolicyConfig::VTTierFull(3);
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
-  for (int i = 0; i < 2000; i++) {
+  for (int i = 0; i < 6000; i++) {
     ASSERT_TRUE(
-        db->Put(workload::FormatKey(i, 16), std::string(64, 'v')).ok());
+        db->Put(workload::FormatKey(i * 7919 % 6000, 16), std::string(100, 'v'))
+            .ok());
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
 
-  // Delta-based cross-check: compactions also read data blocks, so compare
-  // the Get phase's increments, not absolute counters.
   const obs::AmpSnapshot before = db->GetAmpSnapshot();
-  const uint64_t runs_before = db->stats().runs_probed.load();
-  const uint64_t fneg_before = db->stats().filter_negatives.load();
-  const uint64_t blocks_before = db->stats().data_block_reads.load();
+  const Version& v = db->current_version();
+  const int deepest = v.BottommostNonEmptyLevel();
+  ASSERT_GE(deepest, 2) << v.DebugString();
+  std::set<uint64_t> seen;
+  const FileTotals bottom = NewFiles(v, &seen, deepest);
+  EXPECT_EQ(before.levels[deepest].compaction_bytes_written, bottom.size);
+  EXPECT_GT(before.levels[deepest].compactions, 0u);
+  EXPECT_EQ(before.levels[0].compactions, 0u);  // Nothing compacts into L0.
+  seen.clear();
+  const FileTotals tree = NewFiles(v, &seen);
 
-  std::string value;
-  for (int i = 0; i < 500; i++) {  // Found: every key exists on disk.
-    ASSERT_TRUE(db->Get(workload::FormatKey(i * 3 % 2000, 16), &value).ok());
-  }
-  for (int i = 0; i < 300; i++) {  // Missing: far outside the key space.
-    ASSERT_TRUE(
-        db->Get(workload::FormatKey(1000000 + i, 16), &value).IsNotFound());
-  }
-
+  ASSERT_TRUE(db->CompactAll().ok());
   obs::AmpSnapshot delta = db->GetAmpSnapshot();
   delta.Subtract(before);
-  EXPECT_EQ(delta.lookups, 800u);
-  EXPECT_EQ(delta.misses, 300u);
-  uint64_t files_probed = 0;
-  uint64_t filter_negatives = 0;
-  uint64_t block_reads = 0;
-  uint64_t hits = 0;
-  for (int i = 0; i < delta.num_levels; i++) {
-    files_probed += delta.levels[i].files_probed;
-    filter_negatives += delta.levels[i].filter_negatives;
-    block_reads += delta.levels[i].block_reads;
-    hits += delta.levels[i].hits;
-  }
-  // The memtable is empty after the flush: every found Get hit a level.
-  EXPECT_EQ(hits + delta.memtable_hits, 500u);
-  EXPECT_EQ(delta.memtable_hits, 0u);
-  // Per-level attribution sums to the engine's flat read-path counters.
-  EXPECT_EQ(files_probed, db->stats().runs_probed.load() - runs_before);
-  EXPECT_EQ(filter_negatives,
-            db->stats().filter_negatives.load() - fneg_before);
-  EXPECT_EQ(block_reads, db->stats().data_block_reads.load() - blocks_before);
+  const FileTotals merged = NewFiles(db->current_version(), &seen);
+  const int out = db->current_version().BottommostNonEmptyLevel();
+  EXPECT_EQ(delta.levels[out].compactions, 1u);
+  EXPECT_EQ(delta.Total(&Level::compactions), 1u);
+  EXPECT_EQ(delta.levels[out].compaction_bytes_written, merged.size);
+  EXPECT_EQ(delta.TotalBytesCompacted(), merged.size);
+  EXPECT_EQ(delta.levels[out].compaction_bytes_read, tree.entry_bytes);
+  EXPECT_EQ(delta.TotalBytesFlushed(), 0u);
 
-  // A key still in the memtable is attributed there, not to a level.
-  ASSERT_TRUE(db->Put("memkey", "memval").ok());
-  ASSERT_TRUE(db->Get("memkey", &value).ok());
-  obs::AmpSnapshot after = db->GetAmpSnapshot();
-  after.Subtract(before);
-  EXPECT_EQ(after.memtable_hits, 1u);
+  // talus.cstats is the per-level compaction rows, through the deepest
+  // level a compaction wrote.
+  std::string cstats;
+  ASSERT_TRUE(db->GetProperty("talus.cstats", &cstats));
+  EXPECT_EQ(cstats, db->GetAmpSnapshot().CompactionsToString());
+  EXPECT_NE(cstats.find("\nL" + std::to_string(out) + " "),
+            std::string::npos)
+      << cstats;
 }
 
-TEST(ObsProperty, DisabledAmpMeansNoTrackerAndEmptyProperties) {
+// Lookups against four level-0 runs whose key ranges all overlap: run r
+// holds the keys i ≡ r (mod 4), and lookups probe the newest run first. A
+// present key of residue r is decided by run r after probing the 4 - r
+// runs newer than or equal to it; an absent key inside every range probes
+// all four. Each probe is answered by the filter or fetches one data block,
+// from the block cache or from disk.
+TEST(AmpGroundTruth, ProbeCountsMatchTreeShape) {
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());
-  opts.enable_amp_stats = false;
+  opts.write_buffer_size = 1 << 20;
+  opts.block_cache_bytes = 32 << 20;  // Every block stays cached.
+  opts.policy = GrowthPolicyConfig::VTTierFull(8);
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
-  ASSERT_TRUE(db->Put("k", "v").ok());
-  std::string value;
-  ASSERT_TRUE(db->Get("k", &value).ok());
+  constexpr int kRuns = 4;
+  constexpr int kKeys = 2000;
+  for (int r = 0; r < kRuns; r++) {
+    for (int i = r; i < kKeys; i += kRuns) {
+      ASSERT_TRUE(
+          db->Put(workload::FormatKey(i, 16), std::string(64, 'v')).ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+  ASSERT_EQ(db->current_version().levels[0].runs.size(), size_t{kRuns});
+  ASSERT_EQ(db->current_version().TotalRuns(), size_t{kRuns});
 
-  EXPECT_EQ(db->amp_tracker(), nullptr);
-  EXPECT_EQ(db->GetAmpSnapshot().lookups, 0u);
-  std::string amp = "sentinel";
-  ASSERT_TRUE(db->GetProperty("talus.amp", &amp));
-  EXPECT_TRUE(amp.empty());
-  std::string model = "sentinel";
-  ASSERT_TRUE(db->GetProperty("talus.model", &model));
-  EXPECT_TRUE(model.empty());
-  EXPECT_EQ(db->EvaluateModelDrift().window_lookups, 0u);
-  const std::string prom = db->DumpPrometheus();
-  EXPECT_EQ(prom.find("talus_amp_bytes_written_total"), std::string::npos);
+  // Keys 4..1995 lie inside every run's range.
+  std::string value;
+  uint64_t want_probes = 0;
+  const obs::AmpSnapshot before = db->GetAmpSnapshot();
+  for (int i = 4; i < 504; i++) {
+    ASSERT_TRUE(db->Get(workload::FormatKey(i, 16), &value).ok());
+    want_probes += kRuns - i % kRuns;
+  }
+  for (int i = 4; i < 304; i++) {  // Absent: sorts between keys i and i + 1.
+    ASSERT_TRUE(
+        db->Get(workload::FormatKey(i, 16) + "x", &value).IsNotFound());
+    want_probes += kRuns;
+  }
+  obs::AmpSnapshot delta = db->GetAmpSnapshot();
+  delta.Subtract(before);
+  const obs::AmpSnapshot::Level& l0 = delta.levels[0];
+  EXPECT_EQ(delta.lookups, 800u);
+  EXPECT_EQ(delta.misses, 300u);
+  EXPECT_EQ(delta.memtable_hits, 0u);
+  EXPECT_EQ(l0.hits, 500u);
+  EXPECT_EQ(l0.files_probed, want_probes);
+  EXPECT_EQ(delta.Total(&Level::files_probed), want_probes);
+  EXPECT_EQ(l0.filter_negatives + l0.block_reads + l0.cache_hits,
+            want_probes);
+  EXPECT_EQ(l0.block_reads + l0.cache_hits,
+            l0.hits + l0.bloom_false_positives);
+  EXPECT_GT(l0.filter_negatives, 0u);
+  EXPECT_GT(l0.block_reads, 0u);
+  EXPECT_DOUBLE_EQ(delta.ReadAmp(), static_cast<double>(want_probes) / 800);
+
+  // The same lookups again: the cache now holds every block they fetch.
+  const obs::AmpSnapshot warm = db->GetAmpSnapshot();
+  for (int i = 4; i < 504; i++) {
+    ASSERT_TRUE(db->Get(workload::FormatKey(i, 16), &value).ok());
+  }
+  obs::AmpSnapshot again = db->GetAmpSnapshot();
+  again.Subtract(warm);
+  EXPECT_EQ(again.levels[0].block_reads, 0u);
+  EXPECT_EQ(again.levels[0].cache_hits,
+            again.levels[0].hits + again.levels[0].bloom_false_positives);
+  EXPECT_EQ(again.levels[0].hits, 500u);
+
+  // A key still in the memtable is attributed there, with no probe.
+  ASSERT_TRUE(db->Put("memkey", "memval").ok());
+  const obs::AmpSnapshot mem_before = db->GetAmpSnapshot();
+  ASSERT_TRUE(db->Get("memkey", &value).ok());
+  obs::AmpSnapshot mem = db->GetAmpSnapshot();
+  mem.Subtract(mem_before);
+  EXPECT_EQ(mem.lookups, 1u);
+  EXPECT_EQ(mem.memtable_hits, 1u);
+  EXPECT_EQ(mem.Total(&Level::files_probed), 0u);
 }
 
 // ----------------------------------------------------------- Model drift
@@ -1634,10 +1695,12 @@ TEST(MetricCatalog, FleetMergeRules) {
   snaps[1].stats.puts = 32;
   snaps[0].stats.max_stall_clock = 2.5;
   snaps[1].stats.max_stall_clock = 7.5;
-  snaps[0].stats.flush_bytes_written = 300;
-  snaps[0].stats.user_payload_written = 100;
-  snaps[1].stats.compaction_bytes_written = 500;
-  snaps[1].stats.user_payload_written = 300;
+  snaps[0].amp.num_levels = 1;
+  snaps[0].amp.levels[0].flush_bytes_written = 300;
+  snaps[0].amp.user_payload_bytes = 100;
+  snaps[1].amp.num_levels = 2;
+  snaps[1].amp.levels[1].compaction_bytes_written = 500;
+  snaps[1].amp.user_payload_bytes = 300;
   for (int g = 0; g < 3; g++) snaps[0].writes.group_sizes.Add(1);
   snaps[1].writes.group_sizes.Add(8);
   snaps[0].tune.last_gain = 0.25;
@@ -1691,7 +1754,7 @@ TEST(MetricCatalog, FleetMergeRules) {
 // 60480123 into 6.04801e+07.
 TEST(MetricCatalog, IntegralValuesRenderExactly) {
   obs::MetricSnapshot s;
-  s.sections = obs::kEngine | obs::kWrite | obs::kAmp;
+  s.sections = obs::kEngine | obs::kWrite;
   s.latency.resize(obs::kNumOpTypes);
   s.data_bytes = 60480123;
   s.amp.num_levels = 1;

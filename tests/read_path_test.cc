@@ -369,19 +369,15 @@ TEST(ReadPath, MaintenanceStreamsPastBlockCache) {
     const size_t usage = cache->usage();
     ASSERT_GT(hits + misses, 0u);
     ASSERT_GT(usage, 0u);
-    // stats() is unsynchronized, so only inline mode reads it here.
-    const bool inline_mode = mode == ExecutionMode::kInline;
-    const EngineStats before = inline_mode ? db->stats() : EngineStats();
+    const EngineStats before = db->stats();
 
     // Overwrites fill several memtables, each flushed by a merge into level
     // 0's run; CompactAll then merges the whole tree.
     for (int i = 0; i < 600; i += 2) put(i, "v2-" + std::to_string(i));
     ASSERT_TRUE(db->FlushMemTable().ok());
     ASSERT_TRUE(db->CompactAll().ok());
-    if (inline_mode) {
-      EXPECT_GT(db->stats().flushes, before.flushes + 1);
-      EXPECT_GT(db->stats().compactions, before.compactions);
-    }
+    EXPECT_GT(db->stats().flushes, before.flushes + 1);
+    EXPECT_GT(db->stats().compactions, before.compactions);
 
     EXPECT_EQ(cache->hits(), hits);
     EXPECT_EQ(cache->misses(), misses);

@@ -273,7 +273,6 @@ TEST(PolicySwitch, TunedDesignSurvivesReopenViaManifest) {
   DbOptions opts = SmallDbOptions(env.get());
   opts.adaptive_tuning = true;
   opts.tune_interval_ms = 0;
-  opts.enable_amp_stats = true;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
@@ -308,7 +307,6 @@ TEST(TuneEndToEnd, DriftRetuneAndPolicyChangeReconstructibleFromTrace) {
   std::remove(trace_path.c_str());
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());
-  opts.enable_amp_stats = true;
   opts.adaptive_tuning = true;
   opts.tune_interval_ms = 0;  // Test-paced: RetuneNow below.
   opts.tune_min_window_ops = 64;
@@ -390,7 +388,6 @@ TEST(TuneEndToEnd, DriftRetuneAndPolicyChangeReconstructibleFromTrace) {
 TEST(TuneSharded, OnlyTheDriftingShardRetunes) {
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());
-  opts.enable_amp_stats = true;
   opts.adaptive_tuning = true;
   opts.tune_interval_ms = 0;  // No tune task: TuneNow below.
   opts.tune_min_window_ops = 64;
