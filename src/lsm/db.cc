@@ -877,9 +877,9 @@ Status DB::BackgroundCompaction() {
   Status s = Status::OK();
   if (!compaction_active_) {  // Otherwise the active chain picks the work up.
     compaction_active_ = true;
-    const uint64_t before = TotalCompactions();
+    const uint64_t before = amp_.TotalCompactions();
     s = RunCompactionLoopLocked(lock);
-    stats_.bg_compactions += TotalCompactions() - before;
+    stats_.bg_compactions += amp_.TotalCompactions() - before;
     if (!s.ok()) bg_error_ = s;
     compaction_active_ = false;
   }
@@ -1528,12 +1528,8 @@ Status DB::Scan(const Slice& start, size_t count,
 EngineStats DB::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   EngineStats copy = stats_;
-  copy.compactions = TotalCompactions();
+  copy.compactions = amp_.TotalCompactions();
   return copy;
-}
-
-uint64_t DB::TotalCompactions() const {
-  return amp_.Snapshot().Total(&obs::AmpSnapshot::Level::compactions);
 }
 
 obs::GroupCommitStats DB::GetGroupCommitStats() const {
@@ -1585,7 +1581,6 @@ obs::MetricSnapshot DB::SnapshotMetrics() const {
     s.amp = amp_.Snapshot();
     FillLiveSpaceLocked(&s.amp);
     s.stats = stats_;
-    s.stats.compactions = s.amp.Total(&obs::AmpSnapshot::Level::compactions);
     s.writes = write_stats_.Snapshot();
     s.gc_pending = gc_pending_.size();
     s.data_bytes = ApproximateDataBytesLocked();

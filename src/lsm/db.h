@@ -88,7 +88,8 @@ struct EngineStats {
   uint64_t deletes = 0;
   uint64_t flushes = 0;
   // Not counted here: DB::stats() fills it from the amp tracker's
-  // per-level compaction counts.
+  // per-level compaction counts (MetricSnapshot's copy leaves it 0; the
+  // catalog reads the tracker).
   uint64_t compactions = 0;
   // Merge results discarded because a concurrent flush reshaped the plan's
   // inputs before install; the work was retried (DESIGN.md §2.8).
@@ -325,8 +326,6 @@ class DB {
   Status SwitchMemTableLocked();
   SequenceNumber SmallestLiveSnapshotLocked() const;
   uint64_t ApproximateDataBytesLocked() const;
-  /// Compactions installed so far, summed over the amp tracker's levels.
-  uint64_t TotalCompactions() const;
 
   // ---- Read path (mutex-free after the view pin; DESIGN.md §2.7) ----
   std::shared_ptr<const read::ReadView> AcquireReadViewLocked();

@@ -177,6 +177,12 @@ void AmpTracker::RecordCompaction(int level, uint64_t bytes_read,
   NoteSlot(slot);
 }
 
+uint64_t AmpTracker::TotalCompactions() const {
+  uint64_t total = 0;
+  for (const auto& c : compactions_) total += c.load(std::memory_order_relaxed);
+  return total;
+}
+
 void AmpTracker::RecordUserPayload(uint64_t bytes) {
   user_payload_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }

@@ -130,6 +130,9 @@ class AmpTracker {
   void RecordCompaction(int level, uint64_t bytes_read,
                         uint64_t bytes_written);
   void RecordUserPayload(uint64_t bytes);
+  // Compactions recorded so far, summed over the levels (write-side loads
+  // only; no read-stripe fold).
+  uint64_t TotalCompactions() const;
 
   // ---- Read side (hot; mutex-free, striped by thread). ----
   void RecordLookup(const LookupProbe& probe);

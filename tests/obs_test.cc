@@ -600,6 +600,16 @@ TEST(AmpGroundTruth, CompactionBytesMatchVersionFiles) {
   EXPECT_EQ(before.levels[0].compactions, 0u);  // Nothing compacts into L0.
   seen.clear();
   const FileTotals tree = NewFiles(v, &seen);
+  // Live space mirrors the Version: with the memtables empty after the
+  // flush, the summed live payload is the tree's approximate data bytes,
+  // and the physical SST bytes (every file's size) exceed it by the
+  // block/filter overhead, so space amp >= 1.
+  EXPECT_EQ(before.Total(&Level::live_payload_bytes),
+            db->ApproximateDataBytes());
+  EXPECT_EQ(before.Total(&Level::live_sst_bytes), tree.size);
+  EXPECT_GT(before.Total(&Level::live_sst_bytes),
+            before.Total(&Level::live_payload_bytes));
+  EXPECT_GE(before.SpaceAmp(), 1.0);
 
   ASSERT_TRUE(db->CompactAll().ok());
   obs::AmpSnapshot delta = db->GetAmpSnapshot();
