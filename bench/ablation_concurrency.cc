@@ -96,9 +96,9 @@ RunResult RunOne(ExecutionMode mode, int writers,
   r.flushes = stats.flushes;
   r.compactions = stats.compactions;
   r.switches = stats.memtable_switches;
-  r.stall_ms = stats.stall_micros / 1000;
-  r.slowdowns = stats.stall_slowdowns;
-  r.stops = stats.stall_stops;
+  r.stall_ms = stats.stall_micros() / 1000;
+  r.slowdowns = stats.stall_slowdowns();
+  r.stops = stats.stall_stops();
   return r;
 }
 

@@ -21,9 +21,7 @@
 // --trace PATH streams the engine's event ring (flushes, compactions,
 // stalls) to PATH as JSONL while the sweep runs; --stats-jsonl PREFIX
 // additionally runs the obs::StatsSnapshotter during each run, writing the
-// amp/latency/drift time series to PREFIX.<run>.jsonl. --overhead replaces
-// the sweep with an A/B at 8 threads: enable_latency_stats on/off on the
-// write path (DESIGN.md §6.5, target <3%).
+// amp/latency/drift time series to PREFIX.<run>.jsonl.
 #include <unistd.h>
 
 #include <chrono>
@@ -45,7 +43,6 @@ namespace {
 struct BenchConfig {
   bool smoke = false;
   bool use_mem_env = false;
-  bool overhead = false;
   std::string json_path;
   std::string trace_path;
   std::string stats_jsonl_prefix;
@@ -93,7 +90,7 @@ void CleanupDir(Env* env, const std::string& path) {
 }
 
 RunResult RunOne(const BenchConfig& cfg, const Variant& variant, int writers,
-                 int run_index, bool latency_stats = true) {
+                 int run_index) {
   std::unique_ptr<Env> owned_env;
   Env* env;
   if (cfg.use_mem_env) {
@@ -113,7 +110,6 @@ RunResult RunOne(const BenchConfig& cfg, const Variant& variant, int writers,
   opts.execution_mode = ExecutionMode::kBackground;
   opts.num_background_threads = 2;
   opts.wal_sync_mode = variant.sync_mode;
-  opts.enable_latency_stats = latency_stats;
   if (!cfg.trace_path.empty()) {
     // One trace per run: OpenTraceFile truncates, so sharing PATH across
     // the sweep would leave only the last run's events.
@@ -162,14 +158,12 @@ RunResult RunOne(const BenchConfig& cfg, const Variant& variant, int writers,
           .count();
   r.kops_per_sec = static_cast<double>(ops) * writers / r.wall_seconds / 1000;
   r.gc = db->GetGroupCommitStats();
-  r.stall_ms = db->stats().stall_micros / 1000;
-  if (latency_stats) {
-    const std::vector<Histogram> lat = db->GetLatencyHistograms();
-    const Histogram& put = lat[static_cast<size_t>(obs::OpType::kPut)];
-    r.lat_p50_us = put.Median();
-    r.lat_p99_us = put.Percentile(99);
-    r.lat_p999_us = put.Percentile(99.9);
-  }
+  r.stall_ms = db->stats().stall_micros() / 1000;
+  const std::vector<Histogram> lat = db->GetLatencyHistograms();
+  const Histogram& put = lat[static_cast<size_t>(obs::OpType::kPut)];
+  r.lat_p50_us = put.Median();
+  r.lat_p99_us = put.Percentile(99);
+  r.lat_p999_us = put.Percentile(99.9);
   const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   r.write_amp = amp.WriteAmp();
   r.read_amp = amp.ReadAmp();
@@ -198,60 +192,13 @@ int main(int argc, char** argv) {
       cfg.trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--stats-jsonl") == 0 && i + 1 < argc) {
       cfg.stats_jsonl_prefix = argv[++i];
-    } else if (std::strcmp(argv[i], "--overhead") == 0) {
-      cfg.overhead = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--mem] [--json PATH] [--trace PATH] "
-                   "[--stats-jsonl PREFIX] [--overhead]\n",
+                   "[--stats-jsonl PREFIX]\n",
                    argv[0]);
       return 1;
     }
-  }
-
-  if (cfg.overhead) {
-    // A/B the observer itself: identical 8-writer runs with latency stats
-    // on and off, alternated and best-of-N so background noise hits both
-    // arms equally. wal_sync=none keeps the workload CPU-bound — fsync
-    // time would mask the recorder's cost.
-    const Variant variant = {"group", true, WalSyncMode::kNone, "none"};
-    const int writers = 8;
-    const int reps = cfg.smoke ? 2 : 3;
-    double best_on = 0, best_off = 0;
-    std::printf("# Observer-overhead ablation: %llu puts/thread, 8 writers, "
-                "group commit, wal_sync=none, %s env, best of %d\n",
-                static_cast<unsigned long long>(OpsPerThread(cfg)),
-                cfg.use_mem_env ? "mem" : "posix", reps);
-    for (int rep = 0; rep < reps; rep++) {
-      RunResult on = RunOne(cfg, variant, writers, 2 * rep, true);
-      RunResult off = RunOne(cfg, variant, writers, 2 * rep + 1, false);
-      std::printf("rep %d: stats_on %9.1f kops/s (p99 %.0f us)   "
-                  "stats_off %9.1f kops/s\n",
-                  rep, on.kops_per_sec, on.lat_p99_us, off.kops_per_sec);
-      best_on = std::max(best_on, on.kops_per_sec);
-      best_off = std::max(best_off, off.kops_per_sec);
-    }
-    const double overhead_pct =
-        best_off > 0 ? (best_off - best_on) / best_off * 100 : 0;
-    std::printf("best: stats_on %.1f kops/s, stats_off %.1f kops/s, "
-                "observer overhead %.2f%%\n",
-                best_on, best_off, overhead_pct);
-
-    if (!cfg.json_path.empty()) {
-      std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", cfg.json_path.c_str());
-        return 1;
-      }
-      std::fprintf(f,
-                   "{\"bench\":\"ablation_observer_overhead\","
-                   "\"writers\":%d,\"kops_stats_on\":%.1f,"
-                   "\"kops_stats_off\":%.1f,\"overhead_pct\":%.2f}\n",
-                   writers, best_on, best_off, overhead_pct);
-      std::fclose(f);
-      std::printf("wrote %s\n", cfg.json_path.c_str());
-    }
-    return 0;
   }
 
   const std::vector<Variant> variants = {

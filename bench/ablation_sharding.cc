@@ -150,7 +150,7 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
   }
   uint64_t stall_micros = 0;
   for (const obs::MetricSnapshot& s : db->SnapshotMetrics()) {
-    stall_micros += s.stats.stall_micros;
+    stall_micros += s.stats.stall_micros();
     r.bg_flushes += s.stats.bg_flushes;
     r.bg_compactions += s.stats.bg_compactions;
   }

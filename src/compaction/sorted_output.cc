@@ -15,7 +15,6 @@ Status WriteSortedOutput(const OutputShape& shape, Iterator* input,
   IoStats::SequentialScope seq_scope(shape.env->io_stats());
   SstBuilderOptions bopts;
   bopts.block_size = shape.block_size;
-  bopts.restart_interval = shape.restart_interval;
   bopts.bits_per_key = spec.bits_per_key;
   bopts.filter_variant = shape.filter_variant;
 

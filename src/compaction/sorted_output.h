@@ -38,7 +38,6 @@ struct OutputShape {
   Env* env = nullptr;
   std::string path;
   size_t block_size = 4096;
-  int restart_interval = 16;
   FilterVariant filter_variant = FilterVariant::kLegacy;
   uint64_t target_file_size = 1 << 20;
   /// Shared file-number allocator (DB::next_file_number_).

@@ -29,6 +29,11 @@ namespace {
 // conflict). Conflicts need a concurrent install and are rare.
 constexpr int kMaxConflicts = 4;
 
+// CPU epsilons the virtual clock charges per applied write and per
+// Get/Scan call (env/io_stats.h, DESIGN.md §4).
+constexpr double kCpuCostPerWrite = 0.02;
+constexpr double kCpuCostPerRead = 0.02;
+
 // WAL record: base_seq fixed64 | concatenated WriteBatch reps. The group
 // leader emits one record per commit group (CommitGroup), so every batch in
 // the group — and every multi-op batch — commits atomically.
@@ -118,7 +123,7 @@ class DbIterator final : public Iterator {
  public:
   DbIterator(std::shared_ptr<const read::ReadView> view,
              std::unique_ptr<Iterator> internal,
-             obs::LatencyRecorder* recorder)
+             obs::LatencyRecorder& recorder)
       : view_(std::move(view)),
         internal_(std::move(internal)),
         recorder_(recorder),
@@ -185,7 +190,7 @@ class DbIterator final : public Iterator {
   // references before the view's deleter runs obsolete-file GC.
   std::shared_ptr<const read::ReadView> view_;
   std::unique_ptr<Iterator> internal_;
-  obs::LatencyRecorder* recorder_ = nullptr;
+  obs::LatencyRecorder& recorder_;
   SequenceNumber sequence_ = 0;
   bool valid_ = false;
   bool has_current_ = false;
@@ -202,9 +207,6 @@ DB::DB(const DbOptions& options)
   table_cache_ = std::make_unique<read::TableCache>(
       options_.env, options_.path, block_cache_.get(),
       options_.table_cache_open_files);
-  if (options_.enable_latency_stats) {
-    latency_ = std::make_unique<obs::LatencyRecorder>();
-  }
   if (options_.event_ring != nullptr) {
     // Borrowed ring (sharded store): its owner decides about tracing.
     ring_ = options_.event_ring;
@@ -222,7 +224,6 @@ compaction::OutputShape DB::OutputShapeForDb() {
   shape.env = options_.env;
   shape.path = options_.path;
   shape.block_size = options_.block_size;
-  shape.restart_interval = options_.block_restart_interval;
   shape.filter_variant = options_.filter_variant;
   shape.target_file_size = options_.target_file_size;
   shape.next_file_number = &next_file_number_;
@@ -310,9 +311,7 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     if (!db->policy_->DecodeState(manifest.policy_state)) {
       return Status::Corruption("bad growth policy state in manifest");
     }
-  } else if (s.IsNotFound()) {
-    if (!options.create_if_missing) return s;
-  } else {
+  } else if (!s.IsNotFound()) {
     return s;
   }
 
@@ -464,11 +463,6 @@ Status DB::RecoverWalsLocked(uint64_t oldest_wal,
 }
 
 Status DB::NewWalLocked() {
-  if (!options_.enable_wal) {
-    wal_number_ = 0;
-    wal_.reset();
-    return Status::OK();
-  }
   wal_number_ = next_file_number_++;
   std::unique_ptr<WritableFile> file;
   Status s = options_.env->NewWritableFile(
@@ -507,7 +501,7 @@ Status DB::Write(const WriteBatch& batch) {
   return CommitGroup(batch);
 }
 
-Status DB::MaybeSyncWal(wal::LogWriter* wal, bool* synced) {
+Status DB::MaybeSyncWal(wal::LogWriter* wal, uint64_t now, bool* synced) {
   switch (options_.wal_sync_mode) {
     case WalSyncMode::kNone:
       return Status::OK();
@@ -517,7 +511,6 @@ Status DB::MaybeSyncWal(wal::LogWriter* wal, bool* synced) {
     case WalSyncMode::kInterval: {
       // The log is always dirty here (called right after a successful
       // append), so the only question is whether the interval elapsed.
-      const uint64_t now = NowMicros();
       if (now - last_wal_sync_micros_ < options_.wal_sync_interval_micros) {
         return Status::OK();
       }
@@ -550,14 +543,12 @@ Status DB::CommitWriter(write::Writer* writer) {
   write::Writer& w = *writer;
   // kPut spans the whole call — queue wait, group commit, stall gate — which
   // is the latency the caller of Put/Delete/Write actually observed.
-  obs::ScopedOpTimer put_timer(latency_.get(), obs::OpType::kPut);
+  obs::ScopedOpTimer put_timer(latency_, obs::OpType::kPut);
   const bool leader = write_queue_->JoinAndAwaitLeadership(&w);
-  if (latency_ != nullptr) {
-    // join_micros is when the writer blocked in the queue; it stays 0 for
-    // a writer that led at once, which waited 0 and reads no clock.
-    latency_->Record(obs::OpType::kGroupWait,
-                     w.join_micros == 0 ? 0 : NowMicros() - w.join_micros);
-  }
+  // join_micros is when the writer blocked in the queue; it stays 0 for a
+  // writer that led at once, which waited 0 and reads no clock.
+  latency_.Record(obs::OpType::kGroupWait,
+                  w.join_micros == 0 ? 0 : NowMicros() - w.join_micros);
   // A follower was committed (or failed) by another leader.
   if (!leader) return w.status;
 
@@ -626,8 +617,8 @@ Status DB::CommitWriter(write::Writer* writer) {
   // per-writer sequence assignment above.
   Status s;
   bool synced = false;
-  if (wal != nullptr && group_count > 0) {
-    const uint64_t wal_t0 = latency_ != nullptr ? NowMicros() : 0;
+  if (group_count > 0) {
+    const uint64_t wal_t0 = NowMicros();
     if (claim_count > 0) {
       std::string rec;
       PutFixed64(&rec, base_seq);
@@ -647,17 +638,14 @@ Status DB::CommitWriter(write::Writer* writer) {
       rec.append(wr->batch->rep());
       s = wal->AddRecord(Slice(rec));
     }
-    if (latency_ != nullptr) {
-      latency_->Record(obs::OpType::kWalAppend, NowMicros() - wal_t0);
-    }
+    // The append's end is the sync's start: one clock read between them.
+    const uint64_t wal_t1 = NowMicros();
+    latency_.Record(obs::OpType::kWalAppend, wal_t1 - wal_t0);
     if (s.ok()) {
-      const uint64_t sync_t0 = latency_ != nullptr ? NowMicros() : 0;
-      s = MaybeSyncWal(wal, &synced);
+      s = MaybeSyncWal(wal, wal_t1, &synced);
       // Only actual fsyncs are observations; skipped intervals would bury
       // the sync tail under zeros.
-      if (latency_ != nullptr && synced) {
-        latency_->Record(obs::OpType::kWalSync, NowMicros() - sync_t0);
-      }
+      if (synced) latency_.Record(obs::OpType::kWalSync, NowMicros() - wal_t1);
     }
   }
 
@@ -711,7 +699,7 @@ Status DB::CommitWriter(write::Writer* writer) {
     stats_.deletes += wr->batch->Deletes();
     payload += wr->batch->PayloadBytes();
     mix_tracker_.RecordUpdate();
-    options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_write);
+    options_.env->io_stats()->RecordCpu(kCpuCostPerWrite);
   }
   amp_.RecordUserPayload(payload);
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
@@ -753,7 +741,6 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
       // wait sound: it is decremented under mutex_ together with a
       // bg_cv_.notify_all(), so the last job's completion is never missed.
       if (imm_.empty() && bg_jobs_pending_ == 0) return Status::OK();
-      stats_.stall_stops++;
       if (cause == exec::StallCause::kMemtable) {
         stats_.stall_stops_memtable++;
       } else {
@@ -771,7 +758,6 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
         return imm_.empty() && bg_jobs_pending_ == 0;
       });
       const uint64_t waited = NowMicros() - start;
-      stats_.stall_micros += waited;
       stats_.stall_stop_micros += waited;
       ring_->Emit(obs::EventType::kStallExit, shard, cause_code, waited);
       continue;
@@ -790,8 +776,6 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
           stall_->config().slowdown_delay_micros));
       lock.lock();
       const uint64_t waited = NowMicros() - start;
-      stats_.stall_slowdowns++;
-      stats_.stall_micros += waited;
       stats_.stall_slowdown_micros += waited;
       ring_->Emit(obs::EventType::kStallExit, shard, cause_code, waited);
       continue;
@@ -860,7 +844,7 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
       MarkObsoleteLocked(std::move(obsolete));
       s = CollectObsoleteLocked();
     }
-    if (s.ok() && part.wal_number != 0) {
+    if (s.ok()) {
       options_.env->RemoveFile(WalFileName(options_.path, part.wal_number));
     }
     bg_cv_.notify_all();
@@ -964,9 +948,7 @@ Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
   MarkObsoleteLocked(std::move(obsolete));
   s = CollectObsoleteLocked();
   if (!s.ok()) return s;
-  if (old_wal != 0) {
-    options_.env->RemoveFile(WalFileName(options_.path, old_wal));
-  }
+  options_.env->RemoveFile(WalFileName(options_.path, old_wal));
 
   const double stall = options_.env->io_stats()->clock() - stall_start;
   if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
@@ -1005,7 +987,7 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   flush_count_++;
   const uint64_t dur = NowMicros() - flush_t0;
   ring_->Emit(obs::EventType::kFlushEnd, shard, result.bytes_written, dur);
-  if (latency_ != nullptr) latency_->Record(obs::OpType::kFlush, dur);
+  latency_.Record(obs::OpType::kFlush, dur);
   return Status::OK();
 }
 
@@ -1108,7 +1090,7 @@ Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
 Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
                                const JobPicker& pick,
                                std::optional<CompactionRequest>* job) {
-  const uint64_t comp_t0 = latency_ != nullptr ? NowMicros() : 0;
+  const uint64_t comp_t0 = NowMicros();
   compaction::MergeResult result;
   std::vector<FileMetaPtr> consumed;
   Status s = RunJobLocked(lock, pick, nullptr, job, &result, &consumed);
@@ -1116,9 +1098,7 @@ Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
   // nothing to do, or an empty plan (which counts as done).
   if (!s.ok() || consumed.empty()) return s;
 
-  if (latency_ != nullptr) {
-    latency_->Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
-  }
+  latency_.Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
   amp_.RecordCompaction((*job)->output_level, result.bytes_read,
                         result.bytes_written);
 
@@ -1196,18 +1176,15 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
         "stall_us=%llu slowdowns=%llu stops=%llu | ",
         pool_->num_threads(), imm_.size(),
         static_cast<unsigned long long>(stats_.max_imm_queue_depth),
-        static_cast<unsigned long long>(stats_.stall_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns),
-        static_cast<unsigned long long>(stats_.stall_stops));
+        static_cast<unsigned long long>(stats_.stall_micros()),
+        static_cast<unsigned long long>(stats_.stall_slowdowns()),
+        static_cast<unsigned long long>(stats_.stall_stops()));
     *value = std::string(buf) + scheduler_->GetStats().ToString();
     return true;
   }
   if (property == "talus.latency") {
-    // Empty (but recognized) when latency stats are disabled.
-    if (latency_ != nullptr) {
-      lock.unlock();  // Snapshots only touch the recorder's own atomics.
-      *value = latency_->ToString();
-    }
+    lock.unlock();  // Snapshots only touch the recorder's own atomics.
+    *value = latency_.ToString();
     return true;
   }
   if (property == "talus.events") {
@@ -1397,11 +1374,11 @@ Status DB::Get(const Slice& key, std::string* value) {
 
 Status DB::Get(const Slice& key, std::string* value,
                const Snapshot* snapshot) {
-  obs::ScopedOpTimer timer(latency_.get(), obs::OpType::kGet);
+  obs::ScopedOpTimer timer(latency_, obs::OpType::kGet);
   // The view pin is the only mutex acquisition on the lookup path; the
   // probe itself runs against immutable state and the lock-free memtables.
   auto view = AcquireReadView();
-  options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_read);
+  options_.env->io_stats()->RecordCpu(kCpuCostPerRead);
   LookupKey lkey(
       key, snapshot != nullptr ? snapshot->sequence() : view->sequence);
 
@@ -1503,17 +1480,17 @@ std::unique_ptr<Iterator> DB::NewPinnedIterator(
   auto merged =
       NewMergingIterator(InternalKeyComparator(), std::move(children));
   return std::make_unique<DbIterator>(std::move(view), std::move(merged),
-                                      latency_.get());
+                                      latency_);
 }
 
 Status DB::Scan(const Slice& start, size_t count,
                 std::vector<std::pair<std::string, std::string>>* out) {
-  obs::ScopedOpTimer timer(latency_.get(), obs::OpType::kScan);
+  obs::ScopedOpTimer timer(latency_, obs::OpType::kScan);
   // Pin once, then iterate with no lock held: the view's sequence bound
   // makes the whole scan a consistent snapshot even while writers and
   // background maintenance proceed.
   auto iter = NewPinnedIterator(AcquireReadView());
-  options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_read);
+  options_.env->io_stats()->RecordCpu(kCpuCostPerRead);
   out->clear();
   iter->Seek(start);
   while (iter->Valid() && out->size() < count) {
@@ -1562,10 +1539,7 @@ std::string DB::DebugString() const {
 }
 
 std::vector<Histogram> DB::GetLatencyHistograms() const {
-  if (latency_ == nullptr) {
-    return std::vector<Histogram>(obs::kNumOpTypes);  // All empty.
-  }
-  return latency_->SnapshotAll();
+  return latency_.SnapshotAll();
 }
 
 std::string DB::DumpPrometheus() const {

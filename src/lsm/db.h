@@ -109,12 +109,9 @@ struct EngineStats {
   uint64_t memtable_switches = 0;   // Active → immutable handoffs.
   uint64_t bg_flushes = 0;          // Flushes executed by background jobs.
   uint64_t bg_compactions = 0;      // Compactions executed by background jobs.
-  uint64_t stall_slowdowns = 0;     // Writes delayed by the slowdown regime.
-  uint64_t stall_stops = 0;         // Writes blocked until debt retired.
-  uint64_t stall_micros = 0;        // Wall time writers spent stalled (total).
-  // Stall time split by regime (slowdown + stop == stall_micros) and stall
-  // entries split by cause, so talus.stats says *why* writes stalled:
-  // memtable = immutable-memtable debt, l0 = level-0 run debt.
+  // Stall time split by regime and stall entries split by cause, so
+  // talus.stats says *why* writes stalled: memtable = immutable-memtable
+  // debt, l0 = level-0 run debt. The totals below are sums of these parts.
   uint64_t stall_slowdown_micros = 0;
   uint64_t stall_stop_micros = 0;
   uint64_t stall_slowdowns_memtable = 0;
@@ -122,6 +119,19 @@ struct EngineStats {
   uint64_t stall_stops_memtable = 0;
   uint64_t stall_stops_l0 = 0;
   uint64_t max_imm_queue_depth = 0; // High-water immutable-memtable count.
+
+  /// Writes delayed by the slowdown regime.
+  uint64_t stall_slowdowns() const {
+    return stall_slowdowns_memtable + stall_slowdowns_l0;
+  }
+  /// Writes blocked until the debt retired.
+  uint64_t stall_stops() const {
+    return stall_stops_memtable + stall_stops_l0;
+  }
+  /// Wall time writers spent stalled, both regimes.
+  uint64_t stall_micros() const {
+    return stall_slowdown_micros + stall_stop_micros;
+  }
 };
 
 /// Read view pinned at a point in time. Obtained from DB::GetSnapshot();
@@ -179,8 +189,7 @@ class DB {
 
   /// Introspection: the talus.* properties declared in the metric catalog
   /// (obs::FindProperty, obs/metric_catalog.h). Returns false for unknown
-  /// names. talus.latency is empty when latency stats are off,
-  /// talus.snapshots without a snapshotter.
+  /// names. talus.snapshots is empty without a snapshotter.
   bool GetProperty(const std::string& property, std::string* value);
 
   /// Collects up to `count` live entries with user key >= start, in order.
@@ -221,8 +230,6 @@ class DB {
   EngineStats stats() const;
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
   obs::GroupCommitStats GetGroupCommitStats() const;
-  /// Per-op latency recorder; null when enable_latency_stats is off.
-  obs::LatencyRecorder* latency_recorder() { return latency_.get(); }
   /// Cumulative per-level I/O counters (the amp tracker's snapshot) with
   /// live per-level space filled in from the current version (takes the
   /// mutex briefly). Subtract an earlier snapshot for a delta. The
@@ -238,9 +245,8 @@ class DB {
   obs::StatsSnapshotter* stats_snapshotter() { return snapshotter_.get(); }
   /// Event ring (owned or borrowed via DbOptions::event_ring); never null.
   obs::EventRing* event_ring() { return ring_; }
-  /// SnapshotAll() of the recorder, indexed by obs::OpType; all-empty
-  /// histograms when latency stats are disabled. The sharding layer merges
-  /// these per-shard vectors into fleet-wide talus.latency.
+  /// SnapshotAll() of the recorder, indexed by obs::OpType. The sharding
+  /// layer merges these per-shard vectors into fleet-wide talus.latency.
   std::vector<Histogram> GetLatencyHistograms() const;
   /// Prometheus text exposition of every talus_* engine family in the
   /// metric catalog (DESIGN.md §6.3–§6.4).
@@ -320,8 +326,10 @@ class DB {
   /// preassigned-sequence fields before joining the queue).
   Status CommitWriter(write::Writer* w);
   /// Applies wal_sync_mode: issues (or skips) the group's WAL sync. Leader
-  /// only, mutex released. *synced reports whether an fsync was issued.
-  Status MaybeSyncWal(wal::LogWriter* wal, bool* synced);
+  /// only, mutex released; `now` is the append's end (NowMicros), which
+  /// kInterval compares with the last sync. *synced reports whether an
+  /// fsync was issued.
+  Status MaybeSyncWal(wal::LogWriter* wal, uint64_t now, bool* synced);
   Status MaybeStallLocked(std::unique_lock<std::mutex>& lock);
   Status SwitchMemTableLocked();
   SequenceNumber SmallestLiveSnapshotLocked() const;
@@ -492,9 +500,9 @@ class DB {
   EngineStats stats_;
 
   // ---- Observability (src/obs/, DESIGN.md §6) ----
-  // Null when enable_latency_stats is off: the hot paths then skip both the
-  // clock reads and the recorder stores (ScopedOpTimer's null fast path).
-  std::unique_ptr<obs::LatencyRecorder> latency_;
+  // Per-op latency histograms, always on: every op reads the clock twice
+  // and adds to lock-free striped counters (DESIGN.md §6.5).
+  obs::LatencyRecorder latency_;
   // ring_ points at owned_ring_ unless DbOptions::event_ring lends a shared
   // one (sharded stores). Emits happen inside and outside mutex_; the ring
   // has its own lock.

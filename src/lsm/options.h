@@ -62,7 +62,6 @@ struct DbOptions {
   uint64_t write_buffer_size = 1 << 20;  // B: memtable capacity in bytes.
   uint64_t target_file_size = 1 << 20;   // Max SST size (RocksDB-style).
   size_t block_size = 4096;
-  int block_restart_interval = 16;
 
   size_t block_cache_bytes = 8 << 20;
   /// Max open SstReaders cached by the read path's table cache (pinned
@@ -77,14 +76,11 @@ struct DbOptions {
   /// kBlocked makes every filter probe a single-cache-line access.
   FilterVariant filter_variant = FilterVariant::kLegacy;
 
-  bool enable_wal = true;
   /// When the write path fsyncs the WAL; see WalSyncMode. kNone by default
   /// like production systems.
   WalSyncMode wal_sync_mode = WalSyncMode::kNone;
   /// kInterval only: minimum microseconds between write-path WAL syncs.
   uint64_t wal_sync_interval_micros = 10000;
-  // Replay WAL / manifest on open when present.
-  bool create_if_missing = true;
 
   // ---- Group-commit write pipeline (DESIGN.md §2.9) ----
   /// Byte budget for one commit group: the leader absorbs queued batches
@@ -133,12 +129,6 @@ struct DbOptions {
   uint64_t slowdown_delay_micros = 1000;
 
   // ---- Observability (src/obs/, DESIGN.md §6) ----
-  /// Record per-op latency histograms (talus.latency) via the lock-free
-  /// obs::LatencyRecorder. On by default: the recorder costs <3% at 8
-  /// concurrent writers (DESIGN.md §6.5) and tail latency is a first-class
-  /// metric. When off the DB allocates no recorder and the hot paths skip
-  /// the clock reads entirely.
-  bool enable_latency_stats = true;
   /// When non-empty, every engine event is appended to this file as one
   /// JSON object per line (the talus.events taxonomy) for postmortem stall
   /// reconstruction; Open fails with IOError if it cannot be created.
@@ -183,10 +173,6 @@ struct DbOptions {
   /// Drift windows with fewer operations than this are skipped by the
   /// tuner: a thin window's mix estimate is noise, not workload.
   uint64_t tune_min_window_ops = 256;
-
-  // CPU epsilons for the virtual clock (see env/io_stats.h).
-  double cpu_cost_per_write = 0.02;
-  double cpu_cost_per_read = 0.02;
 };
 
 }  // namespace talus

@@ -88,11 +88,11 @@ const std::vector<MetricDef> kCatalog = {
     {nullptr, "bg_compactions", nullptr, kCounter, kSum, "jobs",
      "Compactions run by background jobs.", FROM(s.stats.bg_compactions)},
     {nullptr, "stall_us", nullptr, kCounter, kSum, "us",
-     "Time writers spent stalled.", FROM(s.stats.stall_micros)},
+     "Time writers spent stalled.", FROM(s.stats.stall_micros())},
     {nullptr, "slowdowns", nullptr, kCounter, kSum, "writes",
-     "Writes the slowdown regime delayed.", FROM(s.stats.stall_slowdowns)},
+     "Writes the slowdown regime delayed.", FROM(s.stats.stall_slowdowns())},
     {nullptr, "stops", nullptr, kCounter, kSum, "writes",
-     "Writes blocked until the debt retired.", FROM(s.stats.stall_stops)},
+     "Writes blocked until the debt retired.", FROM(s.stats.stall_stops())},
     {"talus_stall_micros_total{regime=\"slowdown\"}", "stall_slowdown_us",
      nullptr, kCounter, kSum, "us", kStallUsHelp,
      FROM(s.stats.stall_slowdown_micros)},

@@ -71,7 +71,8 @@ class Arena {
   }
 
   char* AllocateNewBlock(size_t block_bytes) {
-    blocks_.push_back(std::make_unique<char[]>(block_bytes));
+    // Default-initialized: callers write every byte they later read.
+    blocks_.push_back(std::unique_ptr<char[]>(new char[block_bytes]));
     memory_usage_.fetch_add(block_bytes + sizeof(char*),
                             std::memory_order_relaxed);
     return blocks_.back().get();

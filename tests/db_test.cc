@@ -259,20 +259,6 @@ TEST(Db, StatsAccumulate) {
   EXPECT_GT(env->io_stats()->peak_storage_bytes(), 0u);
 }
 
-TEST(Db, WalDisabledStillWorksWithExplicitFlush) {
-  auto env = NewMemEnv();
-  DbOptions opts = SmallOptions(env.get(), GrowthPolicyConfig::VTLevelPart(3));
-  opts.enable_wal = false;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "v").ok());
-  }
-  ASSERT_TRUE(db->FlushMemTable().ok());
-  std::string value;
-  EXPECT_TRUE(db->Get(workload::FormatKey(7, 16), &value).ok());
-}
-
 TEST(Db, PolicyMismatchOnReopenRejected) {
   auto env = NewMemEnv();
   {

@@ -237,23 +237,49 @@ TEST(ObsProperty, GroupWaitIsBoundedByPutLatency) {
   EXPECT_LE(wait.Max(), put.Max());
 }
 
-TEST(ObsProperty, DisabledStatsMeansNoRecorderAndEmptyProperty) {
+// Every store records latency: a store with the default observability
+// counts each op type it exercised, in both execution modes. Under the
+// default kNone sync mode no group syncs, so wal_sync stays empty.
+class ObsLatencyModes : public ::testing::TestWithParam<ExecutionMode> {};
+
+TEST_P(ObsLatencyModes, EveryExercisedOpIsCounted) {
   auto env = NewMemEnv();
   DbOptions opts = SmallDbOptions(env.get());
-  opts.enable_latency_stats = false;
+  opts.execution_mode = GetParam();
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
-  ASSERT_TRUE(db->Put("k", "v").ok());
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(
+        db->Put(workload::FormatKey(i, 16), std::string(64, 'v')).ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  std::string value;
+  ASSERT_TRUE(db->Get(workload::FormatKey(7, 16), &value).ok());
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db->Scan(workload::FormatKey(0, 16), 10, &rows).ok());
+  std::unique_ptr<Iterator> it = db->NewIterator();
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  it.reset();
 
-  EXPECT_EQ(db->latency_recorder(), nullptr);
-  std::string latency = "sentinel";
-  ASSERT_TRUE(db->GetProperty("talus.latency", &latency));
-  EXPECT_TRUE(latency.empty());
-  // The histogram surface stays shaped (indexed by OpType) but empty.
   const std::vector<Histogram> hists = db->GetLatencyHistograms();
   ASSERT_EQ(hists.size(), static_cast<size_t>(obs::kNumOpTypes));
-  for (const Histogram& h : hists) EXPECT_EQ(h.Count(), 0u);
+  for (int op = 0; op < obs::kNumOpTypes; op++) {
+    const uint64_t count = hists[static_cast<size_t>(op)].Count();
+    if (static_cast<obs::OpType>(op) == obs::OpType::kWalSync) {
+      EXPECT_EQ(count, 0u);
+    } else {
+      EXPECT_GT(count, 0u) << obs::OpTypeName(static_cast<obs::OpType>(op));
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, ObsLatencyModes,
+    ::testing::Values(ExecutionMode::kInline, ExecutionMode::kBackground),
+    [](const ::testing::TestParamInfo<ExecutionMode>& info) {
+      return info.param == ExecutionMode::kInline ? "Inline" : "Background";
+    });
 
 TEST(ObsProperty, TalusEventsAndPrometheusExposition) {
   auto env = NewMemEnv();
@@ -320,15 +346,12 @@ TEST(ObsEndToEnd, WriteStallReconstructibleFromTrace) {
   bool stalled = false;
   for (int i = 0; i < 50000 && !stalled; i++) {
     ASSERT_TRUE(db->Put(workload::FormatKey(i % 4000, 16), value).ok());
-    if (i % 64 == 0) stalled = db->stats().stall_stops > 0;
+    if (i % 64 == 0) stalled = db->stats().stall_stops() > 0;
   }
   ASSERT_TRUE(stalled) << "no write stall after 50000 puts";
   // Quiesce the background jobs so the copy is final.
   ASSERT_TRUE(db->FlushMemTable().ok());
   const EngineStats stats = db->stats();
-  // The regime/cause split accounts for every stop we hit.
-  EXPECT_EQ(stats.stall_stops_memtable + stats.stall_stops_l0,
-            stats.stall_stops);
   EXPECT_GT(stats.stall_stop_micros, 0u);
   db.reset();  // Quiesce and flush the trace.
 
@@ -339,6 +362,16 @@ TEST(ObsEndToEnd, WriteStallReconstructibleFromTrace) {
   std::string line;
   std::vector<std::string> lines;
   while (std::getline(in, line)) lines.push_back(line);
+  // Every stall entry is one trace event: b = 1 for a stop, 0 for a
+  // slowdown. The counters' cause split accounts for each of them.
+  uint64_t stop_enters = 0, slowdown_enters = 0;
+  for (const std::string& l : lines) {
+    if (l.find("\"event\": \"stall_enter\"") == std::string::npos) continue;
+    if (l.find("\"b\": 1}") != std::string::npos) stop_enters++;
+    if (l.find("\"b\": 0}") != std::string::npos) slowdown_enters++;
+  }
+  EXPECT_EQ(stats.stall_stops(), stop_enters);
+  EXPECT_EQ(stats.stall_slowdowns(), slowdown_enters);
   for (size_t i = 0; i < lines.size(); i++) {
     if (enter_line == std::string::npos &&
         lines[i].find("\"event\": \"stall_enter\"") != std::string::npos) {
