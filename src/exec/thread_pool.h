@@ -1,6 +1,7 @@
-// ThreadPool: fixed-size worker pool executing queued tasks FIFO. The
-// JobScheduler layers flush/compaction prioritization on top; the pool itself
-// is policy-free so other subsystems (prefetchers, checkpoints) can share it.
+// ThreadPool: fixed-size worker pool executing queued tasks FIFO. It is
+// policy-free: each DB decides which of its flush and compaction work a
+// task runs (flush first, DESIGN.md §2.1), so the shards of a ShardedDB and
+// other subsystems (the stats snapshotter) can share one pool.
 #ifndef TALUS_EXEC_THREAD_POOL_H_
 #define TALUS_EXEC_THREAD_POOL_H_
 

@@ -235,16 +235,22 @@ DB::~DB() {
   // state; quiesce both before anything else is torn down.
   ticker_.Stop();
   if (snapshotter_ != nullptr) snapshotter_->Stop();
-  // Drain accepted background jobs, then the pool's task queue, before any
-  // member is destroyed. Both calls are idempotent. A borrowed pool (shared
-  // across shards) is the sharded store's to shut down, not ours.
-  if (scheduler_ != nullptr) scheduler_->Shutdown();
+  {
+    // Every task this engine submitted runs to its end before any member
+    // is destroyed, on a borrowed pool too (the sharded store's, which
+    // outlives its shards): a lane is idle only once its task is done with
+    // the engine, and closing_ keeps idle lanes idle.
+    std::unique_lock<std::mutex> lock(mutex_);
+    closing_ = true;
+    bg_cv_.wait(lock, [this] { return BackgroundIdleLocked(); });
+    // Best effort: anything still pinned (stray iterator outliving the DB
+    // is undefined behavior anyway) stays on disk and is swept at the next
+    // Open.
+    CollectObsoleteLocked();
+    if (current_ != nullptr && current_->Unref()) delete current_;
+  }
+  // A borrowed pool is the sharded store's to shut down, not ours.
   if (owned_pool_ != nullptr) owned_pool_->Shutdown();
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Best effort: anything still pinned (stray iterator outliving the DB is
-  // undefined behavior anyway) stays on disk and is swept at the next Open.
-  CollectObsoleteLocked();
-  if (current_ != nullptr && current_->Unref()) delete current_;
 }
 
 Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
@@ -317,19 +323,23 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
 
   db->mem_ = std::make_shared<MemTable>();
 
-  // Sweep orphaned SSTs: files on disk but absent from the manifest's
-  // version (left by a crash between a manifest install and deferred GC, or
-  // by a shutdown with pinned iterators). Nothing else runs yet, so every
-  // unreferenced .sst is garbage.
+  // Sweep orphaned files. An .sst absent from the manifest's version was
+  // left by a crash between a manifest install and deferred GC, or by a
+  // shutdown with pinned iterators. A .wal older than the oldest one the
+  // manifest names was left by a failed flush that returned before it
+  // retired its WAL; recovery never replays it. Nothing else runs yet, so
+  // both are garbage.
   {
     std::vector<std::string> children;
     if (env->GetChildren(options.path, &children).ok()) {
       for (const auto& name : children) {
         uint64_t number = 0;
         std::string suffix;
-        if (ParseFileName(name, &number, &suffix) && suffix == "sst" &&
-            !db->current_->ReferencesFile(number)) {
+        if (!ParseFileName(name, &number, &suffix)) continue;
+        if (suffix == "sst" && !db->current_->ReferencesFile(number)) {
           env->RemoveFile(SstFileName(options.path, number));
+        } else if (suffix == "wal" && number < old_wal) {
+          env->RemoveFile(WalFileName(options.path, number));
         }
       }
     }
@@ -375,7 +385,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
           std::make_unique<exec::ThreadPool>(options.num_background_threads);
       db->pool_ = db->owned_pool_.get();
     }
-    db->scheduler_ = std::make_unique<exec::JobScheduler>(db->pool_);
     exec::StallConfig stall_config;
     stall_config.max_immutable_memtables = options.max_immutable_memtables;
     stall_config.l0_slowdown_runs = options.l0_slowdown_runs;
@@ -734,13 +743,12 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
                                           ? obs::kCauseL0
                                           : obs::kCauseNone;
     if (decision == exec::StallDecision::kStop) {
-      // Safety valve: if no background job is pending, no background
-      // progress can clear the condition (the policy's stable shape exceeds
-      // the configured threshold) — proceed instead of deadlocking.
-      // bg_jobs_pending_ (not the scheduler's counters) is what makes this
-      // wait sound: it is decremented under mutex_ together with a
-      // bg_cv_.notify_all(), so the last job's completion is never missed.
-      if (imm_.empty() && bg_jobs_pending_ == 0) return Status::OK();
+      // Safety valve: with both lanes idle, no background progress can
+      // clear the condition (the policy's stable shape exceeds the
+      // configured threshold) — proceed instead of deadlocking. Lanes
+      // change under mutex_ with a bg_cv_ notify, so the wait below never
+      // misses the last one going idle.
+      if (BackgroundIdleLocked()) return Status::OK();
       if (cause == exec::StallCause::kMemtable) {
         stats_.stall_stops_memtable++;
       } else {
@@ -755,7 +763,7 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
         if (stall_->Decide(imm_.size(), l0) != exec::StallDecision::kStop) {
           return true;
         }
-        return imm_.empty() && bg_jobs_pending_ == 0;
+        return BackgroundIdleLocked();
       });
       const uint64_t waited = NowMicros() - start;
       stats_.stall_stop_micros += waited;
@@ -799,43 +807,51 @@ Status DB::SwitchMemTableLocked() {
     bg_error_ = s;
     return s;
   }
-  ScheduleFlushLocked();
+  QueueLaneLocked(&flush_lane_);
   return Status::OK();
 }
 
-void DB::ScheduleFlushLocked() {
-  if (scheduler_->Schedule(exec::JobType::kFlush,
-                          [this] { return BackgroundFlush(); })) {
-    bg_jobs_pending_++;
-  }
-}
-
-void DB::ScheduleCompactionLocked() {
-  if (scheduler_->Schedule(exec::JobType::kCompaction,
-                          [this] { return BackgroundCompaction(); })) {
-    bg_jobs_pending_++;
-  }
-}
-
-Status DB::BackgroundFlush() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  Status s = BackgroundFlushLocked(lock);
-  bg_jobs_pending_--;
+void DB::SetLaneLocked(Lane* lane, Lane state) {
+  *lane = state;
   bg_cv_.notify_all();
-  return s;
+}
+
+void DB::QueueLaneLocked(Lane* lane) {
+  if (*lane != Lane::kIdle || closing_) return;
+  if (pool_->Submit([this] { RunBackgroundTask(); })) {
+    SetLaneLocked(lane, Lane::kQueued);
+  }
+}
+
+void DB::RunBackgroundTask() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Flush first: a full immutable memtable blocks writers, while a pending
+  // compaction only costs read amplification (RocksDB's HIGH/LOW pools).
+  // One task is submitted per queued lane, so some lane is queued here.
+  if (flush_lane_ == Lane::kQueued) {
+    SetLaneLocked(&flush_lane_, Lane::kRunning);
+    Status s = BackgroundFlushLocked(lock);
+    if (!s.ok()) bg_error_ = s;
+    SetLaneLocked(&flush_lane_, Lane::kIdle);
+    if (s.ok()) QueueLaneLocked(&compaction_lane_);
+  } else if (compaction_lane_ == Lane::kQueued) {
+    SetLaneLocked(&compaction_lane_, Lane::kRunning);
+    const uint64_t before = amp_.TotalCompactions();
+    Status s = RunCompactionLoopLocked(lock);
+    stats_.bg_compactions += amp_.TotalCompactions() - before;
+    if (!s.ok()) bg_error_ = s;
+    SetLaneLocked(&compaction_lane_, Lane::kIdle);
+  }
 }
 
 Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
-  if (flush_active_) return Status::OK();  // The active job drains the queue.
-  flush_active_ = true;
-  Status s;
-  while (s.ok() && !imm_.empty()) {
+  while (!imm_.empty()) {
     // The front partition stays visible to readers (and its WAL stays named
     // by the manifest) until the flush result is installed below.
     ImmPartition part = imm_.front();
     std::vector<FileMetaPtr> obsolete;
-    s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
-    if (!s.ok()) break;
+    Status s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
+    if (!s.ok()) return s;
     imm_.pop_front();
     stats_.bg_flushes++;
     policy_->OnFlushCompleted(*current_);
@@ -844,32 +860,11 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
       MarkObsoleteLocked(std::move(obsolete));
       s = CollectObsoleteLocked();
     }
-    if (s.ok()) {
-      options_.env->RemoveFile(WalFileName(options_.path, part.wal_number));
-    }
-    bg_cv_.notify_all();
+    if (!s.ok()) return s;
+    options_.env->RemoveFile(WalFileName(options_.path, part.wal_number));
+    bg_cv_.notify_all();  // Stalled writers re-check the shrunken queue.
   }
-  if (!s.ok()) bg_error_ = s;
-  flush_active_ = false;
-  if (s.ok()) ScheduleCompactionLocked();
-  bg_cv_.notify_all();
-  return s;
-}
-
-Status DB::BackgroundCompaction() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  Status s = Status::OK();
-  if (!compaction_active_) {  // Otherwise the active chain picks the work up.
-    compaction_active_ = true;
-    const uint64_t before = amp_.TotalCompactions();
-    s = RunCompactionLoopLocked(lock);
-    stats_.bg_compactions += amp_.TotalCompactions() - before;
-    if (!s.ok()) bg_error_ = s;
-    compaction_active_ = false;
-  }
-  bg_jobs_pending_--;
-  bg_cv_.notify_all();
-  return s;
+  return Status::OK();
 }
 
 SequenceNumber DB::SmallestLiveSnapshotLocked() const {
@@ -920,9 +915,7 @@ Status DB::FlushMemTable() {
     Status s = SwitchMemTableLocked();
     if (!s.ok()) return s;
   }
-  lock.unlock();
-  scheduler_->WaitIdle();
-  lock.lock();
+  bg_cv_.wait(lock, [this] { return BackgroundIdleLocked(); });
   return bg_error_;
 }
 
@@ -1173,13 +1166,17 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     std::snprintf(
         buf, sizeof(buf),
         "mode=background threads=%zu imm_queued=%zu max_imm_queue=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu | ",
+        "stall_us=%llu slowdowns=%llu stops=%llu | "
+        "flush{queued=%d running=%d} compaction{queued=%d running=%d}",
         pool_->num_threads(), imm_.size(),
         static_cast<unsigned long long>(stats_.max_imm_queue_depth),
         static_cast<unsigned long long>(stats_.stall_micros()),
         static_cast<unsigned long long>(stats_.stall_slowdowns()),
-        static_cast<unsigned long long>(stats_.stall_stops()));
-    *value = std::string(buf) + scheduler_->GetStats().ToString();
+        static_cast<unsigned long long>(stats_.stall_stops()),
+        flush_lane_ == Lane::kQueued, flush_lane_ == Lane::kRunning,
+        compaction_lane_ == Lane::kQueued,
+        compaction_lane_ == Lane::kRunning);
+    *value = buf;
     return true;
   }
   if (property == "talus.latency") {
@@ -1630,11 +1627,12 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   }
   // The swap must not happen under an in-flight old-policy merge (its
   // install would follow shapes the new policy never planned), and the
-  // catch-up below claims the single-chain guard. Chains always terminate
-  // and clear the flag under this mutex, so the wait is bounded.
-  bg_cv_.wait(lock, [this] { return !compaction_active_; });
+  // catch-up below claims the compaction lane. Queued chains run and every
+  // chain terminates and goes idle under this mutex, so the wait is
+  // bounded.
+  bg_cv_.wait(lock, [this] { return compaction_lane_ == Lane::kIdle; });
   if (!bg_error_.ok()) return bg_error_;
-  compaction_active_ = true;
+  SetLaneLocked(&compaction_lane_, Lane::kRunning);
 
   policy_ = std::move(next);
   options_.policy = resolved;
@@ -1655,9 +1653,8 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   // around merges like every maintenance job.
   if (s.ok()) s = CatchUpCompactionsLocked(lock);
   if (s.ok()) s = RunCompactionLoopLocked(lock);
-  compaction_active_ = false;
   if (!s.ok() && is_background()) bg_error_ = s;
-  bg_cv_.notify_all();
+  SetLaneLocked(&compaction_lane_, Lane::kIdle);
   return s;
 }
 

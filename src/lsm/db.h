@@ -10,8 +10,8 @@
 //    metric — the same phenomenon the paper measures through
 //    background-compaction backpressure.
 //  * ExecutionMode::kBackground: the write path only switches a full
-//    memtable onto an immutable queue; flush and compaction jobs run on a
-//    thread pool (exec/job_scheduler.h) with the mutex released for each
+//    memtable onto an immutable queue; flush and compaction work runs on a
+//    thread pool (exec/thread_pool.h) with the mutex released for each
 //    merge, and writers are paced by slowdown/stop backpressure
 //    (exec/stall_controller.h). Put/Delete/Write/Get/Scan/snapshots are then
 //    safe to call from any number of threads.
@@ -45,7 +45,6 @@
 #include "cache/lru_cache.h"
 #include "compaction/compaction_executor.h"
 #include "compaction/compaction_plan.h"
-#include "exec/job_scheduler.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
 #include "exec/ticker.h"
@@ -266,10 +265,10 @@ class DB {
 
   // ---- Adaptive tuning: the sense→act loop (src/tune/, DESIGN.md §9) ----
   /// Installs `config` as the live growth policy without downtime: the new
-  /// policy is swapped in under the DB mutex (after waiting out any active
-  /// compaction chain), the drift monitor is re-anchored to the new design,
-  /// a kPolicyChange event is emitted, the manifest persists the new config
-  /// (so a reopen with adaptive_tuning resumes under it), and catch-up
+  /// policy is swapped in under the DB mutex (after waiting until the
+  /// compaction lane is idle), the drift monitor is re-anchored to the new
+  /// design, a kPolicyChange event is emitted, the manifest persists the new
+  /// config (so a reopen with adaptive_tuning resumes under it), and catch-up
   /// compactions converge the on-disk layout toward the new shape through
   /// the existing pipeline — subsequent flush/compaction planning follows
   /// the new policy automatically. Concurrent writers keep running: merges
@@ -421,13 +420,25 @@ class DB {
   uint64_t OldestLiveWalLocked() const;
   double BitsPerKeyForLevelLocked(int level) const;
 
-  // Background job bodies (run on pool threads). The outer functions wrap
-  // the *Locked bodies with bg_jobs_pending_ bookkeeping.
-  Status BackgroundFlush();
+  // ---- Background work (kBackground; DESIGN.md §2.1) ----
+  /// The engine's two lanes of background work. Each is idle, queued (one
+  /// pool task submitted for it) or running.
+  enum class Lane : uint8_t { kIdle, kQueued, kRunning };
+  /// Every lane change goes through here: it notifies bg_cv_, so stall
+  /// waits, FlushMemTable, ApplyPolicyConfig and ~DB can wait on the states.
+  void SetLaneLocked(Lane* lane, Lane state);
+  /// Moves an idle lane to queued and submits one pool task for it. A lane
+  /// that is queued or running needs nothing: its loop re-checks for work
+  /// under the mutex before it goes idle. A refused Submit leaves it idle.
+  void QueueLaneLocked(Lane* lane);
+  /// The pool task: runs the engine's queued flush if there is one, else
+  /// its queued compaction.
+  void RunBackgroundTask();
+  /// Drains imm_ oldest-first, one maintenance job per memtable.
   Status BackgroundFlushLocked(std::unique_lock<std::mutex>& lock);
-  Status BackgroundCompaction();
-  void ScheduleFlushLocked();
-  void ScheduleCompactionLocked();
+  bool BackgroundIdleLocked() const {
+    return flush_lane_ == Lane::kIdle && compaction_lane_ == Lane::kIdle;
+  }
 
   bool is_background() const {
     return options_.execution_mode == ExecutionMode::kBackground;
@@ -526,23 +537,19 @@ class DB {
   /// Fills the per-level live_sst/live_payload fields from current_.
   void FillLiveSpaceLocked(obs::AmpSnapshot* snap) const;
 
-  // ---- Background execution (null / unused under kInline) ----
+  // ---- Background execution (pool and stall_ null under kInline) ----
   // The pool is either owned (standalone DB) or borrowed from the sharded
   // store (DbOptions::shared_pool); only an owned pool is shut down here.
   std::unique_ptr<exec::ThreadPool> owned_pool_;
   exec::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<exec::JobScheduler> scheduler_;
   std::unique_ptr<exec::StallController> stall_;
-  // Only one flush job / one compaction chain does work at a time; extra
-  // jobs observe the guard and return (their work is picked up by the
-  // active job's drain loop).
-  bool flush_active_ = false;
-  bool compaction_active_ = false;
-  // Scheduled jobs that have not finished their DB work yet. Maintained
-  // under mutex_ (unlike the scheduler's own counters) so stall waits on
-  // bg_cv_ can use it in their predicate without missed wakeups: the
-  // decrement and the notify happen under the same mutex the waiter holds.
-  int bg_jobs_pending_ = 0;
+  // The engine's one record of its background work (see Lane): at most one
+  // flush drain and one compaction chain run at a time. ApplyPolicyConfig
+  // also claims the compaction lane while it swaps the policy (both modes).
+  Lane flush_lane_ = Lane::kIdle;
+  Lane compaction_lane_ = Lane::kIdle;
+  // Set by ~DB: idle lanes stay idle, so the teardown wait ends.
+  bool closing_ = false;
   // First background failure; writers fail fast once set.
   Status bg_error_;
 };

@@ -1,29 +1,7 @@
 #include "obs/component_stats.h"
 
-#include <cstdio>
-
 namespace talus {
 namespace obs {
-
-std::string BackgroundJobStats::ToString() const {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "flush{scheduled=%llu completed=%llu failed=%llu busy_us=%llu "
-      "queued=%zu} "
-      "compaction{scheduled=%llu completed=%llu failed=%llu busy_us=%llu "
-      "queued=%zu} running=%zu max_queue_depth=%zu",
-      static_cast<unsigned long long>(scheduled[0]),
-      static_cast<unsigned long long>(completed[0]),
-      static_cast<unsigned long long>(failed[0]),
-      static_cast<unsigned long long>(busy_micros[0]), queue_depth[0],
-      static_cast<unsigned long long>(scheduled[1]),
-      static_cast<unsigned long long>(completed[1]),
-      static_cast<unsigned long long>(failed[1]),
-      static_cast<unsigned long long>(busy_micros[1]), queue_depth[1],
-      running, max_queue_depth);
-  return buf;
-}
 
 void GroupCommitTracker::OnGroupCommitted(size_t group_size,
                                           uint64_t committed_batches,

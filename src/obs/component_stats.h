@@ -1,15 +1,13 @@
 // Point-in-time counter snapshots of the engine's components and of the
-// network server. Each component fills its own struct (JobScheduler,
-// GroupCommitTracker, server::Server); the metric catalog
-// (obs/metric_catalog.h) reads them out of a MetricSnapshot, and talus.exec
-// prints the first as structured text.
+// network server. Each component fills its own struct (GroupCommitTracker,
+// server::Server); the metric catalog (obs/metric_catalog.h) reads them out
+// of a MetricSnapshot.
 #ifndef TALUS_OBS_COMPONENT_STATS_H_
 #define TALUS_OBS_COMPONENT_STATS_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "util/histogram.h"
 
@@ -34,33 +32,6 @@ class RelaxedCounter {
 
  private:
   std::atomic<uint64_t> v_{0};
-};
-
-/// The background execution subsystem (exec::JobScheduler::GetStats()).
-struct BackgroundJobStats {
-  // Indexed by exec::JobType (0 = flush, 1 = compaction).
-  static constexpr size_t kNumJobTypes = 2;
-
-  uint64_t scheduled[kNumJobTypes] = {0, 0};
-  uint64_t completed[kNumJobTypes] = {0, 0};
-  uint64_t failed[kNumJobTypes] = {0, 0};
-  /// Wall time workers spent inside jobs of each type, in microseconds.
-  uint64_t busy_micros[kNumJobTypes] = {0, 0};
-
-  /// Jobs currently waiting in the priority queues.
-  size_t queue_depth[kNumJobTypes] = {0, 0};
-  /// Jobs currently executing on pool workers.
-  size_t running = 0;
-  /// High-water mark of total queued jobs (backpressure indicator).
-  size_t max_queue_depth = 0;
-
-  size_t total_queue_depth() const {
-    return queue_depth[0] + queue_depth[1];
-  }
-  /// No job queued or executing.
-  bool idle() const { return running == 0 && total_queue_depth() == 0; }
-
-  std::string ToString() const;
 };
 
 /// The write pipeline's batching behavior (DESIGN.md §2.9), as

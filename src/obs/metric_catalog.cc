@@ -331,7 +331,7 @@ const PropertyDef kProperties[] = {
     {"talus.cstats", PropertyMerge::kPerShard},  // Compaction bytes.
     {"talus.num-runs", PropertyMerge::kSum},     // Sorted runs.
     {"talus.data-bytes", PropertyMerge::kSum},   // Live logical bytes.
-    {"talus.exec", PropertyMerge::kPerShard},    // Scheduler state.
+    {"talus.exec", PropertyMerge::kPerShard},    // Background lanes.
     {"talus.latency", PropertyMerge::kFleet},    // Per-op latency, §6.1.
     {"talus.events", PropertyMerge::kFleet},     // Event ring, §6.2.
     {"talus.amp", PropertyMerge::kPerShard},     // Amplification, §6.6.

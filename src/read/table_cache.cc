@@ -70,10 +70,11 @@ void TableCache::Evict(uint64_t file_number) {
     }
   }
   if (block_cache_ != nullptr) {
-    // Block-cache keys are namespaced by file number; scrub the deleted
-    // file's blocks so they stop charging the cache.
+    // Block-cache keys start with the varint file number (SstReader);
+    // varints are prefix-free, so this prefix matches exactly the deleted
+    // file's blocks, which then stop charging the cache.
     std::string prefix;
-    PutFixed64(&prefix, file_number);
+    PutVarint64(&prefix, file_number);
     block_cache_->EraseByPrefix(prefix);
   }
 }

@@ -197,7 +197,7 @@ ShardedDB::~ShardedDB() {
     }
     snapshot_children_.clear();
   }
-  shards_.clear();  // Each shard drains its scheduler onto the pool.
+  shards_.clear();  // Each shard waits for its own tasks on the pool.
   if (pool_ != nullptr) pool_->Shutdown();
 }
 

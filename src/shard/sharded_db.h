@@ -158,7 +158,7 @@ class ShardedDB {
   // lent a ring through DbOptions::event_ring.
   std::unique_ptr<obs::EventRing> owned_ring_;
   obs::EventRing* ring_ = nullptr;
-  // Declared before shards_ so shards (whose schedulers drain jobs onto the
+  // Declared before shards_ so shards (each waits for its own tasks on the
   // pool) are destroyed first, then the pool.
   std::unique_ptr<exec::ThreadPool> pool_;
   std::vector<std::unique_ptr<DB>> shards_;

@@ -76,10 +76,12 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
                                 std::shared_ptr<Block>* block,
                                 bool* cache_hit) {
   *cache_hit = false;
+  // Varint file number, then varint offset: short enough for the string's
+  // inline buffer, so neither the lookup nor the insert allocates a key.
   std::string cache_key;
   if (block_cache_ != nullptr) {
-    PutFixed64(&cache_key, file_number_);
-    PutFixed64(&cache_key, handle.offset);
+    PutVarint64(&cache_key, file_number_);
+    PutVarint64(&cache_key, handle.offset);
     auto cached = block_cache_->Lookup(cache_key);
     if (cached != nullptr) {
       *block = std::static_pointer_cast<Block>(cached);

@@ -4,6 +4,14 @@
 
 #include <memory>
 #include <string>
+#include <vector>
+
+#include "env/env.h"
+#include "lsm/dbformat.h"
+#include "lsm/filename.h"
+#include "read/table_cache.h"
+#include "table/sst_builder.h"
+#include "table/sst_reader.h"
 
 namespace talus {
 namespace {
@@ -97,6 +105,58 @@ TEST(LruCache, ValueOutlivesEviction) {
   cache.Insert("b", Value(2), 100);  // Evicts "a".
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_EQ(Get(held), 42);  // Shared ownership keeps the value alive.
+}
+
+// Block-cache keys are the varint file number, then the varint block
+// offset, and TableCache::Evict erases by the file-number part. Varints are
+// prefix-free, so evicting one file leaves every other file's blocks,
+// including numbers on either side of a varint length step (127/128 and
+// 16383/16384).
+TEST(BlockCacheKeys, EvictingOneFileLeavesEveryOtherFilesBlocks) {
+  const std::vector<uint64_t> files = {1, 127, 128, 129, 16383, 16384};
+  constexpr int kKeys = 2;  // One data block each.
+  auto env = NewMemEnv();
+  ASSERT_TRUE(env->CreateDirIfMissing("/bc").ok());
+  for (uint64_t f : files) {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env->NewWritableFile(SstFileName("/bc", f), &file).ok());
+    SstBuilderOptions opts;
+    opts.block_size = 64;
+    SstBuilder builder(opts, std::move(file));
+    for (int k = 0; k < kKeys; k++) {
+      builder.Add(InternalKey("key" + std::to_string(k), 1, kTypeValue)
+                      .Encode(),
+                  std::string(100, 'v'));
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+  }
+
+  for (uint64_t evicted : files) {
+    SCOPED_TRACE(evicted);
+    LruCache block_cache(1 << 20);
+    read::TableCache tables(env.get(), "/bc", &block_cache, 64);
+    // Looks up every key of file `f`; returns how many blocks were hits.
+    auto block_hits = [&](uint64_t f) {
+      auto reader = tables.GetReader(f);
+      EXPECT_NE(reader, nullptr);
+      int hits = 0;
+      for (int k = 0; reader != nullptr && k < kKeys; k++) {
+        std::string value;
+        Status s;
+        SstReader::GetStats stats;
+        EXPECT_TRUE(reader->Get(LookupKey("key" + std::to_string(k),
+                                          kMaxSequenceNumber),
+                                &value, &s, &stats));
+        hits += stats.cache_hit ? 1 : 0;
+      }
+      return hits;
+    };
+    for (uint64_t f : files) EXPECT_EQ(block_hits(f), 0) << f;
+    tables.Evict(evicted);
+    for (uint64_t f : files) {
+      EXPECT_EQ(block_hits(f), f == evicted ? 0 : kKeys) << f;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Background execution subsystem tests: thread-pool ordering/shutdown,
-// scheduler prioritization and outcome counting, the periodic ticker,
-// stall-controller thresholds,
-// and whole-engine inline-vs-background equivalence under concurrent
-// writers (the acceptance bar for DESIGN.md §2).
+// Background execution subsystem tests: thread-pool ordering/shutdown, the
+// periodic ticker, stall-controller thresholds, an engine's flush and
+// compaction lanes (flush-first dispatch, teardown on a shared pool, the
+// talus.exec idle contract), and whole-engine inline-vs-background
+// equivalence under concurrent writers (the acceptance bar for DESIGN.md
+// §2).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,15 +12,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/job_scheduler.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
 #include "exec/ticker.h"
 #include "lsm/db.h"
+#include "shard/sharded_db.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -72,90 +74,6 @@ TEST(ThreadPoolTest, SingleThreadPreservesFifoOrder) {
   pool.Shutdown();
   ASSERT_EQ(order.size(), 20u);
   for (int i = 0; i < 20; i++) EXPECT_EQ(order[i], i);
-}
-
-// ------------------------------------------------------------- JobScheduler
-
-TEST(JobSchedulerTest, FlushJobsDispatchBeforeCompactions) {
-  // Block the single worker, queue a compaction then a flush: the flush
-  // must run first because every dispatch drains the flush queue first.
-  exec::ThreadPool pool(1);
-  exec::JobScheduler sched(&pool);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::vector<std::string> order;
-
-  sched.Schedule(exec::JobType::kCompaction, [&]() {
-    std::unique_lock<std::mutex> l(mu);
-    cv.wait(l, [&] { return release; });
-    order.push_back("blocker");
-    return Status::OK();
-  });
-  // Give the worker time to pick up the blocker so the next two jobs queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  sched.Schedule(exec::JobType::kCompaction, [&]() {
-    std::lock_guard<std::mutex> l(mu);
-    order.push_back("compaction");
-    return Status::OK();
-  });
-  sched.Schedule(exec::JobType::kFlush, [&]() {
-    std::lock_guard<std::mutex> l(mu);
-    order.push_back("flush");
-    return Status::OK();
-  });
-
-  {
-    std::lock_guard<std::mutex> l(mu);
-    release = true;
-  }
-  cv.notify_all();
-  sched.WaitIdle();
-
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "blocker");
-  EXPECT_EQ(order[1], "flush");
-  EXPECT_EQ(order[2], "compaction");
-}
-
-TEST(JobSchedulerTest, CountsCompletedAndFailedJobs) {
-  exec::ThreadPool pool(2);
-  exec::JobScheduler sched(&pool);
-
-  ASSERT_TRUE(
-      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
-  ASSERT_TRUE(sched.Schedule(exec::JobType::kCompaction, [] {
-    return Status::IOError("disk on fire");
-  }));
-  sched.WaitIdle();
-
-  auto stats = sched.GetStats();
-  EXPECT_EQ(stats.completed[0], 1u);
-  EXPECT_EQ(stats.failed[0], 0u);
-  EXPECT_EQ(stats.completed[1], 0u);
-  EXPECT_EQ(stats.failed[1], 1u);
-  EXPECT_TRUE(stats.idle());
-}
-
-TEST(JobSchedulerTest, ShutdownRejectsNewJobs) {
-  exec::ThreadPool pool(1);
-  exec::JobScheduler sched(&pool);
-  sched.Shutdown();
-  EXPECT_FALSE(
-      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
-}
-
-TEST(JobSchedulerTest, RefusedDispatchDropsQueuedJobs) {
-  exec::ThreadPool pool(1);
-  exec::JobScheduler sched(&pool);
-  pool.Shutdown();
-  EXPECT_FALSE(
-      sched.Schedule(exec::JobType::kFlush, [] { return Status::OK(); }));
-  sched.WaitIdle();  // Nothing stranded in the queue.
-  EXPECT_TRUE(sched.GetStats().idle());
-  EXPECT_EQ(sched.GetStats().completed[0], 0u);
 }
 
 // -------------------------------------------------------------------- Ticker
@@ -490,19 +408,186 @@ TEST(ExecDbTest, FlushMemTableDrainsBackgroundWork) {
   ASSERT_TRUE(db->FlushMemTable().ok());
   // After the drain, nothing is buffered: everything lives in the tree.
   EXPECT_EQ(db->stats().flushes, db->stats().bg_flushes);
-  std::string exec_info;
-  ASSERT_TRUE(db->GetProperty("talus.exec", &exec_info));
-  // The scheduler is idle too. These are the job counts a client polls to
-  // tell that background work has finished.
-  EXPECT_NE(exec_info.find("imm_queued=0"), std::string::npos) << exec_info;
-  EXPECT_NE(exec_info.find("running=0"), std::string::npos) << exec_info;
-  for (const char* job : {"flush{", "compaction{"}) {
-    const size_t begin = exec_info.find(job);
-    ASSERT_NE(begin, std::string::npos) << exec_info;
-    const std::string counts =
-        exec_info.substr(begin, exec_info.find('}', begin) - begin);
-    EXPECT_NE(counts.find(" queued=0"), std::string::npos) << counts;
+}
+
+// ------------------------------------------ Background lanes (one engine)
+
+// Holds one pool worker until Open(). On a one-thread pool, every task
+// submitted after the gate waits behind it, in FIFO order.
+class PoolGate {
+ public:
+  explicit PoolGate(exec::ThreadPool* pool)
+      : state_(std::make_shared<State>()) {
+    EXPECT_TRUE(pool->Submit([s = state_] {
+      std::unique_lock<std::mutex> l(s->mu);
+      s->held = true;
+      s->cv.notify_all();
+      s->cv.wait(l, [&s] { return s->open; });
+    }));
   }
+  ~PoolGate() { Open(); }
+  PoolGate(const PoolGate&) = delete;
+  PoolGate& operator=(const PoolGate&) = delete;
+
+  /// Returns once a worker runs the gate: everything submitted before it
+  /// has started.
+  void WaitHeld() {
+    std::unique_lock<std::mutex> l(state_->mu);
+    state_->cv.wait(l, [this] { return state_->held; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> l(state_->mu);
+    state_->open = true;
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool open = false;
+  };
+  // Shared with the gate task, which may still be unlocking `mu` after the
+  // gate object is gone.
+  std::shared_ptr<State> state_;
+};
+
+// Puts `prefix`-keyed values until the engine switches its memtable once,
+// which queues its flush lane.
+void PutUntilSwitch(DB* db, const std::string& prefix) {
+  const uint64_t before = db->stats().memtable_switches;
+  for (int i = 0; db->stats().memtable_switches == before; i++) {
+    ASSERT_TRUE(db->Put(prefix + workload::FormatKey(i, 16),
+                        std::string(100, 'v'))
+                    .ok());
+  }
+}
+
+// The job counts bench/e2e/run.py polls in talus.exec to tell that an
+// engine's background work has finished, with its pattern.
+std::vector<int> ExecJobCounts(DB* db) {
+  std::string text;
+  EXPECT_TRUE(db->GetProperty("talus.exec", &text));
+  static const std::regex kCount(
+      R"(\b(?:imm_queued|queued|running|active)=(\d+))");
+  std::vector<int> counts;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), kCount);
+       it != std::sregex_iterator(); ++it) {
+    counts.push_back(std::stoi((*it)[1]));
+  }
+  return counts;
+}
+
+std::string ExecLanes(DB* db) {
+  std::string text;
+  EXPECT_TRUE(db->GetProperty("talus.exec", &text));
+  return text.substr(text.find("flush{"));
+}
+
+TEST(BackgroundLanes, QueuedFlushRunsBeforeQueuedCompaction) {
+  exec::ThreadPool pool(1);
+  auto env = NewMemEnv();
+  DbOptions opts = TestOptions(env.get(), ExecutionMode::kBackground,
+                               GrowthPolicyConfig::VTTierFull(3));
+  opts.shared_pool = &pool;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  // Two level-0 runs: the next two flushes make the policy compact.
+  for (int run = 0; run < 2; run++) {
+    ASSERT_TRUE(db->Put("run" + std::to_string(run), "v").ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+
+  // The first flush runs between the two gates and queues the compaction
+  // lane; the second switch then queues the flush lane behind it.
+  PoolGate first(&pool);
+  first.WaitHeld();
+  PutUntilSwitch(db.get(), "a");
+  PoolGate second(&pool);
+  first.Open();
+  second.WaitHeld();
+  EXPECT_EQ(ExecLanes(db.get()),
+            "flush{queued=0 running=0} compaction{queued=1 running=0}");
+  PutUntilSwitch(db.get(), "b");
+  EXPECT_EQ(ExecLanes(db.get()),
+            "flush{queued=1 running=0} compaction{queued=1 running=0}");
+
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  second.Open();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  // A flush plans its own merge too: only a plan outside a flush's
+  // begin/end pair belongs to a compaction.
+  std::vector<std::string> order;
+  bool in_flush = false;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.seq < mark) continue;
+    if (e.type == obs::EventType::kFlushBegin) in_flush = true;
+    if (e.type == obs::EventType::kFlushEnd) {
+      in_flush = false;
+      order.push_back("flush_end");
+    }
+    if (e.type == obs::EventType::kCompactionPlan && !in_flush) {
+      order.push_back("compaction_plan");
+    }
+  }
+  // The task submitted for the compaction starts first and runs the flush.
+  ASSERT_GE(order.size(), 2u);
+  EXPECT_EQ(order[0], "flush_end");
+  EXPECT_EQ(order[1], "compaction_plan");
+}
+
+TEST(BackgroundLanes, ShardedTeardownWaitsForTasksQueuedBehindAGate) {
+  auto env = NewMemEnv();
+  DbOptions opts = TestOptions(env.get(), ExecutionMode::kBackground,
+                               GrowthPolicyConfig::VTTierFull(3));
+  opts.shard_count = 4;
+  opts.shard_split_points = {"b", "c", "d"};
+  opts.num_background_threads = 1;
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  PoolGate gate(db->shard(0)->options().shared_pool);
+  gate.WaitHeld();
+  for (size_t i = 0; i < db->shard_count(); i++) {
+    PutUntilSwitch(db->shard(i), std::string(1, static_cast<char>('a' + i)));
+    ASSERT_EQ(ExecLanes(db->shard(i)),
+              "flush{queued=1 running=0} compaction{queued=0 running=0}");
+  }
+
+  std::atomic<bool> destroyed{false};
+  std::thread closer([&] {
+    db.reset();
+    destroyed = true;
+  });
+  // ~DB waits for its shard's tasks, which cannot start behind the gate.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load());
+  gate.Open();
+  closer.join();
+  EXPECT_TRUE(destroyed.load());
+}
+
+TEST(BackgroundLanes, ExecCountsAreZeroExactlyWhenIdle) {
+  exec::ThreadPool pool(1);
+  auto env = NewMemEnv();
+  DbOptions opts = TestOptions(env.get(), ExecutionMode::kBackground,
+                               GrowthPolicyConfig::VTLevelFull(3));
+  opts.shared_pool = &pool;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
+
+  PoolGate gate(&pool);
+  gate.WaitHeld();
+  PutUntilSwitch(db.get(), "k");
+  // The held flush: one memtable queued, and its lane.
+  const std::vector<int> held = ExecJobCounts(db.get());
+  ASSERT_EQ(held.size(), 5u);
+  EXPECT_EQ(held, (std::vector<int>{1, 1, 0, 0, 0}));
+
+  gate.Open();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
 }
 
 TEST(ExecDbTest, ReopenAfterBackgroundModeRecovers) {

@@ -10,6 +10,8 @@
 
 #include "env/fault_env.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
+#include "lsm/manifest.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -110,6 +112,45 @@ TEST(CrashRecovery, WriteFailuresSurfaceAndStoreStaysOpenable) {
   // And the store accepts new writes.
   EXPECT_TRUE(db->Put(Key(9999), "after-recovery").ok());
   EXPECT_TRUE(db->Get(Key(9999), &value).ok());
+}
+
+// A failed inline flush returns before it retires its WAL, and recovery
+// never replays a WAL older than the oldest one the manifest names. The
+// next Open must delete such WALs, whichever write of the flush failed
+// (with these options, arming n = 47..57 fails the first flush before it
+// retires its WAL).
+TEST(CrashRecovery, OpenSweepsWalsOlderThanTheManifestNames) {
+  for (uint64_t n = 40; n < 64; n++) {
+    SCOPED_TRACE(n);
+    auto base = NewMemEnv();
+    FaultInjectionEnv env(base.get());
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(Opts(&env, /*wal_sync=*/false), &db).ok());
+      env.FailAfterWrites(n);
+      for (int i = 0; i < 2000 && !env.failing(); i++) {
+        db->Put(Key(i), std::string(200, 'v'));  // Fails once armed out.
+      }
+      env.Disarm();
+      db->Put(Key(5000), "after");  // Fails when the WAL error latched.
+      db->FlushMemTable();
+    }
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Opts(&env, false), &db).ok());
+    ManifestData manifest;
+    uint64_t manifest_number = 0;
+    ASSERT_TRUE(
+        ReadCurrentManifest(&env, "/crash", &manifest, &manifest_number).ok());
+    std::vector<std::string> children;
+    ASSERT_TRUE(env.GetChildren("/crash", &children).ok());
+    for (const std::string& name : children) {
+      uint64_t number = 0;
+      std::string suffix;
+      if (ParseFileName(name, &number, &suffix) && suffix == "wal") {
+        EXPECT_GE(number, manifest.wal_number) << name;
+      }
+    }
+  }
 }
 
 // (execution mode, leveling flush?, failure point).
