@@ -52,7 +52,7 @@ struct RunResult {
   uint64_t min_shard_puts = 0;
   uint64_t max_shard_puts = 0;
   uint64_t stall_ms = 0;
-  uint64_t bg_flushes = 0;
+  uint64_t flushes = 0;
   uint64_t bg_compactions = 0;
   // Fleet-wide Put percentiles (microseconds): the per-shard latency
   // histograms merged exactly, so the tail covers every shard.
@@ -151,7 +151,7 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
   uint64_t stall_micros = 0;
   for (const obs::MetricSnapshot& s : db->SnapshotMetrics()) {
     stall_micros += s.stats.stall_micros();
-    r.bg_flushes += s.stats.bg_flushes;
+    r.flushes += s.stats.flushes;
     r.bg_compactions += s.stats.bg_compactions;
   }
   r.stall_ms = stall_micros / 1000;
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
   std::printf("%-10s %7s %8s %9s %8s %10s %10s %9s %8s %8s %8s\n", "policy",
               "shards", "writers", "kops/s", "wall_s", "min_puts", "max_puts",
-              "stall_ms", "bg_fl", "bg_comp", "p99_us");
+              "stall_ms", "flushes", "bg_comp", "p99_us");
 
   std::string json = "{\"bench\":\"ablation_sharding\",\"smoke\":" +
                      std::string(cfg.smoke ? "true" : "false") +
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.min_shard_puts),
             static_cast<unsigned long long>(r.max_shard_puts),
             static_cast<unsigned long long>(r.stall_ms),
-            static_cast<unsigned long long>(r.bg_flushes),
+            static_cast<unsigned long long>(r.flushes),
             static_cast<unsigned long long>(r.bg_compactions),
             r.lat_p99_us);
         char row[640];
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
             "%s{\"policy\":\"%s\",\"shards\":%d,\"writers\":%d,"
             "\"kops_per_sec\":%.1f,\"wall_seconds\":%.3f,"
             "\"min_shard_puts\":%llu,\"max_shard_puts\":%llu,"
-            "\"stall_ms\":%llu,\"bg_flushes\":%llu,\"bg_compactions\":%llu,"
+            "\"stall_ms\":%llu,\"flushes\":%llu,\"bg_compactions\":%llu,"
             "\"lat_p50_us\":%.1f,\"lat_p99_us\":%.1f,\"lat_p999_us\":%.1f,"
             "\"write_amp\":%.3f,\"read_amp\":%.3f,\"space_amp\":%.3f}",
             first_row ? "" : ",\n", policy.name, shards, writers,
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.min_shard_puts),
             static_cast<unsigned long long>(r.max_shard_puts),
             static_cast<unsigned long long>(r.stall_ms),
-            static_cast<unsigned long long>(r.bg_flushes),
+            static_cast<unsigned long long>(r.flushes),
             static_cast<unsigned long long>(r.bg_compactions),
             r.lat_p50_us, r.lat_p99_us, r.lat_p999_us, r.write_amp,
             r.read_amp, r.space_amp);

@@ -57,10 +57,10 @@ class IoStats {
 
   /// RAII marker for streaming access (compaction merges): reads inside the
   /// scope are charged sequential bandwidth instead of random-read latency.
-  /// The flag is per-IoStats, not per-thread: in background mode a flush
-  /// job's scope may briefly discount a concurrent foreground read, which
-  /// only perturbs the virtual clock (wall-clock metrics are unaffected and
-  /// inline mode never overlaps scopes).
+  /// The flag is per-IoStats, not per-thread: a merge's scope may briefly
+  /// discount a concurrent foreground read, which only perturbs the
+  /// virtual clock (wall-clock metrics are unaffected and a
+  /// single-threaded run never overlaps scopes).
   class SequentialScope {
    public:
     explicit SequentialScope(IoStats* stats) : stats_(stats) {

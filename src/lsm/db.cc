@@ -24,9 +24,9 @@ namespace talus {
 
 namespace {
 
-// Consecutive conflicted merges one maintenance job tolerates in
-// kBackground before its final attempt holds the mutex (and so cannot
-// conflict). Conflicts need a concurrent install and are rare.
+// Consecutive conflicted merges one maintenance job tolerates before its
+// final attempt holds the mutex (and so cannot conflict). Conflicts need a
+// concurrent install and are rare.
 constexpr int kMaxConflicts = 4;
 
 // CPU epsilons the virtual clock charges per applied write and per
@@ -94,6 +94,15 @@ obs::ModelDriftMonitor::Params DriftParams(const DbOptions& options) {
   params.bloom_fpr =
       std::pow(2.0, -options.bloom_bits_per_key * 0.6931471805599453);
   return params;
+}
+
+exec::StallConfig StallConfigFor(const DbOptions& options) {
+  exec::StallConfig config;
+  config.max_immutable_memtables = options.max_immutable_memtables;
+  config.l0_slowdown_runs = options.l0_slowdown_runs;
+  config.l0_stop_runs = options.l0_stop_runs;
+  config.slowdown_delay_micros = options.slowdown_delay_micros;
+  return config;
 }
 
 // Applies a batch to a memtable with sequences base, base+1, ...
@@ -201,7 +210,9 @@ class DbIterator final : public Iterator {
 }  // namespace
 
 DB::DB(const DbOptions& options)
-    : options_(options), drift_(DriftParams(options)) {
+    : options_(options),
+      drift_(DriftParams(options)),
+      stall_(StallConfigFor(options)) {
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -345,9 +356,9 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     }
   }
 
-  // Recovery and its flush run on this thread even in background mode: the
-  // exec subsystem starts only once the DB is consistent, and nothing else
-  // can reach the DB yet.
+  // Recovery runs on this thread in either mode, and so does its flush:
+  // the pool is attached only once the DB is consistent, so the lanes run
+  // on the thread that queued them, and nothing else can reach the DB yet.
   std::unique_lock<std::mutex> lock(db->mutex_);
   std::vector<uint64_t> replayed;
   if (old_wal != 0) {
@@ -356,12 +367,13 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
   }
 
   if (db->mem_->num_entries() > 0) {
-    // Recovered entries are only in memory and the old WALs; flush them so
-    // the old WALs can be retired safely. DoFlushLocked performs the safe
-    // new-WAL → manifest → delete-old-WAL sequence for the newest WAL; any
-    // older replayed WALs are deleted once the manifest stopped naming them.
+    // Recovered entries are only in memory and the old WALs. Switching the
+    // memtable under the newest replayed WAL and flushing it retires that
+    // WAL the usual way (new WAL, manifest, then the delete); the older
+    // replayed WALs are deleted once the manifest stopped naming them.
     db->wal_number_ = replayed.back();
-    Status fs = db->DoFlushLocked(lock);
+    Status fs = db->SwitchMemTableLocked();
+    if (fs.ok()) fs = db->DrainLanesLocked(lock);
     if (!fs.ok()) return fs;
     for (size_t i = 0; i + 1 < replayed.size(); i++) {
       env->RemoveFile(WalFileName(options.path, replayed[i]));
@@ -377,7 +389,9 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
   }
   lock.unlock();
 
-  if (db->is_background()) {
+  // The one place the execution mode is read: kBackground attaches a pool,
+  // which from now on runs the lanes (DESIGN.md §2.1).
+  if (options.execution_mode == ExecutionMode::kBackground) {
     if (options.shared_pool != nullptr) {
       db->pool_ = options.shared_pool;
     } else {
@@ -385,12 +399,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
           std::make_unique<exec::ThreadPool>(options.num_background_threads);
       db->pool_ = db->owned_pool_.get();
     }
-    exec::StallConfig stall_config;
-    stall_config.max_immutable_memtables = options.max_immutable_memtables;
-    stall_config.l0_slowdown_runs = options.l0_slowdown_runs;
-    stall_config.l0_stop_runs = options.l0_stop_runs;
-    stall_config.slowdown_delay_micros = options.slowdown_delay_micros;
-    db->stall_ = std::make_unique<exec::StallController>(stall_config);
   }
 
   DB* raw = db.get();
@@ -427,11 +435,11 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
 
 Status DB::RecoverWalsLocked(uint64_t oldest_wal,
                              std::vector<uint64_t>* replayed) {
-  // The manifest names the oldest WAL that may hold unflushed data. In
-  // background mode several WALs can be live at once (one per queued
-  // immutable memtable plus the active one), so replay every WAL file at or
-  // above that number, in order; sequence numbers keep replay idempotent
-  // with respect to ordering.
+  // The manifest names the oldest WAL that may hold unflushed data. Several
+  // WALs can be live at once (one per queued immutable memtable plus the
+  // active one), so replay every WAL file at or above that number, in
+  // order; sequence numbers keep replay idempotent with respect to
+  // ordering.
   std::vector<std::string> children;
   Status s = options_.env->GetChildren(options_.path, &children);
   if (!s.ok()) return s;
@@ -564,12 +572,7 @@ Status DB::CommitWriter(write::Writer* writer) {
   // ---- Leader: gate + claim (first short mutex section). ----
   write::WriteGroup group;
   std::unique_lock<std::mutex> lock(mutex_);
-  Status gate;
-  if (!wal_error_.ok()) {
-    gate = wal_error_;
-  } else if (is_background()) {
-    gate = bg_error_.ok() ? MaybeStallLocked(lock) : bg_error_;
-  }
+  Status gate = wal_error_.ok() ? MaybeStallLocked(lock) : wal_error_;
   // Build the group only after the stall gate: writers that queued up while
   // the leader was stalled amortize into this one commit.
   write_queue_->BuildGroup(&w, options_.max_write_group_bytes, &group);
@@ -715,10 +718,11 @@ Status DB::CommitWriter(write::Writer* writer) {
                                 group.queue_wait_micros, synced);
   Status flush_status;
   if (mem_->payload_bytes() >= options_.write_buffer_size) {
-    // The flush (inline) or switch (background) is attributed to the
-    // leader: followers' data is already durable in the WAL and memtable.
-    flush_status =
-        is_background() ? SwitchMemTableLocked() : DoFlushLocked(lock);
+    // The switch, and with no pool the flush and compactions it queues, are
+    // attributed to the leader: followers' data is already durable in the
+    // WAL and memtable.
+    flush_status = SwitchMemTableLocked();
+    if (flush_status.ok()) flush_status = DrainLanesLocked(lock);
   }
   bg_cv_.notify_all();
   lock.unlock();
@@ -736,19 +740,22 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
         current_->levels.empty() ? 0 : current_->levels[0].runs.size();
     exec::StallCause cause = exec::StallCause::kNone;
     const exec::StallDecision decision =
-        stall_->Decide(imm_.size(), l0_runs, &cause);
+        stall_.Decide(imm_.size(), l0_runs, &cause);
+    // Safety valve, both regimes: with both lanes idle no maintenance can
+    // clear the debt (the policy's stable shape exceeds the configured
+    // threshold, or a writer with no pool ran its lanes before returning),
+    // so the writer proceeds instead of sleeping or deadlocking. Lanes
+    // change under mutex_ with a bg_cv_ notify, so the stop wait below
+    // never misses the last one going idle.
+    if (decision == exec::StallDecision::kNone || BackgroundIdleLocked()) {
+      return Status::OK();
+    }
     const uint64_t cause_code = cause == exec::StallCause::kMemtable
                                     ? obs::kCauseMemtable
                                     : cause == exec::StallCause::kL0
                                           ? obs::kCauseL0
                                           : obs::kCauseNone;
     if (decision == exec::StallDecision::kStop) {
-      // Safety valve: with both lanes idle, no background progress can
-      // clear the condition (the policy's stable shape exceeds the
-      // configured threshold) — proceed instead of deadlocking. Lanes
-      // change under mutex_ with a bg_cv_ notify, so the wait below never
-      // misses the last one going idle.
-      if (BackgroundIdleLocked()) return Status::OK();
       if (cause == exec::StallCause::kMemtable) {
         stats_.stall_stops_memtable++;
       } else {
@@ -760,7 +767,7 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
         if (!bg_error_.ok()) return true;
         const size_t l0 =
             current_->levels.empty() ? 0 : current_->levels[0].runs.size();
-        if (stall_->Decide(imm_.size(), l0) != exec::StallDecision::kStop) {
+        if (stall_.Decide(imm_.size(), l0) != exec::StallDecision::kStop) {
           return true;
         }
         return BackgroundIdleLocked();
@@ -781,7 +788,7 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
       const uint64_t start = NowMicros();
       lock.unlock();
       std::this_thread::sleep_for(std::chrono::microseconds(
-          stall_->config().slowdown_delay_micros));
+          stall_.config().slowdown_delay_micros));
       lock.lock();
       const uint64_t waited = NowMicros() - start;
       stats_.stall_slowdown_micros += waited;
@@ -818,19 +825,21 @@ void DB::SetLaneLocked(Lane* lane, Lane state) {
 
 void DB::QueueLaneLocked(Lane* lane) {
   if (*lane != Lane::kIdle || closing_) return;
-  if (pool_->Submit([this] { RunBackgroundTask(); })) {
+  auto task = [this] {
+    std::unique_lock<std::mutex> lock(mutex_);
+    RunQueuedLaneLocked(lock);
+  };
+  if (pool_ == nullptr || pool_->Submit(task)) {
     SetLaneLocked(lane, Lane::kQueued);
   }
 }
 
-void DB::RunBackgroundTask() {
-  std::unique_lock<std::mutex> lock(mutex_);
+void DB::RunQueuedLaneLocked(std::unique_lock<std::mutex>& lock) {
   // Flush first: a full immutable memtable blocks writers, while a pending
   // compaction only costs read amplification (RocksDB's HIGH/LOW pools).
-  // One task is submitted per queued lane, so some lane is queued here.
   if (flush_lane_ == Lane::kQueued) {
     SetLaneLocked(&flush_lane_, Lane::kRunning);
-    Status s = BackgroundFlushLocked(lock);
+    Status s = FlushImmutablesLocked(lock);
     if (!s.ok()) bg_error_ = s;
     SetLaneLocked(&flush_lane_, Lane::kIdle);
     if (s.ok()) QueueLaneLocked(&compaction_lane_);
@@ -844,7 +853,20 @@ void DB::RunBackgroundTask() {
   }
 }
 
-Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
+Status DB::DrainLanesLocked(std::unique_lock<std::mutex>& lock) {
+  if (pool_ != nullptr) return Status::OK();  // The pool runs them.
+  // With no pool, the lanes this thread queued run here before it returns:
+  // the caller's write stalls for exactly the flush and compaction chain.
+  const double stall_start = options_.env->io_stats()->clock();
+  while (flush_lane_ == Lane::kQueued || compaction_lane_ == Lane::kQueued) {
+    RunQueuedLaneLocked(lock);
+  }
+  const double stall = options_.env->io_stats()->clock() - stall_start;
+  if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
+  return bg_error_;
+}
+
+Status DB::FlushImmutablesLocked(std::unique_lock<std::mutex>& lock) {
   while (!imm_.empty()) {
     // The front partition stays visible to readers (and its WAL stays named
     // by the manifest) until the flush result is installed below.
@@ -853,7 +875,6 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
     Status s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
     if (!s.ok()) return s;
     imm_.pop_front();
-    stats_.bg_flushes++;
     policy_->OnFlushCompleted(*current_);
     s = InstallManifestLocked();
     if (s.ok()) {
@@ -906,46 +927,14 @@ Status DB::FlushMemTable() {
   // A commit group may be inserting into mem_ with the mutex released;
   // switching or flushing mid-commit would flush a half-applied group.
   bg_cv_.wait(lock, [this] { return !commit_in_flight_; });
-  if (!is_background()) {
-    if (mem_->num_entries() == 0) return Status::OK();
-    return DoFlushLocked(lock);
-  }
   if (!bg_error_.ok()) return bg_error_;
   if (mem_->num_entries() > 0) {
     Status s = SwitchMemTableLocked();
     if (!s.ok()) return s;
   }
+  DrainLanesLocked(lock);
   bg_cv_.wait(lock, [this] { return BackgroundIdleLocked(); });
   return bg_error_;
-}
-
-Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
-  const double stall_start = options_.env->io_stats()->clock();
-
-  std::vector<FileMetaPtr> obsolete;
-  Status s = FlushMemToL0Locked(mem_.get(), lock, &obsolete);
-  if (!s.ok()) return s;
-  mem_ = std::make_shared<MemTable>();
-
-  policy_->OnFlushCompleted(*current_);
-  s = RunCompactionLoopLocked(lock);
-  if (!s.ok()) return s;
-
-  // Safe WAL retirement: open the new WAL, persist the pointer, only then
-  // drop the old log and the files consumed by the flush.
-  const uint64_t old_wal = wal_number_;
-  s = NewWalLocked();
-  if (!s.ok()) return s;
-  s = InstallManifestLocked();
-  if (!s.ok()) return s;
-  MarkObsoleteLocked(std::move(obsolete));
-  s = CollectObsoleteLocked();
-  if (!s.ok()) return s;
-  options_.env->RemoveFile(WalFileName(options_.path, old_wal));
-
-  const double stall = options_.env->io_stats()->clock() - stall_start;
-  if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
-  return Status::OK();
 }
 
 Status DB::FlushMemToL0Locked(MemTable* mem,
@@ -1046,11 +1035,10 @@ Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
     // ---- Merge. ----
     // The plan's FileMetaPtr references pin every input SST (and the caller
     // pins `mem`): deferred GC never deletes a referenced file, so the
-    // merge reads a frozen snapshot whatever installs concurrently. This is
-    // the one place the execution mode matters: kBackground releases the
-    // mutex, except on the attempt after kMaxConflicts conflicts in a row,
-    // which holds it and so cannot conflict.
-    const bool unlocked = is_background() && conflicts < kMaxConflicts;
+    // merge reads a frozen snapshot whatever installs concurrently. The
+    // merge releases the mutex, except on the attempt after kMaxConflicts
+    // conflicts in a row, which holds it and so cannot conflict.
+    const bool unlocked = conflicts < kMaxConflicts;
     const uint64_t t0 = NowMicros();
     if (unlocked) lock.unlock();
     s = compaction::RunMerge(shape, table_cache_.get(), plan, result);
@@ -1109,8 +1097,8 @@ Status DB::CompactAll() {
   if (!s.ok()) return s;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  // Re-picked after a conflict: in kBackground, concurrent writers can
-  // flush while the whole-tree merge runs.
+  // Re-picked after a conflict: concurrent writers can flush while the
+  // whole-tree merge runs.
   auto pick = [this]() -> std::optional<CompactionRequest> {
     const int bottom = current_->BottommostNonEmptyLevel();
     if (bottom < 0) return std::nullopt;
@@ -1158,17 +1146,14 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "talus.exec") {
-    if (!is_background()) {
-      *value = "mode=inline";
-      return true;
-    }
     char buf[256];
     std::snprintf(
         buf, sizeof(buf),
-        "mode=background threads=%zu imm_queued=%zu max_imm_queue=%llu "
+        "mode=%s threads=%zu imm_queued=%zu max_imm_queue=%llu "
         "stall_us=%llu slowdowns=%llu stops=%llu | "
         "flush{queued=%d running=%d} compaction{queued=%d running=%d}",
-        pool_->num_threads(), imm_.size(),
+        pool_ != nullptr ? "background" : "inline",
+        pool_ != nullptr ? pool_->num_threads() : size_t{0}, imm_.size(),
         static_cast<unsigned long long>(stats_.max_imm_queue_depth),
         static_cast<unsigned long long>(stats_.stall_micros()),
         static_cast<unsigned long long>(stats_.stall_slowdowns()),
@@ -1356,7 +1341,7 @@ void DB::ReleaseReadView(const read::ReadView* view) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (version->Unref()) delete version;
   Status s = CollectObsoleteLocked();
-  if (!s.ok() && is_background() && bg_error_.ok()) bg_error_ = s;
+  if (!s.ok() && bg_error_.ok()) bg_error_ = s;
 }
 
 double DB::BitsPerKeyForLevelLocked(int level) const {
@@ -1649,11 +1634,11 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   // the new policy with whatever layout the catch-up had reached.
   Status s = InstallManifestLocked();
   // Converge the layout, then let the new policy's own loop finish the
-  // job. Writers keep running: in background mode both release the mutex
-  // around merges like every maintenance job.
+  // job. Writers keep running: both release the mutex around merges like
+  // every maintenance job.
   if (s.ok()) s = CatchUpCompactionsLocked(lock);
   if (s.ok()) s = RunCompactionLoopLocked(lock);
-  if (!s.ok() && is_background()) bg_error_ = s;
+  if (!s.ok()) bg_error_ = s;
   SetLaneLocked(&compaction_lane_, Lane::kIdle);
   return s;
 }

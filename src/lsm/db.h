@@ -1,20 +1,22 @@
 // DB: the talus storage engine facade. Every flush and compaction is one
 // maintenance job through one pipeline — pick → plan → merge → install
 // (RunJobLocked, DESIGN.md §2.1/§2.8); a flush is the job whose newest input
-// is the memtable. The execution mode only picks the caller:
+// is the memtable. Both modes run one maintenance order: a full memtable
+// is switched onto an immutable queue with a fresh WAL, which queues the
+// flush lane; the flush installs its manifest and deletes the flushed WAL,
+// then queues the compaction lane. Merges run with the mutex released, and
+// writers are paced by slowdown/stop backpressure (exec/stall_controller.h).
+// The execution mode only picks who runs the lanes:
 //
-//  * ExecutionMode::kInline (default): the writing thread runs the flush
-//    and the compaction loop before its write returns, under the mutex.
-//    This (a) makes every experiment deterministic and (b) surfaces
-//    compaction-induced write stalls directly in the windowed-throughput
-//    metric — the same phenomenon the paper measures through
-//    background-compaction backpressure.
-//  * ExecutionMode::kBackground: the write path only switches a full
-//    memtable onto an immutable queue; flush and compaction work runs on a
-//    thread pool (exec/thread_pool.h) with the mutex released for each
-//    merge, and writers are paced by slowdown/stop backpressure
-//    (exec/stall_controller.h). Put/Delete/Write/Get/Scan/snapshots are then
-//    safe to call from any number of threads.
+//  * ExecutionMode::kInline (default): no pool; the thread that queued a
+//    lane runs it before its write, FlushMemTable or Open returns. This
+//    (a) makes every single-writer experiment deterministic and (b)
+//    surfaces compaction-induced write stalls directly in the
+//    windowed-throughput metric — the same phenomenon the paper measures
+//    through background-compaction backpressure.
+//  * ExecutionMode::kBackground: a thread pool (exec/thread_pool.h) runs
+//    them. Put/Delete/Write/Get/Scan/snapshots are safe to call from any
+//    number of threads in either mode.
 //
 // Locking: one mutex guards the mutable DB state (memtables, version
 // pointer, WAL, stats, snapshots, GC list). The read path does NOT hold it:
@@ -101,13 +103,13 @@ struct EngineStats {
   // dropped to zero (DESIGN.md §2.7).
   uint64_t obsolete_files_deleted = 0;
 
-  // Longest single inline flush+compaction stall, in virtual clock units.
+  // Longest time a caller with no pool spent running the lanes it queued
+  // (its flush and compaction chain), in virtual clock units.
   double max_stall_clock = 0;
 
-  // Background execution mode (all zero under kInline).
+  // Maintenance lanes and write backpressure.
   uint64_t memtable_switches = 0;   // Active → immutable handoffs.
-  uint64_t bg_flushes = 0;          // Flushes executed by background jobs.
-  uint64_t bg_compactions = 0;      // Compactions executed by background jobs.
+  uint64_t bg_compactions = 0;      // Compactions the compaction lane ran.
   // Stall time split by regime and stall entries split by cause, so
   // talus.stats says *why* writes stalled: memtable = immutable-memtable
   // debt, l0 = level-0 run debt. The totals below are sums of these parts.
@@ -182,8 +184,8 @@ class DB {
 
   /// Manual major compaction: merges every run into a single run at the
   /// bottommost non-empty level (reclaims tombstones and shadowed
-  /// versions not pinned by snapshots). In background mode, drains pending
-  /// background work first.
+  /// versions not pinned by snapshots). Drains pending maintenance first
+  /// (FlushMemTable).
   Status CompactAll();
 
   /// Introspection: the talus.* properties declared in the metric catalog
@@ -215,8 +217,8 @@ class DB {
   /// reference returns the pins and lets deferred GC reclaim files.
   std::shared_ptr<const read::ReadView> AcquireReadView();
 
-  /// Forces a memtable flush (and any compactions it triggers). In
-  /// background mode, blocks until the flush and its compactions complete.
+  /// Forces a memtable flush (and any compactions it triggers), and blocks
+  /// until both lanes are idle.
   Status FlushMemTable();
 
   /// Not synchronized: meaningful only while no background job is running,
@@ -272,8 +274,8 @@ class DB {
   /// compactions converge the on-disk layout toward the new shape through
   /// the existing pipeline — subsequent flush/compaction planning follows
   /// the new policy automatically. Concurrent writers keep running: merges
-  /// release the mutex in background mode exactly like policy-driven
-  /// compactions, so the only write pressure is the usual backpressure.
+  /// release the mutex exactly like policy-driven compactions, so the only
+  /// write pressure is the usual backpressure.
   /// A config equal to the current one is a no-op. Scan results are
   /// unaffected — a policy shapes the tree, never its contents.
   Status ApplyPolicyConfig(const GrowthPolicyConfig& config);
@@ -359,8 +361,6 @@ class DB {
   /// itself (no version, view, or iterator still points at them).
   Status CollectObsoleteLocked();
 
-  /// Full inline flush: memtable → L0, compaction loop, WAL rotation.
-  Status DoFlushLocked(std::unique_lock<std::mutex>& lock);
   /// Flushes `mem` (pinned by the caller) as one maintenance job. Per the
   /// policy's FlushMode it becomes a new front run of level 0 (tiering) or
   /// is merged with level 0's whole newest run, which keeps its run id
@@ -383,8 +383,8 @@ class DB {
                               compaction::CompactionPlan* plan);
   /// The one maintenance path, shared by flushes (`mem` set) and every
   /// compaction: pick → plan → merge → conflict-checked install of a
-  /// successor version. In kBackground the merge runs with the mutex
-  /// released; a conflicted install deletes its outputs and re-picks. After
+  /// successor version. The merge runs with the mutex released; a
+  /// conflicted install deletes its outputs and re-picks. After
   /// kMaxConflicts conflicts in a row the merge holds the mutex, which
   /// cannot conflict. *job is the installed request (nullopt: nothing to
   /// do), *result the merge accounting, and the files the install consumed
@@ -420,28 +420,29 @@ class DB {
   uint64_t OldestLiveWalLocked() const;
   double BitsPerKeyForLevelLocked(int level) const;
 
-  // ---- Background work (kBackground; DESIGN.md §2.1) ----
-  /// The engine's two lanes of background work. Each is idle, queued (one
-  /// pool task submitted for it) or running.
+  // ---- Maintenance lanes (DESIGN.md §2.1) ----
+  /// The engine's two lanes of maintenance work. Each is idle, queued (with
+  /// a pool, one pool task submitted for it) or running.
   enum class Lane : uint8_t { kIdle, kQueued, kRunning };
   /// Every lane change goes through here: it notifies bg_cv_, so stall
   /// waits, FlushMemTable, ApplyPolicyConfig and ~DB can wait on the states.
   void SetLaneLocked(Lane* lane, Lane state);
-  /// Moves an idle lane to queued and submits one pool task for it. A lane
-  /// that is queued or running needs nothing: its loop re-checks for work
-  /// under the mutex before it goes idle. A refused Submit leaves it idle.
+  /// Moves an idle lane to queued, submitting one pool task for it when
+  /// there is a pool. A lane that is queued or running needs nothing: its
+  /// loop re-checks for work under the mutex before it goes idle. A refused
+  /// Submit leaves it idle.
   void QueueLaneLocked(Lane* lane);
-  /// The pool task: runs the engine's queued flush if there is one, else
-  /// its queued compaction.
-  void RunBackgroundTask();
+  /// The body of a pool task: runs the engine's queued flush if there is
+  /// one, else its queued compaction; a failure latches bg_error_.
+  void RunQueuedLaneLocked(std::unique_lock<std::mutex>& lock);
+  /// With no pool, runs queued lanes on this thread until none is queued
+  /// and records the stall in max_stall_clock; returns bg_error_. With a
+  /// pool, returns OK at once: the pool runs them.
+  Status DrainLanesLocked(std::unique_lock<std::mutex>& lock);
   /// Drains imm_ oldest-first, one maintenance job per memtable.
-  Status BackgroundFlushLocked(std::unique_lock<std::mutex>& lock);
+  Status FlushImmutablesLocked(std::unique_lock<std::mutex>& lock);
   bool BackgroundIdleLocked() const {
     return flush_lane_ == Lane::kIdle && compaction_lane_ == Lane::kIdle;
-  }
-
-  bool is_background() const {
-    return options_.execution_mode == ExecutionMode::kBackground;
   }
 
   DbOptions options_;
@@ -537,20 +538,20 @@ class DB {
   /// Fills the per-level live_sst/live_payload fields from current_.
   void FillLiveSpaceLocked(obs::AmpSnapshot* snap) const;
 
-  // ---- Background execution (pool and stall_ null under kInline) ----
+  // ---- Background execution (pool null under kInline) ----
   // The pool is either owned (standalone DB) or borrowed from the sharded
   // store (DbOptions::shared_pool); only an owned pool is shut down here.
   std::unique_ptr<exec::ThreadPool> owned_pool_;
   exec::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<exec::StallController> stall_;
-  // The engine's one record of its background work (see Lane): at most one
+  const exec::StallController stall_;
+  // The engine's one record of its maintenance work (see Lane): at most one
   // flush drain and one compaction chain run at a time. ApplyPolicyConfig
-  // also claims the compaction lane while it swaps the policy (both modes).
+  // also claims the compaction lane while it swaps the policy.
   Lane flush_lane_ = Lane::kIdle;
   Lane compaction_lane_ = Lane::kIdle;
   // Set by ~DB: idle lanes stay idle, so the teardown wait ends.
   bool closing_ = false;
-  // First background failure; writers fail fast once set.
+  // First maintenance failure; writers fail fast once set.
   Status bg_error_;
 };
 

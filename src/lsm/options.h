@@ -42,16 +42,14 @@ enum class WalSyncMode {
   kInterval,
 };
 
-/// Who runs the maintenance pipeline that every flush and compaction goes
-/// through (DESIGN.md §2.1). The pipeline itself is the same in both modes.
+/// Who runs the engine's flush and compaction lanes (DESIGN.md §2.1);
+/// the maintenance order and backpressure are the same in both modes.
 enum class ExecutionMode {
-  /// The writing thread runs each flush and the compactions it triggers
-  /// before its write returns, holding the engine mutex. Deterministic:
-  /// every paper experiment reproduces bit-identically. The default.
+  /// No pool: the thread that queued a lane runs it before its write,
+  /// FlushMemTable or Open returns. Deterministic with one writer: every
+  /// paper experiment reproduces bit-identically. The default.
   kInline,
-  /// Jobs on a background thread pool run them, each merge with the mutex
-  /// released, under slowdown/stop write backpressure (exec/). The DB
-  /// becomes safe for concurrent Put/Get/Scan/Write from many threads.
+  /// A background thread pool runs the lanes.
   kBackground,
 };
 
@@ -113,14 +111,16 @@ struct DbOptions {
   /// owns nor shuts it down. Null = the DB creates its own.
   exec::ThreadPool* shared_pool = nullptr;
 
-  // ---- Background execution (ExecutionMode::kBackground only) ----
+  // ---- Maintenance execution and write backpressure ----
   ExecutionMode execution_mode = ExecutionMode::kInline;
-  /// Flush/compaction threads. Deliberately separate from the network
-  /// layer's request workers (server::ServerOptions::worker_threads) so
-  /// request execution and engine maintenance cannot starve each other;
-  /// a served DB should run kBackground (DESIGN.md §8).
+  /// kBackground's flush/compaction threads. Deliberately separate from
+  /// the network layer's request workers (server::ServerOptions::
+  /// worker_threads) so request execution and engine maintenance cannot
+  /// starve each other; a served DB should run kBackground (DESIGN.md §8).
   int num_background_threads = 2;
-  /// Immutable memtables allowed before writers stop.
+  /// Immutable memtables allowed before writers stop. Like every stall
+  /// threshold it holds in both modes; idle lanes never stall a writer
+  /// (DESIGN.md §2.4).
   size_t max_immutable_memtables = 2;
   /// Level-0 run counts triggering write slowdown / stop.
   size_t l0_slowdown_runs = 12;

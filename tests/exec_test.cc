@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "env/fault_env.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
 #include "exec/ticker.h"
@@ -309,7 +310,6 @@ TEST_P(ExecEquivalenceTest, BackgroundMatchesInlineUnderConcurrency) {
   // The background machinery really ran.
   const EngineStats& stats = bg_db->stats();
   EXPECT_GT(stats.memtable_switches, 0u) << GetParam().name;
-  EXPECT_GT(stats.bg_flushes, 0u) << GetParam().name;
   EXPECT_GT(stats.flushes, 0u) << GetParam().name;
 
   std::string exec_info;
@@ -317,7 +317,7 @@ TEST_P(ExecEquivalenceTest, BackgroundMatchesInlineUnderConcurrency) {
   EXPECT_NE(exec_info.find("mode=background"), std::string::npos);
   std::string stats_str;
   ASSERT_TRUE(bg_db->GetProperty("talus.stats", &stats_str));
-  EXPECT_NE(stats_str.find("bg_flushes="), std::string::npos);
+  EXPECT_NE(stats_str.find("bg_compactions="), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ExecEquivalenceTest,
@@ -406,8 +406,9 @@ TEST(ExecDbTest, FlushMemTableDrainsBackgroundWork) {
         db->Put(workload::FormatKey(i % 400, 16), std::to_string(i)).ok());
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
-  // After the drain, nothing is buffered: everything lives in the tree.
-  EXPECT_EQ(db->stats().flushes, db->stats().bg_flushes);
+  // After the drain, nothing is buffered: every switched memtable was
+  // flushed into the tree.
+  EXPECT_EQ(db->stats().flushes, db->stats().memtable_switches);
 }
 
 // ------------------------------------------ Background lanes (one engine)
@@ -458,6 +459,7 @@ class PoolGate {
 void PutUntilSwitch(DB* db, const std::string& prefix) {
   const uint64_t before = db->stats().memtable_switches;
   for (int i = 0; db->stats().memtable_switches == before; i++) {
+    ASSERT_LT(i, 100000) << "no memtable switch";
     ASSERT_TRUE(db->Put(prefix + workload::FormatKey(i, 16),
                         std::string(100, 'v'))
                     .ok());
@@ -485,6 +487,15 @@ std::string ExecLanes(DB* db) {
   return text.substr(text.find("flush{"));
 }
 
+// Two level-0 runs under VT-Tier-Full(3): the next flush makes the policy
+// compact.
+void FlushTwoRuns(DB* db) {
+  for (int run = 0; run < 2; run++) {
+    ASSERT_TRUE(db->Put("run" + std::to_string(run), "v").ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+}
+
 TEST(BackgroundLanes, QueuedFlushRunsBeforeQueuedCompaction) {
   exec::ThreadPool pool(1);
   auto env = NewMemEnv();
@@ -493,11 +504,7 @@ TEST(BackgroundLanes, QueuedFlushRunsBeforeQueuedCompaction) {
   opts.shared_pool = &pool;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
-  // Two level-0 runs: the next two flushes make the policy compact.
-  for (int run = 0; run < 2; run++) {
-    ASSERT_TRUE(db->Put("run" + std::to_string(run), "v").ok());
-    ASSERT_TRUE(db->FlushMemTable().ok());
-  }
+  FlushTwoRuns(db.get());
 
   // The first flush runs between the two gates and queues the compaction
   // lane; the second switch then queues the flush lane behind it.
@@ -590,6 +597,294 @@ TEST(BackgroundLanes, ExecCountsAreZeroExactlyWhenIdle) {
   EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
 }
 
+// ------------------------------------- Inline lanes (no pool, one engine)
+
+// Forwards to another Env and logs every file creation and removal, in
+// call order, as "create <name>" / "remove <name>".
+class FileOpLogEnv : public Env {
+ public:
+  explicit FileOpLogEnv(Env* base) : base_(base) {}
+
+  std::vector<std::string> ops() const {
+    std::lock_guard<std::mutex> l(mu_);
+    return ops_;
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Note("create ", fname);
+    return base_->NewWritableFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    Note("remove ", fname);
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDirIfMissing(const std::string& dirname) override {
+    return base_->CreateDirIfMissing(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  IoStats* io_stats() override { return base_->io_stats(); }
+  uint64_t TotalFileBytes(const std::string& dir) override {
+    return base_->TotalFileBytes(dir);
+  }
+
+ private:
+  void Note(const char* op, const std::string& fname) {
+    std::lock_guard<std::mutex> l(mu_);
+    ops_.push_back(op + fname);
+  }
+
+  Env* base_;
+  mutable std::mutex mu_;
+  std::vector<std::string> ops_;
+};
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+TEST(InlineLanes, FillingPutReturnsAfterSwitchFlushAndCompactions) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(TestOptions(env.get(), ExecutionMode::kInline,
+                                   GrowthPolicyConfig::VTTierFull(3)),
+                       &db)
+                  .ok());
+  FlushTwoRuns(db.get());
+
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  PutUntilSwitch(db.get(), "k");
+  // What the filling Put left in the ring by the time it returned. A flush
+  // plans its own merge too: only a plan outside a flush's begin/end pair
+  // belongs to a compaction.
+  std::vector<std::string> order;
+  bool in_flush = false;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.seq < mark) continue;
+    switch (e.type) {
+      case obs::EventType::kMemtableSwitch:
+        order.push_back("memtable_switch");
+        break;
+      case obs::EventType::kFlushBegin:
+        in_flush = true;
+        order.push_back("flush_begin");
+        break;
+      case obs::EventType::kFlushEnd:
+        in_flush = false;
+        order.push_back("flush_end");
+        break;
+      case obs::EventType::kCompactionPlan:
+        if (!in_flush) order.push_back("compaction_plan");
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_GE(order.size(), 4u);
+  EXPECT_EQ(order[0], "memtable_switch");
+  EXPECT_EQ(order[1], "flush_begin");
+  EXPECT_EQ(order[2], "flush_end");
+  for (size_t i = 3; i < order.size(); i++) {
+    EXPECT_EQ(order[i], "compaction_plan") << i;
+  }
+  // Nothing is left queued or running once the Put has returned.
+  EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
+}
+
+TEST(InlineLanes, FlushedWalIsRemovedBeforeTheFirstCompactionOutput) {
+  auto base = NewMemEnv();
+  FileOpLogEnv env(base.get());
+  DbOptions opts = TestOptions(&env, ExecutionMode::kInline,
+                               GrowthPolicyConfig::VTTierFull(3));
+  // One output file per flush and per compaction.
+  opts.target_file_size = 64 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  FlushTwoRuns(db.get());
+
+  const size_t mark = env.ops().size();
+  const uint64_t compactions = db->stats().compactions;
+  PutUntilSwitch(db.get(), "k");
+  ASSERT_GT(db->stats().compactions, compactions);
+
+  const std::vector<std::string> ops = env.ops();
+  std::vector<size_t> sst_creates;
+  size_t wal_removed = ops.size();
+  for (size_t i = mark; i < ops.size(); i++) {
+    if (ops[i].rfind("create ", 0) == 0 && EndsWith(ops[i], ".sst")) {
+      sst_creates.push_back(i);
+    }
+    if (wal_removed == ops.size() && ops[i].rfind("remove ", 0) == 0 &&
+        EndsWith(ops[i], ".wal")) {
+      wal_removed = i;
+    }
+  }
+  // The flush's output, then the compaction's.
+  ASSERT_GE(sst_creates.size(), 2u);
+  ASSERT_LT(wal_removed, ops.size()) << "the flushed WAL was never removed";
+  EXPECT_GT(wal_removed, sst_creates[0]);
+  EXPECT_LT(wal_removed, sst_creates[1]);
+}
+
+TEST(InlineLanes, FailedFlushLatchesItsErrorAndKeepsEveryWrite) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  const DbOptions opts = TestOptions(&env, ExecutionMode::kInline,
+                                     GrowthPolicyConfig::VTTierFull(3));
+  std::map<std::string, std::string> model;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    for (int i = 0; i < 10; i++) {
+      const std::string key = workload::FormatKey(i, 16);
+      ASSERT_TRUE(db->Put(key, std::string(100, 'a' + i)).ok());
+      model[key] = std::string(100, 'a' + i);
+    }
+    ASSERT_EQ(db->stats().flushes, 0u);
+    // The next Put fills the 4 KiB memtable. Its mutating calls are the
+    // WAL record's two appends, the switch's new WAL, then the flush's SST
+    // file: the fourth call, which fails.
+    env.FailAfterWrites(3);
+    const Status failed = db->Put("big", std::string(4 << 10, 'x'));
+    env.Disarm();
+    EXPECT_FALSE(failed.ok());
+    model["big"] = std::string(4 << 10, 'x');  // In its WAL nonetheless.
+    // The switch succeeded and the flush failed: one memtable waits.
+    EXPECT_EQ(db->stats().memtable_switches, 1u);
+    EXPECT_EQ(db->stats().flushes, 0u);
+
+    const Status latched = db->Put("after", "v");
+    EXPECT_FALSE(latched.ok());
+    EXPECT_EQ(latched.ToString(), failed.ToString());
+    for (const auto& [k, v] : model) {
+      std::string value;
+      ASSERT_TRUE(db->Get(k, &value).ok()) << k;
+      EXPECT_EQ(value, v) << k;
+    }
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  const auto got = FullScan(db.get());
+  ASSERT_EQ(got.size(), model.size());
+  auto want = model.begin();
+  for (const auto& [k, v] : got) {
+    EXPECT_EQ(k, want->first);
+    EXPECT_TRUE(v == want->second) << k;
+    ++want;
+  }
+}
+
+TEST(InlineLanes, ConcurrentWritersAndReadersMatchAnOracle) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(TestOptions(env.get(), ExecutionMode::kInline,
+                                   GrowthPolicyConfig::VTTierFull(3)),
+                       &db)
+                  .ok());
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kOpsPerWriter = 1500;
+  // Each writer owns a key range, so its own oracle is exact.
+  std::vector<std::map<std::string, std::string>> oracles(kWriters);
+  std::atomic<int> writing{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&db, &oracles, &writing, w] {
+      Random rnd(77 + w);
+      for (int i = 0; i < kOpsPerWriter; i++) {
+        const std::string key =
+            workload::FormatKey(w * 1000 + rnd.Uniform(300), 16);
+        if (rnd.Uniform(5) == 0) {
+          EXPECT_TRUE(db->Delete(key).ok());
+          oracles[w].erase(key);
+        } else {
+          const std::string value =
+              "v-" + std::to_string(w) + "-" + std::to_string(i);
+          EXPECT_TRUE(db->Put(key, value).ok());
+          oracles[w][key] = value;
+        }
+      }
+      writing.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; r++) {
+    threads.emplace_back([&db, &writing, r] {
+      Random rnd(500 + r);
+      while (writing.load() > 0) {
+        const std::string key =
+            workload::FormatKey(rnd.Uniform(kWriters * 1000), 16);
+        std::string value;
+        const Status s = db->Get(key, &value);
+        EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+        std::vector<std::pair<std::string, std::string>> out;
+        EXPECT_TRUE(db->Scan(key, 20, &out).ok());
+        for (size_t i = 1; i < out.size(); i++) {
+          EXPECT_LT(out[i - 1].first, out[i].first);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  std::map<std::string, std::string> oracle;
+  for (const auto& o : oracles) oracle.insert(o.begin(), o.end());
+  const std::vector<std::pair<std::string, std::string>> want(oracle.begin(),
+                                                              oracle.end());
+  EXPECT_EQ(FullScan(db.get()), want);
+  EXPECT_GT(db->stats().flushes, 0u);
+  EXPECT_GT(db->stats().compactions, 0u);
+}
+
+// With both lanes idle no maintenance can retire level-0 debt, so a writer
+// proceeds: no slowdown, in either mode.
+TEST(StallValve, IdleLanesNeverSlowAWriter) {
+  for (ExecutionMode mode :
+       {ExecutionMode::kInline, ExecutionMode::kBackground}) {
+    SCOPED_TRACE(mode == ExecutionMode::kInline ? "inline" : "background");
+    auto env = NewMemEnv();
+    DbOptions opts =
+        TestOptions(env.get(), mode, GrowthPolicyConfig::VTTierFull(3));
+    opts.l0_slowdown_runs = 1;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    ASSERT_TRUE(db->Put("a", "v").ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());  // Both lanes idle after it.
+    ASSERT_GE(db->current_version().levels[0].runs.size(), 1u);
+
+    const uint64_t mark = db->event_ring()->TotalEmitted();
+    ASSERT_TRUE(db->Put("b", "v").ok());
+    EXPECT_EQ(db->stats().stall_slowdowns(), 0u);
+    for (const obs::Event& e : db->event_ring()->Snapshot()) {
+      if (e.seq < mark) continue;
+      EXPECT_NE(e.type, obs::EventType::kStallEnter);
+    }
+  }
+}
+
 TEST(ExecDbTest, ReopenAfterBackgroundModeRecovers) {
   auto env = NewMemEnv();
   GrowthPolicyConfig policy = GrowthPolicyConfig::VTTierFull(3);
@@ -633,9 +928,11 @@ TEST(ExecDbTest, InlineModeReportsInlineExecProperty) {
   ASSERT_TRUE(db->Put("k", "v").ok());
   std::string value;
   ASSERT_TRUE(db->GetProperty("talus.exec", &value));
-  EXPECT_EQ(value, "mode=inline");
+  EXPECT_EQ(value,
+            "mode=inline threads=0 imm_queued=0 max_imm_queue=0 stall_us=0 "
+            "slowdowns=0 stops=0 | flush{queued=0 running=0} "
+            "compaction{queued=0 running=0}");
   EXPECT_EQ(db->stats().memtable_switches, 0u);
-  EXPECT_EQ(db->stats().bg_flushes, 0u);
 }
 
 }  // namespace
