@@ -53,7 +53,7 @@ struct RunResult {
   uint64_t max_shard_puts = 0;
   uint64_t stall_ms = 0;
   uint64_t flushes = 0;
-  uint64_t bg_compactions = 0;
+  uint64_t compactions = 0;
   // Fleet-wide Put percentiles (microseconds): the per-shard latency
   // histograms merged exactly, so the tail covers every shard.
   double lat_p50_us = 0;
@@ -152,7 +152,7 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
   for (const obs::MetricSnapshot& s : db->SnapshotMetrics()) {
     stall_micros += s.stats.stall_micros();
     r.flushes += s.stats.flushes;
-    r.bg_compactions += s.stats.bg_compactions;
+    r.compactions += s.amp.Total(&obs::AmpSnapshot::Level::compactions);
   }
   r.stall_ms = stall_micros / 1000;
   {
@@ -210,9 +210,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(OpsPerThread(cfg)),
               cfg.use_mem_env ? "mem" : "posix",
               std::thread::hardware_concurrency());
-  std::printf("%-10s %7s %8s %9s %8s %10s %10s %9s %8s %8s %8s\n", "policy",
+  std::printf("%-10s %7s %8s %9s %8s %10s %10s %9s %8s %11s %8s\n", "policy",
               "shards", "writers", "kops/s", "wall_s", "min_puts", "max_puts",
-              "stall_ms", "flushes", "bg_comp", "p99_us");
+              "stall_ms", "flushes", "compactions", "p99_us");
 
   std::string json = "{\"bench\":\"ablation_sharding\",\"smoke\":" +
                      std::string(cfg.smoke ? "true" : "false") +
@@ -224,14 +224,14 @@ int main(int argc, char** argv) {
       for (int writers : thread_counts) {
         RunResult r = RunOne(cfg, policy, shards, writers, run_index++);
         std::printf(
-            "%-10s %7d %8d %9.1f %8.2f %10llu %10llu %9llu %8llu %8llu "
+            "%-10s %7d %8d %9.1f %8.2f %10llu %10llu %9llu %8llu %11llu "
             "%8.0f\n",
             policy.name, shards, writers, r.kops_per_sec, r.wall_seconds,
             static_cast<unsigned long long>(r.min_shard_puts),
             static_cast<unsigned long long>(r.max_shard_puts),
             static_cast<unsigned long long>(r.stall_ms),
             static_cast<unsigned long long>(r.flushes),
-            static_cast<unsigned long long>(r.bg_compactions),
+            static_cast<unsigned long long>(r.compactions),
             r.lat_p99_us);
         char row[640];
         std::snprintf(
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
             "%s{\"policy\":\"%s\",\"shards\":%d,\"writers\":%d,"
             "\"kops_per_sec\":%.1f,\"wall_seconds\":%.3f,"
             "\"min_shard_puts\":%llu,\"max_shard_puts\":%llu,"
-            "\"stall_ms\":%llu,\"flushes\":%llu,\"bg_compactions\":%llu,"
+            "\"stall_ms\":%llu,\"flushes\":%llu,\"compactions\":%llu,"
             "\"lat_p50_us\":%.1f,\"lat_p99_us\":%.1f,\"lat_p999_us\":%.1f,"
             "\"write_amp\":%.3f,\"read_amp\":%.3f,\"space_amp\":%.3f}",
             first_row ? "" : ",\n", policy.name, shards, writers,
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.max_shard_puts),
             static_cast<unsigned long long>(r.stall_ms),
             static_cast<unsigned long long>(r.flushes),
-            static_cast<unsigned long long>(r.bg_compactions),
+            static_cast<unsigned long long>(r.compactions),
             r.lat_p50_us, r.lat_p99_us, r.lat_p999_us, r.write_amp,
             r.read_amp, r.space_amp);
         json += row;

@@ -423,8 +423,8 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     tune::TunerConfig tcfg;
     tcfg.min_window_ops = options.tune_min_window_ops;
     db->tuner_ = std::make_unique<tune::AdaptiveTuner>(tcfg);
-    // Inline on the ticker thread, never the pool: a pass may wait for an
-    // active compaction chain that needs pool threads (DESIGN.md §9.1).
+    // Inline on the ticker thread, never the pool: a switching pass waits
+    // for the compaction lane, which needs a pool thread (DESIGN.md §9.1).
     db->ticker_.Add(options.tune_interval_ms, [raw] { raw->RetuneNow(); });
   }
   db->ticker_.Start();
@@ -716,18 +716,15 @@ Status DB::CommitWriter(write::Writer* writer) {
   amp_.RecordUserPayload(payload);
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
                                 group.queue_wait_micros, synced);
-  Status flush_status;
   if (mem_->payload_bytes() >= options_.write_buffer_size) {
     // The switch, and with no pool the flush and compactions it queues, are
     // attributed to the leader: followers' data is already durable in the
-    // WAL and memtable.
-    flush_status = SwitchMemTableLocked();
-    if (flush_status.ok()) flush_status = DrainLanesLocked(lock);
+    // WAL and memtable. A failure latches bg_error_ for the next write.
+    if (SwitchMemTableLocked().ok()) DrainLanesLocked(lock);
   }
   bg_cv_.notify_all();
   lock.unlock();
   write_queue_->ExitGroup(&group);
-  if (w.status.ok() && !flush_status.ok()) w.status = flush_status;
   return w.status;
 }
 
@@ -845,10 +842,11 @@ void DB::RunQueuedLaneLocked(std::unique_lock<std::mutex>& lock) {
     if (s.ok()) QueueLaneLocked(&compaction_lane_);
   } else if (compaction_lane_ == Lane::kQueued) {
     SetLaneLocked(&compaction_lane_, Lane::kRunning);
-    const uint64_t before = amp_.TotalCompactions();
     Status s = RunCompactionLoopLocked(lock);
-    stats_.bg_compactions += amp_.TotalCompactions() - before;
     if (!s.ok()) bg_error_ = s;
+    // Only a failed chain leaves requests queued: they fail with it.
+    for (LaneRequest* req : lane_requests_) req->status = s;
+    lane_requests_.clear();
     SetLaneLocked(&compaction_lane_, Lane::kIdle);
   }
 }
@@ -981,18 +979,97 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
   };
   // Bounded to catch policy bugs that would loop forever.
   for (int rounds = 0; rounds < 100000; rounds++) {
+    if (!lane_requests_.empty()) {
+      // Requests go ahead of the policy; bg_error_ fails one unrun.
+      LaneRequest* req = lane_requests_.front();
+      Status s = bg_error_.ok() ? RunLaneRequestLocked(lock, req) : bg_error_;
+      lane_requests_.pop_front();
+      req->status = s;
+      bg_cv_.notify_all();
+      if (!s.ok()) return s;
+      continue;
+    }
     std::optional<CompactionRequest> job;
     Status s = RunCompactionLocked(lock, pick, &job);
     if (!s.ok() || !job.has_value()) return s;
-    policy_->OnCompactionCompleted(*job, *current_);
-    // The merge stage has released its file references by now, so
-    // unpinned inputs are deleted here.
-    s = CollectObsoleteLocked();
-    if (!s.ok()) return s;
-    bg_cv_.notify_all();  // Stalled writers re-check the shrunken debt.
   }
   return Status::Corruption("compaction loop did not converge",
                             policy_->name());
+}
+
+Status DB::RunOnCompactionLaneLocked(std::unique_lock<std::mutex>& lock,
+                                     LaneRequest* req) {
+  lane_requests_.push_back(req);
+  QueueLaneLocked(&compaction_lane_);
+  if (compaction_lane_ == Lane::kIdle) {  // The pool refused its task.
+    lane_requests_.pop_back();
+    return Status::Busy("compaction lane refused the request");
+  }
+  DrainLanesLocked(lock);
+  bg_cv_.wait(lock, [req] { return req->status.has_value(); });
+  return *req->status;
+}
+
+Status DB::RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
+                                LaneRequest* req) {
+  // Every run of levels [first, last], merged in place into one at `last`.
+  auto merge_levels = [this](int first, int last, std::string reason) {
+    CompactionRequest merge;
+    for (int level = first; level <= last; level++) {
+      for (const SortedRun& run : current_->levels[level].runs) {
+        merge.inputs.push_back({level, run.run_id, {}});
+      }
+    }
+    merge.output_level = last;
+    merge.placement = CompactionRequest::Placement::kReplaceInputs;
+    merge.reason = std::move(reason);
+    return merge;
+  };
+  std::optional<CompactionRequest> job;
+  if (req->policy == nullptr) {
+    // Re-picked after a conflict: concurrent writers can flush while the
+    // whole-tree merge runs.
+    auto pick = [&]() -> std::optional<CompactionRequest> {
+      const int bottom = current_->BottommostNonEmptyLevel();
+      if (bottom < 0) return std::nullopt;
+      return merge_levels(0, bottom, "manual-compact-all");
+    };
+    return RunCompactionLocked(lock, pick, &job);
+  }
+
+  policy_ = std::move(req->policy);
+  options_.policy = req->config;
+  const tuning::HorizontalMerge merge = MergeForDriftModel(req->config);
+  drift_.Reconfigure(merge, req->config.size_ratio);
+  ring_->Emit(obs::EventType::kPolicyChange,
+              static_cast<uint16_t>(options_.shard_index),
+              merge == tuning::HorizontalMerge::kTiering ? 1 : 0,
+              static_cast<uint64_t>(req->config.size_ratio * 1000.0));
+  // Persist the new design first: a crash after this point reopens under
+  // the new policy with whatever layout the catch-up had reached.
+  Status s = InstallManifestLocked();
+  if (!s.ok() || policy_->FlushMode(*current_) != MergeMode::kMergeIntoRun) {
+    // Tiering-family target: any layout is a valid tiered layout; the
+    // policy's run-count triggers take it from here.
+    return s;
+  }
+  // A leveled target wants one run per level, but a previously tiered
+  // level holds several and the leveling policy's byte triggers never
+  // consolidate them: merge the shallowest multi-run level until none is.
+  // Each merge leaves one run, and once the leveled policy is in, a flush
+  // merges into level 0's run, so the loop ends.
+  auto pick = [&]() -> std::optional<CompactionRequest> {
+    for (size_t i = 0; i < current_->levels.size(); i++) {
+      if (current_->levels[i].runs.size() <= 1) continue;
+      const int level = static_cast<int>(i);
+      return merge_levels(level, level, "tune-catchup-L" + std::to_string(i));
+    }
+    return std::nullopt;
+  };
+  do {
+    s = RunCompactionLocked(lock, pick, &job);
+  } while (s.ok() && job.has_value());
+  return s;
 }
 
 Status DB::PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
@@ -1075,50 +1152,33 @@ Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
   compaction::MergeResult result;
   std::vector<FileMetaPtr> consumed;
   Status s = RunJobLocked(lock, pick, nullptr, job, &result, &consumed);
-  // A merged compaction always consumes a file: nothing consumed means
-  // nothing to do, or an empty plan (which counts as done).
-  if (!s.ok() || consumed.empty()) return s;
-
-  latency_.Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
-  amp_.RecordCompaction((*job)->output_level, result.bytes_read,
-                        result.bytes_written);
-
-  // Persist the new structure before queueing the inputs for deletion
-  // (crash safety); the caller runs CollectObsoleteLocked once the merge
-  // stage has dropped its file references.
-  s = InstallManifestLocked();
-  if (!s.ok()) return s;
-  MarkObsoleteLocked(std::move(consumed));
-  return Status::OK();
+  if (!s.ok() || !job->has_value()) return s;
+  // A merged compaction always consumes a file: nothing consumed means an
+  // empty plan, which counts as done.
+  if (!consumed.empty()) {
+    latency_.Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
+    amp_.RecordCompaction((*job)->output_level, result.bytes_read,
+                          result.bytes_written);
+    // Persist the new structure before queueing the inputs for deletion
+    // (crash safety).
+    s = InstallManifestLocked();
+    if (!s.ok()) return s;
+    MarkObsoleteLocked(std::move(consumed));
+  }
+  policy_->OnCompactionCompleted(**job, *current_);
+  // The merge stage has released its file references by now, so unpinned
+  // inputs are deleted here.
+  s = CollectObsoleteLocked();
+  bg_cv_.notify_all();  // Stalled writers re-check the shrunken debt.
+  return s;
 }
 
 Status DB::CompactAll() {
   Status s = FlushMemTable();
   if (!s.ok()) return s;
-
   std::unique_lock<std::mutex> lock(mutex_);
-  // Re-picked after a conflict: concurrent writers can flush while the
-  // whole-tree merge runs.
-  auto pick = [this]() -> std::optional<CompactionRequest> {
-    const int bottom = current_->BottommostNonEmptyLevel();
-    if (bottom < 0) return std::nullopt;
-    CompactionRequest req;
-    for (int level = 0; level <= bottom; level++) {
-      for (const auto& run : current_->levels[level].runs) {
-        req.inputs.push_back({level, run.run_id, {}});
-      }
-    }
-    if (req.inputs.empty()) return std::nullopt;
-    req.output_level = bottom;
-    req.placement = CompactionRequest::Placement::kReplaceInputs;
-    req.reason = "manual-compact-all";
-    return req;
-  };
-  std::optional<CompactionRequest> job;
-  s = RunCompactionLocked(lock, pick, &job);
-  if (!s.ok() || !job.has_value()) return s;
-  policy_->OnCompactionCompleted(*job, *current_);
-  return CollectObsoleteLocked();
+  LaneRequest req;
+  return RunOnCompactionLaneLocked(lock, &req);
 }
 
 bool DB::GetProperty(const std::string& property, std::string* value) {
@@ -1610,79 +1670,10 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
       return Status::OK();  // Identical design; nothing to do.
     }
   }
-  // The swap must not happen under an in-flight old-policy merge (its
-  // install would follow shapes the new policy never planned), and the
-  // catch-up below claims the compaction lane. Queued chains run and every
-  // chain terminates and goes idle under this mutex, so the wait is
-  // bounded.
-  bg_cv_.wait(lock, [this] { return compaction_lane_ == Lane::kIdle; });
-  if (!bg_error_.ok()) return bg_error_;
-  SetLaneLocked(&compaction_lane_, Lane::kRunning);
-
-  policy_ = std::move(next);
-  options_.policy = resolved;
-  drift_.Reconfigure(MergeForDriftModel(resolved), resolved.size_ratio);
-  ring_->Emit(obs::EventType::kPolicyChange,
-              static_cast<uint16_t>(options_.shard_index),
-              MergeForDriftModel(resolved) ==
-                      tuning::HorizontalMerge::kTiering
-                  ? 1
-                  : 0,
-              static_cast<uint64_t>(resolved.size_ratio * 1000.0));
-
-  // Persist the new design first: a crash after this point reopens under
-  // the new policy with whatever layout the catch-up had reached.
-  Status s = InstallManifestLocked();
-  // Converge the layout, then let the new policy's own loop finish the
-  // job. Writers keep running: both release the mutex around merges like
-  // every maintenance job.
-  if (s.ok()) s = CatchUpCompactionsLocked(lock);
-  if (s.ok()) s = RunCompactionLoopLocked(lock);
-  if (!s.ok()) bg_error_ = s;
-  SetLaneLocked(&compaction_lane_, Lane::kIdle);
-  return s;
-}
-
-Status DB::CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock) {
-  if (policy_->FlushMode(*current_) != MergeMode::kMergeIntoRun) {
-    // Tiering-family target: any layout is a valid tiered layout; the
-    // policy's run-count triggers take it from here.
-    return Status::OK();
-  }
-  // A leveled target wants one run per level, but a previously tiered
-  // level holds several and the leveling policy's byte triggers never
-  // consolidate them. Merge each multi-run level into a single run in
-  // place (the universal-compaction request shape). Runs a concurrent
-  // flush adds to an already visited level are still a correct tree and
-  // converge under later flush traffic.
-  for (size_t level = 0; level < current_->levels.size(); level++) {
-    auto pick = [this, level]() -> std::optional<CompactionRequest> {
-      if (level >= current_->levels.size() ||
-          current_->levels[level].runs.size() <= 1) {
-        return std::nullopt;
-      }
-      CompactionRequest req;
-      for (const SortedRun& run : current_->levels[level].runs) {
-        CompactionRequest::Input in;
-        in.level = static_cast<int>(level);
-        in.run_id = run.run_id;
-        req.inputs.push_back(in);
-      }
-      req.output_level = static_cast<int>(level);
-      req.placement = CompactionRequest::Placement::kReplaceInputs;
-      req.reason = "tune-catchup-L" + std::to_string(level);
-      return req;
-    };
-    std::optional<CompactionRequest> job;
-    Status s = RunCompactionLocked(lock, pick, &job);
-    if (!s.ok()) return s;
-    if (job.has_value()) {
-      s = CollectObsoleteLocked();
-      if (!s.ok()) return s;
-      bg_cv_.notify_all();
-    }
-  }
-  return Status::OK();
+  LaneRequest req;
+  req.policy = std::move(next);
+  req.config = resolved;
+  return RunOnCompactionLaneLocked(lock, &req);
 }
 
 tune::TuneDecision DB::RetuneNow() {

@@ -109,7 +109,6 @@ struct EngineStats {
 
   // Maintenance lanes and write backpressure.
   uint64_t memtable_switches = 0;   // Active → immutable handoffs.
-  uint64_t bg_compactions = 0;      // Compactions the compaction lane ran.
   // Stall time split by regime and stall entries split by cause, so
   // talus.stats says *why* writes stalled: memtable = immutable-memtable
   // debt, l0 = level-0 run debt. The totals below are sums of these parts.
@@ -185,7 +184,7 @@ class DB {
   /// Manual major compaction: merges every run into a single run at the
   /// bottommost non-empty level (reclaims tombstones and shadowed
   /// versions not pinned by snapshots). Drains pending maintenance first
-  /// (FlushMemTable).
+  /// (FlushMemTable), then waits for the merge on the compaction lane.
   Status CompactAll();
 
   /// Introspection: the talus.* properties declared in the metric catalog
@@ -266,16 +265,14 @@ class DB {
   GrowthPolicy* policy() { return policy_.get(); }
 
   // ---- Adaptive tuning: the sense→act loop (src/tune/, DESIGN.md §9) ----
-  /// Installs `config` as the live growth policy without downtime: the new
-  /// policy is swapped in under the DB mutex (after waiting until the
-  /// compaction lane is idle), the drift monitor is re-anchored to the new
-  /// design, a kPolicyChange event is emitted, the manifest persists the new
-  /// config (so a reopen with adaptive_tuning resumes under it), and catch-up
-  /// compactions converge the on-disk layout toward the new shape through
-  /// the existing pipeline — subsequent flush/compaction planning follows
-  /// the new policy automatically. Concurrent writers keep running: merges
-  /// release the mutex exactly like policy-driven compactions, so the only
-  /// write pressure is the usual backpressure.
+  /// Installs `config` as the live growth policy without downtime, as a
+  /// compaction-lane request that this call waits for. Between two merges
+  /// the lane swaps the policy in, re-anchors the drift monitor to it,
+  /// emits a kPolicyChange event, persists the config in the manifest (so
+  /// a reopen with adaptive_tuning resumes under it), then runs catch-up
+  /// compactions that converge the layout toward the new shape. Writers
+  /// keep running: the merges release the mutex like every maintenance
+  /// job, so the only write pressure is the usual backpressure.
   /// A config equal to the current one is a no-op. Scan results are
   /// unaffected — a policy shapes the tree, never its contents.
   Status ApplyPolicyConfig(const GrowthPolicyConfig& config);
@@ -368,7 +365,7 @@ class DB {
   /// the manifest once the flushed WAL is retired, then queues them.
   Status FlushMemToL0Locked(MemTable* mem, std::unique_lock<std::mutex>& lock,
                             std::vector<FileMetaPtr>* obsolete);
-  /// Runs the policy's compactions until it picks none.
+  /// The compaction lane's chain: queued requests ahead of each policy pick.
   Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock);
 
   // ---- Maintenance pipeline: plan → merge → install (DESIGN.md §2.1) ----
@@ -394,8 +391,8 @@ class DB {
                       std::optional<CompactionRequest>* job,
                       compaction::MergeResult* result,
                       std::vector<FileMetaPtr>* consumed);
-  /// RunJobLocked for a compaction, then its stats and manifest install;
-  /// the consumed files are queued for deferred GC, which the caller runs.
+  /// RunJobLocked for a compaction, then its stats, manifest install,
+  /// policy callback and deferred GC of the consumed files.
   Status RunCompactionLocked(std::unique_lock<std::mutex>& lock,
                              const JobPicker& pick,
                              std::optional<CompactionRequest>* job);
@@ -406,12 +403,6 @@ class DB {
   /// Output-file geometry shared by flush and compaction sorted-output
   /// passes.
   compaction::OutputShape OutputShapeForDb();
-
-  /// Converges a freshly switched-to leveled shape: merges every
-  /// multi-run level into a single run (same-level, kReplaceInputs), one
-  /// maintenance job per level. Tiering targets need no catch-up — they
-  /// absorb any shape.
-  Status CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock);
 
   Status InstallManifestLocked();
   Status NewWalLocked();
@@ -425,7 +416,7 @@ class DB {
   /// a pool, one pool task submitted for it) or running.
   enum class Lane : uint8_t { kIdle, kQueued, kRunning };
   /// Every lane change goes through here: it notifies bg_cv_, so stall
-  /// waits, FlushMemTable, ApplyPolicyConfig and ~DB can wait on the states.
+  /// waits, FlushMemTable and ~DB can wait on the states.
   void SetLaneLocked(Lane* lane, Lane state);
   /// Moves an idle lane to queued, submitting one pool task for it when
   /// there is a pool. A lane that is queued or running needs nothing: its
@@ -439,6 +430,21 @@ class DB {
   /// and records the stall in max_stall_clock; returns bg_error_. With a
   /// pool, returns OK at once: the pool runs them.
   Status DrainLanesLocked(std::unique_lock<std::mutex>& lock);
+  /// Work a caller asks the compaction lane for: a switch to `config` when
+  /// `policy` is set, else a compact-all. `status` is set once it has run.
+  struct LaneRequest {
+    std::unique_ptr<GrowthPolicy> policy;
+    GrowthPolicyConfig config;
+    std::optional<Status> status;
+  };
+  /// Queues `req` on the compaction lane and waits until it has run; Busy
+  /// at once if the lane cannot take it (a shut-down pool refused it).
+  Status RunOnCompactionLaneLocked(std::unique_lock<std::mutex>& lock,
+                                   LaneRequest* req);
+  /// A request's body, run by the chain: a compact-all's one whole-tree
+  /// merge, or a switch's swap, manifest write and catch-up merges.
+  Status RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
+                              LaneRequest* req);
   /// Drains imm_ oldest-first, one maintenance job per memtable.
   Status FlushImmutablesLocked(std::unique_lock<std::mutex>& lock);
   bool BackgroundIdleLocked() const {
@@ -545,10 +551,13 @@ class DB {
   exec::ThreadPool* pool_ = nullptr;
   const exec::StallController stall_;
   // The engine's one record of its maintenance work (see Lane): at most one
-  // flush drain and one compaction chain run at a time. ApplyPolicyConfig
-  // also claims the compaction lane while it swaps the policy.
+  // flush drain and one compaction chain run at a time, and every merge
+  // starts in one of them.
   Lane flush_lane_ = Lane::kIdle;
   Lane compaction_lane_ = Lane::kIdle;
+  // CompactAll and ApplyPolicyConfig requests, oldest first, owned by their
+  // waiting callers; empty whenever the compaction lane is idle.
+  std::deque<LaneRequest*> lane_requests_;
   // Set by ~DB: idle lanes stay idle, so the teardown wait ends.
   bool closing_ = false;
   // First maintenance failure; writers fail fast once set.

@@ -83,8 +83,6 @@ const std::vector<MetricDef> kCatalog = {
     {nullptr, "switches", nullptr, kCounter, kSum, "memtables",
      "Active-to-immutable memtable handoffs.",
      FROM(s.stats.memtable_switches)},
-    {nullptr, "bg_compactions", nullptr, kCounter, kSum, "jobs",
-     "Compactions the compaction lane ran.", FROM(s.stats.bg_compactions)},
     {nullptr, "stall_us", nullptr, kCounter, kSum, "us",
      "Time writers spent stalled.", FROM(s.stats.stall_micros())},
     {nullptr, "slowdowns", nullptr, kCounter, kSum, "writes",

@@ -1,7 +1,8 @@
 // Background execution subsystem tests: thread-pool ordering/shutdown, the
 // periodic ticker, stall-controller thresholds, an engine's flush and
 // compaction lanes (flush-first dispatch, teardown on a shared pool, the
-// talus.exec idle contract), and whole-engine inline-vs-background
+// talus.exec idle contract, CompactAll and policy switches as compaction
+// lane requests), and whole-engine inline-vs-background
 // equivalence under concurrent writers (the acceptance bar for DESIGN.md
 // §2).
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -317,7 +319,7 @@ TEST_P(ExecEquivalenceTest, BackgroundMatchesInlineUnderConcurrency) {
   EXPECT_NE(exec_info.find("mode=background"), std::string::npos);
   std::string stats_str;
   ASSERT_TRUE(bg_db->GetProperty("talus.stats", &stats_str));
-  EXPECT_NE(stats_str.find("bg_compactions="), std::string::npos);
+  EXPECT_NE(stats_str.find("compactions="), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ExecEquivalenceTest,
@@ -597,6 +599,91 @@ TEST(BackgroundLanes, ExecCountsAreZeroExactlyWhenIdle) {
   EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
 }
 
+// Events of `type` the engine emitted at or after ring position `mark`.
+int EventsSince(DB* db, uint64_t mark, obs::EventType type) {
+  int n = 0;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.seq >= mark && e.type == type) n++;
+  }
+  return n;
+}
+
+// Runs `call` on a second thread while `gate` holds the engine's one-thread
+// pool. Its merges start only on the compaction lane, so until the gate
+// opens it neither swaps a policy nor plans a merge, and does not return.
+void ExpectWaitsForTheLane(DB* db, PoolGate* gate,
+                           const std::function<Status()>& call) {
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  std::atomic<bool> returned{false};
+  Status status;
+  std::thread caller([&] {
+    status = call();
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(EventsSince(db, mark, obs::EventType::kCompactionPlan), 0);
+  EXPECT_EQ(EventsSince(db, mark, obs::EventType::kPolicyChange), 0);
+  gate->Open();
+  caller.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(EventsSince(db, mark, obs::EventType::kCompactionPlan), 0);
+}
+
+// A one-thread shared pool, both lanes idle, an empty memtable and two
+// level-0 runs under VT-Tier-Full(3).
+std::unique_ptr<DB> OpenTwoRunEngine(Env* env, exec::ThreadPool* pool) {
+  DbOptions opts = TestOptions(env, ExecutionMode::kBackground,
+                               GrowthPolicyConfig::VTTierFull(3));
+  opts.shared_pool = pool;
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(opts, &db).ok());
+  FlushTwoRuns(db.get());
+  EXPECT_EQ(db->current_version().TotalRuns(), 2u);
+  return db;
+}
+
+TEST(BackgroundLanes, CompactAllRunsOnTheLane) {
+  exec::ThreadPool pool(1);
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db = OpenTwoRunEngine(env.get(), &pool);
+  PoolGate gate(&pool);
+  gate.WaitHeld();
+  ExpectWaitsForTheLane(db.get(), &gate, [&db] { return db->CompactAll(); });
+  EXPECT_EQ(db->current_version().TotalRuns(), 1u);
+}
+
+TEST(BackgroundLanes, PolicySwitchRunsOnTheLane) {
+  exec::ThreadPool pool(1);
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db = OpenTwoRunEngine(env.get(), &pool);
+  PoolGate gate(&pool);
+  gate.WaitHeld();
+  ExpectWaitsForTheLane(db.get(), &gate, [&db] {
+    return db->ApplyPolicyConfig(GrowthPolicyConfig::VTLevelFull(3));
+  });
+  EXPECT_EQ(db->CurrentPolicyConfig().Label(), "VT-Level-Full");
+  // The switch's catch-up left the leveled shape: one run per level.
+  for (const auto& level : db->current_version().levels) {
+    EXPECT_LE(level.runs.size(), 1u) << db->DebugString();
+  }
+}
+
+TEST(BackgroundLanes, RequestTheLaneCannotTakeFailsAtOnce) {
+  exec::ThreadPool pool(1);
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db = OpenTwoRunEngine(env.get(), &pool);
+  // A borrowed pool that is shut down refuses the lane's task: nothing
+  // would ever run the request, so the call fails instead of waiting.
+  pool.Shutdown();
+  EXPECT_TRUE(db->CompactAll().IsBusy());
+  EXPECT_TRUE(
+      db->ApplyPolicyConfig(GrowthPolicyConfig::VTLevelFull(3)).IsBusy());
+  EXPECT_EQ(db->CurrentPolicyConfig().Label(), "VT-Tier-Full");
+  EXPECT_EQ(db->current_version().TotalRuns(), 2u);
+  EXPECT_EQ(ExecJobCounts(db.get()), std::vector<int>(5, 0));
+}
+
 // ------------------------------------- Inline lanes (no pool, one engine)
 
 // Forwards to another Env and logs every file creation and removal, in
@@ -767,18 +854,20 @@ TEST(InlineLanes, FailedFlushLatchesItsErrorAndKeepsEveryWrite) {
     // The next Put fills the 4 KiB memtable. Its mutating calls are the
     // WAL record's two appends, the switch's new WAL, then the flush's SST
     // file: the fourth call, which fails.
+    // The Put committed before its flush failed, so it returns OK, as a
+    // pooled engine's does; the flush's error is latched for later writes.
     env.FailAfterWrites(3);
-    const Status failed = db->Put("big", std::string(4 << 10, 'x'));
+    const Status committed = db->Put("big", std::string(4 << 10, 'x'));
     env.Disarm();
-    EXPECT_FALSE(failed.ok());
-    model["big"] = std::string(4 << 10, 'x');  // In its WAL nonetheless.
+    EXPECT_TRUE(committed.ok()) << committed.ToString();
+    model["big"] = std::string(4 << 10, 'x');
     // The switch succeeded and the flush failed: one memtable waits.
     EXPECT_EQ(db->stats().memtable_switches, 1u);
     EXPECT_EQ(db->stats().flushes, 0u);
 
     const Status latched = db->Put("after", "v");
-    EXPECT_FALSE(latched.ok());
-    EXPECT_EQ(latched.ToString(), failed.ToString());
+    EXPECT_TRUE(latched.IsIOError()) << latched.ToString();
+    EXPECT_EQ(db->Delete("big").ToString(), latched.ToString());
     for (const auto& [k, v] : model) {
       std::string value;
       ASSERT_TRUE(db->Get(k, &value).ok()) << k;
