@@ -94,7 +94,8 @@ RunResult RunOne(ExecutionMode mode, int writers,
   r.kops_per_sec = total_ops / r.wall_seconds / 1000.0;
   const EngineStats& stats = db->stats();
   r.flushes = stats.flushes;
-  r.compactions = stats.compactions;
+  r.compactions =
+      db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
   r.switches = stats.memtable_switches;
   r.stall_ms = stats.stall_micros() / 1000;
   r.slowdowns = stats.stall_slowdowns();

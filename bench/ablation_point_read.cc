@@ -6,8 +6,8 @@
 //   fast_legacy   legacy flat bloom
 //   fast_blocked  cache-line-blocked bloom
 // The "policy" column is the cache regime: cachehit (block cache larger
-// than the tree, warmed) vs cachemiss (cache disabled: every lookup decodes
-// a freshly loaded block — on the mem env via the zero-copy view path).
+// than the tree, warmed) vs cachemiss (a zero-capacity block cache: every
+// lookup loads its data block afresh, built in place, and decodes it).
 // blocks_per_lookup comes from the amp tracker.
 //
 // Always runs on the mem env: the subject is CPU cost per lookup, not disk.

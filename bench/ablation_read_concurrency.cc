@@ -122,7 +122,8 @@ RunResult RunOne(ExecutionMode mode, int readers, int writers) {
     result.bc_hit_rate =
         static_cast<double>(bc_hits) / static_cast<double>(bc_hits + bc_misses);
   }
-  result.compactions = db->stats().compactions;
+  result.compactions =
+      db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
   return result;
 }
 

@@ -144,7 +144,7 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
   r.kops_per_sec = static_cast<double>(ops) * writers / r.wall_seconds / 1000;
   r.min_shard_puts = ~uint64_t{0};
   for (size_t i = 0; i < db->shard_count(); i++) {
-    const uint64_t puts = db->shard(i)->stats().puts;
+    const uint64_t puts = db->shard(i)->GetAmpSnapshot().puts;
     r.min_shard_puts = std::min(r.min_shard_puts, puts);
     r.max_shard_puts = std::max(r.max_shard_puts, puts);
   }

@@ -127,7 +127,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.lookup_cost = lookups > 0 ? lookup_clock / lookups : 0;
   result.range_cost = ranges > 0 ? range_clock / ranges : 0;
   result.flushes = stats.flushes - before.flushes;
-  result.compactions = stats.compactions - before.compactions;
+  result.compactions = amp.Total(&obs::AmpSnapshot::Level::compactions);
   result.max_stall = stats.max_stall_clock;
   // Wall-clock tail latency from the engine recorder. The preload phase is
   // included in the put histogram; with preload ≈ num_ops the mixture still

@@ -69,7 +69,9 @@ void Visualize(const std::string& name, const GrowthPolicyConfig& policy) {
       std::printf(" after %llu inserts (%llu flushes, %llu compactions):\n",
                   static_cast<unsigned long long>(written),
                   static_cast<unsigned long long>(db->stats().flushes),
-                  static_cast<unsigned long long>(db->stats().compactions));
+                  static_cast<unsigned long long>(
+                      db->GetAmpSnapshot().Total(
+                          &obs::AmpSnapshot::Level::compactions)));
       DrawTree(db->current_version(), options.write_buffer_size);
     }
   }

@@ -81,9 +81,10 @@ int main(int argc, char** argv) {
   const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   std::printf("\nengine stats: %llu puts, %llu flushes, %llu compactions, "
               "write-amp %.2f, read-amp %.2f\n",
-              static_cast<unsigned long long>(stats.puts),
+              static_cast<unsigned long long>(amp.puts),
               static_cast<unsigned long long>(stats.flushes),
-              static_cast<unsigned long long>(stats.compactions),
+              static_cast<unsigned long long>(
+                  amp.Total(&obs::AmpSnapshot::Level::compactions)),
               amp.WriteAmp(), amp.ReadAmp());
   std::printf("tree shape:\n%s", db->DebugString().c_str());
 

@@ -285,6 +285,6 @@ int main(int argc, char** argv) {
               io->peak_storage_bytes() / 1048576.0);
   std::printf("  flushes/compactions: %llu / %llu\n",
               static_cast<unsigned long long>(stats.flushes),
-              static_cast<unsigned long long>(stats.compactions));
+              static_cast<unsigned long long>(amp.Total(&Level::compactions)));
   return 0;
 }

@@ -45,20 +45,15 @@ bool DecodeWalRecord(Slice input, SequenceNumber* base_seq,
   return WriteBatch::FromRep(input, batch).ok();
 }
 
-// Publishes a committed (or failed-and-burned) group's sequence ranges to
-// the shared allocator: the group's own contiguous claim plus every
-// preassigned writer that asked to be published. Used by both the success
-// and the WAL-failure path of CommitWriter — the ranges must reach the
-// allocator either way, or the global watermark wedges.
+// Publishes a committed (or failed-and-burned) group's own contiguous
+// sequence claim to the shared allocator. Used by both the success and the
+// WAL-failure path of CommitWriter — the range must reach the allocator
+// either way, or the global watermark wedges. Preassigned writers' ranges
+// are the sharding layer's to publish (write::Writer::preassigned).
 void PublishGroupSequences(shard::SequenceAllocator* alloc,
-                           SequenceNumber base_seq, uint64_t claim_count,
-                           const write::WriteGroup& group) {
-  if (alloc == nullptr) return;
-  if (claim_count > 0) alloc->Publish(base_seq, claim_count);
-  for (write::Writer* wr : group.writers) {
-    if (wr->preassigned && wr->publish_sequence && wr->batch->Count() > 0) {
-      alloc->Publish(wr->base_seq, wr->batch->Count());
-    }
+                           SequenceNumber base_seq, uint64_t claim_count) {
+  if (alloc != nullptr && claim_count > 0) {
+    alloc->Publish(base_seq, claim_count);
   }
 }
 
@@ -280,7 +275,7 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
 
   PolicyContext ctx;
   ctx.buffer_bytes = options.write_buffer_size;
-  ctx.mix_tracker = &db->mix_tracker_;
+  ctx.amp = &db->amp_;
   GrowthPolicyConfig policy_config = options.policy;
   policy_config.bloom_bits_per_key = options.bloom_bits_per_key;
   db->policy_ = CreateGrowthPolicy(policy_config, ctx);
@@ -550,8 +545,7 @@ Status DB::WriteAt(const WriteBatch& batch, SequenceNumber base_seq) {
     return Status::InvalidArgument("empty keys are not supported");
   }
   write::Writer w(&batch);
-  w.preassigned = true;
-  w.publish_sequence = false;  // The sharding layer publishes the range.
+  w.preassigned = true;  // The sharding layer publishes the range.
   w.base_seq = base_seq;
   return CommitWriter(&w);
 }
@@ -689,8 +683,8 @@ Status DB::CommitWriter(write::Writer* writer) {
     // Burn the claimed ranges: the latched error means they can never be
     // reused, and an unpublished hole would wedge the global watermark for
     // every other shard. Ranges the sharding layer claimed itself
-    // (publish_sequence == false) are its to burn.
-    PublishGroupSequences(alloc, base_seq, claim_count, group);
+    // (preassigned) are its to burn.
+    PublishGroupSequences(alloc, base_seq, claim_count);
     bg_cv_.notify_all();
     lock.unlock();
     write_queue_->ExitGroup(&group);
@@ -699,21 +693,22 @@ Status DB::CommitWriter(write::Writer* writer) {
   if (max_seq > last_sequence_) last_sequence_ = max_seq;
   // Publish once the inserts are complete: the global watermark may now
   // advance over this group, making it visible to cross-shard snapshots
-  // atomically. Multi-shard sub-batches (publish_sequence == false) stay
-  // pending until the sharding layer publishes their whole range.
-  PublishGroupSequences(alloc, base_seq, claim_count, group);
+  // atomically. Multi-shard sub-batches (preassigned) stay pending until
+  // the sharding layer publishes their whole range.
+  PublishGroupSequences(alloc, base_seq, claim_count);
   uint64_t committed = 0;
+  uint64_t puts = 0;
+  uint64_t deletes = 0;
   uint64_t payload = 0;
   for (write::Writer* wr : group.writers) {
     if (!wr->status.ok()) continue;
     committed++;
-    stats_.puts += wr->batch->Puts();
-    stats_.deletes += wr->batch->Deletes();
+    puts += wr->batch->Puts();
+    deletes += wr->batch->Deletes();
     payload += wr->batch->PayloadBytes();
-    mix_tracker_.RecordUpdate();
     options_.env->io_stats()->RecordCpu(kCpuCostPerWrite);
   }
-  amp_.RecordUserPayload(payload);
+  amp_.RecordWrite(puts, deletes, payload);
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
                                 group.queue_wait_micros, synced);
   if (mem_->payload_bytes() >= options_.write_buffer_size) {
@@ -1428,7 +1423,6 @@ Status DB::Get(const Slice& key, std::string* value,
   Status result = GetFromView(*view, lkey, value, &probe);
   // One striped fold, no second mutex acquisition.
   amp_.RecordLookup(probe);
-  mix_tracker_.RecordPointLookup();
   return result;
 }
 
@@ -1527,11 +1521,18 @@ std::unique_ptr<Iterator> DB::NewPinnedIterator(
 
 Status DB::Scan(const Slice& start, size_t count,
                 std::vector<std::pair<std::string, std::string>>* out) {
-  obs::ScopedOpTimer timer(latency_, obs::OpType::kScan);
   // Pin once, then iterate with no lock held: the view's sequence bound
   // makes the whole scan a consistent snapshot even while writers and
   // background maintenance proceed.
-  auto iter = NewPinnedIterator(AcquireReadView());
+  return ScanFrom([this] { return NewPinnedIterator(AcquireReadView()); },
+                  start, count, out);
+}
+
+Status DB::ScanFrom(const std::function<std::unique_ptr<Iterator>()>& open,
+                    const Slice& start, size_t count,
+                    std::vector<std::pair<std::string, std::string>>* out) {
+  obs::ScopedOpTimer timer(latency_, obs::OpType::kScan);
+  auto iter = open();
   options_.env->io_stats()->RecordCpu(kCpuCostPerRead);
   out->clear();
   iter->Seek(start);
@@ -1539,16 +1540,13 @@ Status DB::Scan(const Slice& start, size_t count,
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     iter->Next();
   }
-  stats_.scans.fetch_add(1);
-  mix_tracker_.RecordRangeLookup();
+  amp_.RecordScan();
   return iter->status();
 }
 
 EngineStats DB::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  EngineStats copy = stats_;
-  copy.compactions = amp_.TotalCompactions();
-  return copy;
+  return stats_;
 }
 
 obs::GroupCommitStats DB::GetGroupCommitStats() const {
@@ -1655,7 +1653,7 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   resolved.bloom_bits_per_key = options_.bloom_bits_per_key;
   PolicyContext ctx;
   ctx.buffer_bytes = options_.write_buffer_size;
-  ctx.mix_tracker = &mix_tracker_;
+  ctx.amp = &amp_;
   auto next = CreateGrowthPolicy(resolved, ctx);
   if (next == nullptr) {
     return Status::InvalidArgument("unknown growth policy");
@@ -1716,24 +1714,19 @@ tune::TuneDecision DB::RetuneNow() {
 
 obs::DriftSample DB::EvaluateModelDrift() {
   const obs::AmpSnapshot window = amp_.WindowSnapshot();
-  const WorkloadMixTracker::RawCounts window_ops =
-      mix_tracker_.WindowRawCounts();
+  const obs::AmpSnapshot total = amp_.Snapshot();
   uint64_t data_bytes = 0;
-  uint64_t ops = 0;
-  uint64_t payload = 0;
   {
-    // The payload is recorded under the mutex with the op counts, so the
-    // two agree.
     std::unique_lock<std::mutex> lock(mutex_);
     data_bytes = ApproximateDataBytesLocked();
-    ops = stats_.puts + stats_.deletes;
-    payload = amp_.Snapshot().user_payload_bytes;
   }
 
   obs::ModelDriftMonitor::Measured m;
-  m.mix = mix_tracker_.WindowEstimate();
+  // An empty window (no operation since the last evaluation) falls back to
+  // the lifetime mix.
+  m.mix = window.Operations() > 0 ? window.Mix() : total.Mix();
   m.window_lookups = window.lookups;
-  m.window_updates = window_ops.updates;
+  m.window_updates = window.puts + window.deletes;
   if (window.lookups > 0) {
     m.found_fraction =
         static_cast<double>(window.lookups - window.misses) /
@@ -1743,8 +1736,10 @@ obs::DriftSample DB::EvaluateModelDrift() {
   m.write_amp = window.WriteAmp();
   // P: entries per data block, from the observed mean entry size (the
   // model prices I/O in pages of P entries).
+  const uint64_t ops = total.puts + total.deletes;
   const double avg_entry =
-      ops > 0 ? static_cast<double>(payload) / static_cast<double>(ops)
+      ops > 0 ? static_cast<double>(total.user_payload_bytes) /
+                    static_cast<double>(ops)
               : 64.0;
   m.page_entries =
       std::max(1.0, static_cast<double>(options_.block_size) /
@@ -1767,7 +1762,6 @@ obs::DriftSample DB::EvaluateModelDrift() {
   // The evaluated window is consumed; the next evaluation sees only newer
   // traffic.
   amp_.AdvanceWindow();
-  mix_tracker_.AdvanceWindow();
   return sample;
 }
 

@@ -78,26 +78,16 @@ class ShardedDB;
 }  // namespace shard
 
 /// Cumulative engine statistics (virtual-clock based where noted): the
-/// operation, job and stall counts. The I/O the operations cause — bytes
-/// flushed and compacted, lookups and what they probed — is counted once,
-/// per level, by the amp tracker (DB::GetAmpSnapshot, DESIGN.md §6.6).
-/// Write-path fields are updated under the DB mutex; `scans` is a relaxed
-/// atomic because Scan runs without the mutex (DESIGN.md §2.7).
+/// job and stall counts. The operations — puts, deletes, gets and scans —
+/// and the I/O they cause — bytes flushed and compacted, compactions,
+/// lookups and what they probed — are counted once, by the amp tracker
+/// (DB::GetAmpSnapshot, DESIGN.md §6.6). Every field is updated under the
+/// DB mutex.
 struct EngineStats {
-  // Write path.
-  uint64_t puts = 0;
-  uint64_t deletes = 0;
   uint64_t flushes = 0;
-  // Not counted here: DB::stats() fills it from the amp tracker's
-  // per-level compaction counts (MetricSnapshot's copy leaves it 0; the
-  // catalog reads the tracker).
-  uint64_t compactions = 0;
   // Merge results discarded because a concurrent flush reshaped the plan's
   // inputs before install; the work was retried (DESIGN.md §2.8).
   uint64_t compaction_conflicts = 0;
-
-  // Read path (mutex-free increments).
-  obs::RelaxedCounter scans;
 
   // Obsolete SSTs physically deleted after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).
@@ -197,6 +187,14 @@ class DB {
   /// consistent snapshot while writers and background maintenance proceed.
   Status Scan(const Slice& start, size_t count,
               std::vector<std::pair<std::string, std::string>>* out);
+  /// Scan's body over the iterator `open` returns, and the one place a
+  /// scan is counted: its kScan latency, its CPU charge and the tracker's
+  /// scan count. Sharding layer only besides Scan itself: a multi-shard
+  /// ShardedDB::Scan passes the fleet's merged iterator to the shard that
+  /// owns `start` (DESIGN.md §3).
+  Status ScanFrom(const std::function<std::unique_ptr<Iterator>()>& open,
+                  const Slice& start, size_t count,
+                  std::vector<std::pair<std::string, std::string>>* out);
 
   /// Forward iterator over live user keys (tombstones and shadowed versions
   /// skipped). Prev() is not supported. The iterator owns a ReadView: it
@@ -230,16 +228,18 @@ class DB {
   EngineStats stats() const;
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
   obs::GroupCommitStats GetGroupCommitStats() const;
-  /// Cumulative per-level I/O counters (the amp tracker's snapshot) with
-  /// live per-level space filled in from the current version (takes the
-  /// mutex briefly). Subtract an earlier snapshot for a delta. The
-  /// sharding layer merges these per-shard snapshots into fleet-wide
-  /// talus.amp.
+  /// Cumulative operation counts and per-level I/O counters (the amp
+  /// tracker's snapshot) with live per-level space filled in from the
+  /// current version (takes the mutex briefly). Subtract an earlier
+  /// snapshot for a delta. The sharding layer merges these per-shard
+  /// snapshots into fleet-wide talus.amp.
   obs::AmpSnapshot GetAmpSnapshot() const;
   /// Evaluates one drift window against the active policy's cost model:
-  /// feeds the windowed workload mix and windowed amp measurements into
-  /// the model, emits a kAmpSample event (and kModelDrift when drift
-  /// crosses the thresholds), then starts a new window.
+  /// feeds the window's workload mix (its operation counts, or the
+  /// lifetime ones when the window holds none) and windowed amp
+  /// measurements into the model, emits a kAmpSample event (and
+  /// kModelDrift when drift crosses the thresholds), then starts a new
+  /// window.
   obs::DriftSample EvaluateModelDrift();
   /// Time-series snapshotter; null unless stats_snapshot_interval_ms > 0.
   obs::StatsSnapshotter* stats_snapshotter() { return snapshotter_.get(); }
@@ -509,9 +509,6 @@ class DB {
   SequenceNumber last_sequence_ = 0;
   uint64_t flush_count_ = 0;
 
-  // Live operation-mix estimator, shared with self-designing policies.
-  WorkloadMixTracker mix_tracker_;
-
   // Sequences pinned by live snapshots (multiset: snapshots may coincide).
   std::multiset<SequenceNumber> snapshot_seqs_;
 
@@ -526,8 +523,8 @@ class DB {
   // has its own lock.
   std::unique_ptr<obs::EventRing> owned_ring_;
   obs::EventRing* ring_ = nullptr;
-  // The only store of the engine's I/O counters. Write-side hooks run
-  // under mutex_; the tracker itself is lock-free.
+  // The only store of the engine's operation and I/O counters. Write-side
+  // hooks run under mutex_; the tracker itself is lock-free.
   obs::AmpTracker amp_;
   // Prices the amp tracker's windows against the active policy's model.
   obs::ModelDriftMonitor drift_;

@@ -30,6 +30,15 @@ constexpr uint64_t AmpSnapshot::Level::*kLevelCounters[] = {
 
 }  // namespace
 
+WorkloadMix AmpSnapshot::Mix() const {
+  WorkloadMix mix;
+  mix.updates = static_cast<double>(puts + deletes);
+  mix.point_lookups = static_cast<double>(lookups);
+  mix.range_lookups = static_cast<double>(scans);
+  mix.Normalize();
+  return mix;
+}
+
 uint64_t AmpSnapshot::Total(uint64_t Level::*field) const {
   uint64_t total = 0;
   for (int i = 0; i < num_levels; i++) total += levels[i].*field;
@@ -78,7 +87,10 @@ void AmpSnapshot::Add(const AmpSnapshot& other) {
     l.live_payload_bytes += o.live_payload_bytes;
   }
   if (other.num_levels > num_levels) num_levels = other.num_levels;
+  puts += other.puts;
+  deletes += other.deletes;
   lookups += other.lookups;
+  scans += other.scans;
   memtable_hits += other.memtable_hits;
   misses += other.misses;
   user_payload_bytes += other.user_payload_bytes;
@@ -90,7 +102,10 @@ void AmpSnapshot::Subtract(const AmpSnapshot& base) {
       levels[i].*field = SatSub(levels[i].*field, base.levels[i].*field);
     }
   }
+  puts = SatSub(puts, base.puts);
+  deletes = SatSub(deletes, base.deletes);
   lookups = SatSub(lookups, base.lookups);
+  scans = SatSub(scans, base.scans);
   memtable_hits = SatSub(memtable_hits, base.memtable_hits);
   misses = SatSub(misses, base.misses);
   user_payload_bytes = SatSub(user_payload_bytes, base.user_payload_bytes);
@@ -177,14 +192,11 @@ void AmpTracker::RecordCompaction(int level, uint64_t bytes_read,
   NoteSlot(slot);
 }
 
-uint64_t AmpTracker::TotalCompactions() const {
-  uint64_t total = 0;
-  for (const auto& c : compactions_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
-void AmpTracker::RecordUserPayload(uint64_t bytes) {
-  user_payload_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+void AmpTracker::RecordWrite(uint64_t puts, uint64_t deletes,
+                             uint64_t payload_bytes) {
+  puts_.fetch_add(puts, std::memory_order_relaxed);
+  deletes_.fetch_add(deletes, std::memory_order_relaxed);
+  user_payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
 }
 
 void AmpTracker::RecordLookup(const LookupProbe& probe) {
@@ -222,6 +234,10 @@ void AmpTracker::RecordLookup(const LookupProbe& probe) {
   if (probe.deepest_slot >= 0) NoteSlot(probe.deepest_slot);
 }
 
+void AmpTracker::RecordScan() {
+  cells_[StripeForThisThread()].scans.fetch_add(1, std::memory_order_relaxed);
+}
+
 AmpSnapshot AmpTracker::Snapshot() const {
   AmpSnapshot snap;
   int max_slot = max_slot_.load(std::memory_order_relaxed);
@@ -250,9 +266,12 @@ AmpSnapshot AmpTracker::Snapshot() const {
       l.hits += c.hits[i].load(std::memory_order_relaxed);
     }
     snap.lookups += c.lookups.load(std::memory_order_relaxed);
+    snap.scans += c.scans.load(std::memory_order_relaxed);
     snap.memtable_hits += c.memtable_hits.load(std::memory_order_relaxed);
     snap.misses += c.misses.load(std::memory_order_relaxed);
   }
+  snap.puts = puts_.load(std::memory_order_relaxed);
+  snap.deletes = deletes_.load(std::memory_order_relaxed);
   snap.user_payload_bytes =
       user_payload_bytes_.load(std::memory_order_relaxed);
   return snap;

@@ -2,26 +2,33 @@
 #define TALUS_OBS_AMP_TRACKER_H_
 
 // Per-level I/O accounting: the measured counterpart of the cost models in
-// src/tuning/, and the engine's only store of its I/O counters (DESIGN.md
-// §6.6). The write side counts the bytes each flush and compaction reads
-// and writes, and the compactions, per level; the read side attributes
-// every lookup probe (files touched, filter negatives and Bloom false
-// positives, data blocks fetched and cache hits, the level that decided
-// the key) to its level without taking a lock on the read path. Every
-// flat I/O total the engine reports (in talus.stats, talus.cstats and the
-// talus_*_total families) is a sum over these rows. Snapshots are
-// linearizable enough for monitoring: each counter is read atomically,
-// cross-counter skew is bounded by in-flight operations.
+// src/tuning/, and the engine's only store of its operation and I/O
+// counters (DESIGN.md §6.6). It counts every user operation once: the
+// puts and deletes each commit group applied (batch entries included),
+// the point lookups and the scans. The write side counts the bytes each
+// flush and compaction reads and writes, and the compactions, per level;
+// the read side attributes every lookup probe (files touched, filter
+// negatives and Bloom false positives, data blocks fetched and cache
+// hits, the level that decided the key) to its level without taking a
+// lock on the read path. Every flat I/O total the engine reports (in
+// talus.stats, talus.cstats and the talus_*_total families) is a sum over
+// these rows, and the measured workload mix (w, r, q) is a ratio of its
+// operation counts (AmpSnapshot::Mix). Snapshots are linearizable enough
+// for monitoring: each counter is read atomically, cross-counter skew is
+// bounded by in-flight operations.
 //
-// Write-side events (flush/compaction install, committed batches) are
+// Write-side events (flush/compaction install, committed groups) are
 // rare, so they use plain relaxed atomics.  Read-side folding happens
-// once per Get, so it uses the same cache-line-striped cell layout as
-// LatencyRecorder to keep concurrent readers off each other's lines.
+// once per Get or Scan, so it uses the same cache-line-striped cell
+// layout as LatencyRecorder to keep concurrent readers off each other's
+// lines.
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
+
+#include "tuning/workload_mix.h"
 
 namespace talus {
 namespace obs {
@@ -65,11 +72,19 @@ struct AmpSnapshot {
 
   Level levels[kAmpMaxLevels];
   int num_levels = 0;  // 1 + deepest slot ever touched
-  uint64_t lookups = 0;
+  uint64_t puts = 0;     // committed, batch entries included
+  uint64_t deletes = 0;  // committed, batch entries included
+  uint64_t lookups = 0;  // point lookups (Get)
+  uint64_t scans = 0;
   uint64_t memtable_hits = 0;  // active + immutable memtables
   uint64_t misses = 0;
   uint64_t user_payload_bytes = 0;  // committed key+value bytes
 
+  /// Updates, point lookups and scans: every operation counted.
+  uint64_t Operations() const { return puts + deletes + lookups + scans; }
+  /// The (w, r, q) fractions of §5.2: updates (puts and deletes), point
+  /// lookups and scans over Operations(); 0.5/0.5/0 when there are none.
+  WorkloadMix Mix() const;
   /// One per-level field summed over the levels.
   uint64_t Total(uint64_t Level::*field) const;
   uint64_t TotalBytesFlushed() const;
@@ -129,13 +144,12 @@ class AmpTracker {
   // One compaction installed at output `level`.
   void RecordCompaction(int level, uint64_t bytes_read,
                         uint64_t bytes_written);
-  void RecordUserPayload(uint64_t bytes);
-  // Compactions recorded so far, summed over the levels (write-side loads
-  // only; no read-stripe fold).
-  uint64_t TotalCompactions() const;
+  // One commit group's applied puts, deletes and key+value bytes.
+  void RecordWrite(uint64_t puts, uint64_t deletes, uint64_t payload_bytes);
 
   // ---- Read side (hot; mutex-free, striped by thread). ----
   void RecordLookup(const LookupProbe& probe);
+  void RecordScan();
 
   // Cumulative counters since construction.  Space fields are zero; the
   // owner fills them from the live Version.
@@ -157,6 +171,7 @@ class AmpTracker {
     std::atomic<uint64_t> cache_hits[kAmpMaxLevels];
     std::atomic<uint64_t> hits[kAmpMaxLevels];
     std::atomic<uint64_t> lookups;
+    std::atomic<uint64_t> scans;
     std::atomic<uint64_t> memtable_hits;
     std::atomic<uint64_t> misses;
   };
@@ -171,6 +186,8 @@ class AmpTracker {
   std::atomic<uint64_t> compaction_bytes_written_[kAmpMaxLevels]{};
   std::atomic<uint64_t> compaction_bytes_read_[kAmpMaxLevels]{};
   std::atomic<uint64_t> compactions_[kAmpMaxLevels]{};
+  std::atomic<uint64_t> puts_{0};
+  std::atomic<uint64_t> deletes_{0};
   std::atomic<uint64_t> user_payload_bytes_{0};
   std::atomic<int> max_slot_{-1};
 

@@ -42,13 +42,13 @@ constexpr char kCostHelp[] = "Model cost zeta at the last decision.";
 const std::vector<MetricDef> kCatalog = {
     // ---- Engine (talus.stats leads with these) ----
     {"talus_puts_total", "puts", nullptr, kCounter, kSum, "ops",
-     "Puts applied, batch entries included.", FROM(s.stats.puts)},
+     "Puts applied, batch entries included.", FROM(s.amp.puts)},
     {"talus_deletes_total", "deletes", nullptr, kCounter, kSum, "ops",
-     "Deletes applied, batch entries included.", FROM(s.stats.deletes)},
+     "Deletes applied, batch entries included.", FROM(s.amp.deletes)},
     {"talus_gets_total", "gets", nullptr, kCounter, kSum, "ops",
      "Point lookups.", FROM(s.amp.lookups)},
     {"talus_scans_total", "scans", nullptr, kCounter, kSum, "ops", "Scans.",
-     FROM(s.stats.scans)},
+     FROM(s.amp.scans)},
     {"talus_flushes_total", "flushes", nullptr, kCounter, kSum, "jobs",
      "Memtable flushes.", FROM(s.stats.flushes)},
     {"talus_compactions_total", "compactions", nullptr, kCounter, kSum,

@@ -42,7 +42,7 @@ struct DriftSample {
   double bloom_fpr = 0;            // f
   double page_entries = 0;         // P
   uint64_t window_lookups = 0;
-  uint64_t window_updates = 0;
+  uint64_t window_updates = 0;     // puts + deletes, batch entries included
 
   // Predicted vs measured per-op cost (see unit conventions above).
   double predicted_point = 0;
@@ -73,7 +73,7 @@ class ModelDriftMonitor {
   };
 
   struct Measured {
-    WorkloadMix mix;                // windowed mix from WorkloadMixTracker
+    WorkloadMix mix;                // windowed mix (AmpSnapshot::Mix)
     uint64_t window_lookups = 0;
     uint64_t window_updates = 0;
     double found_fraction = 0;      // windowed hits / lookups

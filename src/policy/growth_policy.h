@@ -25,9 +25,12 @@
 
 #include "filter/filter_allocator.h"
 #include "lsm/version.h"
-#include "tuning/workload_mix.h"
 
 namespace talus {
+
+namespace obs {
+class AmpTracker;
+}  // namespace obs
 
 /// How data arriving at a level combines with what is already there.
 enum class MergeMode {
@@ -65,9 +68,9 @@ struct CompactionRequest {
 /// Static context a policy needs about the engine configuration.
 struct PolicyContext {
   uint64_t buffer_bytes = 0;  // Write buffer capacity B, in bytes.
-  /// Live operation-mix estimator owned by the DB (null outside an engine).
-  /// Self-designing policies read it at re-tuning boundaries.
-  const WorkloadMixTracker* mix_tracker = nullptr;
+  /// The engine's operation counts (null outside an engine). Self-designing
+  /// policies read the measured mix from it at re-tuning boundaries.
+  const obs::AmpTracker* amp = nullptr;
 };
 
 class GrowthPolicy {

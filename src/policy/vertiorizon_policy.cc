@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "filter/bloom.h"
+#include "obs/amp_tracker.h"
 #include "theory/binomial.h"
 #include "theory/schemes.h"
 #include "util/coding.h"
@@ -14,7 +15,7 @@ VertiorizonPolicy::VertiorizonPolicy(const GrowthPolicyConfig& config,
                                      const PolicyContext& ctx)
     : config_(config),
       buffer_bytes_(ctx.buffer_bytes),
-      mix_tracker_(ctx.mix_tracker),
+      amp_(ctx.amp),
       h_levels_(std::clamp(config.vrn_fixed_levels, 1,
                            kMaxHorizontalLevels)),
       h_merge_(config.vrn_fixed_merge),
@@ -76,9 +77,9 @@ uint64_t VertiorizonPolicy::CurrentDelta() const {
 
 void VertiorizonPolicy::Retune() {
   WorkloadMix mix = config_.expected_mix;
-  if (config_.vrn_measure_mix && mix_tracker_ != nullptr &&
-      mix_tracker_->total() >= 100) {
-    mix = mix_tracker_->Estimate();
+  if (config_.vrn_measure_mix && amp_ != nullptr) {
+    const obs::AmpSnapshot ops = amp_->Snapshot();
+    if (ops.Operations() >= 100) mix = ops.Mix();
   }
   mix.Normalize();
 

@@ -67,7 +67,7 @@ class VertiorizonPolicy : public GrowthPolicy {
 
   GrowthPolicyConfig config_;
   uint64_t buffer_bytes_;
-  const WorkloadMixTracker* mix_tracker_;  // May be null.
+  const obs::AmpTracker* amp_;  // May be null.
 
   // Active design.
   int h_levels_;

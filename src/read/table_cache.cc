@@ -69,14 +69,12 @@ void TableCache::Evict(uint64_t file_number) {
       shard.map.erase(it);
     }
   }
-  if (block_cache_ != nullptr) {
-    // Block-cache keys start with the varint file number (SstReader);
-    // varints are prefix-free, so this prefix matches exactly the deleted
-    // file's blocks, which then stop charging the cache.
-    std::string prefix;
-    PutVarint64(&prefix, file_number);
-    block_cache_->EraseByPrefix(prefix);
-  }
+  // Block-cache keys start with the varint file number (SstReader);
+  // varints are prefix-free, so this prefix matches exactly the deleted
+  // file's blocks, which then stop charging the cache.
+  std::string prefix;
+  PutVarint64(&prefix, file_number);
+  block_cache_->EraseByPrefix(prefix);
 }
 
 TableCache::Stats TableCache::GetStats() const {

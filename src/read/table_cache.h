@@ -42,7 +42,8 @@ class TableCache {
   /// enforced per shard (ceil(capacity / shards), at least one each), so
   /// under skewed file-number distribution the total may briefly sit below
   /// `capacity`; Stats::capacity always reports the configured value.
-  /// `block_cache` may be nullptr.
+  /// `block_cache` must not be null: every reader loads its data blocks
+  /// through it (SstReader::Open).
   TableCache(Env* env, std::string dbpath, LruCache* block_cache,
              size_t capacity);
   TableCache(const TableCache&) = delete;

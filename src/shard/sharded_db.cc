@@ -340,14 +340,10 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator() {
 Status ShardedDB::Scan(const Slice& start, size_t count,
                        std::vector<std::pair<std::string, std::string>>* out) {
   if (shards_.size() == 1) return shards_[0]->Scan(start, count, out);
-  auto iter = NewIterator();
-  out->clear();
-  iter->Seek(start);
-  while (iter->Valid() && out->size() < count) {
-    out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    iter->Next();
-  }
-  return iter->status();
+  // The shard that owns `start` counts the scan, once, however many shards
+  // the fleet's merged iterator crosses.
+  return Route(start)->ScanFrom([this] { return NewIterator(); }, start,
+                                count, out);
 }
 
 Status ShardedDB::FlushMemTable() {

@@ -79,15 +79,13 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
   // Varint file number, then varint offset: short enough for the string's
   // inline buffer, so neither the lookup nor the insert allocates a key.
   std::string cache_key;
-  if (block_cache_ != nullptr) {
-    PutVarint64(&cache_key, file_number_);
-    PutVarint64(&cache_key, handle.offset);
-    auto cached = block_cache_->Lookup(cache_key);
-    if (cached != nullptr) {
-      *block = std::static_pointer_cast<Block>(cached);
-      *cache_hit = true;
-      return Status::OK();
-    }
+  PutVarint64(&cache_key, file_number_);
+  PutVarint64(&cache_key, handle.offset);
+  auto cached = block_cache_->Lookup(cache_key);
+  if (cached != nullptr) {
+    *block = std::static_pointer_cast<Block>(cached);
+    *cache_hit = true;
+    return Status::OK();
   }
 
   // Single-copy load: read into the Block's own buffer (memcpy only when
@@ -105,9 +103,7 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
   }
   b->FinishLoad();
   data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
-  if (block_cache_ != nullptr) {
-    block_cache_->Insert(cache_key, b, b->size());
-  }
+  block_cache_->Insert(cache_key, b, b->size());
   *block = std::move(b);
   return Status::OK();
 }
@@ -127,9 +123,7 @@ Status SstReader::ReadBlockContents(const BlockHandle& handle,
 
 // Allocation-free point lookup: PointGet against the pinned index block,
 // then against the data block — no iterator heap allocations and no
-// per-entry std::string rebuilds. For the uncached no-block-cache case the
-// data block is a non-owning view over a reused thread-local scratch (with
-// a mem env the view points directly at the file's bytes: zero copies).
+// per-entry std::string rebuilds.
 bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
                     GetStats* stats) {
   if (!filter_->KeyMayMatch(lkey.user_key())) {
@@ -153,39 +147,16 @@ bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
     return true;
   }
 
-  // Resolve the data block: cache, or a direct read without constructing a
-  // heap Block when there is no cache to share it with.
-  std::shared_ptr<Block> cached;
-  const Block* block = nullptr;
-  std::optional<Block> view;  // Storage for the uncached non-owning path.
-  if (block_cache_ != nullptr) {
-    bool cache_hit = false;
-    Status rs = ReadDataBlock(handle, &cached, &cache_hit);
-    if (stats != nullptr) {
-      stats->block_read = !cache_hit;
-      stats->cache_hit = cache_hit;
-    }
-    if (!rs.ok()) {
-      *s = rs;
-      return true;
-    }
-    block = cached.get();
-  } else {
-    static thread_local std::string scratch;
-    Slice contents;
-    Status rs = ReadBlockContents(handle, &scratch, &contents);
-    if (stats != nullptr) {
-      stats->block_read = true;
-      stats->cache_hit = false;
-    }
-    if (!rs.ok()) {
-      *s = rs;
-      return true;
-    }
-    // `contents` stays valid for the rest of this call: it points either at
-    // `scratch` or at memory pinned by the open file handle.
-    view.emplace(contents.data(), contents.size());
-    block = &*view;
+  std::shared_ptr<Block> block;
+  bool cache_hit = false;
+  Status rs = ReadDataBlock(handle, &block, &cache_hit);
+  if (stats != nullptr) {
+    stats->block_read = !cache_hit;
+    stats->cache_hit = cache_hit;
+  }
+  if (!rs.ok()) {
+    *s = rs;
+    return true;
   }
 
   ps = block->PointGet(ikey, &ctx);

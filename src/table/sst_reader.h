@@ -27,8 +27,9 @@ namespace talus {
 
 class SstReader {
  public:
-  /// Opens an SST. `block_cache` may be nullptr (no caching). file_number
-  /// namespaces block-cache keys.
+  /// Opens an SST. Every data block a Get or a kCached iterator reads goes
+  /// through `block_cache`, which must not be null (a zero-capacity cache
+  /// caches nothing). file_number namespaces block-cache keys.
   static Status Open(Env* env, const std::string& fname, uint64_t file_number,
                      LruCache* block_cache, std::unique_ptr<SstReader>* reader);
 
@@ -69,9 +70,9 @@ class SstReader {
 
   Status ReadDataBlock(const BlockHandle& handle,
                        std::shared_ptr<Block>* block, bool* cache_hit);
-  /// Uncached read of one data block. *contents points into *scratch or
-  /// into memory the open file pins, and stays valid until the next read
-  /// into *scratch.
+  /// Uncached read of one data block (kStream iterators). *contents points
+  /// into *scratch or into memory the open file pins, and stays valid until
+  /// the next read into *scratch.
   Status ReadBlockContents(const BlockHandle& handle, std::string* scratch,
                            Slice* contents);
 

@@ -1,7 +1,7 @@
 // AdaptiveTuner: the *acting* half of the paper's sense→act loop
-// (DESIGN.md §9). The sensing half (obs::AmpTracker windowed amplification,
-// obs::ModelDriftMonitor drift scores, WorkloadMixTracker windowed mix)
-// landed first; this class closes the loop: each decision tick it re-solves
+// (DESIGN.md §9). The sensing half (obs::AmpTracker windowed amplification
+// and operation mix, obs::ModelDriftMonitor drift scores) landed first;
+// this class closes the loop: each decision tick it re-solves
 // the vertical cost model (tuning::BestVertical) against the *measured*
 // windowed mix and amp-derived parameters, and recommends switching the
 // growth policy — or retuning its size ratio — when the predicted win

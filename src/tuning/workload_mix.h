@@ -1,9 +1,8 @@
 // WorkloadMix: the (w, r, q) operation fractions of §5.2 — updates, point
-// lookups, range lookups — used to weight the cost model.
+// lookups, range lookups — used to weight the cost model. The engine
+// measures it from its operation counts (obs::AmpSnapshot::Mix).
 #ifndef TALUS_TUNING_WORKLOAD_MIX_H_
 #define TALUS_TUNING_WORKLOAD_MIX_H_
-
-#include <atomic>
 
 namespace talus {
 
@@ -23,108 +22,6 @@ struct WorkloadMix {
     point_lookups /= total;
     range_lookups /= total;
   }
-};
-
-/// Online estimator: counts operations and yields the observed mix.
-/// Counters are relaxed atomics: point/range lookups are recorded by the
-/// mutex-free read path (DESIGN.md §2.7).
-class WorkloadMixTracker {
- public:
-  void RecordUpdate() { updates_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordPointLookup() { points_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordRangeLookup() { ranges_.fetch_add(1, std::memory_order_relaxed); }
-
-  unsigned long long total() const {
-    return updates_.load(std::memory_order_relaxed) +
-           points_.load(std::memory_order_relaxed) +
-           ranges_.load(std::memory_order_relaxed);
-  }
-
-  WorkloadMix Estimate() const {
-    WorkloadMix mix;
-    mix.updates =
-        static_cast<double>(updates_.load(std::memory_order_relaxed));
-    mix.point_lookups =
-        static_cast<double>(points_.load(std::memory_order_relaxed));
-    mix.range_lookups =
-        static_cast<double>(ranges_.load(std::memory_order_relaxed));
-    mix.Normalize();
-    return mix;
-  }
-
-  void Reset() {
-    updates_.store(0, std::memory_order_relaxed);
-    points_.store(0, std::memory_order_relaxed);
-    ranges_.store(0, std::memory_order_relaxed);
-    base_updates_.store(0, std::memory_order_relaxed);
-    base_points_.store(0, std::memory_order_relaxed);
-    base_ranges_.store(0, std::memory_order_relaxed);
-  }
-
-  // ---- Windowed view (epoch swap, reset-free) ----
-  //
-  // The drift monitor needs the *recent* mix, not the lifetime average:
-  // after hours of balanced traffic a write-heavy flip would take hours to
-  // move the cumulative estimate. AdvanceWindow() snapshots the lifetime
-  // counters as the new window base; the windowed estimate is the delta
-  // since that base. Recording stays lock-free; AdvanceWindow is meant for
-  // a single periodic consumer and only races benignly (a shorter window).
-
-  struct RawCounts {
-    unsigned long long updates = 0;
-    unsigned long long points = 0;
-    unsigned long long ranges = 0;
-    unsigned long long total() const { return updates + points + ranges; }
-  };
-
-  RawCounts WindowRawCounts() const {
-    RawCounts c;
-    c.updates = Delta(updates_, base_updates_);
-    c.points = Delta(points_, base_points_);
-    c.ranges = Delta(ranges_, base_ranges_);
-    return c;
-  }
-
-  unsigned long long WindowTotal() const { return WindowRawCounts().total(); }
-
-  /// Mix of operations recorded since the last AdvanceWindow(). Falls back
-  /// to the lifetime estimate while the window is empty.
-  WorkloadMix WindowEstimate() const {
-    RawCounts c = WindowRawCounts();
-    if (c.total() == 0) return Estimate();
-    WorkloadMix mix;
-    mix.updates = static_cast<double>(c.updates);
-    mix.point_lookups = static_cast<double>(c.points);
-    mix.range_lookups = static_cast<double>(c.ranges);
-    mix.Normalize();
-    return mix;
-  }
-
-  /// Start a new window at "now".
-  void AdvanceWindow() {
-    base_updates_.store(updates_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    base_points_.store(points_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    base_ranges_.store(ranges_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
-
- private:
-  static unsigned long long Delta(
-      const std::atomic<unsigned long long>& cur,
-      const std::atomic<unsigned long long>& base) {
-    unsigned long long c = cur.load(std::memory_order_relaxed);
-    unsigned long long b = base.load(std::memory_order_relaxed);
-    return c >= b ? c - b : 0;
-  }
-
-  std::atomic<unsigned long long> updates_{0};
-  std::atomic<unsigned long long> points_{0};
-  std::atomic<unsigned long long> ranges_{0};
-  std::atomic<unsigned long long> base_updates_{0};
-  std::atomic<unsigned long long> base_points_{0};
-  std::atomic<unsigned long long> base_ranges_{0};
 };
 
 }  // namespace talus

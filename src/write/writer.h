@@ -43,13 +43,11 @@ struct Writer {
   /// Sharding layer (DESIGN.md §3): base_seq was pre-claimed by the caller
   /// from the shared SequenceAllocator. The leader leaves it alone, keeps
   /// the range out of the group's own contiguous claim, and WAL-logs this
-  /// sub-batch as its own record.
+  /// sub-batch as its own record. Nor does it publish the range to the
+  /// allocator: ShardedDB publishes a multi-shard batch's whole range
+  /// itself once every shard applied, which is what makes the batch atomic
+  /// under the cross-shard watermark.
   bool preassigned = false;
-  /// Preassigned writers only: when false the leader does not publish the
-  /// range to the allocator — ShardedDB publishes a multi-shard batch's
-  /// whole range itself once every shard applied, which is what makes the
-  /// batch atomic under the cross-shard watermark.
-  bool publish_sequence = true;
   /// When the writer first blocked behind another group (queue-wait
   /// accounting). Stays 0 for a writer that took leadership immediately,
   /// which keeps serial runs' stats bit-deterministic — no clock is read.

@@ -361,7 +361,7 @@ TEST(CompactionPipelineDbTest, InlineCompactAllKeepsRunsDisjoint) {
   }
   ASSERT_TRUE(db->CompactAll().ok());
   CheckRunFileInvariants(db.get());
-  EXPECT_GT(db->stats().compactions, 0u);
+  EXPECT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), 0u);
   const std::vector<std::pair<std::string, std::string>> expect(
       model.begin(), model.end());
   EXPECT_EQ(FullScan(db.get()), expect);

@@ -53,8 +53,9 @@ TEST(SstCorruption, TruncatedFooterRejected) {
   BuildSst(env.get(), "/c1.sst", 500);
   MutateFile(env.get(), "/c1.sst",
              [](std::string* c) { c->resize(c->size() - 10); });
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  Status s = SstReader::Open(env.get(), "/c1.sst", 1, nullptr, &reader);
+  Status s = SstReader::Open(env.get(), "/c1.sst", 1, &cache, &reader);
   EXPECT_FALSE(s.ok());
 }
 
@@ -63,8 +64,9 @@ TEST(SstCorruption, BadMagicRejected) {
   BuildSst(env.get(), "/c2.sst", 100);
   MutateFile(env.get(), "/c2.sst",
              [](std::string* c) { (*c)[c->size() - 1] ^= 0xFF; });
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  Status s = SstReader::Open(env.get(), "/c2.sst", 1, nullptr, &reader);
+  Status s = SstReader::Open(env.get(), "/c2.sst", 1, &cache, &reader);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -74,8 +76,9 @@ TEST(SstCorruption, TinyFileRejected) {
   ASSERT_TRUE(env->NewWritableFile("/c3.sst", &f).ok());
   f->Append("not an sstable");
   f->Close();
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  Status s = SstReader::Open(env.get(), "/c3.sst", 1, nullptr, &reader);
+  Status s = SstReader::Open(env.get(), "/c3.sst", 1, &cache, &reader);
   EXPECT_TRUE(s.IsCorruption());
 }
 
@@ -89,8 +92,9 @@ TEST(SstCorruption, GarbledIndexSurfacesOnOpenOrRead) {
       (*c)[i] ^= 0xA5;
     }
   });
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  Status s = SstReader::Open(env.get(), "/c4.sst", 1, nullptr, &reader);
+  Status s = SstReader::Open(env.get(), "/c4.sst", 1, &cache, &reader);
   if (s.ok()) {
     // Damage landed in a data block: lookups must either miss cleanly or
     // report corruption — and must not crash. (The iterator's status
@@ -128,8 +132,9 @@ TEST(SstCorruption, CorruptIndexEntrySurfacesOnGet) {
       (*c)[static_cast<size_t>(footer.index_handle.offset) + i] = '\xff';
     }
   });
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  ASSERT_TRUE(SstReader::Open(env.get(), "/c5.sst", 1, nullptr, &reader).ok());
+  ASSERT_TRUE(SstReader::Open(env.get(), "/c5.sst", 1, &cache, &reader).ok());
   // The smallest key binary-searches to restart 0 and scans into the
   // garbled entry.
   const std::string key = workload::FormatKey(0, 16);

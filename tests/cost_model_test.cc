@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "filter/bloom.h"
+#include "obs/amp_tracker.h"
 #include "theory/schemes.h"
 
 namespace talus {
@@ -134,17 +135,19 @@ TEST(Navigator, RespectsLevelCap) {
   EXPECT_LE(r.levels, 4);
 }
 
-TEST(WorkloadMixTracker, EstimatesObservedMix) {
-  WorkloadMixTracker tracker;
-  for (int i = 0; i < 700; i++) tracker.RecordUpdate();
-  for (int i = 0; i < 200; i++) tracker.RecordPointLookup();
-  for (int i = 0; i < 100; i++) tracker.RecordRangeLookup();
-  const auto mix = tracker.Estimate();
+// The measured mix is the tracker's operation counts: updates are puts
+// and deletes, point lookups are Gets, range lookups are scans.
+TEST(MeasuredMix, EstimatesObservedMix) {
+  obs::AmpTracker tracker;
+  tracker.RecordWrite(600, 100, 0);
+  for (int i = 0; i < 200; i++) tracker.RecordLookup(obs::LookupProbe());
+  for (int i = 0; i < 100; i++) tracker.RecordScan();
+  const obs::AmpSnapshot snap = tracker.Snapshot();
+  EXPECT_EQ(snap.Operations(), 1000u);
+  const WorkloadMix mix = snap.Mix();
   EXPECT_NEAR(mix.updates, 0.7, 1e-9);
   EXPECT_NEAR(mix.point_lookups, 0.2, 1e-9);
   EXPECT_NEAR(mix.range_lookups, 0.1, 1e-9);
-  tracker.Reset();
-  EXPECT_EQ(tracker.total(), 0ull);
 }
 
 TEST(WorkloadMixNormalize, DegenerateFallsBackToBalanced) {

@@ -176,14 +176,13 @@ TEST(StatsConsistency, CountersAddUp) {
       }
     }
   }
-  const EngineStats& stats = db->stats();
   const obs::AmpSnapshot amp = db->GetAmpSnapshot();
-  EXPECT_EQ(stats.puts, puts);
-  EXPECT_EQ(stats.deletes, deletes);
+  EXPECT_EQ(amp.puts, puts);
+  EXPECT_EQ(amp.deletes, deletes);
   EXPECT_EQ(amp.lookups, gets);
-  EXPECT_EQ(stats.scans, scans);
+  EXPECT_EQ(amp.scans, scans);
   EXPECT_EQ(amp.memtable_hits + amp.Total(&Level::hits) + amp.misses, gets);
-  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_GT(amp.Total(&Level::compactions), 0u);
   // Physical writes at least the logical payload (no compression here).
   EXPECT_GE(amp.TotalBytesFlushed() + amp.TotalBytesCompacted(),
             amp.TotalBytesFlushed());
@@ -309,7 +308,7 @@ GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
   const EngineStats& st = db->stats();
   const obs::AmpSnapshot amp = db->GetAmpSnapshot();
   fp.flushes = st.flushes;
-  fp.compactions = st.compactions;
+  fp.compactions = amp.Total(&Level::compactions);
   fp.flush_bytes_read = amp.Total(&Level::flush_bytes_read);
   fp.flush_bytes_written = amp.TotalBytesFlushed();
   fp.compaction_bytes_read = amp.Total(&Level::compaction_bytes_read);

@@ -813,9 +813,9 @@ TEST(InlineLanes, FlushedWalIsRemovedBeforeTheFirstCompactionOutput) {
   FlushTwoRuns(db.get());
 
   const size_t mark = env.ops().size();
-  const uint64_t compactions = db->stats().compactions;
+  const uint64_t compactions = db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
   PutUntilSwitch(db.get(), "k");
-  ASSERT_GT(db->stats().compactions, compactions);
+  ASSERT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), compactions);
 
   const std::vector<std::string> ops = env.ops();
   std::vector<size_t> sst_creates;
@@ -945,7 +945,7 @@ TEST(InlineLanes, ConcurrentWritersAndReadersMatchAnOracle) {
                                                               oracle.end());
   EXPECT_EQ(FullScan(db.get()), want);
   EXPECT_GT(db->stats().flushes, 0u);
-  EXPECT_GT(db->stats().compactions, 0u);
+  EXPECT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), 0u);
 }
 
 // With both lanes idle no maintenance can retire level-0 debt, so a writer

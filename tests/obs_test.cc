@@ -481,7 +481,7 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
   tracker.RecordFlush(0, 80, 100);
   tracker.RecordFlush(0, 0, 200);
   tracker.RecordCompaction(1, 50, 300);
-  tracker.RecordUserPayload(1000);
+  tracker.RecordWrite(7, 3, 1000);
 
   const obs::AmpSnapshot snap = tracker.Snapshot();
   const uint64_t total = uint64_t{kThreads} * kPerThread;
@@ -501,6 +501,8 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
   EXPECT_EQ(snap.levels[1].compaction_bytes_written, 300u);
   EXPECT_EQ(snap.levels[1].compaction_bytes_read, 50u);
   EXPECT_EQ(snap.levels[1].compactions, 1u);
+  EXPECT_EQ(snap.puts, 7u);
+  EXPECT_EQ(snap.deletes, 3u);
   EXPECT_EQ(snap.user_payload_bytes, 1000u);
   // (300 flush + 300 compaction) / 1000 payload.
   EXPECT_DOUBLE_EQ(snap.WriteAmp(), 0.6);
@@ -525,6 +527,76 @@ TEST(AmpTracker, StripedLookupFoldAcrossThreads) {
   sum.Add(tracker.Snapshot());
   EXPECT_EQ(sum.lookups, 2 * (total + 1));
   EXPECT_EQ(sum.user_payload_bytes, 2000u);
+  EXPECT_EQ(sum.puts, 14u);
+  EXPECT_EQ(sum.deletes, 6u);
+}
+
+// Every operation is counted once, in the tracker, by the engine's own
+// entry points: Put, Delete and each entry of a multi-entry Write, Get and
+// Scan, issued from several threads against a pooled engine whose
+// background flushes and compactions run meanwhile. The measured mix is
+// those counts' fractions.
+TEST(AmpTracker, ConcurrentOperationCountsAreExact) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.execution_mode = ExecutionMode::kBackground;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  constexpr int kBatchEntries = 5;  // 4 puts and 1 delete per batch.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&db, t] {
+      std::string value;
+      std::vector<std::pair<std::string, std::string>> rows;
+      for (int i = 0; i < kRounds; i++) {
+        const std::string key =
+            workload::FormatKey(static_cast<uint64_t>(t * kRounds + i), 16);
+        ASSERT_TRUE(db->Put(key, std::string(100, 'v')).ok());
+        WriteBatch batch;
+        for (int e = 0; e < kBatchEntries - 1; e++) {
+          batch.Put(key + "b" + std::to_string(e), "batch");
+        }
+        batch.Delete(key + "b0");
+        ASSERT_TRUE(db->Write(batch).ok());
+        ASSERT_TRUE(db->Delete(key).ok());
+        db->Get(key, &value);
+        db->Get(key + "b1", &value);
+        ASSERT_TRUE(db->Scan(key, 3, &rows).ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  const uint64_t rounds = uint64_t{kThreads} * kRounds;
+  const uint64_t puts = rounds * kBatchEntries;  // 1 Put + 4 batch puts.
+  const uint64_t deletes = rounds * 2;           // 1 Delete + 1 batch delete.
+  const uint64_t gets = rounds * 2;
+  const uint64_t scans = rounds;
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_EQ(amp.puts, puts);
+  EXPECT_EQ(amp.deletes, deletes);
+  EXPECT_EQ(amp.lookups, gets);
+  EXPECT_EQ(amp.scans, scans);
+  EXPECT_EQ(amp.Operations(), puts + deletes + gets + scans);
+  const double ops = static_cast<double>(puts + deletes + gets + scans);
+  const WorkloadMix mix = amp.Mix();
+  EXPECT_DOUBLE_EQ(mix.updates, static_cast<double>(puts + deletes) / ops);
+  EXPECT_DOUBLE_EQ(mix.point_lookups, static_cast<double>(gets) / ops);
+  EXPECT_DOUBLE_EQ(mix.range_lookups, static_cast<double>(scans) / ops);
+
+  // talus.stats reads the same counts.
+  std::string stats;
+  ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
+  EXPECT_NE(stats.find("puts=" + std::to_string(puts) + " "),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find(" scans=" + std::to_string(scans) + " "),
+            std::string::npos)
+      << stats;
 }
 
 // --------------------------------------------- Amp ground truth (whole DB)
@@ -945,6 +1017,28 @@ TEST(ModelDriftIntegration, MixedWorkloadPredictionWithinFactorAndFlipDrifts) {
   EXPECT_NE(model.find("design: merge=leveling"), std::string::npos)
       << model;
   EXPECT_NE(model.find("point: predicted="), std::string::npos) << model;
+}
+
+// The drift window counts a batch's entries, not the batch: one 100-put
+// WriteBatch and 100 Gets are half updates, as talus_puts_total says.
+TEST(ModelDriftIntegration, BatchEntriesCountAsUpdates) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(SmallDbOptions(env.get()), &db).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 100; i++) {
+    batch.Put(workload::FormatKey(i, 16), std::string(16, 'v'));
+  }
+  ASSERT_TRUE(db->Write(batch).ok());
+  std::string value;
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db->Get(workload::FormatKey(i, 16), &value).ok());
+  }
+  const obs::DriftSample sample = db->EvaluateModelDrift();
+  EXPECT_EQ(sample.window_updates, 100u);
+  EXPECT_EQ(sample.window_lookups, 100u);
+  EXPECT_DOUBLE_EQ(sample.mix.updates, 0.5);
+  EXPECT_DOUBLE_EQ(sample.mix.point_lookups, 0.5);
 }
 
 // ----------------------------------------------------------- Snapshotter
@@ -1736,8 +1830,8 @@ TEST(MetricCatalog, FleetMergeRules) {
     snaps[i].latency.resize(obs::kNumOpTypes);
     snaps[i].events_total = 40;  // Both shards emit into one ring.
   }
-  snaps[0].stats.puts = 10;
-  snaps[1].stats.puts = 32;
+  snaps[0].amp.puts = 10;
+  snaps[1].amp.puts = 32;
   snaps[0].stats.max_stall_clock = 2.5;
   snaps[1].stats.max_stall_clock = 7.5;
   snaps[0].amp.num_levels = 1;

@@ -123,7 +123,7 @@ TEST(HorizontalLevelingStructure, LevelCountFixedAndCompactionsMatchTheory) {
   // The engine's compaction count matches Algorithm 1's cascade count.
   const uint64_t flushes = db->stats().flushes;
   const auto sim = theory::SimulateHorizontalLeveling(flushes, 3);
-  EXPECT_EQ(db->stats().compactions, sim.events.size());
+  EXPECT_EQ(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), sim.events.size());
 }
 
 TEST(HorizontalTieringStructure, CompactionsMatchAlgorithm2) {
@@ -142,7 +142,7 @@ TEST(HorizontalTieringStructure, CompactionsMatchAlgorithm2) {
   const uint64_t n = (data_size + (4 << 10) - 1) / (4 << 10);
   const uint64_t k = theory::FindK(std::max<uint64_t>(2, n), 3);
   const auto sim = theory::SimulateHorizontalTiering(flushes, 3, k);
-  EXPECT_EQ(db->stats().compactions, sim.events.size());
+  EXPECT_EQ(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), sim.events.size());
   // Run counts per level match the simulator's final state.
   for (int lvl = 0; lvl < 3; lvl++) {
     EXPECT_EQ(v.levels[lvl].NumRuns(), sim.final_runs_per_level[lvl])
@@ -242,13 +242,13 @@ TEST(PolicyState, SurvivesReopenForCounterSchemes) {
     ASSERT_TRUE(DB::Open(Options(env.get(), config), &db).ok());
     Fill(db.get(), 3000);
     flushes1 = db->stats().flushes;
-    compactions1 = db->stats().compactions;
+    compactions1 = db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
   }
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(Options(env.get(), config), &db).ok());
   Fill(db.get(), 3000, /*seed=*/4);
   const uint64_t flushes2 = db->stats().flushes;
-  const uint64_t compactions2 = db->stats().compactions;
+  const uint64_t compactions2 = db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
 
   // Counters restored from the manifest: the compaction total across both
   // sessions must equal one continuous Algorithm 2 run over all flushes.

@@ -370,6 +370,8 @@ TEST(ReadPath, MaintenanceStreamsPastBlockCache) {
     ASSERT_GT(hits + misses, 0u);
     ASSERT_GT(usage, 0u);
     const EngineStats before = db->stats();
+    const uint64_t compactions_before =
+        db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions);
 
     // Overwrites fill several memtables, each flushed by a merge into level
     // 0's run; CompactAll then merges the whole tree.
@@ -377,7 +379,8 @@ TEST(ReadPath, MaintenanceStreamsPastBlockCache) {
     ASSERT_TRUE(db->FlushMemTable().ok());
     ASSERT_TRUE(db->CompactAll().ok());
     EXPECT_GT(db->stats().flushes, before.flushes + 1);
-    EXPECT_GT(db->stats().compactions, before.compactions);
+    EXPECT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions),
+              compactions_before);
 
     EXPECT_EQ(cache->hits(), hits);
     EXPECT_EQ(cache->misses(), misses);

@@ -288,7 +288,7 @@ TEST(ShardedDB, RoutesAndScansAcrossShards) {
   }
   // Every shard owns a quarter of the key space.
   for (size_t s = 0; s < 4; s++) {
-    EXPECT_EQ(db->shard(s)->stats().puts, 250u) << "shard " << s;
+    EXPECT_EQ(db->shard(s)->GetAmpSnapshot().puts, 250u) << "shard " << s;
   }
   // Point reads route back.
   for (int i = 0; i < 1000; i += 97) {
@@ -316,6 +316,32 @@ TEST(ShardedDB, RoutesAndScansAcrossShards) {
   ASSERT_TRUE(db->GetProperty("talus.stats", &agg));
   EXPECT_NE(agg.find("shards=4"), std::string::npos);
   EXPECT_NE(agg.find("puts=1000"), std::string::npos);
+}
+
+// A multi-shard Scan iterates the fleet's merged iterator, not one shard's
+// DB::Scan; it is still counted once, in the shard that owns its start key:
+// one scan in the fleet's talus.stats, the tracker and the kScan histogram.
+TEST(ShardedDB, CrossShardScanIsCountedOnce) {
+  auto env = NewMemEnv();
+  DbOptions opts = Opts(env.get(), "/scancount");
+  opts.shard_count = 2;
+  opts.shard_split_points = SplitPoints(2, 100);
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  for (int i = 0; i < 100; i++) ASSERT_TRUE(db->Put(Key(i), "v").ok());
+
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db->Scan(Key(40), 20, &out).ok());  // Crosses into shard 1.
+  ASSERT_EQ(out.size(), 20u);
+  EXPECT_EQ(out.back().first, Key(59));
+
+  EXPECT_EQ(db->AggregatedAmpSnapshot().scans, 1u);
+  EXPECT_EQ(db->shard(0)->GetAmpSnapshot().scans, 1u);  // Owns Key(40).
+  const size_t scan_idx = static_cast<size_t>(obs::OpType::kScan);
+  EXPECT_EQ(db->GetLatencyHistograms()[scan_idx].Count(), 1u);
+  std::string stats;
+  ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
+  EXPECT_NE(stats.find(" scans=1 "), std::string::npos) << stats;
 }
 
 TEST(ShardedDB, MultiShardBatchIsAtomicInSnapshots) {

@@ -60,7 +60,7 @@ TEST(Snapshot, SurvivesFlushesAndCompactions) {
               .ok());
     }
   }
-  EXPECT_GT(db->stats().compactions, 0u);
+  EXPECT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), 0u);
 
   std::string value;
   for (int i = 0; i < 50; i++) {

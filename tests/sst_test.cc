@@ -437,8 +437,9 @@ TEST(Sst, TombstonesDecideLookups) {
   builder.Add(InternalKey("live", 6, kTypeValue).Encode(), "v");
   ASSERT_TRUE(builder.Finish().ok());
 
+  LruCache cache(1 << 20);
   std::unique_ptr<SstReader> reader;
-  ASSERT_TRUE(SstReader::Open(env.get(), "/t.sst", 1, nullptr, &reader).ok());
+  ASSERT_TRUE(SstReader::Open(env.get(), "/t.sst", 1, &cache, &reader).ok());
   std::string value;
   Status s;
   ASSERT_TRUE(reader->Get(LookupKey("dead", 100), &value, &s));

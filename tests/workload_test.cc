@@ -6,6 +6,9 @@
 #include <set>
 #include <vector>
 
+#include "env/env.h"
+#include "lsm/db.h"
+#include "obs/amp_tracker.h"
 #include "tuning/workload_mix.h"
 
 namespace talus {
@@ -150,43 +153,52 @@ TEST(PresetMixes, MatchPaperRatios) {
   EXPECT_DOUBLE_EQ(RangeScanMix().range_lookups, 0.25);
 }
 
-// The drift monitor's input: AdvanceWindow() snapshots the lifetime
-// counters as the window base (epoch swap, no reset), so the windowed
-// estimate sees only recent traffic while the lifetime estimate keeps
-// accumulating.
-TEST(WorkloadMixTracker, WindowedEstimateSeesOnlyRecentTraffic) {
-  WorkloadMixTracker tracker;
-  for (int i = 0; i < 900; i++) tracker.RecordUpdate();
-  for (int i = 0; i < 100; i++) tracker.RecordPointLookup();
-  EXPECT_EQ(tracker.total(), 1000u);
-  EXPECT_DOUBLE_EQ(tracker.Estimate().updates, 0.9);
-  // Window and lifetime agree before the first AdvanceWindow.
-  EXPECT_EQ(tracker.WindowTotal(), 1000u);
-  EXPECT_DOUBLE_EQ(tracker.WindowEstimate().updates, 0.9);
+// The drift monitor's input: the engine's operation counts, read from the
+// tracker's window (AdvanceWindow() snapshots the lifetime counters as the
+// window base: epoch swap, no reset), so the windowed mix sees only recent
+// traffic while the lifetime mix keeps accumulating. An empty window falls
+// back to the lifetime mix; scans are the q share.
+TEST(MeasuredMix, WindowedMixSeesOnlyRecentTraffic) {
+  auto env = NewMemEnv();
+  DbOptions opts;
+  opts.env = env.get();
+  opts.path = "/mix";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  std::string value;
+  for (int i = 0; i < 900; i++) {
+    ASSERT_TRUE(db->Put(FormatKey(i, 16), "v").ok());
+  }
+  for (int i = 0; i < 100; i++) db->Get(FormatKey(i, 16), &value);
+  EXPECT_EQ(db->GetAmpSnapshot().Operations(), 1000u);
+  EXPECT_DOUBLE_EQ(db->GetAmpSnapshot().Mix().updates, 0.9);
+  // The first window is the whole lifetime.
+  obs::DriftSample sample = db->EvaluateModelDrift();
+  EXPECT_EQ(sample.window_updates + sample.window_lookups, 1000u);
+  EXPECT_DOUBLE_EQ(sample.mix.updates, 0.9);
 
-  tracker.AdvanceWindow();
-  EXPECT_EQ(tracker.WindowTotal(), 0u);
-  // An empty window falls back to the lifetime estimate rather than
-  // reporting a meaningless all-zero mix.
-  EXPECT_DOUBLE_EQ(tracker.WindowEstimate().updates, 0.9);
+  // An empty window falls back to the lifetime mix rather than reporting
+  // a meaningless all-zero one.
+  sample = db->EvaluateModelDrift();
+  EXPECT_EQ(sample.window_updates + sample.window_lookups, 0u);
+  EXPECT_DOUBLE_EQ(sample.mix.updates, 0.9);
 
   // A read-heavy window after a write-heavy lifetime: the windowed view
   // flips immediately, the lifetime view barely moves.
-  for (int i = 0; i < 200; i++) tracker.RecordPointLookup();
-  const WorkloadMixTracker::RawCounts window = tracker.WindowRawCounts();
-  EXPECT_EQ(window.updates, 0u);
-  EXPECT_EQ(window.points, 200u);
-  EXPECT_DOUBLE_EQ(tracker.WindowEstimate().point_lookups, 1.0);
-  EXPECT_DOUBLE_EQ(tracker.WindowEstimate().updates, 0.0);
-  EXPECT_DOUBLE_EQ(tracker.Estimate().updates, 0.75);  // 900 / 1200.
+  for (int i = 0; i < 200; i++) db->Get(FormatKey(i, 16), &value);
+  sample = db->EvaluateModelDrift();
+  EXPECT_EQ(sample.window_updates, 0u);
+  EXPECT_EQ(sample.window_lookups, 200u);
+  EXPECT_DOUBLE_EQ(sample.mix.point_lookups, 1.0);
+  EXPECT_DOUBLE_EQ(sample.mix.updates, 0.0);
+  EXPECT_DOUBLE_EQ(db->GetAmpSnapshot().Mix().updates, 0.75);  // 900/1200.
 
-  // Reset clears the window bases too, not just the lifetime counters.
-  tracker.Reset();
-  EXPECT_EQ(tracker.total(), 0u);
-  EXPECT_EQ(tracker.WindowTotal(), 0u);
-  tracker.RecordRangeLookup();
-  EXPECT_EQ(tracker.WindowRawCounts().ranges, 1u);
-  EXPECT_DOUBLE_EQ(tracker.WindowEstimate().range_lookups, 1.0);
+  // A window of one scan is all range lookups.
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db->Scan(FormatKey(0, 16), 10, &rows).ok());
+  sample = db->EvaluateModelDrift();
+  EXPECT_DOUBLE_EQ(sample.mix.range_lookups, 1.0);
+  EXPECT_EQ(db->GetAmpSnapshot().scans, 1u);
 }
 
 }  // namespace

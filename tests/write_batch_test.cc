@@ -124,7 +124,7 @@ TEST(WriteBatchDb, EmptyBatchIsNoop) {
   ASSERT_TRUE(DB::Open(opts, &db).ok());
   WriteBatch batch;
   EXPECT_TRUE(db->Write(batch).ok());
-  EXPECT_EQ(db->stats().puts, 0u);
+  EXPECT_EQ(db->GetAmpSnapshot().puts, 0u);
 }
 
 }  // namespace

@@ -152,9 +152,9 @@ TEST(GroupCommit, SingleWriterCountersAndContent) {
   }
   ASSERT_TRUE(db->Delete(Key(7)).ok());
 
-  const EngineStats& stats = db->stats();
-  EXPECT_EQ(stats.puts, 100u);
-  EXPECT_EQ(stats.deletes, 1u);
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_EQ(amp.puts, 100u);
+  EXPECT_EQ(amp.deletes, 1u);
 
   const obs::GroupCommitStats gc = db->GetGroupCommitStats();
   EXPECT_EQ(gc.group_commits, 101u);
@@ -183,8 +183,9 @@ TEST(GroupCommit, BatchCountsSplitPutsAndDeletes) {
   batch.Put("beta", "2");
   batch.Delete("alpha");
   ASSERT_TRUE(db->Write(batch).ok());
-  EXPECT_EQ(db->stats().puts, 2u);
-  EXPECT_EQ(db->stats().deletes, 1u);
+  const obs::AmpSnapshot amp = db->GetAmpSnapshot();
+  EXPECT_EQ(amp.puts, 2u);
+  EXPECT_EQ(amp.deletes, 1u);
 }
 
 // The pre-pipeline engine advanced last_sequence_ (and counters) before the
@@ -203,7 +204,7 @@ TEST(GroupCommit, WalFailureRollsBackSequencesAndLatches) {
 
   const Snapshot* before = db->GetSnapshot();
   const SequenceNumber seq_before = before->sequence();
-  const uint64_t puts_before = db->stats().puts;
+  const uint64_t puts_before = db->GetAmpSnapshot().puts;
   db->ReleaseSnapshot(before);
 
   env.FailAfterWrites(0);
@@ -215,7 +216,7 @@ TEST(GroupCommit, WalFailureRollsBackSequencesAndLatches) {
   const Snapshot* after = db->GetSnapshot();
   EXPECT_EQ(after->sequence(), seq_before);
   db->ReleaseSnapshot(after);
-  EXPECT_EQ(db->stats().puts, puts_before);
+  EXPECT_EQ(db->GetAmpSnapshot().puts, puts_before);
 
   // The WAL error is latched: subsequent writes fail fast, reads serve the
   // committed state.
