@@ -4,13 +4,13 @@
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <set>
 #include <thread>
 
 #include "compaction/compaction_install.h"
 #include "compaction/compaction_planner.h"
 #include "compaction/sorted_output.h"
+#include "filter/bloom.h"
 #include "lsm/filename.h"
 #include "obs/metric_catalog.h"
 #include "shard/sequence_allocator.h"
@@ -60,35 +60,20 @@ void PublishGroupSequences(shard::SequenceAllocator* alloc,
 // The merge discipline the drift monitor's analytical model should price
 // the active policy with: every scheme reduces to leveled or tiered merge
 // behavior for cost purposes (the paper's W/R/Q formulas, DESIGN.md §6.7).
-tuning::HorizontalMerge MergeForDriftModel(const GrowthPolicyConfig& config) {
+MergePolicy MergeForDriftModel(const GrowthPolicyConfig& config) {
   switch (config.scheme) {
     case GrowthScheme::kVertical:
-      return config.merge == MergePolicy::kTiering
-                 ? tuning::HorizontalMerge::kTiering
-                 : tuning::HorizontalMerge::kLeveling;
+      return config.merge;
     case GrowthScheme::kHorizontalTiering:
-      return tuning::HorizontalMerge::kTiering;
+      return MergePolicy::kTiering;
     case GrowthScheme::kVertiorizon:
-      return config.vrn_fixed_merge == MergePolicy::kTiering
-                 ? tuning::HorizontalMerge::kTiering
-                 : tuning::HorizontalMerge::kLeveling;
+      return config.vrn_fixed_merge;
     case GrowthScheme::kHorizontalLeveling:
     case GrowthScheme::kLazyLeveling:
     case GrowthScheme::kUniversal:
-      return tuning::HorizontalMerge::kLeveling;
+      return MergePolicy::kLeveling;
   }
-  return tuning::HorizontalMerge::kLeveling;
-}
-
-// The drift monitor's model of the configured design. Optimal-k Bloom FPR
-// for the configured bits/key: f = 2^(-bits·ln 2).
-obs::ModelDriftMonitor::Params DriftParams(const DbOptions& options) {
-  obs::ModelDriftMonitor::Params params;
-  params.merge = MergeForDriftModel(options.policy);
-  params.size_ratio = options.policy.size_ratio;
-  params.bloom_fpr =
-      std::pow(2.0, -options.bloom_bits_per_key * 0.6931471805599453);
-  return params;
+  return MergePolicy::kLeveling;
 }
 
 exec::StallConfig StallConfigFor(const DbOptions& options) {
@@ -205,9 +190,7 @@ class DbIterator final : public Iterator {
 }  // namespace
 
 DB::DB(const DbOptions& options)
-    : options_(options),
-      drift_(DriftParams(options)),
-      stall_(StallConfigFor(options)) {
+    : options_(options), stall_(StallConfigFor(options)) {
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -303,8 +286,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
       if (db->policy_ == nullptr) {
         return Status::Corruption("unresolvable growth policy in manifest");
       }
-      db->drift_.Reconfigure(MergeForDriftModel(persisted),
-                             persisted.size_ratio);
     }
     if (manifest.policy_name != db->policy_->name()) {
       return Status::InvalidArgument(
@@ -1032,13 +1013,13 @@ Status DB::RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
     return RunCompactionLocked(lock, pick, &job);
   }
 
+  // The next drift window is priced under this design: EvaluateModelDrift
+  // reads it from options_.policy.
   policy_ = std::move(req->policy);
   options_.policy = req->config;
-  const tuning::HorizontalMerge merge = MergeForDriftModel(req->config);
-  drift_.Reconfigure(merge, req->config.size_ratio);
+  const bool tiered = MergeForDriftModel(req->config) == MergePolicy::kTiering;
   ring_->Emit(obs::EventType::kPolicyChange,
-              static_cast<uint16_t>(options_.shard_index),
-              merge == tuning::HorizontalMerge::kTiering ? 1 : 0,
+              static_cast<uint16_t>(options_.shard_index), tiered ? 1 : 0,
               static_cast<uint64_t>(req->config.size_ratio * 1000.0));
   // Persist the new design first: a crash after this point reopens under
   // the new policy with whatever layout the catch-up had reached.
@@ -1682,29 +1663,14 @@ tune::TuneDecision DB::RetuneNow() {
   const obs::DriftSample drift = EvaluateModelDrift();
   if (drift.drifted) tuner_->NoteDrift();
 
-  tune::TunerInputs in;
-  in.mix = drift.mix;
-  in.window_ops = drift.window_lookups + drift.window_updates;
-  in.bloom_fpr = drift.bloom_fpr;
-  in.page_entries = std::max(1.0, drift.page_entries);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    in.data_buffers = std::max<uint64_t>(
-        1, ApproximateDataBytesLocked() /
-               std::max<uint64_t>(1, options_.write_buffer_size));
-    in.current_merge = MergeForDriftModel(options_.policy);
-    in.current_size_ratio = options_.policy.size_ratio;
-  }
-
-  // Navigate: hysteresis-banded re-solve of the vertical cost model.
-  decision = tuner_->Decide(in);
+  // Navigate: hysteresis-banded re-solve of the vertical cost model over
+  // the window the sample priced, under the design it priced.
+  decision = tuner_->Decide(drift);
   if (!decision.retune()) return decision;
 
   // Act: install the winning design, keeping every non-design knob.
   GrowthPolicyConfig next = CurrentPolicyConfig();
-  next.merge = decision.merge == tuning::HorizontalMerge::kTiering
-                   ? MergePolicy::kTiering
-                   : MergePolicy::kLeveling;
+  next.merge = decision.merge;
   next.size_ratio = decision.size_ratio;
   if (ApplyPolicyConfig(next).ok()) {
     tuner_->NoteSwitchApplied(next.Label());
@@ -1715,16 +1681,22 @@ tune::TuneDecision DB::RetuneNow() {
 obs::DriftSample DB::EvaluateModelDrift() {
   const obs::AmpSnapshot window = amp_.WindowSnapshot();
   const obs::AmpSnapshot total = amp_.Snapshot();
+  obs::ModelDriftMonitor::Measured m;
   uint64_t data_bytes = 0;
   {
+    // The design is read from the live config, under the same lock a
+    // policy switch installs it with: the sample never prices half of one.
     std::unique_lock<std::mutex> lock(mutex_);
     data_bytes = ApproximateDataBytesLocked();
+    m.merge = MergeForDriftModel(options_.policy);
+    m.size_ratio = options_.policy.size_ratio;
   }
+  m.bloom_fpr = BloomFalsePositiveRate(options_.bloom_bits_per_key);
 
-  obs::ModelDriftMonitor::Measured m;
   // An empty window (no operation since the last evaluation) falls back to
   // the lifetime mix.
-  m.mix = window.Operations() > 0 ? window.Mix() : total.Mix();
+  m.window_ops = window.Operations();
+  m.mix = m.window_ops > 0 ? window.Mix() : total.Mix();
   m.window_lookups = window.lookups;
   m.window_updates = window.puts + window.deletes;
   if (window.lookups > 0) {

@@ -267,7 +267,7 @@ class DB {
   // ---- Adaptive tuning: the sense→act loop (src/tune/, DESIGN.md §9) ----
   /// Installs `config` as the live growth policy without downtime, as a
   /// compaction-lane request that this call waits for. Between two merges
-  /// the lane swaps the policy in, re-anchors the drift monitor to it,
+  /// the lane swaps the policy in (the next drift window is priced under it),
   /// emits a kPolicyChange event, persists the config in the manifest (so
   /// a reopen with adaptive_tuning resumes under it), then runs catch-up
   /// compactions that converge the layout toward the new shape. Writers
@@ -526,7 +526,8 @@ class DB {
   // The only store of the engine's operation and I/O counters. Write-side
   // hooks run under mutex_; the tracker itself is lock-free.
   obs::AmpTracker amp_;
-  // Prices the amp tracker's windows against the active policy's model.
+  // Prices the amp tracker's windows against the model of the design in
+  // options_.policy; keeps only the mix-shift baseline.
   obs::ModelDriftMonitor drift_;
   // Null unless stats_snapshot_interval_ms > 0. Its samples read engine
   // state and may run on the shared pool, so ~DB stops it right after the

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "tuning/vertical_cost_model.h"
+
 namespace talus {
 namespace obs {
 
@@ -35,9 +37,8 @@ std::string DriftSample::ToString() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "design: merge=%s T=%.1f levels=%d f=%.4f P=%.1f\n",
-                merge == tuning::HorizontalMerge::kLeveling ? "leveling"
-                                                            : "tiering",
-                size_ratio, levels, bloom_fpr, page_entries);
+                MergePolicyName(merge), size_ratio, levels, bloom_fpr,
+                page_entries);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "point: predicted=%.4f measured=%.4f ratio=%.3f\n",
@@ -56,42 +57,31 @@ std::string DriftSample::ToString() const {
   return out;
 }
 
-void ModelDriftMonitor::Reconfigure(tuning::HorizontalMerge merge,
-                                    double size_ratio) {
-  std::lock_guard<std::mutex> lock(mu_);
-  params_.merge = merge;
-  params_.size_ratio = size_ratio;
-  // The mix-shift baseline survives: the workload did not change, only the
-  // design it is measured against.
-}
-
 DriftSample ModelDriftMonitor::Evaluate(const Measured& m) {
-  // Held for the whole evaluation: a concurrent Reconfigure (runtime
-  // policy switch) must not be observed half-applied.
-  std::lock_guard<std::mutex> lock(mu_);
   DriftSample s;
   s.mix = m.mix;
-  s.merge = params_.merge;
-  s.size_ratio = params_.size_ratio;
-  s.bloom_fpr = params_.bloom_fpr;
+  s.merge = m.merge;
+  s.size_ratio = m.size_ratio;
+  s.bloom_fpr = m.bloom_fpr;
   s.page_entries = m.page_entries;
+  s.data_buffers = m.data_buffers;
+  s.window_ops = m.window_ops;
   s.window_lookups = m.window_lookups;
   s.window_updates = m.window_updates;
 
   tuning::VerticalCostModel model;
-  model.size_ratio = std::max(2.0, params_.size_ratio);
-  model.bloom_fpr = params_.bloom_fpr;
+  model.size_ratio = std::max(2.0, m.size_ratio);
+  model.bloom_fpr = m.bloom_fpr;
   model.page_entries = std::max(1.0, m.page_entries);
   model.data_buffers = std::max<uint64_t>(1, m.data_buffers);
   s.levels = model.Levels();
 
   // A found lookup pays one true data-block read on top of the model's
   // false-positive term (the model prices zero-result lookups).
-  s.predicted_point =
-      m.found_fraction + model.PointLookupCost(params_.merge);
-  s.predicted_update = model.UpdateCost(params_.merge);
-  s.predicted_range = model.RangeLookupCost(params_.merge);
-  s.zeta_predicted = model.Zeta(params_.merge, m.mix);
+  s.predicted_point = m.found_fraction + model.PointLookupCost(m.merge);
+  s.predicted_update = model.UpdateCost(m.merge);
+  s.predicted_range = model.RangeLookupCost(m.merge);
+  s.zeta_predicted = model.Zeta(m.merge, m.mix);
 
   s.measured_point = m.blocks_per_lookup;
   s.measured_update = m.write_amp / model.page_entries;
@@ -105,12 +95,15 @@ DriftSample ModelDriftMonitor::Evaluate(const Measured& m) {
   s.drift_score = std::max(RatioScore(s.point_ratio),
                            RatioScore(s.update_ratio));
 
-  if (have_prev_mix_) s.mix_shift = MixL1Half(m.mix, prev_mix_);
-  // Only windows with traffic move the baseline: an idle window must not
-  // make the next busy window look like a flip back.
-  if (m.window_lookups + m.window_updates > 0) {
-    prev_mix_ = m.mix;
-    have_prev_mix_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (have_prev_mix_) s.mix_shift = MixL1Half(m.mix, prev_mix_);
+    // Only windows with traffic (scans count) move the baseline: an idle
+    // window must not make the next busy window look like a flip back.
+    if (m.window_ops > 0) {
+      prev_mix_ = m.mix;
+      have_prev_mix_ = true;
+    }
   }
 
   s.drifted = s.drift_score > params_.drift_threshold ||

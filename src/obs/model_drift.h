@@ -3,8 +3,11 @@
 
 // Cost-model drift telemetry: feeds the measured workload mix and the
 // measured per-op I/O (from AmpTracker) into the analytical cost model
-// the active growth policy was designed from, and reports how far
-// reality has drifted from the model's predictions.
+// of the design that runs, and reports how far reality has drifted from
+// the model's predictions. The monitor keeps no design of its own: each
+// evaluation is handed merge, T and f with the measurements (the engine
+// reads them from its live growth-policy config), so a runtime policy
+// switch is priced from the next window on.
 //
 // Unit conventions (documented in DESIGN.md §6.7):
 //   - point lookup: data blocks fetched per lookup. The model predicts
@@ -20,27 +23,29 @@
 // Drift has two triggers: the prediction error (max over ops of
 // max(ratio, 1/ratio) where ratio = measured/predicted) exceeding
 // `drift_threshold`, or the windowed mix moving more than
-// `mix_shift_threshold` (L1/2 distance) from the previous window — the
-// signal the ROADMAP's online tuner will eventually act on.
+// `mix_shift_threshold` (L1/2 distance) from the previous window with
+// traffic. The adaptive tuner (tune/adaptive_tuner.h) decides from the
+// same sample.
 
 #include <cstdint>
 #include <mutex>
 #include <string>
 
-#include "tuning/vertical_cost_model.h"
 #include "tuning/workload_mix.h"
 
 namespace talus {
 namespace obs {
 
 struct DriftSample {
-  // Inputs echoed back for the talus.model property.
+  // Inputs echoed back for the talus.model property and the tuner.
   WorkloadMix mix;                 // windowed measured mix
-  tuning::HorizontalMerge merge = tuning::HorizontalMerge::kLeveling;
+  MergePolicy merge = MergePolicy::kLeveling;
   int levels = 0;                  // L implied by current data volume
   double size_ratio = 0;           // T
   double bloom_fpr = 0;            // f
   double page_entries = 0;         // P
+  uint64_t data_buffers = 1;       // N/B
+  uint64_t window_ops = 0;         // every operation, scans included
   uint64_t window_lookups = 0;
   uint64_t window_updates = 0;     // puts + deletes, batch entries included
 
@@ -65,15 +70,17 @@ struct DriftSample {
 class ModelDriftMonitor {
  public:
   struct Params {
-    tuning::HorizontalMerge merge = tuning::HorizontalMerge::kLeveling;
-    double size_ratio = 6.0;
-    double bloom_fpr = 0.1;
     double drift_threshold = 4.0;      // prediction-error trigger
     double mix_shift_threshold = 0.35; // workload-flip trigger
   };
 
   struct Measured {
+    // The design the window ran under.
+    MergePolicy merge = MergePolicy::kLeveling;
+    double size_ratio = 6.0;        // T
+    double bloom_fpr = 0.1;         // f
     WorkloadMix mix;                // windowed mix (AmpSnapshot::Mix)
+    uint64_t window_ops = 0;        // AmpSnapshot::Operations()
     uint64_t window_lookups = 0;
     uint64_t window_updates = 0;
     double found_fraction = 0;      // windowed hits / lookups
@@ -83,20 +90,15 @@ class ModelDriftMonitor {
     uint64_t data_buffers = 1;      // N/B: data volume in write buffers
   };
 
+  ModelDriftMonitor() = default;
   explicit ModelDriftMonitor(const Params& params) : params_(params) {}
 
   /// Evaluate one window. Stateful only for the mix-shift baseline (the
-  /// previous window's mix); safe for concurrent callers.
+  /// mix of the last window with traffic); safe for concurrent callers.
   DriftSample Evaluate(const Measured& m);
 
-  /// Re-anchors the monitor to a new design after a runtime policy switch
-  /// (DB::ApplyPolicyConfig): subsequent windows are measured against the
-  /// new merge/T. The mix-shift baseline is kept — the workload did not
-  /// change. Safe against concurrent Evaluate calls.
-  void Reconfigure(tuning::HorizontalMerge merge, double size_ratio);
-
  private:
-  Params params_;
+  const Params params_{};
   std::mutex mu_;
   bool have_prev_mix_ = false;
   WorkloadMix prev_mix_;

@@ -23,7 +23,6 @@ enum class GrowthScheme {
   kVertiorizon,         // §5: hybrid horizontal + vertical.
 };
 
-enum class MergePolicy { kLeveling, kTiering };
 enum class Granularity { kFull, kPartial };
 enum class FilePick { kRoundRobin, kOldestSmallestSeqFirst };
 

@@ -13,7 +13,7 @@ VerticalPolicy::VerticalPolicy(const GrowthPolicyConfig& config,
 
 std::string VerticalPolicy::name() const {
   std::string n = "vertical-";
-  n += config_.merge == MergePolicy::kLeveling ? "leveling" : "tiering";
+  n += MergePolicyName(config_.merge);
   n += config_.granularity == Granularity::kFull ? "-full" : "-partial";
   if (config_.dynamic_level_bytes) n += "-dynbytes";
   return n;

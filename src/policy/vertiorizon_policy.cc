@@ -91,9 +91,7 @@ void VertiorizonPolicy::Retune() {
   const tuning::NavigatorResult best =
       tuning::Navigate(model, mix, kMaxHorizontalLevels);
   h_levels_ = std::clamp(best.levels, 1, kMaxHorizontalLevels);
-  h_merge_ = best.merge == tuning::HorizontalMerge::kTiering
-                 ? MergePolicy::kTiering
-                 : MergePolicy::kLeveling;
+  h_merge_ = best.merge;
   RearmCounters();
 }
 

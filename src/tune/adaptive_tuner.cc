@@ -1,5 +1,7 @@
 #include "tune/adaptive_tuner.h"
 
+#include "tuning/vertical_cost_model.h"
+
 namespace talus {
 namespace tune {
 
@@ -15,32 +17,32 @@ const char* TuneDecision::ActionName() const {
 
 AdaptiveTuner::AdaptiveTuner(const TunerConfig& config) : config_(config) {}
 
-TuneDecision AdaptiveTuner::Decide(const TunerInputs& in) {
+TuneDecision AdaptiveTuner::Decide(const obs::DriftSample& window) {
   TuneDecision d;
-  d.merge = in.current_merge;
-  d.size_ratio = in.current_size_ratio;
+  d.merge = window.merge;
+  d.size_ratio = window.size_ratio;
 
   std::lock_guard<std::mutex> lock(mu_);
   stats_.ticks++;
 
-  if (in.window_ops < config_.min_window_ops) {
+  if (window.window_ops < config_.min_window_ops) {
     d.action = TuneDecision::Action::kThinWindow;
     stats_.thin_windows++;
     stats_.last_action = d.ActionName();
     return d;
   }
 
-  WorkloadMix mix = in.mix;
+  WorkloadMix mix = window.mix;
   mix.Normalize();
   tuning::VerticalCostModel current;
-  current.size_ratio = in.current_size_ratio;
-  current.bloom_fpr = in.bloom_fpr;
-  current.page_entries = in.page_entries;
-  current.data_buffers = in.data_buffers;
-  d.current_cost = current.Zeta(in.current_merge, mix);
+  current.size_ratio = window.size_ratio;
+  current.bloom_fpr = window.bloom_fpr;
+  current.page_entries = window.page_entries;
+  current.data_buffers = window.data_buffers;
+  d.current_cost = current.Zeta(window.merge, mix);
 
-  const tuning::VerticalChoice best =
-      tuning::BestVertical(in.bloom_fpr, in.page_entries, in.data_buffers, mix);
+  const tuning::VerticalChoice best = tuning::BestVertical(
+      window.bloom_fpr, window.page_entries, window.data_buffers, mix);
   d.best_cost = best.cost;
   d.predicted_gain =
       best.cost > 0 ? d.current_cost / best.cost - 1.0 : 0.0;
@@ -57,8 +59,8 @@ TuneDecision AdaptiveTuner::Decide(const TunerInputs& in) {
     return d;
   }
 
-  const bool same_design = best.merge == in.current_merge &&
-                           best.size_ratio == in.current_size_ratio;
+  const bool same_design = best.merge == window.merge &&
+                           best.size_ratio == window.size_ratio;
   if (same_design || d.predicted_gain <= config_.hysteresis) {
     d.action = TuneDecision::Action::kHold;
     stats_.holds++;

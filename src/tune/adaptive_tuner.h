@@ -1,19 +1,20 @@
 // AdaptiveTuner: the *acting* half of the paper's sense→act loop
 // (DESIGN.md §9). The sensing half (obs::AmpTracker windowed amplification
-// and operation mix, obs::ModelDriftMonitor drift scores) landed first;
-// this class closes the loop: each decision tick it re-solves
-// the vertical cost model (tuning::BestVertical) against the *measured*
-// windowed mix and amp-derived parameters, and recommends switching the
-// growth policy — or retuning its size ratio — when the predicted win
-// clears a hysteresis band.
+// and operation mix, obs::ModelDriftMonitor drift scores) prices the
+// running design once per window; this class closes the loop: each
+// decision tick it takes that window's obs::DriftSample, re-solves the
+// vertical cost model (tuning::BestVertical) against the *measured* mix
+// and amp-derived parameters, and recommends switching the growth
+// policy — or retuning its size ratio — when the predicted win clears a
+// hysteresis band.
 //
 // Split of responsibilities:
 //   * Decide() is the navigator: pure cost-model arithmetic plus the two
 //     pieces of anti-flap state (the hysteresis band and a post-switch
 //     cooldown). It never touches the engine; tests drive it directly.
-//   * The owner (DB::RetuneNow) evaluates one drift window, feeds the
-//     measurements in, and applies a kRetune decision via
-//     DB::ApplyPolicyConfig (the live-migration path).
+//   * The owner (DB::RetuneNow) evaluates one drift window, hands its
+//     sample (which carries the running design) to Decide, and applies a
+//     kRetune decision via DB::ApplyPolicyConfig (the live-migration path).
 //   * The owner's exec::Ticker sets the cadence: a standalone DB ticks
 //     RetuneNow, a shard::ShardedDB ticks every shard from its one ticker
 //     while the per-shard tuners keep the decision state.
@@ -31,7 +32,7 @@
 #include <mutex>
 #include <string>
 
-#include "tuning/vertical_cost_model.h"
+#include "obs/model_drift.h"
 #include "tuning/workload_mix.h"
 
 namespace talus {
@@ -41,23 +42,11 @@ struct TunerConfig {
   /// Minimum predicted fractional cost win (ζ ratio − 1) before a switch
   /// is recommended; the anti-flap band.
   double hysteresis = 0.35;
-  /// Windows with fewer operations (lookups + updates) than this are
-  /// skipped: a thin window's mix estimate is noise, not workload.
+  /// Windows with fewer operations (updates, lookups and scans) than this
+  /// are skipped: a thin window's mix estimate is noise, not workload.
   uint64_t min_window_ops = 256;
   /// Decision ticks held after a switch while measurements refill.
   int cooldown_ticks = 2;
-};
-
-/// One decision tick's measured inputs (all from the just-consumed drift
-/// window plus the engine's current design).
-struct TunerInputs {
-  WorkloadMix mix;                  // windowed measured mix
-  uint64_t window_ops = 0;          // lookups + updates in the window
-  double bloom_fpr = 0.1;           // f
-  double page_entries = 4.0;        // P
-  uint64_t data_buffers = 1;        // N/B
-  tuning::HorizontalMerge current_merge = tuning::HorizontalMerge::kLeveling;
-  double current_size_ratio = 6.0;  // T
 };
 
 struct TuneDecision {
@@ -65,7 +54,7 @@ struct TuneDecision {
   Action action = Action::kHold;
   /// The recommended design (valid when action == kRetune; echoes the
   /// current design otherwise).
-  tuning::HorizontalMerge merge = tuning::HorizontalMerge::kLeveling;
+  MergePolicy merge = MergePolicy::kLeveling;
   double size_ratio = 6.0;
   double current_cost = 0;    // ζ(current design, measured mix)
   double best_cost = 0;       // ζ(best design, measured mix)
@@ -98,9 +87,10 @@ class AdaptiveTuner {
   AdaptiveTuner(const AdaptiveTuner&) = delete;
   AdaptiveTuner& operator=(const AdaptiveTuner&) = delete;
 
-  /// One navigation decision over the measured window. Thread-safe;
+  /// One navigation decision over a drift window: its mix, operation
+  /// count, f, P, N/B and the design it ran under (merge, T). Thread-safe;
   /// updates the anti-flap state and counters.
-  TuneDecision Decide(const TunerInputs& in);
+  TuneDecision Decide(const obs::DriftSample& window);
 
   /// Owner feedback: a drift window flagged kModelDrift.
   void NoteDrift();

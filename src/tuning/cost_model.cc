@@ -8,9 +8,9 @@
 namespace talus {
 namespace tuning {
 
-double HorizontalCostModel::PointLookupCost(HorizontalMerge merge,
+double HorizontalCostModel::PointLookupCost(MergePolicy merge,
                                             int levels) const {
-  if (merge == HorizontalMerge::kLeveling) {
+  if (merge == MergePolicy::kLeveling) {
     return static_cast<double>(levels) * bloom_fpr;  // R_l = ℓ·f.
   }
   // R_t (Eq. 3): amortized probes per lookup over the fill of the part.
@@ -19,16 +19,15 @@ double HorizontalCostModel::PointLookupCost(HorizontalMerge merge,
   return static_cast<double>(tau) * bloom_fpr / static_cast<double>(n);
 }
 
-double HorizontalCostModel::RangeLookupCost(HorizontalMerge merge,
+double HorizontalCostModel::RangeLookupCost(MergePolicy merge,
                                             int levels) const {
   // Q = R / f: every run is touched regardless of the filters.
   if (bloom_fpr <= 0) return 0;
   return PointLookupCost(merge, levels) / bloom_fpr;
 }
 
-double HorizontalCostModel::UpdateCost(HorizontalMerge merge,
-                                       int levels) const {
-  if (merge == HorizontalMerge::kTiering) {
+double HorizontalCostModel::UpdateCost(MergePolicy merge, int levels) const {
+  if (merge == MergePolicy::kTiering) {
     return static_cast<double>(levels) / page_entries;  // W_t = ℓ/P.
   }
   // W_l (Eq. 4).
@@ -38,7 +37,7 @@ double HorizontalCostModel::UpdateCost(HorizontalMerge merge,
          (static_cast<double>(n) * page_entries);
 }
 
-double HorizontalCostModel::Zeta(HorizontalMerge merge, int levels,
+double HorizontalCostModel::Zeta(MergePolicy merge, int levels,
                                  const WorkloadMix& mix) const {
   return mix.updates * UpdateCost(merge, levels) +
          mix.point_lookups * PointLookupCost(merge, levels) +
@@ -48,8 +47,7 @@ double HorizontalCostModel::Zeta(HorizontalMerge merge, int levels,
 std::string NavigatorResult::ToString() const {
   char buf[80];
   std::snprintf(buf, sizeof(buf), "%s l=%d zeta=%.6f",
-                merge == HorizontalMerge::kLeveling ? "leveling" : "tiering",
-                levels, cost);
+                MergePolicyName(merge), levels, cost);
   return buf;
 }
 
@@ -69,8 +67,7 @@ NavigatorResult Navigate(const HorizontalCostModel& model,
   const int cap = LevelCap(model, max_levels);
   NavigatorResult best;
   bool first = true;
-  for (HorizontalMerge merge :
-       {HorizontalMerge::kLeveling, HorizontalMerge::kTiering}) {
+  for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
     // The cost curves are convex in ℓ (§5.2): walk up from the minimum
     // feasible ℓ = 2 and stop at the first increase (saddle point). ℓ = 1
     // is included as a degenerate candidate for tiny capacities.
@@ -102,8 +99,7 @@ NavigatorResult NavigateExhaustive(const HorizontalCostModel& model,
   const int cap = LevelCap(model, max_levels);
   NavigatorResult best;
   bool first = true;
-  for (HorizontalMerge merge :
-       {HorizontalMerge::kLeveling, HorizontalMerge::kTiering}) {
+  for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
     for (int l = std::min(2, cap); l <= cap; l++) {
       const double c = model.Zeta(merge, l, mix);
       if (first || c < best.cost) {

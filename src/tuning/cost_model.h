@@ -12,7 +12,9 @@
 //   ζ   = w·W + r·R + q·Q                       weighted mix (Eq. 5)
 //
 // where τ is Lemma 9.4's read-cost closed form and Ω is Lemma 5.2's
-// write-cost closed form.
+// write-cost closed form. The merge policy is the engine's one MergePolicy
+// (tuning/workload_mix.h), so the Vertiorizon policy installs the
+// navigator's pick as is.
 #ifndef TALUS_TUNING_COST_MODEL_H_
 #define TALUS_TUNING_COST_MODEL_H_
 
@@ -24,24 +26,22 @@
 namespace talus {
 namespace tuning {
 
-enum class HorizontalMerge { kLeveling, kTiering };
-
 struct HorizontalCostModel {
   uint64_t capacity_buffers = 16;  // n.
   double bloom_fpr = 0.1;          // f.
   double page_entries = 4.0;       // P.
 
-  double PointLookupCost(HorizontalMerge merge, int levels) const;
-  double RangeLookupCost(HorizontalMerge merge, int levels) const;
-  double UpdateCost(HorizontalMerge merge, int levels) const;
+  double PointLookupCost(MergePolicy merge, int levels) const;
+  double RangeLookupCost(MergePolicy merge, int levels) const;
+  double UpdateCost(MergePolicy merge, int levels) const;
 
   /// ζ (Eq. 5) for a candidate design.
-  double Zeta(HorizontalMerge merge, int levels,
+  double Zeta(MergePolicy merge, int levels,
               const WorkloadMix& mix) const;
 };
 
 struct NavigatorResult {
-  HorizontalMerge merge = HorizontalMerge::kLeveling;
+  MergePolicy merge = MergePolicy::kLeveling;
   int levels = 2;
   double cost = 0;
 

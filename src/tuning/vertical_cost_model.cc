@@ -12,29 +12,29 @@ int VerticalCostModel::Levels() const {
   return std::max(1, static_cast<int>(std::ceil(std::log(n) / std::log(t))));
 }
 
-double VerticalCostModel::PointLookupCost(HorizontalMerge merge) const {
+double VerticalCostModel::PointLookupCost(MergePolicy merge) const {
   const double L = Levels();
-  if (merge == HorizontalMerge::kLeveling) {
+  if (merge == MergePolicy::kLeveling) {
     return L * bloom_fpr;
   }
   return L * size_ratio * bloom_fpr;  // Up to T runs per level.
 }
 
-double VerticalCostModel::RangeLookupCost(HorizontalMerge merge) const {
+double VerticalCostModel::RangeLookupCost(MergePolicy merge) const {
   if (bloom_fpr <= 0) return 0;
   return PointLookupCost(merge) / bloom_fpr;
 }
 
-double VerticalCostModel::UpdateCost(HorizontalMerge merge) const {
+double VerticalCostModel::UpdateCost(MergePolicy merge) const {
   const double L = Levels();
-  if (merge == HorizontalMerge::kLeveling) {
+  if (merge == MergePolicy::kLeveling) {
     // Each entry is rewritten ~(T+1)/2 times per level before moving on.
     return L * (size_ratio + 1.0) / (2.0 * page_entries);
   }
   return L / page_entries;  // One write per level.
 }
 
-double VerticalCostModel::Zeta(HorizontalMerge merge,
+double VerticalCostModel::Zeta(MergePolicy merge,
                                const WorkloadMix& mix) const {
   return mix.updates * UpdateCost(merge) +
          mix.point_lookups * PointLookupCost(merge) +
@@ -45,8 +45,7 @@ VerticalChoice BestVertical(double bloom_fpr, double page_entries,
                             uint64_t data_buffers, const WorkloadMix& mix) {
   VerticalChoice best;
   bool first = true;
-  for (HorizontalMerge merge :
-       {HorizontalMerge::kLeveling, HorizontalMerge::kTiering}) {
+  for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
     for (double t : {2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 16.0, 32.0}) {
       VerticalCostModel model;
       model.size_ratio = t;

@@ -1,9 +1,11 @@
 // Analytical cost model for the *vertical* growth scheme (the classic
 // Monkey/Dostoevsky formulas), complementing the horizontal model in
-// cost_model.h. Used by the adaptive tuner, the drift monitor, and by
-// tests certifying the paper's model-space claim behind Figure 10(a): for
-// matched read cost, the horizontal scheme's write cost never exceeds the
-// vertical scheme's (Bentley–Saxe optimality).
+// cost_model.h. The drift monitor prices each window's running design
+// with it, the adaptive tuner re-solves it from that window's sample
+// (BestVertical), and tests certify the paper's model-space claim behind
+// Figure 10(a) with it: for matched read cost, the horizontal scheme's
+// write cost never exceeds the vertical scheme's (Bentley–Saxe
+// optimality). `merge` is the engine's MergePolicy (tuning/workload_mix.h).
 //
 // With L levels, size ratio T, Bloom FPR f, page size P entries:
 //   leveling: W = L·(T+1)/(2P)   R = L·f      Q = L
@@ -27,16 +29,16 @@ struct VerticalCostModel {
   /// Number of levels needed for the data volume: ceil(log_T(N/B)).
   int Levels() const;
 
-  double PointLookupCost(HorizontalMerge merge) const;
-  double RangeLookupCost(HorizontalMerge merge) const;
-  double UpdateCost(HorizontalMerge merge) const;
+  double PointLookupCost(MergePolicy merge) const;
+  double RangeLookupCost(MergePolicy merge) const;
+  double UpdateCost(MergePolicy merge) const;
 
-  double Zeta(HorizontalMerge merge, const WorkloadMix& mix) const;
+  double Zeta(MergePolicy merge, const WorkloadMix& mix) const;
 };
 
 /// Best vertical design (merge policy × T over `ratios`) for a mix.
 struct VerticalChoice {
-  HorizontalMerge merge = HorizontalMerge::kLeveling;
+  MergePolicy merge = MergePolicy::kLeveling;
   double size_ratio = 6.0;
   double cost = 0;
 };

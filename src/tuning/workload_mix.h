@@ -1,10 +1,19 @@
-// WorkloadMix: the (w, r, q) operation fractions of §5.2 — updates, point
-// lookups, range lookups — used to weight the cost model. The engine
-// measures it from its operation counts (obs::AmpSnapshot::Mix).
+// The two inputs every cost-model evaluation shares (§5.2): MergePolicy,
+// the leveling/tiering choice a design prices, and WorkloadMix, the
+// (w, r, q) operation fractions — updates, point lookups, range lookups —
+// that weight its costs. The engine measures the mix from its operation
+// counts (obs::AmpSnapshot::Mix).
 #ifndef TALUS_TUNING_WORKLOAD_MIX_H_
 #define TALUS_TUNING_WORKLOAD_MIX_H_
 
 namespace talus {
+
+enum class MergePolicy { kLeveling, kTiering };
+
+/// "leveling" or "tiering": the name every text surface prints.
+inline const char* MergePolicyName(MergePolicy merge) {
+  return merge == MergePolicy::kLeveling ? "leveling" : "tiering";
+}
 
 struct WorkloadMix {
   double updates = 0.5;        // w

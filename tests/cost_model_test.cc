@@ -22,25 +22,25 @@ HorizontalCostModel Model(uint64_t n = 64, double fpr = 0.1, double P = 4) {
 TEST(CostModel, LevelingPointLookupIsLinearInLevels) {
   const auto m = Model();
   // R_l = ℓ·f.
-  EXPECT_DOUBLE_EQ(m.PointLookupCost(HorizontalMerge::kLeveling, 2), 0.2);
-  EXPECT_DOUBLE_EQ(m.PointLookupCost(HorizontalMerge::kLeveling, 5), 0.5);
+  EXPECT_DOUBLE_EQ(m.PointLookupCost(MergePolicy::kLeveling, 2), 0.2);
+  EXPECT_DOUBLE_EQ(m.PointLookupCost(MergePolicy::kLeveling, 5), 0.5);
 }
 
 TEST(CostModel, TieringUpdateIsLinearInLevels) {
   const auto m = Model();
   // W_t = ℓ/P.
-  EXPECT_DOUBLE_EQ(m.UpdateCost(HorizontalMerge::kTiering, 2), 0.5);
-  EXPECT_DOUBLE_EQ(m.UpdateCost(HorizontalMerge::kTiering, 4), 1.0);
+  EXPECT_DOUBLE_EQ(m.UpdateCost(MergePolicy::kTiering, 2), 0.5);
+  EXPECT_DOUBLE_EQ(m.UpdateCost(MergePolicy::kTiering, 4), 1.0);
 }
 
 TEST(CostModel, RangeLookupIsPointOverFpr) {
   const auto m = Model();
   for (int l = 2; l <= 5; l++) {
-    EXPECT_NEAR(m.RangeLookupCost(HorizontalMerge::kLeveling, l),
-                m.PointLookupCost(HorizontalMerge::kLeveling, l) / 0.1,
+    EXPECT_NEAR(m.RangeLookupCost(MergePolicy::kLeveling, l),
+                m.PointLookupCost(MergePolicy::kLeveling, l) / 0.1,
                 1e-12);
-    EXPECT_NEAR(m.RangeLookupCost(HorizontalMerge::kTiering, l),
-                m.PointLookupCost(HorizontalMerge::kTiering, l) / 0.1,
+    EXPECT_NEAR(m.RangeLookupCost(MergePolicy::kTiering, l),
+                m.PointLookupCost(MergePolicy::kTiering, l) / 0.1,
                 1e-12);
   }
 }
@@ -51,7 +51,7 @@ TEST(CostModel, TieringLookupMatchesLemma51) {
     const double expected =
         static_cast<double>(theory::TieringReadCostClosedForm(100, l)) * 0.1 /
         100.0;
-    EXPECT_DOUBLE_EQ(m.PointLookupCost(HorizontalMerge::kTiering, l),
+    EXPECT_DOUBLE_EQ(m.PointLookupCost(MergePolicy::kTiering, l),
                      expected);
   }
 }
@@ -62,7 +62,7 @@ TEST(CostModel, LevelingUpdateMatchesLemma52) {
     const double expected =
         static_cast<double>(theory::LevelingWriteCostClosedForm(100, l)) /
         (100.0 * 4.0);
-    EXPECT_DOUBLE_EQ(m.UpdateCost(HorizontalMerge::kLeveling, l), expected);
+    EXPECT_DOUBLE_EQ(m.UpdateCost(MergePolicy::kLeveling, l), expected);
   }
 }
 
@@ -72,16 +72,16 @@ TEST(CostModel, LevelKnobDirectionsMatchSection51) {
   // in better write performance."
   const auto m = Model(512);
   // Leveling: reads prefer few levels, writes prefer many.
-  EXPECT_LT(m.PointLookupCost(HorizontalMerge::kLeveling, 2),
-            m.PointLookupCost(HorizontalMerge::kLeveling, 5));
-  EXPECT_GT(m.UpdateCost(HorizontalMerge::kLeveling, 2),
-            m.UpdateCost(HorizontalMerge::kLeveling, 5));
+  EXPECT_LT(m.PointLookupCost(MergePolicy::kLeveling, 2),
+            m.PointLookupCost(MergePolicy::kLeveling, 5));
+  EXPECT_GT(m.UpdateCost(MergePolicy::kLeveling, 2),
+            m.UpdateCost(MergePolicy::kLeveling, 5));
   // Tiering: writes prefer few levels, reads prefer many (runs consolidate
   // sooner, so fewer runs are alive on average).
-  EXPECT_LT(m.UpdateCost(HorizontalMerge::kTiering, 2),
-            m.UpdateCost(HorizontalMerge::kTiering, 5));
-  EXPECT_GT(m.PointLookupCost(HorizontalMerge::kTiering, 2),
-            m.PointLookupCost(HorizontalMerge::kTiering, 5));
+  EXPECT_LT(m.UpdateCost(MergePolicy::kTiering, 2),
+            m.UpdateCost(MergePolicy::kTiering, 5));
+  EXPECT_GT(m.PointLookupCost(MergePolicy::kTiering, 2),
+            m.PointLookupCost(MergePolicy::kTiering, 5));
 }
 
 class NavigatorPropertyTest
@@ -116,7 +116,7 @@ TEST(Navigator, ExtremesPickExpectedPolicies) {
   write_only.updates = 1.0;
   write_only.point_lookups = 0.0;
   const auto w = Navigate(m, write_only);
-  EXPECT_EQ(w.merge, HorizontalMerge::kTiering);
+  EXPECT_EQ(w.merge, MergePolicy::kTiering);
   EXPECT_EQ(w.levels, 2);  // W_t = ℓ/P is minimized at the smallest ℓ.
 
   WorkloadMix read_only;

@@ -829,31 +829,25 @@ obs::ModelDriftMonitor::Measured MatchedMeasured() {
   model.data_buffers = 64;
 
   obs::ModelDriftMonitor::Measured m;
+  m.merge = MergePolicy::kLeveling;
+  m.size_ratio = 6.0;
+  m.bloom_fpr = 0.1;
   m.mix.updates = 0.5;
   m.mix.point_lookups = 0.5;
   m.mix.range_lookups = 0;
+  m.window_ops = 2000;
   m.window_lookups = 1000;
   m.window_updates = 1000;
   m.found_fraction = 0.5;
   m.page_entries = 8.0;
   m.data_buffers = 64;
-  m.blocks_per_lookup =
-      0.5 + model.PointLookupCost(tuning::HorizontalMerge::kLeveling);
-  m.write_amp =
-      model.UpdateCost(tuning::HorizontalMerge::kLeveling) * 8.0;
+  m.blocks_per_lookup = 0.5 + model.PointLookupCost(MergePolicy::kLeveling);
+  m.write_amp = model.UpdateCost(MergePolicy::kLeveling) * 8.0;
   return m;
 }
 
-obs::ModelDriftMonitor::Params LevelingParams() {
-  obs::ModelDriftMonitor::Params params;
-  params.merge = tuning::HorizontalMerge::kLeveling;
-  params.size_ratio = 6.0;
-  params.bloom_fpr = 0.1;
-  return params;
-}
-
 TEST(ModelDrift, MatchedMeasurementIsNotDrifted) {
-  obs::ModelDriftMonitor monitor(LevelingParams());
+  obs::ModelDriftMonitor monitor;
   const obs::ModelDriftMonitor::Measured m = MatchedMeasured();
   const obs::DriftSample first = monitor.Evaluate(m);
   // Predictions echo the model the measurement was built from.
@@ -875,10 +869,11 @@ TEST(ModelDrift, MatchedMeasurementIsNotDrifted) {
 }
 
 TEST(ModelDrift, MixFlipTriggersDriftViaMixShift) {
-  obs::ModelDriftMonitor monitor(LevelingParams());
+  obs::ModelDriftMonitor monitor;
   obs::ModelDriftMonitor::Measured m = MatchedMeasured();
   m.mix.updates = 0;
   m.mix.point_lookups = 1.0;
+  m.window_ops = 1000;
   m.window_updates = 0;
   m.write_amp = 0;  // Read-only window: no update-side sample.
   const obs::DriftSample reads = monitor.Evaluate(m);
@@ -888,6 +883,7 @@ TEST(ModelDrift, MixFlipTriggersDriftViaMixShift) {
   obs::ModelDriftMonitor::Measured w = MatchedMeasured();
   w.mix.updates = 1.0;
   w.mix.point_lookups = 0;
+  w.window_ops = 1000;
   w.window_lookups = 0;
   w.blocks_per_lookup = 0;
   const obs::DriftSample writes = monitor.Evaluate(w);
@@ -897,7 +893,7 @@ TEST(ModelDrift, MixFlipTriggersDriftViaMixShift) {
 }
 
 TEST(ModelDrift, PredictionErrorTriggersDrift) {
-  obs::ModelDriftMonitor monitor(LevelingParams());
+  obs::ModelDriftMonitor monitor;
   obs::ModelDriftMonitor::Measured m = MatchedMeasured();
   m.blocks_per_lookup *= 10.0;  // Reality 10x worse than the model.
   const obs::DriftSample s = monitor.Evaluate(m);
@@ -907,7 +903,7 @@ TEST(ModelDrift, PredictionErrorTriggersDrift) {
 
   // Symmetric: reality 10x *better* than the model is equally drift — the
   // design is mis-provisioned either way.
-  obs::ModelDriftMonitor monitor2(LevelingParams());
+  obs::ModelDriftMonitor monitor2;
   obs::ModelDriftMonitor::Measured better = MatchedMeasured();
   better.blocks_per_lookup /= 10.0;
   const obs::DriftSample s2 = monitor2.Evaluate(better);
@@ -917,10 +913,11 @@ TEST(ModelDrift, PredictionErrorTriggersDrift) {
 }
 
 TEST(ModelDrift, IdleWindowKeepsMixBaseline) {
-  obs::ModelDriftMonitor monitor(LevelingParams());
+  obs::ModelDriftMonitor monitor;
   obs::ModelDriftMonitor::Measured m = MatchedMeasured();
   m.mix.updates = 0;
   m.mix.point_lookups = 1.0;
+  m.window_ops = 1000;
   m.window_updates = 0;
   m.write_amp = 0;
   EXPECT_FALSE(monitor.Evaluate(m).drifted);
@@ -930,6 +927,7 @@ TEST(ModelDrift, IdleWindowKeepsMixBaseline) {
   obs::ModelDriftMonitor::Measured idle;
   idle.mix.updates = 0.5;
   idle.mix.point_lookups = 0.5;
+  idle.window_ops = 0;
   idle.window_lookups = 0;
   idle.window_updates = 0;
   idle.blocks_per_lookup = 0;
@@ -940,6 +938,37 @@ TEST(ModelDrift, IdleWindowKeepsMixBaseline) {
   const obs::DriftSample next = monitor.Evaluate(m);
   EXPECT_NEAR(next.mix_shift, 0.0, 1e-9);
   EXPECT_FALSE(next.drifted);
+}
+
+// A scan-only window holds traffic (no lookups, no updates, yet every op
+// counted): it moves the baseline, so a run of scan windows after a read
+// window flips once, not on every window.
+TEST(ModelDrift, ScanOnlyWindowsMoveMixBaseline) {
+  obs::ModelDriftMonitor monitor;
+  obs::ModelDriftMonitor::Measured reads = MatchedMeasured();
+  reads.mix.updates = 0;
+  reads.mix.point_lookups = 1.0;
+  reads.window_ops = 1000;
+  reads.window_updates = 0;
+  reads.write_amp = 0;
+  EXPECT_FALSE(monitor.Evaluate(reads).drifted);
+
+  obs::ModelDriftMonitor::Measured scans = MatchedMeasured();
+  scans.mix.updates = 0;
+  scans.mix.point_lookups = 0;
+  scans.mix.range_lookups = 1.0;
+  scans.window_ops = 1000;
+  scans.window_lookups = 0;
+  scans.window_updates = 0;
+  scans.blocks_per_lookup = 0;
+  scans.write_amp = 0;
+  const obs::DriftSample first = monitor.Evaluate(scans);
+  EXPECT_NEAR(first.mix_shift, 1.0, 1e-9);  // The flip itself.
+  EXPECT_TRUE(first.drifted);
+
+  const obs::DriftSample second = monitor.Evaluate(scans);
+  EXPECT_EQ(second.mix_shift, 0.0);
+  EXPECT_FALSE(second.drifted);
 }
 
 // The acceptance-criteria integration test: run a mixed workload, ask

@@ -20,10 +20,10 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
+#include "obs/model_drift.h"
 #include "policy/policy_config.h"
 #include "shard/sharded_db.h"
 #include "tune/adaptive_tuner.h"
-#include "tuning/vertical_cost_model.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -40,8 +40,10 @@ DbOptions SmallDbOptions(Env* env) {
   return opts;
 }
 
-tune::TunerInputs BaseInputs(double update_frac) {
-  tune::TunerInputs in;
+// A drift window the navigator decides from: its measured mix and
+// amp-derived parameters, and the design it ran under.
+obs::DriftSample BaseInputs(double update_frac) {
+  obs::DriftSample in;
   in.mix.updates = update_frac;
   in.mix.point_lookups = 1.0 - update_frac;
   in.mix.range_lookups = 0;
@@ -49,8 +51,8 @@ tune::TunerInputs BaseInputs(double update_frac) {
   in.bloom_fpr = 0.1;
   in.page_entries = 16;
   in.data_buffers = 256;
-  in.current_merge = tuning::HorizontalMerge::kLeveling;
-  in.current_size_ratio = 6.0;
+  in.merge = MergePolicy::kLeveling;
+  in.size_ratio = 6.0;
   return in;
 }
 
@@ -84,14 +86,14 @@ TEST(TunerNavigator, StationaryMixNeverFlaps) {
     tune::TunerConfig cfg;
     cfg.cooldown_ticks = 0;
     tune::AdaptiveTuner tuner(cfg);
-    tune::TunerInputs in = BaseInputs(w10 / 10.0);
+    obs::DriftSample in = BaseInputs(w10 / 10.0);
     int switches = 0;
     for (int tick = 0; tick < 10; tick++) {
       const tune::TuneDecision d = tuner.Decide(in);
       if (d.retune()) {
         switches++;
-        in.current_merge = d.merge;  // The owner installs the design.
-        in.current_size_ratio = d.size_ratio;
+        in.merge = d.merge;  // The owner installs the design.
+        in.size_ratio = d.size_ratio;
       }
     }
     EXPECT_LE(switches, 1) << "mix updates=" << w10 / 10.0
@@ -105,10 +107,10 @@ TEST(TunerNavigator, ClearWinRetunesThenCooldownHolds) {
 
   // Write-heavy against leveling: tiering's flat write cost wins by far
   // more than the band, so the first decision is a retune.
-  tune::TunerInputs in = BaseInputs(0.95);
+  obs::DriftSample in = BaseInputs(0.95);
   tune::TuneDecision d = tuner.Decide(in);
   ASSERT_TRUE(d.retune()) << d.ActionName();
-  EXPECT_EQ(d.merge, tuning::HorizontalMerge::kTiering);
+  EXPECT_EQ(d.merge, MergePolicy::kTiering);
   EXPECT_GT(d.predicted_gain, cfg.hysteresis);
 
   // The owner did NOT install it (inputs unchanged): the cooldown still
@@ -283,6 +285,10 @@ TEST(PolicySwitch, TunedDesignSurvivesReopenViaManifest) {
     ASSERT_TRUE(
         db->ApplyPolicyConfig(GrowthPolicyConfig::VTTierFull(8)).ok());
     ASSERT_EQ(db->CurrentPolicyConfig().Label(), "VT-Tier-Full");
+    // The drift monitor prices the design that now runs.
+    const obs::DriftSample drift = db->EvaluateModelDrift();
+    EXPECT_EQ(drift.merge, MergePolicy::kTiering);
+    EXPECT_EQ(drift.size_ratio, 8.0);
   }
   // Reopen with the ORIGINAL (leveled) options: under adaptive_tuning the
   // manifest's persisted config is authoritative, so the store comes back
@@ -293,10 +299,79 @@ TEST(PolicySwitch, TunedDesignSurvivesReopenViaManifest) {
     const GrowthPolicyConfig live = db->CurrentPolicyConfig();
     EXPECT_EQ(live.Label(), "VT-Tier-Full");
     EXPECT_DOUBLE_EQ(live.size_ratio, 8.0);
+    const obs::DriftSample drift = db->EvaluateModelDrift();
+    EXPECT_EQ(drift.merge, MergePolicy::kTiering);
+    EXPECT_EQ(drift.size_ratio, 8.0);
     std::string value;
     ASSERT_TRUE(db->Get(workload::FormatKey(7, 16), &value).ok());
     EXPECT_EQ(value, "v");
   }
+}
+
+// A drift sample is priced under one whole design: while a switcher
+// alternates the live policy under writer traffic, every concurrent
+// evaluation reports the (merge, T) of one of the two designs, never the
+// merge of one with the ratio of the other.
+TEST(TuneConcurrency, EveryDriftSamplePricesOneWholeDesign) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.policy = GrowthPolicyConfig::VTLevelPart(6);
+  opts.execution_mode = ExecutionMode::kBackground;
+  opts.num_background_threads = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+  constexpr int kWriters = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&db, &failed, &writers_done, w] {
+      for (uint64_t i = 0; i < 4000; i++) {
+        const uint64_t key = static_cast<uint64_t>(w) * 4000 + i;
+        if (!db->Put(workload::FormatKey(key, 16), std::string(40, 'v'))
+                 .ok()) {
+          failed.store(true);
+          break;
+        }
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  std::atomic<int> mixed{0};
+  std::atomic<int> samples{0};
+  std::thread evaluator([&db, &stop, &mixed, &samples] {
+    while (!stop.load()) {
+      const obs::DriftSample s = db->EvaluateModelDrift();
+      const bool leveled_6 =
+          s.merge == MergePolicy::kLeveling && s.size_ratio == 6.0;
+      const bool tiered_8 =
+          s.merge == MergePolicy::kTiering && s.size_ratio == 8.0;
+      if (!leveled_6 && !tiered_8) mixed.fetch_add(1);
+      samples.fetch_add(1);
+    }
+  });
+
+  // Switch for as long as the writers run (and at least a few times).
+  int switches = 0;
+  while (switches < 8 || writers_done.load() < kWriters) {
+    const GrowthPolicyConfig next = switches % 2 == 0
+                                        ? GrowthPolicyConfig::VTTierFull(8)
+                                        : GrowthPolicyConfig::VTLevelPart(6);
+    if (!db->ApplyPolicyConfig(next).ok()) {
+      ADD_FAILURE() << "switch " << switches << " failed";
+      break;
+    }
+    switches++;
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  evaluator.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(samples.load(), 0);
+  EXPECT_EQ(mixed.load(), 0) << "of " << samples.load() << " samples over "
+                             << switches << " switches";
 }
 
 // --------------------------------------------- Sense→navigate→act loop
@@ -337,7 +412,7 @@ TEST(TuneEndToEnd, DriftRetuneAndPolicyChangeReconstructibleFromTrace) {
   }
   d = db->RetuneNow();
   ASSERT_TRUE(d.retune()) << d.ActionName();
-  EXPECT_EQ(d.merge, tuning::HorizontalMerge::kTiering);
+  EXPECT_EQ(d.merge, MergePolicy::kTiering);
   EXPECT_EQ(db->CurrentPolicyConfig().merge, MergePolicy::kTiering);
 
   const tune::TunerStats stats = db->adaptive_tuner()->GetStats();
@@ -383,6 +458,28 @@ TEST(TuneEndToEnd, DriftRetuneAndPolicyChangeReconstructibleFromTrace) {
   EXPECT_LT(drift_line, change_line);
   // a=1 encodes tiering; b carries the new size ratio in milli-units.
   EXPECT_NE(change_json.find("\"a\": 1"), std::string::npos) << change_json;
+}
+
+// A scan-only window is traffic: it counts toward the tuner's window
+// operations like any lookup or update, so it is navigated, not skipped.
+TEST(TuneEndToEnd, ScanOnlyWindowIsNotThin) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.adaptive_tuning = true;
+  opts.tune_interval_ms = 0;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "v").ok());
+  }
+  db->EvaluateModelDrift();  // Consume the load window.
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(db->Scan(workload::FormatKey(i, 16), 10, &rows).ok());
+  }
+  const tune::TuneDecision d = db->RetuneNow();
+  EXPECT_NE(d.action, tune::TuneDecision::Action::kThinWindow);
+  EXPECT_EQ(db->adaptive_tuner()->GetStats().thin_windows, 0u);
 }
 
 TEST(TuneSharded, OnlyTheDriftingShardRetunes) {

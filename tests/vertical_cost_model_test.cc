@@ -27,10 +27,10 @@ TEST(VerticalCostModel, LevelCountLogarithmic) {
 TEST(VerticalCostModel, LevelingVsTieringDirections) {
   const auto m = Model(6);
   // Tiering reads cost more (T runs per level); writes cost less.
-  EXPECT_GT(m.PointLookupCost(HorizontalMerge::kTiering),
-            m.PointLookupCost(HorizontalMerge::kLeveling));
-  EXPECT_LT(m.UpdateCost(HorizontalMerge::kTiering),
-            m.UpdateCost(HorizontalMerge::kLeveling));
+  EXPECT_GT(m.PointLookupCost(MergePolicy::kTiering),
+            m.PointLookupCost(MergePolicy::kLeveling));
+  EXPECT_LT(m.UpdateCost(MergePolicy::kTiering),
+            m.UpdateCost(MergePolicy::kLeveling));
 }
 
 TEST(VerticalCostModel, RatioTradesReadsForWrites) {
@@ -39,10 +39,10 @@ TEST(VerticalCostModel, RatioTradesReadsForWrites) {
   // extremes the directions are unambiguous.
   const auto small = Model(2);
   const auto large = Model(32);
-  EXPECT_GT(small.PointLookupCost(HorizontalMerge::kLeveling),
-            large.PointLookupCost(HorizontalMerge::kLeveling));
-  EXPECT_LT(small.UpdateCost(HorizontalMerge::kLeveling),
-            large.UpdateCost(HorizontalMerge::kLeveling));
+  EXPECT_GT(small.PointLookupCost(MergePolicy::kLeveling),
+            large.PointLookupCost(MergePolicy::kLeveling));
+  EXPECT_LT(small.UpdateCost(MergePolicy::kLeveling),
+            large.UpdateCost(MergePolicy::kLeveling));
 }
 
 TEST(VerticalCostModel, BestVerticalRespondsToMix) {
@@ -50,13 +50,13 @@ TEST(VerticalCostModel, BestVerticalRespondsToMix) {
   writes.updates = 0.99;
   writes.point_lookups = 0.01;
   const auto w = BestVertical(0.1, 4.0, 1024, writes);
-  EXPECT_EQ(w.merge, HorizontalMerge::kTiering);
+  EXPECT_EQ(w.merge, MergePolicy::kTiering);
 
   WorkloadMix reads;
   reads.updates = 0.01;
   reads.point_lookups = 0.99;
   const auto r = BestVertical(0.1, 4.0, 1024, reads);
-  EXPECT_EQ(r.merge, HorizontalMerge::kLeveling);
+  EXPECT_EQ(r.merge, MergePolicy::kLeveling);
 }
 
 // The paper's model-space claim behind Figure 10(a): at any point-lookup
@@ -76,8 +76,7 @@ TEST_P(FrontierDominanceTest, HorizontalDominatesVertical) {
     m.bloom_fpr = f;
     m.page_entries = 4.0;
     m.data_buffers = n;
-    for (auto merge :
-         {HorizontalMerge::kLeveling, HorizontalMerge::kTiering}) {
+    for (auto merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
       if (m.PointLookupCost(merge) <= budget) {
         const double w = m.UpdateCost(merge);
         if (best_vertical < 0 || w < best_vertical) best_vertical = w;
@@ -94,8 +93,7 @@ TEST_P(FrontierDominanceTest, HorizontalDominatesVertical) {
   h.page_entries = 4.0;
   double best_horizontal = -1;
   for (int l = 2; l <= 128; l++) {
-    for (auto merge :
-         {HorizontalMerge::kLeveling, HorizontalMerge::kTiering}) {
+    for (auto merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
       if (h.PointLookupCost(merge, l) <= budget) {
         const double w = h.UpdateCost(merge, l);
         if (best_horizontal < 0 || w < best_horizontal) best_horizontal = w;
