@@ -83,12 +83,13 @@ void InspectManifest(Env* env, const std::string& path, bool show_files) {
 }
 
 void DumpEntries(Env* env, const std::string& path,
-                 const std::string& policy_name, size_t limit) {
+                 const ManifestData& manifest, size_t limit) {
   // Open read-only-ish: we must know the policy; read it from the manifest.
   DbOptions options;
   options.env = env;
   options.path = path;
   // Policy is matched by name on open; reconstruct the config by label.
+  const std::string& policy_name = manifest.policy_name;
   GrowthPolicyConfig config;
   if (policy_name.rfind("vertical-", 0) == 0) {
     config = GrowthPolicyConfig::VTLevelPart(6);
@@ -118,6 +119,9 @@ void DumpEntries(Env* env, const std::string& path,
       config = GrowthPolicyConfig::VRNLevel(6);
     }
   }
+  // The design the manifest persists, when it has one, is exact: its ℓ,
+  // which no policy name carries, must match the persisted policy state.
+  DecodeGrowthPolicyConfig(manifest.policy_config, &config);
   options.policy = config;
 
   std::unique_ptr<DB> db;
@@ -183,7 +187,7 @@ int main(int argc, char** argv) {
     ManifestData manifest;
     uint64_t number;
     if (ReadCurrentManifest(env, path, &manifest, &number).ok()) {
-      DumpEntries(env, path, manifest.policy_name, dump);
+      DumpEntries(env, path, manifest, dump);
     }
   }
   return 0;

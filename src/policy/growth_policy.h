@@ -102,6 +102,16 @@ class GrowthPolicy {
   virtual bool DecodeState(const std::string& /*state*/) { return true; }
 };
 
+/// Round-robin over a run's key space, for partial compactions: the first
+/// file starting after `cursor` (the largest key of the previous pick),
+/// wrapping to the front; the front when there is no cursor.
+const FileMetaPtr& PickRoundRobin(const SortedRun& run,
+                                  const std::string* cursor);
+
+/// Mean payload bytes per entry across `v` (1024 while it holds none), at
+/// least 1: FilterInfo converts byte capacities to entries with it.
+double MeanEntryBytes(const Version& v);
+
 }  // namespace talus
 
 #endif  // TALUS_POLICY_GROWTH_POLICY_H_

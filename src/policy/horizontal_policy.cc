@@ -1,6 +1,7 @@
 #include "policy/horizontal_policy.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "theory/binomial.h"
 #include "theory/schemes.h"
@@ -8,16 +9,38 @@
 
 namespace talus {
 
-HorizontalCounters::HorizontalCounters(int levels, bool tiering,
-                                       uint64_t init_value, uint64_t delta)
-    : counters_(std::max(1, levels), init_value),
-      tiering_(tiering),
-      delta_(delta) {}
+HorizontalPart::HorizontalPart(MergePolicy merge, int levels,
+                               const GrowthPolicyConfig& config,
+                               std::string tag, std::string clear_tag)
+    : merge_(merge),
+      counters_(std::max(1, levels), 0),
+      delta_(merge == MergePolicy::kLeveling && config.skew_adaptation
+                 ? theory::SkewDelta(config.skew_alpha)
+                 : 0),
+      tag_(std::move(tag)),
+      clear_tag_(std::move(clear_tag)) {}
 
-int HorizontalCounters::OnFlush() {
-  const int levels = static_cast<int>(counters_.size());
+MergeMode HorizontalPart::FlushMode() const {
+  return merge_ == MergePolicy::kTiering ? MergeMode::kNewRun
+                                         : MergeMode::kMergeIntoRun;
+}
+
+void HorizontalPart::Arm(uint64_t flushes) {
+  Rearm(merge_ == MergePolicy::kTiering
+            ? theory::FindK(std::max<uint64_t>(2, flushes),
+                            static_cast<uint64_t>(levels()))
+            : 0);
+}
+
+void HorizontalPart::Rearm(uint64_t k) {
+  k_ = k;
+  std::fill(counters_.begin(), counters_.end(), k);
+}
+
+int HorizontalPart::OnFlush() {
+  const int levels = this->levels();
   int cascade_end = -1;
-  if (tiering_) {
+  if (merge_ == MergePolicy::kTiering) {
     if (counters_[0] > 0) counters_[0]--;
     for (int i = 0; i + 1 < levels; i++) {
       if (counters_[i] == 0) {
@@ -41,49 +64,71 @@ int HorizontalCounters::OnFlush() {
       }
     }
   }
+  pending_cascade_ = cascade_end;
   return cascade_end;
 }
 
-bool HorizontalCounters::Drained() const {
+bool HorizontalPart::Drained() const {
   for (uint64_t c : counters_) {
     if (c != 0) return false;
   }
   return true;
 }
 
-void HorizontalCounters::Rearm(uint64_t init_value) {
-  std::fill(counters_.begin(), counters_.end(), init_value);
+std::optional<CompactionRequest> HorizontalPart::PickCascade(
+    const Version& v) {
+  if (pending_cascade_ < 0) return std::nullopt;
+  const int e = std::exchange(pending_cascade_, -1);
+  return MakeCascadeRequest(v, e, merge_ == MergePolicy::kLeveling, tag_);
 }
 
-void HorizontalCounters::EncodeTo(std::string* out) const {
+std::optional<CompactionRequest> HorizontalPart::PickClear(const Version& v,
+                                                           int through) {
+  DropCascade();
+  return MakeCascadeRequest(v, through, /*merge_into_existing=*/true,
+                            clear_tag_);
+}
+
+bool HorizontalPart::IsClear(const CompactionRequest& req) const {
+  return !clear_tag_.empty() && req.reason.rfind(clear_tag_, 0) == 0;
+}
+
+void HorizontalPart::EncodeTo(std::string* out, bool with_k) const {
+  if (with_k) PutVarint64(out, k_);
   PutVarint64(out, counters_.size());
   for (uint64_t c : counters_) PutVarint64(out, c);
   PutVarint64(out, delta_);
-  out->push_back(tiering_ ? 1 : 0);
+  out->push_back(merge_ == MergePolicy::kTiering ? 1 : 0);
+  PutVarint64(out, static_cast<uint64_t>(pending_cascade_ + 1));
 }
 
-bool HorizontalCounters::DecodeFrom(Slice* input) {
-  uint64_t n;
-  if (!GetVarint64(input, &n) || n == 0 || n > 1024) return false;
-  counters_.resize(n);
-  for (uint64_t i = 0; i < n; i++) {
-    if (!GetVarint64(input, &counters_[i])) return false;
+bool HorizontalPart::DecodeFrom(Slice* input, bool with_k) {
+  uint64_t n, pending;
+  if ((with_k && !GetVarint64(input, &k_)) || !GetVarint64(input, &n) ||
+      n != counters_.size()) {
+    return false;
   }
-  if (!GetVarint64(input, &delta_) || input->empty()) return false;
-  tiering_ = (*input)[0] != 0;
+  for (uint64_t& c : counters_) {
+    if (!GetVarint64(input, &c)) return false;
+  }
+  const char merge = merge_ == MergePolicy::kTiering ? 1 : 0;
+  if (!GetVarint64(input, &delta_) || input->empty() ||
+      (*input)[0] != merge) {
+    return false;
+  }
   input->remove_prefix(1);
+  // A cascade [0..e] lands at most in the last level: e ≤ ℓ-2.
+  if (!GetVarint64(input, &pending) || pending >= n) return false;
+  pending_cascade_ = static_cast<int>(pending) - 1;
   return true;
 }
 
-std::optional<CompactionRequest> MakeCascadeRequest(const Version& v,
-                                                    int base_level,
-                                                    int cascade_end,
-                                                    bool merge_into_existing,
-                                                    const std::string& tag) {
+std::optional<CompactionRequest> HorizontalPart::MakeCascadeRequest(
+    const Version& v, int cascade_end, bool merge_into_existing,
+    const std::string& tag) {
   CompactionRequest req;
   bool any_input = false;
-  for (int i = 0; i <= cascade_end; i++) {
-    const int level = base_level + i;
+  for (int level = 0; level <= cascade_end; level++) {
     if (level >= static_cast<int>(v.levels.size())) break;
     for (const auto& run : v.levels[level].runs) {
       req.inputs.push_back({level, run.run_id, {}});
@@ -91,7 +136,7 @@ std::optional<CompactionRequest> MakeCascadeRequest(const Version& v,
     }
   }
   if (!any_input) return std::nullopt;  // Cascade over empty levels: no-op.
-  req.output_level = base_level + cascade_end + 1;
+  req.output_level = cascade_end + 1;
   if (merge_into_existing &&
       req.output_level < static_cast<int>(v.levels.size()) &&
       !v.levels[req.output_level].empty()) {
@@ -102,30 +147,39 @@ std::optional<CompactionRequest> MakeCascadeRequest(const Version& v,
 }
 
 // ---------------------------------------------------------------------------
-// Horizontal-leveling (Algorithm 1).
+// HR-Level and HR-Tier.
 // ---------------------------------------------------------------------------
 
-HorizontalLevelingPolicy::HorizontalLevelingPolicy(
-    const GrowthPolicyConfig& config, const PolicyContext& ctx)
-    : config_(config),
-      counters_(config.horizontal_levels, /*tiering=*/false, 0,
-                config.skew_adaptation ? theory::SkewDelta(config.skew_alpha)
-                                       : 0) {}
+namespace {
 
-void HorizontalLevelingPolicy::OnFlushCompleted(const Version& v) {
-  pending_cascade_ = counters_.OnFlush();
+HorizontalPart StandalonePart(const GrowthPolicyConfig& config) {
+  const MergePolicy merge = config.scheme == GrowthScheme::kHorizontalTiering
+                                ? MergePolicy::kTiering
+                                : MergePolicy::kLeveling;
+  return HorizontalPart(merge, config.horizontal_levels, config,
+                        std::string("horizontal-") + MergePolicyName(merge));
 }
 
-std::optional<CompactionRequest> HorizontalLevelingPolicy::PickCompaction(
-    const Version& v) {
-  if (pending_cascade_ < 0) return std::nullopt;
-  const int e = pending_cascade_;
-  pending_cascade_ = -1;
-  return MakeCascadeRequest(v, 0, e, /*merge_into_existing=*/true,
-                            "horizontal-leveling");
+}  // namespace
+
+HorizontalPolicy::HorizontalPolicy(const GrowthPolicyConfig& config,
+                                   const PolicyContext& ctx)
+    : config_(config), part_(StandalonePart(config)) {
+  // N/B flushes (Algorithm 2, line 2); an unknown N arms for the fewest.
+  uint64_t flushes = 0;
+  if (config.horizontal_data_size > 0 && ctx.buffer_bytes > 0) {
+    flushes = (config.horizontal_data_size + ctx.buffer_bytes - 1) /
+              ctx.buffer_bytes;
+  }
+  part_.Arm(flushes);
 }
 
-std::vector<LevelFilterInfo> HorizontalLevelingPolicy::FilterInfo(
+void HorizontalPolicy::OnFlushCompleted(const Version& v) {
+  part_.OnFlush();
+  if (part_.Drained()) part_.Rearm(part_.k() + 1);
+}
+
+std::vector<LevelFilterInfo> HorizontalPolicy::FilterInfo(
     const Version& v) const {
   std::vector<LevelFilterInfo> info(v.levels.size());
   for (size_t i = 0; i < v.levels.size(); i++) {
@@ -138,98 +192,16 @@ std::vector<LevelFilterInfo> HorizontalLevelingPolicy::FilterInfo(
   return info;
 }
 
-std::string HorizontalLevelingPolicy::EncodeState() const {
+std::string HorizontalPolicy::EncodeState() const {
   std::string out;
-  counters_.EncodeTo(&out);
-  PutVarint64(&out, static_cast<uint64_t>(pending_cascade_ + 1));
+  part_.EncodeTo(&out, state_has_k());
   return out;
 }
 
-bool HorizontalLevelingPolicy::DecodeState(const std::string& state) {
+bool HorizontalPolicy::DecodeState(const std::string& state) {
   if (state.empty()) return true;
   Slice input(state);
-  uint64_t pending;
-  if (!counters_.DecodeFrom(&input) || !GetVarint64(&input, &pending)) {
-    return false;
-  }
-  pending_cascade_ = static_cast<int>(pending) - 1;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Horizontal-tiering (Algorithm 2).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-uint64_t InitialK(const GrowthPolicyConfig& config, uint64_t buffer_bytes) {
-  // Algorithm 2, line 2: smallest k with C(k+ℓ-1, ℓ) ≥ N/B.
-  uint64_t flushes = 0;
-  if (config.horizontal_data_size > 0 && buffer_bytes > 0) {
-    flushes = (config.horizontal_data_size + buffer_bytes - 1) / buffer_bytes;
-  }
-  if (flushes < 2) flushes = 2;  // Unknown N: start small, re-arm on drain.
-  return theory::FindK(flushes,
-                       static_cast<uint64_t>(config.horizontal_levels));
-}
-
-}  // namespace
-
-HorizontalTieringPolicy::HorizontalTieringPolicy(
-    const GrowthPolicyConfig& config, const PolicyContext& ctx)
-    : config_(config),
-      buffer_bytes_(ctx.buffer_bytes),
-      k_(InitialK(config, ctx.buffer_bytes)),
-      counters_(config.horizontal_levels, /*tiering=*/true, k_, 0) {}
-
-void HorizontalTieringPolicy::OnFlushCompleted(const Version& v) {
-  pending_cascade_ = counters_.OnFlush();
-  if (counters_.Drained()) {
-    // Data exceeded the configured estimate: continue the pattern one
-    // granularity coarser (larger data ⇒ larger k, §4.2).
-    k_ += 1;
-    counters_.Rearm(k_);
-  }
-}
-
-std::optional<CompactionRequest> HorizontalTieringPolicy::PickCompaction(
-    const Version& v) {
-  if (pending_cascade_ < 0) return std::nullopt;
-  const int e = pending_cascade_;
-  pending_cascade_ = -1;
-  return MakeCascadeRequest(v, 0, e, /*merge_into_existing=*/false,
-                            "horizontal-tiering");
-}
-
-std::vector<LevelFilterInfo> HorizontalTieringPolicy::FilterInfo(
-    const Version& v) const {
-  std::vector<LevelFilterInfo> info(v.levels.size());
-  for (size_t i = 0; i < v.levels.size(); i++) {
-    info[i].current_entries = v.levels[i].TotalEntries();
-    info[i].capacity_entries = 0;
-    info[i].expected_fill = 0.5;
-  }
-  return info;
-}
-
-std::string HorizontalTieringPolicy::EncodeState() const {
-  std::string out;
-  PutVarint64(&out, k_);
-  counters_.EncodeTo(&out);
-  PutVarint64(&out, static_cast<uint64_t>(pending_cascade_ + 1));
-  return out;
-}
-
-bool HorizontalTieringPolicy::DecodeState(const std::string& state) {
-  if (state.empty()) return true;
-  Slice input(state);
-  uint64_t pending;
-  if (!GetVarint64(&input, &k_) || !counters_.DecodeFrom(&input) ||
-      !GetVarint64(&input, &pending)) {
-    return false;
-  }
-  pending_cascade_ = static_cast<int>(pending) - 1;
-  return true;
+  return part_.DecodeFrom(&input, state_has_k());
 }
 
 }  // namespace talus

@@ -1,21 +1,21 @@
-// Horizontal growth schemes: fixed level count ℓ, full compactions, level
-// capacities growing with the data.
+// The horizontal part (§3–§4): a fixed number ℓ of levels whose capacities
+// grow with the data, compacted only by full merges that counters schedule.
 //
-// HorizontalLevelingPolicy — Algorithm 1 (§3): counters C_i start at 0; a
-// flush increments C_1; level i compacts into i+1 when C_i > C_{i+1}
-// (first-level trigger relaxed by δ under §5.3 skew adaptation). Triggered
-// levels always form a prefix [1..e], merged into one multi-level op
-// (footnote 6).
+//  * Leveling — Algorithm 1 (§3): counters C_i start at 0; a flush
+//    increments C_1; level i compacts into i+1 when C_i > C_{i+1}
+//    (first-level trigger relaxed by δ under §5.3 skew adaptation).
+//  * Tiering — Algorithm 2 (§4): counters start at k, the smallest k with
+//    C(k+ℓ-1, ℓ) ≥ N/B; a flush decrements C_1; level i compacts when
+//    C_i = 0, then C_{i+1} -= 1 and C_j ← C_{i+1} for all j ≤ i. The
+//    resulting compaction sequence is read-optimal (Theorem 4.2).
 //
-// HorizontalTieringPolicy — Algorithm 2 (§4): counters start at k (smallest
-// k with C(k+ℓ-1, ℓ) ≥ N/B); a flush decrements C_1; level i compacts when
-// C_i = 0, then C_{i+1} -= 1 and C_j ← C_{i+1} for all j ≤ i. The resulting
-// compaction sequence is read-optimal (Theorem 4.2). When the counters
-// drain (the configured data size is exceeded), k is re-armed one higher so
-// the decreasing-frequency pattern continues at the next scale.
-//
-// Both policies are reused verbatim as the horizontal part of Vertiorizon
-// (vertiorizon_policy.cc) with per-phase re-arming.
+// Triggered levels always form a prefix [1..e], merged into one multi-level
+// op (footnote 6). HorizontalPart is that machinery, and every policy with a
+// horizontal part runs it: HorizontalPolicy (HR-Level, HR-Tier) on its own,
+// VertiorizonPolicy (§5) above its two vertical levels, and
+// LazyLevelingPolicy's §5.4 embedding above its leveled last level. The two
+// embedders clear the part into the level below it by one full compaction
+// when it fills, then arm it again for the next phase.
 #ifndef TALUS_POLICY_HORIZONTAL_POLICY_H_
 #define TALUS_POLICY_HORIZONTAL_POLICY_H_
 
@@ -24,95 +24,97 @@
 
 namespace talus {
 
-/// Shared counter machinery for the two horizontal schemes, operating over
-/// the level range [base_level, base_level + levels) of a version. The
-/// Vertiorizon policy embeds one of these with base_level = 0 and the
-/// vertical part below.
-class HorizontalCounters {
+/// One horizontal part's state and lifecycle over levels [0, ℓ).
+class HorizontalPart {
  public:
-  HorizontalCounters(int levels, bool tiering, uint64_t init_value,
-                     uint64_t delta);
+  /// A part of `levels` levels at [0, levels), merging per `merge`. Its
+  /// cascades are labeled `tag`, its clears `clear_tag`. Under leveling
+  /// with skew adaptation, the first-level trigger is relaxed by δ(α).
+  HorizontalPart(MergePolicy merge, int levels,
+                 const GrowthPolicyConfig& config, std::string tag,
+                 std::string clear_tag = {});
 
-  /// Processes one flush; returns the cascade end level e ≥ 0 (levels
-  /// [0..e] should merge into e+1) or -1 when no compaction triggers.
-  int OnFlush();
-
-  bool Drained() const;
-  void Rearm(uint64_t init_value);
-
+  const std::string& tag() const { return tag_; }
+  MergePolicy merge() const { return merge_; }
   int levels() const { return static_cast<int>(counters_.size()); }
+  uint64_t k() const { return k_; }
   const std::vector<uint64_t>& counters() const { return counters_; }
-  void set_delta(uint64_t delta) { delta_ = delta; }
+  MergeMode FlushMode() const;
 
-  void EncodeTo(std::string* out) const;
-  bool DecodeFrom(Slice* input);
+  /// Starts a phase sized for `flushes` flushes (at least 2): tiering
+  /// counters start at the smallest k with C(k+ℓ-1, ℓ) ≥ flushes
+  /// (Algorithm 2, line 2), leveling counters at 0.
+  void Arm(uint64_t flushes);
+  /// Starts a phase with every counter at `k`.
+  void Rearm(uint64_t k);
+
+  /// Runs the counters for one flush and records the cascade it triggers.
+  /// Returns the cascade end e (levels [0..e] merge into e+1), or -1.
+  int OnFlush();
+  /// Only tiering counters drain: all zero, the phase's flushes are spent.
+  bool Drained() const;
+
+  /// The recorded cascade as a request, consuming it.
+  std::optional<CompactionRequest> PickCascade(const Version& v);
+  void DropCascade() { pending_cascade_ = -1; }
+  /// One full compaction of levels [0..through] into through+1, merged into
+  /// the run there. It supersedes the recorded cascade.
+  std::optional<CompactionRequest> PickClear(const Version& v, int through);
+  bool IsClear(const CompactionRequest& req) const;
+
+  /// State codec: [k] counters, δ, merge and the recorded cascade. The
+  /// decoder rejects a counter count other than ℓ or another merge, so a
+  /// store reopened with another design fails to open.
+  void EncodeTo(std::string* out, bool with_k) const;
+  bool DecodeFrom(Slice* input, bool with_k);
+
+  /// Multi-level full-compaction request for a cascade [0..e] → e+1 over
+  /// `v`. `merge_into_existing` lands it in the target's run (leveling)
+  /// rather than as a fresh run (tiering).
+  static std::optional<CompactionRequest> MakeCascadeRequest(
+      const Version& v, int cascade_end, bool merge_into_existing,
+      const std::string& tag);
 
  private:
+  MergePolicy merge_;
   std::vector<uint64_t> counters_;
-  bool tiering_;
   uint64_t delta_;
+  uint64_t k_ = 0;
+  int pending_cascade_ = -1;
+  std::string tag_;
+  std::string clear_tag_;
 };
 
-class HorizontalLevelingPolicy : public GrowthPolicy {
+/// HR-Level and HR-Tier: a horizontal part alone, holding the whole tree.
+/// With no capacity to clear at, tiering counters that drain (the data
+/// outgrew the estimate N) re-arm one higher, k+1, so the
+/// decreasing-frequency pattern continues at the next scale (§4.2).
+class HorizontalPolicy : public GrowthPolicy {
  public:
-  HorizontalLevelingPolicy(const GrowthPolicyConfig& config,
-                           const PolicyContext& ctx);
+  HorizontalPolicy(const GrowthPolicyConfig& config, const PolicyContext& ctx);
 
-  std::string name() const override { return "horizontal-leveling"; }
+  std::string name() const override { return part_.tag(); }
   MergeMode FlushMode(const Version& v) const override {
-    return MergeMode::kMergeIntoRun;
+    return part_.FlushMode();
   }
   int RequiredLevels(const Version& v) const override {
     return config_.horizontal_levels;
   }
   void OnFlushCompleted(const Version& v) override;
-  std::optional<CompactionRequest> PickCompaction(const Version& v) override;
+  std::optional<CompactionRequest> PickCompaction(const Version& v) override {
+    return part_.PickCascade(v);
+  }
   std::vector<LevelFilterInfo> FilterInfo(const Version& v) const override;
   std::string EncodeState() const override;
   bool DecodeState(const std::string& state) override;
 
  private:
+  // HR-Level's state has no k: leveling counters have none.
+  bool state_has_k() const { return part_.merge() == MergePolicy::kTiering; }
+
   GrowthPolicyConfig config_;
-  HorizontalCounters counters_;
-  int pending_cascade_ = -1;
+  HorizontalPart part_;
 };
-
-class HorizontalTieringPolicy : public GrowthPolicy {
- public:
-  HorizontalTieringPolicy(const GrowthPolicyConfig& config,
-                          const PolicyContext& ctx);
-
-  std::string name() const override { return "horizontal-tiering"; }
-  MergeMode FlushMode(const Version& v) const override {
-    return MergeMode::kNewRun;
-  }
-  int RequiredLevels(const Version& v) const override {
-    return config_.horizontal_levels;
-  }
-  void OnFlushCompleted(const Version& v) override;
-  std::optional<CompactionRequest> PickCompaction(const Version& v) override;
-  std::vector<LevelFilterInfo> FilterInfo(const Version& v) const override;
-  std::string EncodeState() const override;
-  bool DecodeState(const std::string& state) override;
-
-  uint64_t current_k() const { return k_; }
-
- private:
-  GrowthPolicyConfig config_;
-  uint64_t buffer_bytes_;
-  uint64_t k_;
-  HorizontalCounters counters_;
-  int pending_cascade_ = -1;
-};
-
-/// Builds the multi-level full-compaction request for a cascade [0..e] →
-/// e+1 over `v`, offset by `base_level`. `merge_into_existing` selects the
-/// leveling (merge with target's run) vs tiering (fresh run) landing.
-std::optional<CompactionRequest> MakeCascadeRequest(const Version& v,
-                                                    int base_level,
-                                                    int cascade_end,
-                                                    bool merge_into_existing,
-                                                    const std::string& tag);
 
 }  // namespace talus
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "theory/binomial.h"
 #include "util/coding.h"
 
 namespace talus {
@@ -12,13 +11,10 @@ LazyLevelingPolicy::LazyLevelingPolicy(const GrowthPolicyConfig& config,
                                        const PolicyContext& ctx)
     : config_(config),
       buffer_bytes_(ctx.buffer_bytes),
-      counters_(std::max(1, config.lazy_levels - 1), /*tiering=*/true, 0, 0) {
+      part_(MergePolicy::kTiering, config.lazy_levels - 1, config,
+            "lazy-embedded", "lazy-embedded-clear") {
   if (config_.lazy_embed_vertiorizon) {
-    const uint64_t flushes = std::max<uint64_t>(
-        2, UpperCapacityBytes() / std::max<uint64_t>(1, buffer_bytes_));
-    k_ = theory::FindK(flushes,
-                       static_cast<uint64_t>(config_.lazy_levels - 1));
-    counters_.Rearm(k_);
+    part_.Arm(UpperCapacityBytes() / std::max<uint64_t>(1, buffer_bytes_));
   }
 }
 
@@ -31,7 +27,7 @@ uint64_t LazyLevelingPolicy::UpperCapacityBytes() const {
 
 void LazyLevelingPolicy::OnFlushCompleted(const Version& v) {
   if (!config_.lazy_embed_vertiorizon) return;
-  pending_cascade_ = counters_.OnFlush();
+  part_.OnFlush();
 
   // Horizontal part full → clear into the leveled last level.
   uint64_t upper_bytes = 0;
@@ -49,21 +45,10 @@ std::optional<CompactionRequest> LazyLevelingPolicy::PickCompaction(
   if (config_.lazy_embed_vertiorizon) {
     if (pending_clear_) {
       pending_clear_ = false;
-      pending_cascade_ = -1;  // Superseded by the full clear.
-      auto req = MakeCascadeRequest(v, 0, last_level() - 1,
-                                    /*merge_into_existing=*/true,
-                                    "lazy-embedded-clear");
-      if (req.has_value()) return req;
+      if (auto req = part_.PickClear(v, last_level() - 1)) return req;
     }
-    if (pending_cascade_ >= 0) {
-      const int e = pending_cascade_;
-      pending_cascade_ = -1;
-      // Cascades within the horizontal part; a cascade reaching the last
-      // level merges into the leveled run there.
-      const bool into_last = (e + 1 == last_level());
-      return MakeCascadeRequest(v, 0, e, into_last, "lazy-embedded");
-    }
-    return std::nullopt;
+    // Cascades stay within the part: they end above the last level.
+    return part_.PickCascade(v);
   }
 
   // Baseline lazy-leveling: tiering with trigger T at levels 0..L-2; runs
@@ -92,32 +77,25 @@ std::optional<CompactionRequest> LazyLevelingPolicy::PickCompaction(
 
 void LazyLevelingPolicy::OnCompactionCompleted(const CompactionRequest& req,
                                                const Version& v) {
-  if (!config_.lazy_embed_vertiorizon) return;
-  if (req.reason.rfind("lazy-embedded-clear", 0) == 0) {
-    counters_.Rearm(k_);  // New phase for the emptied horizontal part.
-  }
+  // New phase for the emptied horizontal part.
+  if (part_.IsClear(req)) part_.Rearm(part_.k());
 }
 
 std::vector<LevelFilterInfo> LazyLevelingPolicy::FilterInfo(
     const Version& v) const {
   std::vector<LevelFilterInfo> info(v.levels.size());
-  const uint64_t entries = v.TotalEntries();
-  uint64_t payload = 0;
-  for (const auto& l : v.levels) payload += l.PayloadBytes();
-  const double entry_bytes =
-      entries > 0 ? static_cast<double>(payload) / entries : 1024.0;
+  const double entry_bytes = MeanEntryBytes(v);
   for (size_t i = 0; i < v.levels.size(); i++) {
     info[i].current_entries = v.levels[i].TotalEntries();
     if (static_cast<int>(i) == last_level()) {
       info[i].capacity_entries = static_cast<uint64_t>(
           static_cast<double>(buffer_bytes_) *
-          std::pow(config_.size_ratio, config_.lazy_levels) /
-          std::max(1.0, entry_bytes));
+          std::pow(config_.size_ratio, config_.lazy_levels) / entry_bytes);
       info[i].expected_fill = 1.0;
     } else {
       info[i].capacity_entries = static_cast<uint64_t>(
           static_cast<double>(buffer_bytes_) *
-          std::pow(config_.size_ratio, i + 1) / std::max(1.0, entry_bytes));
+          std::pow(config_.size_ratio, i + 1) / entry_bytes);
       info[i].expected_fill = 0.5;  // Emptied by full compactions.
     }
   }
@@ -126,9 +104,7 @@ std::vector<LevelFilterInfo> LazyLevelingPolicy::FilterInfo(
 
 std::string LazyLevelingPolicy::EncodeState() const {
   std::string out;
-  PutVarint64(&out, k_);
-  counters_.EncodeTo(&out);
-  PutVarint64(&out, static_cast<uint64_t>(pending_cascade_ + 1));
+  part_.EncodeTo(&out, /*with_k=*/true);
   out.push_back(pending_clear_ ? 1 : 0);
   return out;
 }
@@ -136,12 +112,9 @@ std::string LazyLevelingPolicy::EncodeState() const {
 bool LazyLevelingPolicy::DecodeState(const std::string& state) {
   if (state.empty()) return true;
   Slice input(state);
-  uint64_t pending;
-  if (!GetVarint64(&input, &k_) || !counters_.DecodeFrom(&input) ||
-      !GetVarint64(&input, &pending) || input.empty()) {
+  if (!part_.DecodeFrom(&input, /*with_k=*/true) || input.empty()) {
     return false;
   }
-  pending_cascade_ = static_cast<int>(pending) - 1;
   pending_clear_ = input[0] != 0;
   return true;
 }

@@ -3,11 +3,11 @@
 //
 //  * baseline: vertical-style tiered upper levels (merge at T runs);
 //  * embedded (§5.4): the upper levels are replaced by a horizontal-tiering
-//    part with ℓ = L-1 levels and capacity B·T^(L-1) (the size of the
-//    largest tiering level it replaces). When the part fills, a full
-//    compaction merges it into the leveled last level and the counters
-//    re-arm. Update cost matches the baseline; lookup cost improves by
-//    Theorem 4.2 — exactly the claim Figure 10(b–e) validates.
+//    part (a HorizontalPart) with ℓ = L-1 levels and capacity B·T^(L-1)
+//    (the size of the largest tiering level it replaces). When the part
+//    fills, a full compaction merges it into the leveled last level and the
+//    counters re-arm. Update cost matches the baseline; lookup cost
+//    improves by Theorem 4.2 — exactly the claim Figure 10(b–e) validates.
 #ifndef TALUS_POLICY_LAZY_LEVELING_POLICY_H_
 #define TALUS_POLICY_LAZY_LEVELING_POLICY_H_
 
@@ -45,10 +45,9 @@ class LazyLevelingPolicy : public GrowthPolicy {
 
   GrowthPolicyConfig config_;
   uint64_t buffer_bytes_;
-  // Embedded mode: Algorithm 2 counters over the upper L-1 levels.
-  uint64_t k_ = 0;
-  HorizontalCounters counters_;
-  int pending_cascade_ = -1;
+  // Embedded mode: the horizontal part over the upper L-1 levels. The
+  // baseline leaves it unarmed but persists it all the same.
+  HorizontalPart part_;
   bool pending_clear_ = false;
 };
 

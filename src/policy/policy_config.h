@@ -40,8 +40,8 @@ struct GrowthPolicyConfig {
   // ---- Horizontal schemes ----
   int horizontal_levels = 3;  // ℓ.
   // HR-Tier: expected total data size N (bytes) for the counter init
-  // (Algorithm 2 line 2). 0 means "unknown": start small and re-arm with a
-  // doubled estimate whenever the counters drain.
+  // (Algorithm 2 line 2). 0 means "unknown": start small. Whenever the
+  // counters drain, they re-arm at k+1, one above the k they started at.
   uint64_t horizontal_data_size = 0;
   // §5.3: relax the first-level trigger by δ derived from skewness α (Eq. 6).
   bool skew_adaptation = false;

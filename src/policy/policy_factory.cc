@@ -2,6 +2,7 @@
 // method roster).
 #include <cstdio>
 
+#include "policy/horizontal_policy.h"
 #include "policy/lazy_leveling_policy.h"
 #include "policy/policy_config.h"
 #include "policy/universal_policy.h"
@@ -259,9 +260,8 @@ std::unique_ptr<GrowthPolicy> CreateGrowthPolicy(
     case GrowthScheme::kVertical:
       return std::make_unique<VerticalPolicy>(config, ctx);
     case GrowthScheme::kHorizontalLeveling:
-      return std::make_unique<HorizontalLevelingPolicy>(config, ctx);
     case GrowthScheme::kHorizontalTiering:
-      return std::make_unique<HorizontalTieringPolicy>(config, ctx);
+      return std::make_unique<HorizontalPolicy>(config, ctx);
     case GrowthScheme::kLazyLeveling:
       return std::make_unique<LazyLevelingPolicy>(config, ctx);
     case GrowthScheme::kUniversal:

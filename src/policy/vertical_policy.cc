@@ -57,16 +57,8 @@ const FileMetaPtr& VerticalPolicy::PickFile(const SortedRun& run, int level) {
     }
     return run.files[best];
   }
-  // Round-robin on the key space: first file beginning after the cursor.
   const auto it = cursors_.find(level);
-  if (it != cursors_.end()) {
-    for (const auto& f : run.files) {
-      if (f->smallest.user_key().compare(Slice(it->second)) > 0) {
-        return f;
-      }
-    }
-  }
-  return run.files.front();  // Wrap around.
+  return PickRoundRobin(run, it == cursors_.end() ? nullptr : &it->second);
 }
 
 std::optional<CompactionRequest> VerticalPolicy::PickCompaction(
@@ -182,23 +174,13 @@ void VerticalPolicy::OnCompactionCompleted(const CompactionRequest& req,
 std::vector<LevelFilterInfo> VerticalPolicy::FilterInfo(
     const Version& v) const {
   std::vector<LevelFilterInfo> info(v.levels.size());
-  // Convert byte capacities to entry capacities with the observed mean
-  // entry size (capacity semantics are bytes engine-side, entries for the
-  // filter optimizer).
-  const uint64_t entries = v.TotalEntries();
-  const uint64_t payload =
-      [&] {
-        uint64_t p = 0;
-        for (const auto& l : v.levels) p += l.PayloadBytes();
-        return p;
-      }();
-  const double entry_bytes =
-      entries > 0 ? static_cast<double>(payload) / entries : 1024.0;
+  // Capacities are bytes engine-side, entries for the filter optimizer.
+  const double entry_bytes = MeanEntryBytes(v);
   for (size_t i = 0; i < v.levels.size(); i++) {
     info[i].current_entries = v.levels[i].TotalEntries();
     info[i].capacity_entries = static_cast<uint64_t>(
         static_cast<double>(LevelCapacity(v, static_cast<int>(i))) /
-        std::max(1.0, entry_bytes));
+        entry_bytes);
     // Vertical levels with partial compaction hover near capacity; with
     // full compaction they oscillate, hence 0.5 expected fill.
     info[i].expected_fill =

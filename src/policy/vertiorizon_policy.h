@@ -6,9 +6,9 @@
 // the self-tuner change ℓ freely while the horizontal part is empty without
 // relocating the vertical levels.
 //
-//  * Horizontal part: capacity n·B; runs Algorithm 1 (leveling) or
-//    Algorithm 2 (tiering) internally; on reaching capacity it is cleared
-//    by one full compaction into V1.
+//  * Horizontal part: capacity n·B; a HorizontalPart running Algorithm 1
+//    (leveling) or Algorithm 2 (tiering); on reaching capacity it is
+//    cleared by one full compaction into V1.
 //  * Vertical part: V1 capacity n·B·T' and V2 capacity n·B·T² with
 //    T' = T/√2 (Eq. 2) when ratio optimization is on; V1 drains into V2 by
 //    single-file partial compactions — the space-amplification/stall fix.
@@ -36,7 +36,9 @@ class VertiorizonPolicy : public GrowthPolicy {
                     const PolicyContext& ctx);
 
   std::string name() const override;
-  MergeMode FlushMode(const Version& v) const override;
+  MergeMode FlushMode(const Version& v) const override {
+    return part_.FlushMode();
+  }
   int RequiredLevels(const Version& v) const override {
     return kMaxHorizontalLevels + 2;
   }
@@ -49,8 +51,8 @@ class VertiorizonPolicy : public GrowthPolicy {
   bool DecodeState(const std::string& state) override;
 
   // Introspection for tests/benches.
-  int horizontal_levels() const { return h_levels_; }
-  MergePolicy horizontal_merge() const { return h_merge_; }
+  int horizontal_levels() const { return part_.levels(); }
+  MergePolicy horizontal_merge() const { return part_.merge(); }
   uint64_t capacity_buffers() const { return n_cap_; }
   int v1_level() const { return kMaxHorizontalLevels; }
   int v2_level() const { return kMaxHorizontalLevels + 1; }
@@ -61,22 +63,17 @@ class VertiorizonPolicy : public GrowthPolicy {
   double TPrime() const;
   uint64_t V1CapacityBytes() const;
   uint64_t V2CapacityBytes() const;
-  void Retune();
-  void RearmCounters();
-  uint64_t CurrentDelta() const;
+  HorizontalPart Part(MergePolicy merge, int levels) const;
+  /// Arms a fresh part for the next phase: the navigator's design when
+  /// self-tuning, else the running one.
+  void StartPhase();
 
   GrowthPolicyConfig config_;
   uint64_t buffer_bytes_;
   const obs::AmpTracker* amp_;  // May be null.
 
-  // Active design.
-  int h_levels_;
-  MergePolicy h_merge_;
   uint64_t n_cap_;  // Horizontal capacity in buffers.
-  uint64_t k_ = 0;  // Algorithm 2 initial counter (tiering only).
-
-  HorizontalCounters counters_;
-  int pending_cascade_ = -1;
+  HorizontalPart part_;
   bool pending_clear_ = false;
   bool pending_resize_ = false;
 

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "env/env.h"
 #include "lsm/db.h"
@@ -223,13 +225,14 @@ TEST(DataBytes, TracksLivePayloadApproximately) {
 // deterministic down to the byte. These cases pin the exact on-disk shape,
 // I/O counters and virtual clock a fixed-seed Put/Delete/Get stream leaves
 // behind, so any refactor of flush or compaction that shifts a file number,
-// an output cut, a run id or a manifest write fails here. The expected
-// values were recorded before the flush moved onto the compaction pipeline;
+// an output cut, a run id or a manifest write fails here. The first five
+// cases were recorded before the flush moved onto the compaction pipeline;
 // only files_hash, io_bytes_written and clock_bits moved since, once, when
 // kInline took the lanes' maintenance order (the WAL now takes its number
 // at the switch, and the flush's manifest is written before the compaction
-// chain; CHANGES.md has the deltas). They must not be edited to make a
-// refactor pass.
+// chain; CHANGES.md has the deltas). HRTier, LazyLevelVRN and VRNTier were
+// recorded before their four horizontal-counter copies became one
+// HorizontalPart. None may be edited to make a refactor pass.
 
 struct GoldenFingerprint {
   std::string version;  // Version::DebugString().
@@ -257,15 +260,16 @@ uint64_t Fnv1a(uint64_t hash, uint64_t v) {
   return hash;
 }
 
-GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
-  auto env = NewMemEnv();
-  DbOptions opts = BaseOptions(env.get(), "/golden");
+DbOptions GoldenOptions(Env* env, const GrowthPolicyConfig& policy) {
+  DbOptions opts = BaseOptions(env, "/golden");
   opts.policy = policy;
   opts.execution_mode = ExecutionMode::kInline;
-  std::unique_ptr<DB> db;
-  EXPECT_TRUE(DB::Open(opts, &db).ok());
-  if (db == nullptr) return GoldenFingerprint();
+  return opts;
+}
 
+// The fixed-seed stream: 6000 Puts, Deletes and Gets over 2000 keys, a
+// snapshot held across the middle third, then a flush.
+void RunGoldenOps(DB* db) {
   Random rnd(20251017);
   const Snapshot* snap = nullptr;
   std::string value;
@@ -285,6 +289,14 @@ GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
     }
   }
   EXPECT_TRUE(db->FlushMemTable().ok());
+}
+
+GoldenFingerprint RunGoldenWorkload(const GrowthPolicyConfig& policy) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(GoldenOptions(env.get(), policy), &db).ok());
+  if (db == nullptr) return GoldenFingerprint();
+  RunGoldenOps(db.get());
 
   GoldenFingerprint fp;
   const Version& v = db->current_version();
@@ -451,10 +463,132 @@ INSTANTIATE_TEST_SUITE_P(
                     0x40aa0f86480001d9ull,
                     121, 28,
                     1039790, 1029186,
+                    3648614, 2982710}},
+        GoldenCase{"HRTier", GrowthPolicyConfig::HRTier(3),
+                   {"L0: (empty)\n"
+                    "L1: (empty)\n"
+                    "L2:\n"
+                    "  run 173: 5 files, 42226 bytes, 201 entries\n"
+                    "  run 164: 9 files, 75878 bytes, 384 entries\n"
+                    "  run 150: 12 files, 108379 bytes, 573 entries\n"
+                    "  run 130: 16 files, 144201 bytes, 714 entries\n"
+                    "  run 103: 1 files, 8650 bytes, 47 entries\n"
+                    "  run 101: 3 files, 25828 bytes, 124 entries\n"
+                    "  run 96: 6 files, 51359 bytes, 267 entries\n"
+                    "  run 87: 10 files, 85736 bytes, 429 entries\n"
+                    "  run 73: 14 files, 126831 bytes, 636 entries\n"
+                    "  run 53: 1 files, 8625 bytes, 41 entries\n"
+                    "  run 51: 3 files, 25289 bytes, 130 entries\n"
+                    "  run 46: 6 files, 47927 bytes, 250 entries\n"
+                    "  run 37: 9 files, 75709 bytes, 392 entries\n"
+                    "  run 23: 1 files, 8671 bytes, 41 entries\n"
+                    "  run 21: 3 files, 24935 bytes, 130 entries\n"
+                    "  run 16: 6 files, 49051 bytes, 246 entries\n"
+                    "  run 7: 1 files, 8643 bytes, 39 entries\n"
+                    "  run 5: 3 files, 24558 bytes, 106 entries\n",
+                    109, 0x6b7f6171495b3605ull,
+                    2709049, 4644455, 3350, 14435,
+                    0x40a6e65aa1999b36ull,
+                    121, 52,
+                    1039790, 1029186,
+                    1904884, 1808917}},
+        GoldenCase{"LazyLevelVRN", GrowthPolicyConfig::LazyLeveling(6, 4, true),
+                   {"L0: (empty)\n"
+                    "L1:\n"
+                    "  run 143: 5 files, 42226 bytes, 201 entries\n"
+                    "  run 136: 7 files, 55125 bytes, 283 entries\n"
+                    "  run 128: 7 files, 63827 bytes, 327 entries\n"
+                    "L2:\n"
+                    "  run 119: 26 files, 237537 bytes, 1235 entries\n"
+                    "  run 65: 38 files, 357174 bytes, 1670 entries\n"
+                    "L3: (empty)\n",
+                    83, 0xd5a991314863c29eull,
+                    2688093, 4188530, 3219, 14010,
+                    0x40a5de3c433334bbull,
+                    121, 22,
+                    1039790, 1029186,
+                    1842354, 1559191}},
+        GoldenCase{"VRNTier", GrowthPolicyConfig::VRNTier(6),
+                   {"L0:\n"
+                    "  run 143: 1 files, 1025 bytes, 6 entries\n"
+                    "  run 142: 1 files, 8157 bytes, 40 entries\n"
+                    "  run 141: 1 files, 8760 bytes, 38 entries\n"
+                    "  run 140: 1 files, 8512 bytes, 43 entries\n"
+                    "  run 139: 1 files, 8703 bytes, 36 entries\n"
+                    "L1: (empty)\n"
+                    "L2: (empty)\n"
+                    "L3: (empty)\n"
+                    "L4: (empty)\n"
+                    "L5: (empty)\n"
+                    "L6: (empty)\n"
+                    "L7: (empty)\n"
+                    "L8:\n"
+                    "  run 21: 38 files, 349394 bytes, 1552 entries\n"
+                    "L9: (empty)\n",
+                    43, 0x15e0fbac3b415a7bull,
+                    4390264, 5513679, 5130, 15717,
+                    0x40aa0f93680001daull,
+                    121, 28,
+                    1039790, 1029186,
                     3648614, 2982710}}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });
+
+// The policy state each named policy persists in the manifest after the
+// golden stream, as an FNV-1a hash of its EncodeState() bytes. A store
+// written by an earlier build must reopen into the same state, so these
+// constants, like the fingerprints above, are never edited to make a
+// refactor pass.
+TEST(PolicyState, EncodedStateIsPinnedForEveryNamedPolicy) {
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"vt-level-part", 0x7a284394ed9ba7e0ull},
+      {"vt-level-full", 0x08328807b4eb6fedull},
+      {"vt-tier-part", 0xa643ee7b2a0a8c4aull},
+      {"vt-tier-full", 0x08328807b4eb6fedull},
+      {"rocksdb-tuned", 0x88470388295c3b6aull},
+      {"universal", 0xcbf29ce484222325ull},  // Stateless: empty state.
+      {"hr-level", 0x4961d90c37588c6dull},
+      {"hr-tier", 0x20e58afdf9be854dull},
+      {"vrn-level", 0x77a98754db825136ull},
+      {"vrn-tier", 0xec79c372593f0eafull},
+      {"vertiorizon", 0xec79c372593f0eafull},
+      {"lazy", 0x91bda81f08aa4a07ull},
+      {"lazy-vrn", 0x5e8dd508617fc6d0ull},
+  };
+  std::vector<std::string> names;
+  std::string roster = GrowthPolicyNames() + "|";
+  for (size_t pos; (pos = roster.find('|')) != std::string::npos;
+       roster.erase(0, pos + 1)) {
+    names.push_back(roster.substr(0, pos));
+  }
+  ASSERT_EQ(names.size(), pinned.size());
+  for (size_t i = 0; i < names.size(); i++) {
+    const std::string& name = names[i];
+    GrowthPolicyConfig config;
+    ASSERT_TRUE(GrowthPolicyConfigByName(name, 4, 1 << 20, &config)) << name;
+    auto env = NewMemEnv();
+    const DbOptions opts = GoldenOptions(env.get(), config);
+    std::string state;
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(opts, &db).ok()) << name;
+      RunGoldenOps(db.get());
+      state = db->policy()->EncodeState();
+    }
+    uint64_t hash = 0xCBF29CE484222325ull;
+    for (unsigned char c : state) {
+      hash ^= c;
+      hash *= 0x100000001B3ull;
+    }
+    EXPECT_EQ(name, pinned[i].first);
+    EXPECT_EQ(hash, pinned[i].second) << name;
+
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok()) << name;
+    EXPECT_EQ(db->policy()->EncodeState(), state) << name;
+  }
+}
 
 }  // namespace
 }  // namespace talus

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "env/env.h"
 #include "lsm/db.h"
@@ -257,6 +258,34 @@ TEST(PolicyState, SurvivesReopenForCounterSchemes) {
   const auto sim =
       theory::SimulateHorizontalTiering(flushes1 + flushes2, 3, k);
   EXPECT_EQ(compactions1 + compactions2, sim.events.size());
+}
+
+// The policy name does not carry ℓ, so the persisted counters must: a store
+// reopened with another ℓ fails to open instead of running the old counters
+// under the new level count.
+TEST(PolicyState, ReopenWithAnotherLevelCountFails) {
+  GrowthPolicyConfig vrn_level3 = GrowthPolicyConfig::VRNLevel(6);
+  vrn_level3.vrn_fixed_levels = 3;
+  const std::pair<GrowthPolicyConfig, GrowthPolicyConfig> cases[] = {
+      {GrowthPolicyConfig::HRLevel(3), GrowthPolicyConfig::HRLevel(2)},
+      {GrowthPolicyConfig::LazyLeveling(6, 4, true),
+       GrowthPolicyConfig::LazyLeveling(6, 3, true)},
+      {GrowthPolicyConfig::VRNLevel(6), vrn_level3},
+  };
+  for (const auto& [written, other] : cases) {
+    auto env = NewMemEnv();
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(Options(env.get(), written), &db).ok());
+      Fill(db.get(), 600);
+    }
+    std::unique_ptr<DB> db;
+    EXPECT_FALSE(DB::Open(Options(env.get(), other), &db).ok())
+        << other.Label();
+    db.reset();
+    EXPECT_TRUE(DB::Open(Options(env.get(), written), &db).ok())
+        << written.Label();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // White-box unit tests for policy internals, on hand-built Version shapes
 // (no engine in the loop): universal's rule precedence, vertical capacity
 // math (incl. RocksDB-Tuned dynamic level bytes), cascade request assembly,
-// counter encode/decode round-trips.
+// the horizontal part's counters and codec, and every policy's state codec
+// against truncation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "policy/universal_policy.h"
 #include "policy/vertical_policy.h"
 #include "policy/vertiorizon_policy.h"
+#include "theory/binomial.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -172,7 +174,8 @@ TEST(CascadeRequest, CollectsAllRunsInRange) {
   v.levels[1].runs = {MakeRun(3, 400)};
   v.levels[2].runs = {MakeRun(4, 1600)};
 
-  auto req = MakeCascadeRequest(v, 0, 1, /*merge_into_existing=*/true, "t");
+  auto req = HorizontalPart::MakeCascadeRequest(
+      v, 1, /*merge_into_existing=*/true, "t");
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->inputs.size(), 3u);  // Levels 0..1: runs 1, 2, 3.
   EXPECT_EQ(req->output_level, 2);
@@ -186,12 +189,14 @@ TEST(CascadeRequest, NewRunWhenTieringOrEmptyTarget) {
   v.levels[0].runs = {MakeRun(1, 100)};
   v.levels[1].runs = {MakeRun(2, 400)};
 
-  auto tier = MakeCascadeRequest(v, 0, 0, /*merge_into_existing=*/false, "t");
+  auto tier = HorizontalPart::MakeCascadeRequest(
+      v, 0, /*merge_into_existing=*/false, "t");
   ASSERT_TRUE(tier.has_value());
   EXPECT_FALSE(tier->output_run_id.has_value());
 
   auto empty_target =
-      MakeCascadeRequest(v, 0, 1, /*merge_into_existing=*/true, "t");
+      HorizontalPart::MakeCascadeRequest(v, 1, /*merge_into_existing=*/true,
+                                         "t");
   ASSERT_TRUE(empty_target.has_value());
   EXPECT_EQ(empty_target->output_level, 2);
   EXPECT_FALSE(empty_target->output_run_id.has_value());  // L2 is empty.
@@ -201,51 +206,99 @@ TEST(CascadeRequest, EmptyLevelsYieldNothing) {
   Version v;
   v.EnsureLevels(3);
   EXPECT_FALSE(
-      MakeCascadeRequest(v, 0, 1, true, "t").has_value());
+      HorizontalPart::MakeCascadeRequest(v, 1, true, "t").has_value());
 }
 
 // ---------------------------------------------------------------------------
 // Counter machinery and state round-trips.
 // ---------------------------------------------------------------------------
 
-TEST(HorizontalCountersUnit, LevelingTriggerPrefix) {
-  HorizontalCounters counters(3, /*tiering=*/false, 0, 0);
+TEST(HorizontalPartUnit, LevelingTriggerPrefix) {
+  HorizontalPart part(MergePolicy::kLeveling, 3, GrowthPolicyConfig(), "t");
   // Flush 1: [1,0,0] → L0 fires → [0,1,0] → L1 fires (1>0) → [0,0,1]:
   // Algorithm 1 cascades all the way on the very first flush.
-  EXPECT_EQ(counters.OnFlush(), 1);
-  EXPECT_EQ(counters.counters()[2], 1u);
+  EXPECT_EQ(part.OnFlush(), 1);
+  EXPECT_EQ(part.counters()[2], 1u);
   // Flush 2: [1,0,1] → L0 fires → [0,1,1]; L1: 1 > 1 fails → end = 0.
-  EXPECT_EQ(counters.OnFlush(), 0);
+  EXPECT_EQ(part.OnFlush(), 0);
   // Flush 3: [1,1,1] → no trigger.
-  EXPECT_EQ(counters.OnFlush(), -1);
+  EXPECT_EQ(part.OnFlush(), -1);
   // Flush 4: [2,1,1] → cascade through levels 0 and 1 → [0,0,2].
-  EXPECT_EQ(counters.OnFlush(), 1);
-  EXPECT_EQ(counters.counters()[2], 2u);
+  EXPECT_EQ(part.OnFlush(), 1);
+  EXPECT_EQ(part.counters()[2], 2u);
 }
 
-TEST(HorizontalCountersUnit, TieringCountdown) {
-  HorizontalCounters counters(2, /*tiering=*/true, 3, 0);
-  EXPECT_EQ(counters.OnFlush(), -1);  // C1: 3→2.
-  EXPECT_EQ(counters.OnFlush(), -1);  // 2→1.
-  EXPECT_EQ(counters.OnFlush(), 0);   // 1→0: compact; C2 3→2, C1 ← 2.
-  EXPECT_EQ(counters.counters()[0], 2u);
-  EXPECT_EQ(counters.counters()[1], 2u);
-  EXPECT_FALSE(counters.Drained());
+TEST(HorizontalPartUnit, TieringCountdown) {
+  HorizontalPart part(MergePolicy::kTiering, 2, GrowthPolicyConfig(), "t");
+  part.Rearm(3);
+  EXPECT_EQ(part.OnFlush(), -1);  // C1: 3→2.
+  EXPECT_EQ(part.OnFlush(), -1);  // 2→1.
+  EXPECT_EQ(part.OnFlush(), 0);   // 1→0: compact; C2 3→2, C1 ← 2.
+  EXPECT_EQ(part.counters()[0], 2u);
+  EXPECT_EQ(part.counters()[1], 2u);
+  EXPECT_FALSE(part.Drained());
 }
 
-TEST(HorizontalCountersUnit, EncodeDecodeRoundTrip) {
-  HorizontalCounters counters(4, true, 7, 2);
-  counters.OnFlush();
-  counters.OnFlush();
+TEST(HorizontalPartUnit, ArmUsesAlgorithm2InitialK) {
+  HorizontalPart tiering(MergePolicy::kTiering, 3, GrowthPolicyConfig(), "t");
+  tiering.Arm(100);
+  EXPECT_EQ(tiering.k(), theory::FindK(100, 3));
+  EXPECT_EQ(tiering.counters(), std::vector<uint64_t>(3, tiering.k()));
+  tiering.Arm(0);  // Unknown flush count: armed for two.
+  EXPECT_EQ(tiering.k(), theory::FindK(2, 3));
+
+  HorizontalPart leveling(MergePolicy::kLeveling, 3, GrowthPolicyConfig(),
+                          "t");
+  leveling.Arm(100);
+  EXPECT_EQ(leveling.k(), 0u);
+  EXPECT_EQ(leveling.counters(), std::vector<uint64_t>(3, 0));
+}
+
+TEST(HorizontalPartUnit, ClearSupersedesCascade) {
+  Version v;
+  v.EnsureLevels(4);
+  v.levels[0].runs = {MakeRun(1, 100)};
+  v.levels[1].runs = {MakeRun(2, 400)};
+  HorizontalPart part(MergePolicy::kLeveling, 3, GrowthPolicyConfig(), "h",
+                      "h-clear");
+  ASSERT_EQ(part.OnFlush(), 1);
+  auto clear = part.PickClear(v, 2);
+  ASSERT_TRUE(clear.has_value());
+  EXPECT_EQ(clear->output_level, 3);
+  EXPECT_TRUE(part.IsClear(*clear));
+  EXPECT_FALSE(part.PickCascade(v).has_value());
+
+  ASSERT_EQ(part.OnFlush(), 0);
+  auto cascade = part.PickCascade(v);
+  ASSERT_TRUE(cascade.has_value());
+  EXPECT_EQ(cascade->reason, "h-cascade[0..0]");
+  EXPECT_FALSE(part.IsClear(*cascade));
+  EXPECT_FALSE(part.PickCascade(v).has_value());  // Consumed.
+}
+
+TEST(HorizontalPartUnit, EncodeDecodeRoundTrip) {
+  HorizontalPart part(MergePolicy::kTiering, 4, GrowthPolicyConfig(), "t");
+  part.Rearm(7);
+  part.OnFlush();
+  part.OnFlush();
   std::string encoded;
-  counters.EncodeTo(&encoded);
+  part.EncodeTo(&encoded, /*with_k=*/true);
 
-  HorizontalCounters decoded(1, false, 0, 0);
+  HorizontalPart decoded(MergePolicy::kTiering, 4, GrowthPolicyConfig(), "t");
   Slice input(encoded);
-  ASSERT_TRUE(decoded.DecodeFrom(&input));
+  ASSERT_TRUE(decoded.DecodeFrom(&input, /*with_k=*/true));
   EXPECT_TRUE(input.empty());
-  EXPECT_EQ(decoded.levels(), 4);
-  EXPECT_EQ(decoded.counters(), counters.counters());
+  EXPECT_EQ(decoded.k(), 7u);
+  EXPECT_EQ(decoded.counters(), part.counters());
+
+  // Another ℓ or another merge policy is another design: rejected.
+  for (const auto& [merge, levels] :
+       {std::pair(MergePolicy::kTiering, 3),
+        std::pair(MergePolicy::kLeveling, 4)}) {
+    HorizontalPart other(merge, levels, GrowthPolicyConfig(), "t");
+    Slice again(encoded);
+    EXPECT_FALSE(other.DecodeFrom(&again, /*with_k=*/true));
+  }
 }
 
 TEST(PolicyLabels, PresetsNameThemselves) {
@@ -318,6 +371,53 @@ TEST(VertiorizonUnit, StateRoundTripThroughEncodeDecode) {
   EXPECT_EQ(b.horizontal_merge(), a.horizontal_merge());
   EXPECT_EQ(b.capacity_buffers(), a.capacity_buffers());
   EXPECT_EQ(b.EncodeState(), state);
+}
+
+// Every strict, non-empty prefix of a policy's persisted state is rejected:
+// the state is bytes read back from the manifest, and a truncated blob must
+// fail the open, never decode into a half-restored policy. (An empty state
+// means a fresh store.) Each policy is first driven over a fixed shape with
+// every level over capacity, so its counters, cursors and phase flags have
+// moved off their initial values.
+TEST(PolicyStateCodec, EveryTruncatedStateIsRejected) {
+  Version v;
+  v.EnsureLevels(VertiorizonPolicy::kMaxHorizontalLevels + 2);
+  uint64_t id = 1;
+  for (LevelState& level : v.levels) {
+    for (int r = 0; r < 3; r++, id++) {
+      SortedRun run;
+      run.run_id = id;
+      run.files = {File(10 * id, 1 << 20, "a", "h"),
+                   File(10 * id + 1, 1 << 20, "i", "q"),
+                   File(10 * id + 2, 1 << 20, "r", "z")};
+      level.runs.push_back(run);
+    }
+  }
+  std::string roster = GrowthPolicyNames() + "|";
+  for (size_t pos; (pos = roster.find('|')) != std::string::npos;
+       roster.erase(0, pos + 1)) {
+    const std::string name = roster.substr(0, pos);
+    GrowthPolicyConfig config;
+    ASSERT_TRUE(GrowthPolicyConfigByName(name, 3, 1 << 20, &config)) << name;
+    auto policy = CreateGrowthPolicy(config, Ctx());
+    for (int flush = 0; flush < 40; flush++) {
+      policy->OnFlushCompleted(v);
+      for (int pick = 0; pick < 3; pick++) {
+        auto req = policy->PickCompaction(v);
+        if (!req.has_value()) break;
+        policy->OnCompactionCompleted(*req, v);
+      }
+    }
+    const std::string state = policy->EncodeState();
+    for (size_t len = 1; len < state.size(); len++) {
+      EXPECT_FALSE(CreateGrowthPolicy(config, Ctx())
+                       ->DecodeState(state.substr(0, len)))
+          << name << ": prefix of " << len << " of " << state.size();
+    }
+    auto restored = CreateGrowthPolicy(config, Ctx());
+    ASSERT_TRUE(restored->DecodeState(state)) << name;
+    EXPECT_EQ(restored->EncodeState(), state) << name;
+  }
 }
 
 }  // namespace
