@@ -8,7 +8,7 @@
 #include "env/env.h"
 #include "filter/bloom.h"
 #include "lsm/db.h"
-#include "policy/vertiorizon_policy.h"
+#include "policy/composed_policy.h"
 #include "tuning/cost_model.h"
 #include "workload/generator.h"
 
@@ -49,7 +49,7 @@ void RunPhase(DB* db, const char* name, const workload::OpMix& mix,
       db->Get(key, &value);
     }
   }
-  auto* vrn = dynamic_cast<VertiorizonPolicy*>(db->policy());
+  auto* vrn = dynamic_cast<ComposedPolicy*>(db->policy());
   std::printf("%-14s -> horizontal part: %s with l=%d, capacity %llu "
               "buffers\n",
               name,

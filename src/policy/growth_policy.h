@@ -2,18 +2,27 @@
 // engine. A policy observes the tree shape after every flush/compaction and
 // answers one question: what compaction, if any, should run next?
 //
-// The engine loop (lsm/db.cc) is:
+// The engine runs it in two lanes (lsm/db.cc, DESIGN.md §2.1), a queued
+// flush before a queued compaction:
 //
-//   flush memtable as directed by FlushMode();
-//   policy->OnFlushCompleted(version);
-//   while (auto req = policy->PickCompaction(version)) {
-//     ExecuteCompaction(*req);
-//     policy->OnCompactionCompleted(*req, version);
-//   }
+//   flush lane, for each immutable memtable, oldest first:
+//     flush it into level 0 as directed by FlushMode();
+//     policy->OnFlushCompleted(version);
+//   compaction lane:
+//     while (auto req = policy->PickCompaction(version)) {
+//       merge; an install a concurrent job invalidated re-picks instead;
+//       policy->OnCompactionCompleted(*req, version);
+//     }
+//
+// With a thread pool the lanes run on pool threads, so several flushes can
+// complete before the next pick, and a pick whose install conflicts gets
+// no OnCompactionCompleted. Without one, the writer that queued the work
+// runs each flush's compaction chain before it returns.
 //
 // Everything the paper varies — vertical vs horizontal growth, leveling vs
 // tiering merges, full vs partial granularity, counters, self-tuning — lives
-// behind this interface.
+// behind this interface: ComposedPolicy (a horizontal part over a vertical
+// part) runs every design but universal compaction (UniversalPolicy).
 #ifndef TALUS_POLICY_GROWTH_POLICY_H_
 #define TALUS_POLICY_GROWTH_POLICY_H_
 
@@ -98,19 +107,11 @@ class GrowthPolicy {
   virtual std::vector<LevelFilterInfo> FilterInfo(const Version& v) const;
 
   /// Policy state round-trip for manifest persistence (counters, phase).
+  /// The decoder rejects a truncated or padded state; a stateless policy
+  /// accepts only the empty one. An empty state is a fresh store.
   virtual std::string EncodeState() const { return {}; }
-  virtual bool DecodeState(const std::string& /*state*/) { return true; }
+  virtual bool DecodeState(const std::string& state) { return state.empty(); }
 };
-
-/// Round-robin over a run's key space, for partial compactions: the first
-/// file starting after `cursor` (the largest key of the previous pick),
-/// wrapping to the front; the front when there is no cursor.
-const FileMetaPtr& PickRoundRobin(const SortedRun& run,
-                                  const std::string* cursor);
-
-/// Mean payload bytes per entry across `v` (1024 while it holds none), at
-/// least 1: FilterInfo converts byte capacities to entries with it.
-double MeanEntryBytes(const Version& v);
 
 }  // namespace talus
 

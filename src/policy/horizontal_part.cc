@@ -1,4 +1,4 @@
-#include "policy/horizontal_policy.h"
+#include "policy/horizontal_part.h"
 
 #include <algorithm>
 #include <utility>
@@ -144,64 +144,6 @@ std::optional<CompactionRequest> HorizontalPart::MakeCascadeRequest(
   }
   req.reason = tag + "-cascade[0.." + std::to_string(cascade_end) + "]";
   return req;
-}
-
-// ---------------------------------------------------------------------------
-// HR-Level and HR-Tier.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-HorizontalPart StandalonePart(const GrowthPolicyConfig& config) {
-  const MergePolicy merge = config.scheme == GrowthScheme::kHorizontalTiering
-                                ? MergePolicy::kTiering
-                                : MergePolicy::kLeveling;
-  return HorizontalPart(merge, config.horizontal_levels, config,
-                        std::string("horizontal-") + MergePolicyName(merge));
-}
-
-}  // namespace
-
-HorizontalPolicy::HorizontalPolicy(const GrowthPolicyConfig& config,
-                                   const PolicyContext& ctx)
-    : config_(config), part_(StandalonePart(config)) {
-  // N/B flushes (Algorithm 2, line 2); an unknown N arms for the fewest.
-  uint64_t flushes = 0;
-  if (config.horizontal_data_size > 0 && ctx.buffer_bytes > 0) {
-    flushes = (config.horizontal_data_size + ctx.buffer_bytes - 1) /
-              ctx.buffer_bytes;
-  }
-  part_.Arm(flushes);
-}
-
-void HorizontalPolicy::OnFlushCompleted(const Version& v) {
-  part_.OnFlush();
-  if (part_.Drained()) part_.Rearm(part_.k() + 1);
-}
-
-std::vector<LevelFilterInfo> HorizontalPolicy::FilterInfo(
-    const Version& v) const {
-  std::vector<LevelFilterInfo> info(v.levels.size());
-  for (size_t i = 0; i < v.levels.size(); i++) {
-    info[i].current_entries = v.levels[i].TotalEntries();
-    info[i].capacity_entries = 0;  // Horizontal levels grow unboundedly.
-    // Full compactions repeatedly empty horizontal levels; a level averages
-    // about half the occupancy a capacity-based layout would assume (§5.4).
-    info[i].expected_fill = 0.5;
-  }
-  return info;
-}
-
-std::string HorizontalPolicy::EncodeState() const {
-  std::string out;
-  part_.EncodeTo(&out, state_has_k());
-  return out;
-}
-
-bool HorizontalPolicy::DecodeState(const std::string& state) {
-  if (state.empty()) return true;
-  Slice input(state);
-  return part_.DecodeFrom(&input, state_has_k());
 }
 
 }  // namespace talus

@@ -10,14 +10,12 @@
 //    resulting compaction sequence is read-optimal (Theorem 4.2).
 //
 // Triggered levels always form a prefix [1..e], merged into one multi-level
-// op (footnote 6). HorizontalPart is that machinery, and every policy with a
-// horizontal part runs it: HorizontalPolicy (HR-Level, HR-Tier) on its own,
-// VertiorizonPolicy (§5) above its two vertical levels, and
-// LazyLevelingPolicy's §5.4 embedding above its leveled last level. The two
-// embedders clear the part into the level below it by one full compaction
-// when it fills, then arm it again for the next phase.
-#ifndef TALUS_POLICY_HORIZONTAL_POLICY_H_
-#define TALUS_POLICY_HORIZONTAL_POLICY_H_
+// op (footnote 6). HorizontalPart is that machinery. ComposedPolicy runs it
+// alone (HR-Level, HR-Tier) or above a VerticalPart (Vertiorizon §5, lazy
+// leveling's §5.4 embedding), clearing it into the first vertical level by
+// one full compaction when it fills.
+#ifndef TALUS_POLICY_HORIZONTAL_PART_H_
+#define TALUS_POLICY_HORIZONTAL_PART_H_
 
 #include "policy/growth_policy.h"
 #include "policy/policy_config.h"
@@ -35,6 +33,7 @@ class HorizontalPart {
                  std::string clear_tag = {});
 
   const std::string& tag() const { return tag_; }
+  const std::string& clear_tag() const { return clear_tag_; }
   MergePolicy merge() const { return merge_; }
   int levels() const { return static_cast<int>(counters_.size()); }
   uint64_t k() const { return k_; }
@@ -85,37 +84,6 @@ class HorizontalPart {
   std::string clear_tag_;
 };
 
-/// HR-Level and HR-Tier: a horizontal part alone, holding the whole tree.
-/// With no capacity to clear at, tiering counters that drain (the data
-/// outgrew the estimate N) re-arm one higher, k+1, so the
-/// decreasing-frequency pattern continues at the next scale (§4.2).
-class HorizontalPolicy : public GrowthPolicy {
- public:
-  HorizontalPolicy(const GrowthPolicyConfig& config, const PolicyContext& ctx);
-
-  std::string name() const override { return part_.tag(); }
-  MergeMode FlushMode(const Version& v) const override {
-    return part_.FlushMode();
-  }
-  int RequiredLevels(const Version& v) const override {
-    return config_.horizontal_levels;
-  }
-  void OnFlushCompleted(const Version& v) override;
-  std::optional<CompactionRequest> PickCompaction(const Version& v) override {
-    return part_.PickCascade(v);
-  }
-  std::vector<LevelFilterInfo> FilterInfo(const Version& v) const override;
-  std::string EncodeState() const override;
-  bool DecodeState(const std::string& state) override;
-
- private:
-  // HR-Level's state has no k: leveling counters have none.
-  bool state_has_k() const { return part_.merge() == MergePolicy::kTiering; }
-
-  GrowthPolicyConfig config_;
-  HorizontalPart part_;
-};
-
 }  // namespace talus
 
-#endif  // TALUS_POLICY_HORIZONTAL_POLICY_H_
+#endif  // TALUS_POLICY_HORIZONTAL_PART_H_

@@ -1,7 +1,8 @@
 // GrowthPolicyConfig: declarative description of a growth scheme, mirroring
 // the paper's design space (§3–§5). A factory turns a config into a live
-// GrowthPolicy. All eleven evaluated methods are expressible here; the named
-// presets below match the paper's baseline labels (Figure 7).
+// GrowthPolicy. Every method of the roster (GrowthPolicyNames, 13 names) is
+// expressible here; the named presets below match the paper's baseline
+// labels (Figure 7).
 #ifndef TALUS_POLICY_POLICY_CONFIG_H_
 #define TALUS_POLICY_POLICY_CONFIG_H_
 

@@ -2,12 +2,9 @@
 // method roster).
 #include <cstdio>
 
-#include "policy/horizontal_policy.h"
-#include "policy/lazy_leveling_policy.h"
+#include "policy/composed_policy.h"
 #include "policy/policy_config.h"
 #include "policy/universal_policy.h"
-#include "policy/vertical_policy.h"
-#include "policy/vertiorizon_policy.h"
 
 namespace talus {
 
@@ -256,18 +253,17 @@ bool DecodeGrowthPolicyConfig(const std::string& encoded,
 
 std::unique_ptr<GrowthPolicy> CreateGrowthPolicy(
     const GrowthPolicyConfig& config, const PolicyContext& ctx) {
+  // Universal compaction's same-level merges are not a stack of levels;
+  // every other design is a horizontal part over a vertical part.
   switch (config.scheme) {
-    case GrowthScheme::kVertical:
-      return std::make_unique<VerticalPolicy>(config, ctx);
-    case GrowthScheme::kHorizontalLeveling:
-    case GrowthScheme::kHorizontalTiering:
-      return std::make_unique<HorizontalPolicy>(config, ctx);
-    case GrowthScheme::kLazyLeveling:
-      return std::make_unique<LazyLevelingPolicy>(config, ctx);
     case GrowthScheme::kUniversal:
       return std::make_unique<UniversalPolicy>(config, ctx);
+    case GrowthScheme::kVertical:
+    case GrowthScheme::kHorizontalLeveling:
+    case GrowthScheme::kHorizontalTiering:
+    case GrowthScheme::kLazyLeveling:
     case GrowthScheme::kVertiorizon:
-      return std::make_unique<VertiorizonPolicy>(config, ctx);
+      return std::make_unique<ComposedPolicy>(config, ctx);
   }
   return nullptr;
 }

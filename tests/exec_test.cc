@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -256,16 +257,23 @@ std::vector<std::pair<std::string, std::string>> FullScan(DB* db) {
 }
 
 struct NamedPolicy {
-  const char* name;
+  std::string name;
   GrowthPolicyConfig config;
 };
 
+// The whole named roster at T = 3, labeled as the paper labels it.
 std::vector<NamedPolicy> EquivalencePolicies() {
-  return {
-      {"VT-Level-Full", GrowthPolicyConfig::VTLevelFull(3)},
-      {"VT-Tier-Full", GrowthPolicyConfig::VTTierFull(3)},
-      {"Lazy-Level", GrowthPolicyConfig::LazyLeveling(3, 4, false)},
-  };
+  std::vector<NamedPolicy> policies;
+  std::string roster = GrowthPolicyNames() + "|";
+  for (size_t pos; (pos = roster.find('|')) != std::string::npos;
+       roster.erase(0, pos + 1)) {
+    GrowthPolicyConfig config;
+    if (GrowthPolicyConfigByName(roster.substr(0, pos), 3, 1 << 20,
+                                 &config)) {
+      policies.push_back({config.Label(), config});
+    }
+  }
+  return policies;
 }
 
 class ExecEquivalenceTest : public ::testing::TestWithParam<NamedPolicy> {};
@@ -327,7 +335,9 @@ INSTANTIATE_TEST_SUITE_P(Policies, ExecEquivalenceTest,
                          [](const auto& info) {
                            std::string n = info.param.name;
                            for (auto& c : n) {
-                             if (c == '-') c = '_';
+                             if (!std::isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
                            }
                            return n;
                          });

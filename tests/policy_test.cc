@@ -10,7 +10,7 @@
 
 #include "env/env.h"
 #include "lsm/db.h"
-#include "policy/vertiorizon_policy.h"
+#include "policy/composed_policy.h"
 #include "theory/binomial.h"
 #include "theory/schemes.h"
 #include "workload/generator.h"
@@ -172,7 +172,7 @@ TEST(VertiorizonStructure, LayoutAndResizing) {
   ASSERT_TRUE(DB::Open(Options(env.get(), config), &db).ok());
   Fill(db.get(), 12000);
 
-  auto* policy = dynamic_cast<VertiorizonPolicy*>(db->policy());
+  auto* policy = dynamic_cast<ComposedPolicy*>(db->policy());
   ASSERT_NE(policy, nullptr);
   const Version& v = db->current_version();
 
@@ -181,7 +181,7 @@ TEST(VertiorizonStructure, LayoutAndResizing) {
   EXPECT_LE(v.levels[policy->v2_level()].NumRuns(), 1u);
   // Horizontal part stays within its configured level range.
   for (int i = policy->horizontal_levels();
-       i < VertiorizonPolicy::kMaxHorizontalLevels; i++) {
+       i < ComposedPolicy::kMaxHorizontalLevels; i++) {
     EXPECT_TRUE(v.levels[i].empty()) << "unused horizontal level " << i;
   }
   // 12000 × 256B ≈ 3MB through a 16KB horizontal part: capacity must have
@@ -200,7 +200,7 @@ TEST(VertiorizonStructure, SelfTuningPicksTieringForWrites) {
   auto config = GrowthPolicyConfig::Vertiorizon(6.0, mix);
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(Options(env.get(), config), &db).ok());
-  auto* policy = dynamic_cast<VertiorizonPolicy*>(db->policy());
+  auto* policy = dynamic_cast<ComposedPolicy*>(db->policy());
   ASSERT_NE(policy, nullptr);
   EXPECT_EQ(policy->horizontal_merge(), MergePolicy::kTiering);
 }

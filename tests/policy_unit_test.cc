@@ -1,21 +1,25 @@
 // White-box unit tests for policy internals, on hand-built Version shapes
 // (no engine in the loop): universal's rule precedence, vertical capacity
 // math (incl. RocksDB-Tuned dynamic level bytes), cascade request assembly,
-// the horizontal part's counters and codec, and every policy's state codec
-// against truncation.
+// the horizontal part's counters and codec, every policy's state codec
+// against truncation and padding, and every named policy's decisions under
+// a thread pool's call orders.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "policy/horizontal_policy.h"
+#include "policy/composed_policy.h"
+#include "policy/horizontal_part.h"
 #include "policy/policy_config.h"
 #include "policy/universal_policy.h"
-#include "policy/vertical_policy.h"
-#include "policy/vertiorizon_policy.h"
 #include "theory/binomial.h"
+#include "util/coding.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -116,11 +120,11 @@ TEST(UniversalRules, RunCountFallsBackToCheapestPair) {
 }
 
 // ---------------------------------------------------------------------------
-// VerticalPolicy capacity math.
+// Vertical part capacity math.
 // ---------------------------------------------------------------------------
 
 TEST(VerticalCapacity, ExponentialDefault) {
-  VerticalPolicy policy(GrowthPolicyConfig::VTLevelPart(4), Ctx(1000));
+  ComposedPolicy policy(GrowthPolicyConfig::VTLevelPart(4), Ctx(1000));
   Version v;
   v.EnsureLevels(4);
   EXPECT_EQ(policy.LevelCapacity(v, 0), 4000u);
@@ -130,7 +134,7 @@ TEST(VerticalCapacity, ExponentialDefault) {
 
 TEST(VerticalCapacity, DynamicLevelBytesAnchorsToLastLevel) {
   auto config = GrowthPolicyConfig::RocksDBTuned();  // T = 10, dynamic.
-  VerticalPolicy policy(config, Ctx(1000));
+  ComposedPolicy policy(config, Ctx(1000));
   Version v;
   v.EnsureLevels(4);
   v.levels[3].runs = {MakeRun(1, 1000000)};  // Bottom holds 1MB.
@@ -143,7 +147,7 @@ TEST(VerticalCapacity, DynamicLevelBytesAnchorsToLastLevel) {
 
 TEST(VerticalPick, OldestSmallestSeqFirstHonored) {
   auto config = GrowthPolicyConfig::RocksDBTuned();
-  VerticalPolicy policy(config, Ctx(100));
+  ComposedPolicy policy(config, Ctx(100));
   Version v;
   v.EnsureLevels(2);
   SortedRun run;
@@ -354,18 +358,18 @@ TEST(PolicyNames, EveryNameResolvesAndUnknownIsRejected) {
 TEST(VertiorizonUnit, CapacityMathUsesEq2Ratio) {
   auto config = GrowthPolicyConfig::VRNTier(8.0);
   config.vrn_initial_capacity_buffers = 10;
-  VertiorizonPolicy policy(config, Ctx(1000));
+  ComposedPolicy policy(config, Ctx(1000));
   // T' = 8/√2 ≈ 5.657. V1 cap = 10·1000·T'; V2 = 10·1000·64.
   EXPECT_EQ(policy.capacity_buffers(), 10u);
-  EXPECT_EQ(policy.v1_level(), VertiorizonPolicy::kMaxHorizontalLevels);
-  EXPECT_EQ(policy.v2_level(), VertiorizonPolicy::kMaxHorizontalLevels + 1);
+  EXPECT_EQ(policy.v1_level(), ComposedPolicy::kMaxHorizontalLevels);
+  EXPECT_EQ(policy.v2_level(), ComposedPolicy::kMaxHorizontalLevels + 1);
 }
 
 TEST(VertiorizonUnit, StateRoundTripThroughEncodeDecode) {
   auto config = GrowthPolicyConfig::Vertiorizon(6.0);
-  VertiorizonPolicy a(config, Ctx(4096));
+  ComposedPolicy a(config, Ctx(4096));
   const std::string state = a.EncodeState();
-  VertiorizonPolicy b(config, Ctx(4096));
+  ComposedPolicy b(config, Ctx(4096));
   ASSERT_TRUE(b.DecodeState(state));
   EXPECT_EQ(b.horizontal_levels(), a.horizontal_levels());
   EXPECT_EQ(b.horizontal_merge(), a.horizontal_merge());
@@ -373,15 +377,17 @@ TEST(VertiorizonUnit, StateRoundTripThroughEncodeDecode) {
   EXPECT_EQ(b.EncodeState(), state);
 }
 
-// Every strict, non-empty prefix of a policy's persisted state is rejected:
-// the state is bytes read back from the manifest, and a truncated blob must
-// fail the open, never decode into a half-restored policy. (An empty state
-// means a fresh store.) Each policy is first driven over a fixed shape with
-// every level over capacity, so its counters, cursors and phase flags have
-// moved off their initial values.
+// Every strict, non-empty prefix of a policy's persisted state is rejected,
+// and so is the state with one byte appended: the state is bytes read back
+// from the manifest, and a truncated or padded blob must fail the open,
+// never decode into a half-restored policy. (An empty state means a fresh
+// store.) Each policy is first driven over a fixed shape with every level
+// over capacity, so its counters, cursors and phase flags have moved off
+// their initial values. Vertiorizon's state also carries n, which starts at
+// 2 or more; a state with n = 0 is rejected.
 TEST(PolicyStateCodec, EveryTruncatedStateIsRejected) {
   Version v;
-  v.EnsureLevels(VertiorizonPolicy::kMaxHorizontalLevels + 2);
+  v.EnsureLevels(ComposedPolicy::kMaxHorizontalLevels + 2);
   uint64_t id = 1;
   for (LevelState& level : v.levels) {
     for (int r = 0; r < 3; r++, id++) {
@@ -414,9 +420,213 @@ TEST(PolicyStateCodec, EveryTruncatedStateIsRejected) {
                        ->DecodeState(state.substr(0, len)))
           << name << ": prefix of " << len << " of " << state.size();
     }
+    EXPECT_FALSE(CreateGrowthPolicy(config, Ctx())->DecodeState(state + '\0'))
+        << name << ": one byte past " << state.size();
+    if (config.scheme == GrowthScheme::kVertiorizon) {
+      // ℓ and the merge byte, then n.
+      Slice rest(state);
+      uint64_t levels, n;
+      ASSERT_TRUE(GetVarint64(&rest, &levels) && rest.size() > 1) << name;
+      rest.remove_prefix(1);
+      ASSERT_TRUE(GetVarint64(&rest, &n)) << name;
+      std::string zero_n = state.substr(0, state.size() - rest.size());
+      zero_n.resize(zero_n.size() - VarintLength(n));
+      PutVarint64(&zero_n, 0);
+      zero_n.append(rest.data(), rest.size());
+      EXPECT_FALSE(CreateGrowthPolicy(config, Ctx())->DecodeState(zero_n))
+          << name << ": n = 0";
+    }
     auto restored = CreateGrowthPolicy(config, Ctx());
     ASSERT_TRUE(restored->DecodeState(state)) << name;
     EXPECT_EQ(restored->EncodeState(), state) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The policy seam under a thread pool's call orders.
+// ---------------------------------------------------------------------------
+
+// A synthetic tree over Vertiorizon's ten levels: `levels[i]` gives level i
+// its run count and the size of each of a run's three files.
+Version SeamVersion(const std::vector<std::pair<int, uint64_t>>& levels) {
+  Version v;
+  v.EnsureLevels(10);
+  uint64_t id = 1;
+  for (size_t i = 0; i < levels.size(); i++) {
+    for (int r = 0; r < levels[i].first; r++, id++) {
+      SortedRun run;
+      run.run_id = id;
+      run.files = {File(10 * id, levels[i].second, "a", "h"),
+                   File(10 * id + 1, levels[i].second, "i", "q"),
+                   File(10 * id + 2, levels[i].second, "r", "z")};
+      for (uint64_t f = 0; f < 3; f++) {
+        run.files[f]->oldest_seq = (7 * id + 3 * f) % 11;
+      }
+      v.levels[i].runs.push_back(run);
+    }
+  }
+  return v;
+}
+
+struct SeamHash {
+  uint64_t value = 0xCBF29CE484222325ull;
+  void Int(uint64_t x) {
+    for (int i = 0; i < 8; i++) {
+      value ^= (x >> (8 * i)) & 0xff;
+      value *= 0x100000001B3ull;
+    }
+  }
+  void Bytes(const std::string& s) {
+    Int(s.size());
+    for (unsigned char c : s) {
+      value ^= c;
+      value *= 0x100000001B3ull;
+    }
+  }
+  void Request(const std::optional<CompactionRequest>& req) {
+    if (!req.has_value()) return Int(~0ull);
+    Int(req->inputs.size());
+    for (const auto& in : req->inputs) {
+      Int(static_cast<uint64_t>(in.level));
+      Int(in.run_id);
+      Int(in.file_numbers.size());
+      for (uint64_t f : in.file_numbers) Int(f);
+    }
+    Int(static_cast<uint64_t>(req->output_level));
+    Int(req->output_run_id.has_value() ? *req->output_run_id + 1 : 0);
+    Int(static_cast<uint64_t>(req->placement));
+    Bytes(req->reason);
+  }
+};
+
+// Every named policy, driven through the call orders a thread pool produces:
+// two flushes installed before the compaction lane picks, a pick whose
+// install conflicts (no OnCompactionCompleted follows), completions reported
+// against a newer version, clears, cascades and Vertiorizon's resizes. Each
+// returned request, each EncodeState() after every call, and the flush mode,
+// level count and filter forecast at every step are folded into one hash per
+// policy. The constants were recorded before the growth designs were
+// composed from parts; they pin that the composed policy makes the same
+// decisions call for call, and are never edited to make a refactor pass.
+TEST(PolicySeam, PoolOrderCallSequencesArePinned) {
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"vt-level-part", 0x8acc2be5be6a1c51ull},
+      {"vt-level-full", 0xb6386d16eb604628ull},
+      {"vt-tier-part", 0x068323e7c1d88298ull},
+      {"vt-tier-full", 0xfd3b88e0d25b6fd8ull},
+      {"rocksdb-tuned", 0xaf1c1ef033e89f32ull},
+      {"universal", 0x8431d22657b08c50ull},
+      {"hr-level", 0xca7cad222351ba2full},
+      {"hr-tier", 0x189f314e3638901aull},
+      {"vrn-level", 0x6154ca517b17c6daull},
+      {"vrn-tier", 0xd5feb3d8270d020eull},
+      {"vertiorizon", 0xdeb4129902d79211ull},
+      {"lazy", 0x157789fedcc14596ull},
+      {"lazy-vrn", 0xf25b46573a992503ull},
+  };
+  const std::vector<Version> versions = {
+      SeamVersion({}),
+      SeamVersion({{2, 1 << 10}, {}, {}, {}, {}, {}, {}, {}, {1, 2 << 10}}),
+      SeamVersion({{3, 16 << 10}, {3, 16 << 10}, {3, 16 << 10},
+                   {3, 16 << 10}, {}, {}, {}, {},
+                   {1, 64 << 10}, {1, 64 << 10}}),
+      SeamVersion({{1, 1 << 10}, {}, {}, {}, {}, {}, {}, {},
+                   {1, 1 << 10}, {1, 1 << 20}}),
+      SeamVersion(std::vector<std::pair<int, uint64_t>>(10, {3, 1 << 20})),
+  };
+  std::vector<std::string> names;
+  std::string roster = GrowthPolicyNames() + "|";
+  for (size_t pos; (pos = roster.find('|')) != std::string::npos;
+       roster.erase(0, pos + 1)) {
+    names.push_back(roster.substr(0, pos));
+  }
+  ASSERT_EQ(names.size(), pinned.size());
+  for (size_t i = 0; i < names.size(); i++) {
+    const std::string& name = names[i];
+    EXPECT_EQ(name, pinned[i].first);
+    GrowthPolicyConfig config;
+    ASSERT_TRUE(GrowthPolicyConfigByName(name, 3, 1 << 20, &config)) << name;
+    auto policy = CreateGrowthPolicy(config, Ctx());
+    SeamHash hash;
+    uint64_t clears = 0;
+    auto state = [&] { hash.Bytes(policy->EncodeState()); };
+    auto flush = [&](const Version& v) {
+      policy->OnFlushCompleted(v);
+      state();
+    };
+    auto pick = [&](const Version& v) {
+      auto req = policy->PickCompaction(v);
+      hash.Request(req);
+      if (req.has_value() && req->reason.find("clear") != std::string::npos) {
+        clears++;
+      }
+      state();
+      return req;
+    };
+    auto complete = [&](const CompactionRequest& req, const Version& v) {
+      policy->OnCompactionCompleted(req, v);
+      state();
+    };
+    const std::string initial_state = policy->EncodeState();
+    Random rnd(20261020);
+    for (int step = 0; step < 1000; step++) {
+      const Version& v = versions[rnd.Uniform(versions.size())];
+      const Version& next = versions[rnd.Uniform(versions.size())];
+      switch (rnd.Uniform(5)) {
+        case 0:  // A lone flush.
+          flush(v);
+          break;
+        case 1:  // Two flushes install before the compaction lane picks.
+          flush(v);
+          flush(next);
+          if (auto req = pick(next)) complete(*req, next);
+          break;
+        case 2:  // A pick installed against a newer version.
+          if (auto req = pick(v)) complete(*req, next);
+          break;
+        case 3:  // A pick whose install conflicts: no completion follows.
+          pick(v);
+          break;
+        default:  // An inline chain: pick and install until quiet.
+          for (int chain = 0; chain < 3; chain++) {
+            auto req = pick(v);
+            if (!req.has_value()) break;
+            complete(*req, v);
+          }
+          break;
+      }
+      hash.Int(static_cast<uint64_t>(policy->FlushMode(v)));
+      hash.Int(static_cast<uint64_t>(policy->RequiredLevels(v)));
+      for (const LevelFilterInfo& level : policy->FilterInfo(v)) {
+        uint64_t fill;
+        std::memcpy(&fill, &level.expected_fill, sizeof(fill));
+        hash.Int(level.current_entries);
+        hash.Int(level.capacity_entries);
+        hash.Int(fill);
+      }
+    }
+    EXPECT_EQ(hash.value, pinned[i].second)
+        << name << ": 0x" << std::hex << hash.value;
+
+    // The sequence reaches what it is meant to pin: clears wherever a
+    // horizontal part sits over a vertical one, Vertiorizon's resizes (its
+    // state opens with ℓ, the merge byte and n) and HR-Tier's re-arming at
+    // k+1 once its counters drain (its state opens with k).
+    const bool vertiorizon = name.rfind("vrn", 0) == 0 || name == "vertiorizon";
+    if (vertiorizon || name == "lazy-vrn") {
+      EXPECT_GT(clears, 0u) << name;
+    }
+    auto scale = [vertiorizon](const std::string& state) {
+      Slice in(state);
+      uint64_t x = 0;
+      if (vertiorizon && GetVarint64(&in, &x) && !in.empty()) {
+        in.remove_prefix(1);  // Past ℓ and the merge byte.
+      }
+      return GetVarint64(&in, &x) ? x : 0;  // Vertiorizon's n, HR-Tier's k.
+    };
+    if (vertiorizon || name == "hr-tier") {
+      EXPECT_GT(scale(policy->EncodeState()), scale(initial_state)) << name;
+    }
   }
 }
 
