@@ -18,16 +18,13 @@ int main() {
   std::printf("Navigator decisions (n=16 buffers, f=%.3f, P=4):\n",
               BloomFalsePositiveRate(5.0));
   std::printf("%12s %12s | %-26s\n", "updates", "lookups", "choice");
-  tuning::HorizontalCostModel model;
-  model.capacity_buffers = 16;
-  model.bloom_fpr = BloomFalsePositiveRate(5.0);
-  model.page_entries = 4.0;
   for (double w : {0.05, 0.25, 0.5, 0.75, 0.95}) {
     WorkloadMix mix;
     mix.updates = w;
     mix.point_lookups = 1.0 - w;
     mix.range_lookups = 0;
-    const auto choice = tuning::Navigate(model, mix);
+    const auto choice =
+        tuning::Navigate(16, BloomFalsePositiveRate(5.0), 4.0, mix);
     std::printf("%12.2f %12.2f | %-26s\n", w, 1.0 - w,
                 choice.ToString().c_str());
   }

@@ -8,7 +8,6 @@
 #include "env/env.h"
 #include "filter/bloom.h"
 #include "lsm/db.h"
-#include "policy/composed_policy.h"
 #include "tuning/cost_model.h"
 #include "workload/generator.h"
 
@@ -18,16 +17,13 @@ namespace {
 
 void ShowCostModel() {
   std::printf("Cost model landscape (n = 32 buffers, 5 bits/key, P = 4):\n");
-  tuning::HorizontalCostModel model;
-  model.capacity_buffers = 32;
-  model.bloom_fpr = BloomFalsePositiveRate(5.0);
-  model.page_entries = 4.0;
   std::printf("%10s | %-24s\n", "update %", "navigator choice");
   for (int w = 0; w <= 100; w += 10) {
     WorkloadMix mix;
     mix.updates = w / 100.0;
     mix.point_lookups = 1.0 - mix.updates;
-    const auto r = tuning::Navigate(model, mix);
+    const auto r =
+        tuning::Navigate(32, BloomFalsePositiveRate(5.0), 4.0, mix);
     std::printf("%9d%% | %-24s\n", w, r.ToString().c_str());
   }
 }
@@ -49,14 +45,11 @@ void RunPhase(DB* db, const char* name, const workload::OpMix& mix,
       db->Get(key, &value);
     }
   }
-  auto* vrn = dynamic_cast<ComposedPolicy*>(db->policy());
+  const tuning::HorizontalDesign top = *db->policy()->design()->horizontal;
   std::printf("%-14s -> horizontal part: %s with l=%d, capacity %llu "
               "buffers\n",
-              name,
-              vrn->horizontal_merge() == MergePolicy::kTiering ? "tiering"
-                                                               : "leveling",
-              vrn->horizontal_levels(),
-              static_cast<unsigned long long>(vrn->capacity_buffers()));
+              name, MergePolicyName(top.merge), top.levels,
+              static_cast<unsigned long long>(top.buffers));
 }
 
 }  // namespace

@@ -57,25 +57,6 @@ void PublishGroupSequences(shard::SequenceAllocator* alloc,
   }
 }
 
-// The merge discipline the drift monitor's analytical model should price
-// the active policy with: every scheme reduces to leveled or tiered merge
-// behavior for cost purposes (the paper's W/R/Q formulas, DESIGN.md §6.7).
-MergePolicy MergeForDriftModel(const GrowthPolicyConfig& config) {
-  switch (config.scheme) {
-    case GrowthScheme::kVertical:
-      return config.merge;
-    case GrowthScheme::kHorizontalTiering:
-      return MergePolicy::kTiering;
-    case GrowthScheme::kVertiorizon:
-      return config.vrn_fixed_merge;
-    case GrowthScheme::kHorizontalLeveling:
-    case GrowthScheme::kLazyLeveling:
-    case GrowthScheme::kUniversal:
-      return MergePolicy::kLeveling;
-  }
-  return MergePolicy::kLeveling;
-}
-
 exec::StallConfig StallConfigFor(const DbOptions& options) {
   exec::StallConfig config;
   config.max_immutable_memtables = options.max_immutable_memtables;
@@ -1014,17 +995,17 @@ Status DB::RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
   }
 
   // The next drift window is priced under this design: EvaluateModelDrift
-  // reads it from options_.policy.
+  // reads it from policy_.
   policy_ = std::move(req->policy);
   options_.policy = req->config;
-  const bool tiered = MergeForDriftModel(req->config) == MergePolicy::kTiering;
+  const bool tiered = policy_->FlushMode(*current_) == MergeMode::kNewRun;
   ring_->Emit(obs::EventType::kPolicyChange,
               static_cast<uint16_t>(options_.shard_index), tiered ? 1 : 0,
               static_cast<uint64_t>(req->config.size_ratio * 1000.0));
   // Persist the new design first: a crash after this point reopens under
   // the new policy with whatever layout the catch-up had reached.
   Status s = InstallManifestLocked();
-  if (!s.ok() || policy_->FlushMode(*current_) != MergeMode::kMergeIntoRun) {
+  if (!s.ok() || tiered) {
     // Tiering-family target: any layout is a valid tiered layout; the
     // policy's run-count triggers take it from here.
     return s;
@@ -1682,16 +1663,30 @@ obs::DriftSample DB::EvaluateModelDrift() {
   const obs::AmpSnapshot window = amp_.WindowSnapshot();
   const obs::AmpSnapshot total = amp_.Snapshot();
   obs::ModelDriftMonitor::Measured m;
-  uint64_t data_bytes = 0;
-  {
-    // The design is read from the live config, under the same lock a
-    // policy switch installs it with: the sample never prices half of one.
-    std::unique_lock<std::mutex> lock(mutex_);
-    data_bytes = ApproximateDataBytesLocked();
-    m.merge = MergeForDriftModel(options_.policy);
-    m.size_ratio = options_.policy.size_ratio;
-  }
   m.bloom_fpr = BloomFalsePositiveRate(options_.bloom_bits_per_key);
+  // P: entries per data block, from the observed mean entry size (the
+  // model prices I/O in pages of P entries).
+  const uint64_t ops = total.puts + total.deletes;
+  const double avg_entry =
+      ops > 0 ? static_cast<double>(total.user_payload_bytes) /
+                    static_cast<double>(ops)
+              : 64.0;
+  m.page_entries =
+      std::max(1.0, static_cast<double>(options_.block_size) /
+                        std::max(1.0, avg_entry));
+  {
+    // Read under the lock a switch or a Vertiorizon phase restart installs
+    // the design with: the sample never prices half of one.
+    std::unique_lock<std::mutex> lock(mutex_);
+    m.data_buffers = std::max<uint64_t>(
+        1, ApproximateDataBytesLocked() /
+               std::max<uint64_t>(1, options_.write_buffer_size));
+    m.design = policy_->design();
+    if (m.design) {
+      m.predicted = tuning::Predict(*m.design, m.bloom_fpr, m.page_entries,
+                                    m.data_buffers);
+    }
+  }
 
   // An empty window (no operation since the last evaluation) falls back to
   // the lifetime mix.
@@ -1706,18 +1701,6 @@ obs::DriftSample DB::EvaluateModelDrift() {
   }
   m.blocks_per_lookup = window.BlocksPerLookup();
   m.write_amp = window.WriteAmp();
-  // P: entries per data block, from the observed mean entry size (the
-  // model prices I/O in pages of P entries).
-  const uint64_t ops = total.puts + total.deletes;
-  const double avg_entry =
-      ops > 0 ? static_cast<double>(total.user_payload_bytes) /
-                    static_cast<double>(ops)
-              : 64.0;
-  m.page_entries =
-      std::max(1.0, static_cast<double>(options_.block_size) /
-                        std::max(1.0, avg_entry));
-  m.data_buffers = std::max<uint64_t>(
-      1, data_bytes / std::max<uint64_t>(1, options_.write_buffer_size));
 
   const obs::DriftSample sample = drift_.Evaluate(m);
 

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tuning/vertical_cost_model.h"
-
 namespace talus {
 namespace obs {
 
@@ -35,20 +33,21 @@ std::string DriftSample::ToString() const {
                 mix.updates, mix.point_lookups, mix.range_lookups,
                 window_updates, window_lookups);
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "design: merge=%s T=%.1f levels=%d f=%.4f P=%.1f\n",
-                MergePolicyName(merge), size_ratio, levels, bloom_fpr,
-                page_entries);
-  out += buf;
+  std::snprintf(buf, sizeof(buf), " levels=%d f=%.4f P=%.1f\n",
+                predicted.levels, bloom_fpr, page_entries);
+  out += "design: " + (design ? design->ToString() : "none") + buf;
+  if (design && design->horizontal) {
+    out += "horizontal: " + design->horizontal->ToString() + "\n";
+  }
   std::snprintf(buf, sizeof(buf),
                 "point: predicted=%.4f measured=%.4f ratio=%.3f\n",
                 predicted_point, measured_point, point_ratio);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "update: predicted=%.4f measured=%.4f ratio=%.3f\n",
-                predicted_update, measured_update, update_ratio);
+                predicted.update, measured_update, update_ratio);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "range: predicted=%.4f\n", predicted_range);
+  std::snprintf(buf, sizeof(buf), "range: predicted=%.4f\n", predicted.range);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "zeta=%.4f drift_score=%.3f mix_shift=%.3f drifted=%d\n",
@@ -60,37 +59,28 @@ std::string DriftSample::ToString() const {
 DriftSample ModelDriftMonitor::Evaluate(const Measured& m) {
   DriftSample s;
   s.mix = m.mix;
-  s.merge = m.merge;
-  s.size_ratio = m.size_ratio;
+  s.design = m.design;
   s.bloom_fpr = m.bloom_fpr;
   s.page_entries = m.page_entries;
   s.data_buffers = m.data_buffers;
   s.window_ops = m.window_ops;
   s.window_lookups = m.window_lookups;
   s.window_updates = m.window_updates;
-
-  tuning::VerticalCostModel model;
-  model.size_ratio = std::max(2.0, m.size_ratio);
-  model.bloom_fpr = m.bloom_fpr;
-  model.page_entries = std::max(1.0, m.page_entries);
-  model.data_buffers = std::max<uint64_t>(1, m.data_buffers);
-  s.levels = model.Levels();
-
-  // A found lookup pays one true data-block read on top of the model's
-  // false-positive term (the model prices zero-result lookups).
-  s.predicted_point = m.found_fraction + model.PointLookupCost(m.merge);
-  s.predicted_update = model.UpdateCost(m.merge);
-  s.predicted_range = model.RangeLookupCost(m.merge);
-  s.zeta_predicted = model.Zeta(m.merge, m.mix);
-
   s.measured_point = m.blocks_per_lookup;
-  s.measured_update = m.write_amp / model.page_entries;
+  s.measured_update = m.write_amp / m.page_entries;
 
+  if (m.design) {
+    s.predicted = m.predicted;
+    // A found lookup pays one true data-block read on top of the model's
+    // false-positive term (the model prices zero-result lookups).
+    s.predicted_point = m.found_fraction + m.predicted.point;
+    s.zeta_predicted = m.predicted.Zeta(m.mix);
+  }
   if (m.window_lookups > 0 && s.predicted_point > 0) {
     s.point_ratio = s.measured_point / s.predicted_point;
   }
-  if (m.window_updates > 0 && s.predicted_update > 0) {
-    s.update_ratio = s.measured_update / s.predicted_update;
+  if (m.window_updates > 0 && s.predicted.update > 0) {
+    s.update_ratio = s.measured_update / s.predicted.update;
   }
   s.drift_score = std::max(RatioScore(s.point_ratio),
                            RatioScore(s.update_ratio));

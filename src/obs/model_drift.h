@@ -1,19 +1,18 @@
 #ifndef TALUS_OBS_MODEL_DRIFT_H_
 #define TALUS_OBS_MODEL_DRIFT_H_
 
-// Cost-model drift telemetry: feeds the measured workload mix and the
-// measured per-op I/O (from AmpTracker) into the analytical cost model
-// of the design that runs, and reports how far reality has drifted from
-// the model's predictions. The monitor keeps no design of its own: each
-// evaluation is handed merge, T and f with the measurements (the engine
-// reads them from its live growth-policy config), so a runtime policy
-// switch is priced from the next window on.
+// Cost-model drift telemetry: compares the measured per-op I/O (from
+// AmpTracker) with the cost model's prediction for the design that runs.
+// The monitor prices nothing and keeps no design: each evaluation is
+// handed the live policy's design and its tuning::Predict cost, so a
+// switch or a Vertiorizon redesign is priced from the next window on. A
+// design with no closed form (universal) gets no drift score.
 //
 // Unit conventions (documented in DESIGN.md §6.7):
-//   - point lookup: data blocks fetched per lookup. The model predicts
-//     L·f (leveling) or L·T·f (tiering) blocks for a zero-result lookup;
-//     a found lookup adds its one true block read, so the prediction is
-//     found_fraction + model R.
+//   - point lookup: data blocks fetched per lookup. The model's R sums
+//     its parts' false positives for a zero-result lookup (ℓ·f or
+//     τ(n,ℓ)·f/n above, f or T·f per vertical level); a found lookup adds
+//     its one true block read, so the prediction is found_fraction + R.
 //   - update: page I/Os per update. Measured = write_amp / P (bytes
 //     amplification divided by entries per page cancels to the model's
 //     unit); predicted = the model's W.
@@ -29,9 +28,10 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
-#include "tuning/workload_mix.h"
+#include "tuning/cost_model.h"
 
 namespace talus {
 namespace obs {
@@ -39,9 +39,8 @@ namespace obs {
 struct DriftSample {
   // Inputs echoed back for the talus.model property and the tuner.
   WorkloadMix mix;                 // windowed measured mix
-  MergePolicy merge = MergePolicy::kLeveling;
-  int levels = 0;                  // L implied by current data volume
-  double size_ratio = 0;           // T
+  std::optional<tuning::Design> design;  // none: no closed form
+  tuning::Cost predicted;          // Predict(design, f, P, N/B); 0 if none
   double bloom_fpr = 0;            // f
   double page_entries = 0;         // P
   uint64_t data_buffers = 1;       // N/B
@@ -49,14 +48,12 @@ struct DriftSample {
   uint64_t window_lookups = 0;
   uint64_t window_updates = 0;     // puts + deletes, batch entries included
 
-  // Predicted vs measured per-op cost (see unit conventions above).
-  double predicted_point = 0;
+  // Predicted (update: predicted.update) vs measured per-op cost.
+  double predicted_point = 0;      // found_fraction + predicted.point
   double measured_point = 0;
   double point_ratio = 0;          // measured / predicted; 0 = no sample
-  double predicted_update = 0;
   double measured_update = 0;
   double update_ratio = 0;
-  double predicted_range = 0;      // no measured analog yet
   double zeta_predicted = 0;       // mix-weighted model cost (Eq. 5)
 
   // Drift verdict.
@@ -75,9 +72,9 @@ class ModelDriftMonitor {
   };
 
   struct Measured {
-    // The design the window ran under.
-    MergePolicy merge = MergePolicy::kLeveling;
-    double size_ratio = 6.0;        // T
+    // The design the window ran under, and its price.
+    std::optional<tuning::Design> design;
+    tuning::Cost predicted;         // Predict(design, f, P, N/B)
     double bloom_fpr = 0.1;         // f
     WorkloadMix mix;                // windowed mix (AmpSnapshot::Mix)
     uint64_t window_ops = 0;        // AmpSnapshot::Operations()

@@ -5,7 +5,6 @@
 
 #include "filter/bloom.h"
 #include "obs/amp_tracker.h"
-#include "tuning/cost_model.h"
 #include "util/coding.h"
 
 namespace talus {
@@ -113,13 +112,10 @@ void ComposedPolicy::StartPhase() {
     }
     mix.Normalize();
 
-    tuning::HorizontalCostModel model;
-    model.capacity_buffers = bottom_->top_buffers();
-    model.bloom_fpr = BloomFalsePositiveRate(config_.bloom_bits_per_key);
-    model.page_entries = std::max(1.0, config_.page_entries);
-
-    const tuning::NavigatorResult best =
-        tuning::Navigate(model, mix, kMaxHorizontalLevels);
+    const tuning::NavigatorResult best = tuning::Navigate(
+        bottom_->top_buffers(),
+        BloomFalsePositiveRate(config_.bloom_bits_per_key),
+        config_.page_entries, mix, kMaxHorizontalLevels);
     merge = best.merge;
     levels = best.levels;
   }
@@ -209,6 +205,15 @@ std::vector<LevelFilterInfo> ComposedPolicy::FilterInfo(
     }
   }
   return info;
+}
+
+std::optional<tuning::Design> ComposedPolicy::design() const {
+  tuning::Design d;
+  if (top_) {
+    d.horizontal = tuning::HorizontalDesign{top_->merge(), top_->levels()};
+  }
+  if (bottom_) bottom_->Describe(&d);
+  return d;
 }
 
 std::string ComposedPolicy::EncodeState() const {

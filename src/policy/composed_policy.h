@@ -50,13 +50,12 @@ class ComposedPolicy : public GrowthPolicy {
   void OnCompactionCompleted(const CompactionRequest& req,
                              const Version& v) override;
   std::vector<LevelFilterInfo> FilterInfo(const Version& v) const override;
+  /// The horizontal part's live (merge, ℓ, n) above the vertical levels.
+  std::optional<tuning::Design> design() const override;
   std::string EncodeState() const override;
   bool DecodeState(const std::string& state) override;
 
   // Introspection for tests, benches and examples.
-  int horizontal_levels() const { return top_->levels(); }
-  MergePolicy horizontal_merge() const { return top_->merge(); }
-  uint64_t capacity_buffers() const { return bottom_->top_buffers(); }
   int v1_level() const { return bottom_->first_level(); }
   int v2_level() const { return bottom_->first_level() + 1; }
   uint64_t LevelCapacity(const Version& v, int level) const {

@@ -34,6 +34,7 @@
 
 #include "filter/filter_allocator.h"
 #include "lsm/version.h"
+#include "tuning/cost_model.h"
 
 namespace talus {
 
@@ -105,6 +106,10 @@ class GrowthPolicy {
   /// Per-level capacity/occupancy forecast consumed by the filter allocator
   /// (Monkey needs capacities; the dynamic layout needs expected fill).
   virtual std::vector<LevelFilterInfo> FilterInfo(const Version& v) const;
+
+  /// The parts the policy runs now, as the cost model prices them
+  /// (tuning::Predict); none when the design has no closed form there.
+  virtual std::optional<tuning::Design> design() const { return {}; }
 
   /// Policy state round-trip for manifest persistence (counters, phase).
   /// The decoder rejects a truncated or padded state; a stateless policy

@@ -72,7 +72,9 @@ struct GrowthPolicyConfig {
   // ---- Shared ----
   // False positive rate of the Bloom filters, fed to the cost model.
   double bloom_bits_per_key = 5.0;
-  // Page size in entries (cost model's P). Filled by the DB from its options.
+  // Page size in entries, the §5.2 navigator's P. The engine never sets
+  // it (the figure benches do); the drift sample derives its own P from
+  // block_size / mean entry size (DESIGN.md §6.7 records the two).
   double page_entries = 4.0;
 
   std::string Label() const;

@@ -67,6 +67,23 @@ void VerticalPart::Forecast(const Version& v, int level, double entry_bytes,
           : 0.5;
 }
 
+void VerticalPart::Describe(tuning::Design* design) const {
+  const double T = shape_.size_ratio;
+  if (design->horizontal) {
+    design->horizontal->buffers =
+        TopCapacity() / std::max<uint64_t>(1, buffer_bytes_);
+  }
+  design->grows = shape_.fixed_levels == 0;
+  if (design->grows) design->vertical.push_back({shape_.merge, T});
+  for (int i = 0; i < shape_.fixed_levels; i++) {
+    // Vertiorizon's V1 holds n·B·T′ and V2 n·B·T² (Eq. 2).
+    const double ratio = !follows_top() ? T
+                         : i == 0       ? shape_.first_ratio
+                                        : T * T / shape_.first_ratio;
+    design->vertical.push_back({LevelMerge(first_level() + i), ratio});
+  }
+}
+
 void VerticalPart::ResizeTop() {
   shape_.top_buffers = static_cast<uint64_t>(std::ceil(
       static_cast<double>(shape_.top_buffers) * (1.0 + 1.0 / shape_.size_ratio)));

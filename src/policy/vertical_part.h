@@ -73,6 +73,10 @@ class VerticalPart {
                 LevelFilterInfo* info) const;
   uint64_t top_buffers() const { return shape_.top_buffers; }
   void set_top_buffers(uint64_t n) { shape_.top_buffers = n; }
+  /// Adds this stack to `design` as the cost model prices it (one level
+  /// that repeats as it grows, or each fixed level's merge and ratio) and
+  /// sets a horizontal part's n to TopCapacity() in buffers.
+  void Describe(tuning::Design* design) const;
   /// Grows n by the factor 1 + 1/T (§5.1).
   void ResizeTop();
   /// The bottom level of a fixed stack holds more than its capacity.

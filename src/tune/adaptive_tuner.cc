@@ -1,6 +1,6 @@
 #include "tune/adaptive_tuner.h"
 
-#include "tuning/vertical_cost_model.h"
+#include "tuning/cost_model.h"
 
 namespace talus {
 namespace tune {
@@ -19,8 +19,6 @@ AdaptiveTuner::AdaptiveTuner(const TunerConfig& config) : config_(config) {}
 
 TuneDecision AdaptiveTuner::Decide(const obs::DriftSample& window) {
   TuneDecision d;
-  d.merge = window.merge;
-  d.size_ratio = window.size_ratio;
 
   std::lock_guard<std::mutex> lock(mu_);
   stats_.ticks++;
@@ -34,18 +32,15 @@ TuneDecision AdaptiveTuner::Decide(const obs::DriftSample& window) {
 
   WorkloadMix mix = window.mix;
   mix.Normalize();
-  tuning::VerticalCostModel current;
-  current.size_ratio = window.size_ratio;
-  current.bloom_fpr = window.bloom_fpr;
-  current.page_entries = window.page_entries;
-  current.data_buffers = window.data_buffers;
-  d.current_cost = current.Zeta(window.merge, mix);
+  // The window's price of its design: 0, so held, with no closed form.
+  d.current_cost = window.predicted.Zeta(mix);
 
   const tuning::VerticalChoice best = tuning::BestVertical(
       window.bloom_fpr, window.page_entries, window.data_buffers, mix);
   d.best_cost = best.cost;
-  d.predicted_gain =
-      best.cost > 0 ? d.current_cost / best.cost - 1.0 : 0.0;
+  d.predicted_gain = best.cost > 0 && d.current_cost > 0
+                         ? d.current_cost / best.cost - 1.0
+                         : 0.0;
 
   stats_.last_gain = d.predicted_gain;
   stats_.last_current_cost = d.current_cost;
@@ -59,8 +54,8 @@ TuneDecision AdaptiveTuner::Decide(const obs::DriftSample& window) {
     return d;
   }
 
-  const bool same_design = best.merge == window.merge &&
-                           best.size_ratio == window.size_ratio;
+  const bool same_design =
+      window.design == tuning::Design::Vertical(best.merge, best.size_ratio);
   if (same_design || d.predicted_gain <= config_.hysteresis) {
     d.action = TuneDecision::Action::kHold;
     stats_.holds++;

@@ -2,11 +2,12 @@
 // (DESIGN.md §9). The sensing half (obs::AmpTracker windowed amplification
 // and operation mix, obs::ModelDriftMonitor drift scores) prices the
 // running design once per window; this class closes the loop: each
-// decision tick it takes that window's obs::DriftSample, re-solves the
-// vertical cost model (tuning::BestVertical) against the *measured* mix
-// and amp-derived parameters, and recommends switching the growth
-// policy — or retuning its size ratio — when the predicted win clears a
-// hysteresis band.
+// decision tick it takes that window's obs::DriftSample, weighs the
+// sample's price of its design against every growing vertical candidate
+// (tuning::BestVertical prices them with tuning::Predict at the same
+// *measured* mix and amp-derived parameters), and recommends switching the
+// growth policy — or retuning its size ratio — when the predicted win
+// clears a hysteresis band.
 //
 // Split of responsibilities:
 //   * Decide() is the navigator: pure cost-model arithmetic plus the two
@@ -52,8 +53,7 @@ struct TunerConfig {
 struct TuneDecision {
   enum class Action { kHold, kThinWindow, kCooldown, kRetune };
   Action action = Action::kHold;
-  /// The recommended design (valid when action == kRetune; echoes the
-  /// current design otherwise).
+  /// The recommended vertical design (valid when action == kRetune).
   MergePolicy merge = MergePolicy::kLeveling;
   double size_ratio = 6.0;
   double current_cost = 0;    // ζ(current design, measured mix)
@@ -88,8 +88,8 @@ class AdaptiveTuner {
   AdaptiveTuner& operator=(const AdaptiveTuner&) = delete;
 
   /// One navigation decision over a drift window: its mix, operation
-  /// count, f, P, N/B and the design it ran under (merge, T). Thread-safe;
-  /// updates the anti-flap state and counters.
+  /// count, f, P, N/B and the design it ran under. Thread-safe; updates
+  /// the anti-flap state and counters.
   TuneDecision Decide(const obs::DriftSample& window);
 
   /// Owner feedback: a drift window flagged kModelDrift.

@@ -1,6 +1,7 @@
 #include "tuning/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "theory/schemes.h"
@@ -8,40 +9,97 @@
 namespace talus {
 namespace tuning {
 
-double HorizontalCostModel::PointLookupCost(MergePolicy merge,
-                                            int levels) const {
+namespace {
+
+void Add(double update, double point, int levels, double f, Cost* total) {
+  total->update += update;
+  total->point += point;
+  total->range += f > 0 ? point / f : 0;  // Every run is touched.
+  total->levels += levels;
+}
+
+// `count` vertical levels of one merge at ratio T.
+void AddVertical(MergePolicy merge, double T, int count, double f, double P,
+                 Cost* total) {
+  const double L = count;
   if (merge == MergePolicy::kLeveling) {
-    return static_cast<double>(levels) * bloom_fpr;  // R_l = ℓ·f.
+    // Each entry is rewritten ~(T+1)/2 times per level before moving on.
+    Add(L * (T + 1.0) / (2.0 * P), L * f, count, f, total);
+  } else {
+    Add(L / P, L * T * f, count, f, total);  // Up to T runs per level.
   }
-  // R_t (Eq. 3): amortized probes per lookup over the fill of the part.
-  const uint64_t n = std::max<uint64_t>(1, capacity_buffers);
-  const uint64_t tau = theory::TieringReadCostClosedForm(n, levels);
-  return static_cast<double>(tau) * bloom_fpr / static_cast<double>(n);
 }
 
-double HorizontalCostModel::RangeLookupCost(MergePolicy merge,
-                                            int levels) const {
-  // Q = R / f: every run is touched regardless of the filters.
-  if (bloom_fpr <= 0) return 0;
-  return PointLookupCost(merge, levels) / bloom_fpr;
+}  // namespace
+
+Design Design::Horizontal(MergePolicy merge, int levels, uint64_t buffers) {
+  return Design{HorizontalDesign{merge, levels, buffers}, {}, false};
 }
 
-double HorizontalCostModel::UpdateCost(MergePolicy merge, int levels) const {
-  if (merge == MergePolicy::kTiering) {
-    return static_cast<double>(levels) / page_entries;  // W_t = ℓ/P.
+Design Design::Vertical(MergePolicy merge, double size_ratio) {
+  return Design{std::nullopt, {{merge, size_ratio}}, true};
+}
+
+std::string HorizontalDesign::ToString() const {
+  return std::string("merge=") + MergePolicyName(merge) +
+         " l=" + std::to_string(levels) +
+         " n=" + (buffers > 0 ? std::to_string(buffers) : "N/B");
+}
+
+std::string Design::ToString() const {
+  std::string out = horizontal ? "horizontal" : "";
+  char buf[96];
+  for (const VerticalLevel& level : vertical) {
+    std::snprintf(buf, sizeof(buf), "%smerge=%s T=%.1f",
+                  out.empty() ? "" : " + ", MergePolicyName(level.merge),
+                  level.ratio);
+    out += buf;
   }
-  // W_l (Eq. 4).
-  const uint64_t n = std::max<uint64_t>(1, capacity_buffers);
-  const uint64_t omega = theory::LevelingWriteCostClosedForm(n, levels);
-  return static_cast<double>(omega) /
-         (static_cast<double>(n) * page_entries);
+  return out;
 }
 
-double HorizontalCostModel::Zeta(MergePolicy merge, int levels,
-                                 const WorkloadMix& mix) const {
-  return mix.updates * UpdateCost(merge, levels) +
-         mix.point_lookups * PointLookupCost(merge, levels) +
-         mix.range_lookups * RangeLookupCost(merge, levels);
+double Cost::Zeta(const WorkloadMix& mix) const {
+  return mix.updates * update + mix.point_lookups * point +
+         mix.range_lookups * range;
+}
+
+Cost Predict(const Design& design, double f, double page_entries,
+             uint64_t data_buffers) {
+  const double P = std::max(1.0, page_entries);
+  const uint64_t nb = std::max<uint64_t>(1, data_buffers);
+  const double data = std::max(2.0, static_cast<double>(nb));
+  Cost total;
+  double above = 1.0;  // Capacity above the first vertical level, buffers.
+  if (const auto& h = design.horizontal) {
+    const uint64_t n = std::max<uint64_t>(1, h->buffers > 0 ? h->buffers : nb);
+    above = h->buffers > 0 ? static_cast<double>(n) : data;
+    const double l = h->levels;
+    if (h->merge == MergePolicy::kLeveling) {
+      const uint64_t omega = theory::LevelingWriteCostClosedForm(n, h->levels);
+      Add(static_cast<double>(omega) / (static_cast<double>(n) * P), l * f,
+          h->levels, f, &total);
+    } else {
+      // Amortized probes per lookup over the fill of the part.
+      const uint64_t tau = theory::TieringReadCostClosedForm(n, h->levels);
+      Add(l / P, static_cast<double>(tau) * f / static_cast<double>(n),
+          h->levels, f, &total);
+    }
+  }
+  if (design.grows) {
+    const VerticalLevel& level = design.vertical.front();
+    const double T = std::max(2.0, level.ratio);
+    AddVertical(level.merge, T,
+                std::max(1, static_cast<int>(
+                                std::ceil(std::log(data) / std::log(T)))),
+                f, P, &total);
+    return total;
+  }
+  for (const VerticalLevel& level : design.vertical) {
+    if (data <= above) break;  // The data has not reached this level.
+    AddVertical(level.merge, level.ratio, 1, f, P, &total);
+    above *= level.ratio;
+  }
+  return total;
 }
 
 std::string NavigatorResult::ToString() const {
@@ -51,61 +109,68 @@ std::string NavigatorResult::ToString() const {
   return buf;
 }
 
-namespace {
-
-int LevelCap(const HorizontalCostModel& model, int max_levels) {
+NavigatorResult Navigate(uint64_t buffers, double bloom_fpr,
+                         double page_entries, const WorkloadMix& mix,
+                         int max_levels) {
   // ℓ cannot usefully exceed n (one buffer per level already fits the data).
-  const uint64_t n = std::max<uint64_t>(2, model.capacity_buffers);
-  return static_cast<int>(
-      std::min<uint64_t>(static_cast<uint64_t>(max_levels), n));
-}
-
-}  // namespace
-
-NavigatorResult Navigate(const HorizontalCostModel& model,
-                         const WorkloadMix& mix, int max_levels) {
-  const int cap = LevelCap(model, max_levels);
+  const int cap = static_cast<int>(std::min<uint64_t>(
+      static_cast<uint64_t>(max_levels), std::max<uint64_t>(2, buffers)));
   NavigatorResult best;
   bool first = true;
   for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
     // The cost curves are convex in ℓ (§5.2): walk up from the minimum
     // feasible ℓ = 2 and stop at the first increase (saddle point). ℓ = 1
     // is included as a degenerate candidate for tiny capacities.
-    int lo = std::min(2, cap);
-    double prev = model.Zeta(merge, lo, mix);
-    int best_l = lo;
-    double best_cost = prev;
-    for (int l = lo + 1; l <= cap; l++) {
-      const double c = model.Zeta(merge, l, mix);
-      if (c < best_cost) {
-        best_cost = c;
-        best_l = l;
+    const int lo = std::min(2, cap);
+    double prev = 0;
+    for (int l = lo; l <= cap; l++) {
+      const double c = Predict(Design::Horizontal(merge, l, buffers),
+                               bloom_fpr, page_entries, buffers)
+                           .Zeta(mix);
+      if (first || c < best.cost) {
+        best = {merge, l, c};
+        first = false;
       }
-      if (c > prev) break;  // Past the saddle point.
+      if (l > lo && c > prev) break;  // Past the saddle point.
       prev = c;
-    }
-    if (first || best_cost < best.cost) {
-      best.merge = merge;
-      best.levels = best_l;
-      best.cost = best_cost;
-      first = false;
     }
   }
   return best;
 }
 
-NavigatorResult NavigateExhaustive(const HorizontalCostModel& model,
-                                   const WorkloadMix& mix, int max_levels) {
-  const int cap = LevelCap(model, max_levels);
+NavigatorResult NavigateExhaustive(uint64_t buffers, double bloom_fpr,
+                                   double page_entries, const WorkloadMix& mix,
+                                   int max_levels) {
+  // Every ℓ from 2 (1 when n < 2) up to min(n, max_levels).
+  const uint64_t cap = std::min<uint64_t>(static_cast<uint64_t>(max_levels),
+                                          std::max<uint64_t>(2, buffers));
   NavigatorResult best;
   bool first = true;
   for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
-    for (int l = std::min(2, cap); l <= cap; l++) {
-      const double c = model.Zeta(merge, l, mix);
+    for (int l = cap < 2 ? 1 : 2; static_cast<uint64_t>(l) <= cap; l++) {
+      const double c = Predict(Design::Horizontal(merge, l, buffers),
+                               bloom_fpr, page_entries, buffers)
+                           .Zeta(mix);
       if (first || c < best.cost) {
-        best.merge = merge;
-        best.levels = l;
-        best.cost = c;
+        best = {merge, l, c};
+        first = false;
+      }
+    }
+  }
+  return best;
+}
+
+VerticalChoice BestVertical(double bloom_fpr, double page_entries,
+                            uint64_t data_buffers, const WorkloadMix& mix) {
+  VerticalChoice best;
+  bool first = true;
+  for (MergePolicy merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
+    for (double t : {2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 16.0, 32.0}) {
+      const double c = Predict(Design::Vertical(merge, t), bloom_fpr,
+                               page_entries, data_buffers)
+                           .Zeta(mix);
+      if (first || c < best.cost) {
+        best = {merge, t, c};
         first = false;
       }
     }

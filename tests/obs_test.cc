@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "filter/bloom.h"
 #include "lsm/db.h"
 #include "obs/amp_tracker.h"
 #include "obs/event_ring.h"
@@ -35,9 +36,10 @@
 #include "obs/model_drift.h"
 #include "obs/prometheus.h"
 #include "obs/stats_snapshotter.h"
+#include "policy/composed_policy.h"
 #include "server/server.h"
 #include "shard/sharded_db.h"
-#include "tuning/vertical_cost_model.h"
+#include "tuning/cost_model.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -822,15 +824,9 @@ TEST(AmpGroundTruth, ProbeCountsMatchTreeShape) {
 obs::ModelDriftMonitor::Measured MatchedMeasured() {
   // A measurement that agrees with the model exactly: feed the model's own
   // predictions back as "measured".
-  tuning::VerticalCostModel model;
-  model.size_ratio = 6.0;
-  model.bloom_fpr = 0.1;
-  model.page_entries = 8.0;
-  model.data_buffers = 64;
-
   obs::ModelDriftMonitor::Measured m;
-  m.merge = MergePolicy::kLeveling;
-  m.size_ratio = 6.0;
+  m.design = tuning::Design::Vertical(MergePolicy::kLeveling, 6.0);
+  m.predicted = tuning::Predict(*m.design, 0.1, 8.0, 64);
   m.bloom_fpr = 0.1;
   m.mix.updates = 0.5;
   m.mix.point_lookups = 0.5;
@@ -841,8 +837,8 @@ obs::ModelDriftMonitor::Measured MatchedMeasured() {
   m.found_fraction = 0.5;
   m.page_entries = 8.0;
   m.data_buffers = 64;
-  m.blocks_per_lookup = 0.5 + model.PointLookupCost(MergePolicy::kLeveling);
-  m.write_amp = model.UpdateCost(MergePolicy::kLeveling) * 8.0;
+  m.blocks_per_lookup = 0.5 + m.predicted.point;
+  m.write_amp = m.predicted.update * 8.0;
   return m;
 }
 
@@ -1047,6 +1043,133 @@ TEST(ModelDriftIntegration, MixedWorkloadPredictionWithinFactorAndFlipDrifts) {
       << model;
   EXPECT_NE(model.find("point: predicted="), std::string::npos) << model;
 }
+
+// Every named policy is priced as the parts it runs (DESIGN.md §6.7): the
+// drift sample's design is the policy's own report, and on a steady
+// Put+Get stream the prediction stays within the monitor's default factor
+// of 4 (its drift threshold) for every name with a closed form, so no
+// drift fires. The stream is item 3's probe at reduced scale: MemEnv,
+// kInline, T = 6, 16 KiB buffers, a 4 KiB block cache; 6000 keys loaded,
+// then two windows of 3000 Put+Get pairs over 12000 keys.
+class ModelDriftPerName : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ModelDriftPerName, PricesThePartsThatRunWithinFactor) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.block_size = 4096;
+  opts.block_cache_bytes = 4096;
+  ASSERT_TRUE(GrowthPolicyConfigByName(GetParam(), 6.0, 0, &opts.policy));
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  for (int i = 0; i < 6000; i++) {
+    ASSERT_TRUE(
+        db->Put(workload::FormatKey(i, 16), std::string(64, 'v')).ok());
+  }
+  db->EvaluateModelDrift();  // The load window.
+  Random rnd(7);
+  std::string value;
+  obs::DriftSample steady;
+  for (int window = 0; window < 2; window++) {
+    for (int i = 0; i < 3000; i++) {
+      ASSERT_TRUE(db->Put(workload::FormatKey(rnd.Uniform(12000), 16),
+                          std::string(64, 'w'))
+                      .ok());
+      db->Get(workload::FormatKey(rnd.Uniform(12000), 16), &value);
+    }
+    steady = db->EvaluateModelDrift();
+  }
+  SCOPED_TRACE(steady.ToString());
+  const std::optional<tuning::Design> parts = db->policy()->design();
+  EXPECT_EQ(steady.design, parts);
+  EXPECT_LT(steady.mix_shift, 0.05);
+  if (!parts) {
+    // Universal: no closed form, so no prediction and no drift score.
+    EXPECT_EQ(GetParam(), "universal");
+    EXPECT_EQ(steady.predicted_point, 0.0);
+    EXPECT_EQ(steady.predicted.update, 0.0);
+    EXPECT_EQ(steady.drift_score, 0.0);
+    EXPECT_NE(steady.ToString().find("design: none levels=0"),
+              std::string::npos);
+    EXPECT_FALSE(steady.drifted);
+    return;
+  }
+  if (GetParam().rfind("hr-", 0) == 0) {
+    EXPECT_TRUE(parts->vertical.empty());  // A horizontal part alone.
+  }
+  if (GetParam() == "vertiorizon") {
+    // The navigator's live pick for the part's current n.
+    const tuning::HorizontalDesign& top = *parts->horizontal;
+    WorkloadMix mix = opts.policy.expected_mix;
+    mix.Normalize();
+    const tuning::NavigatorResult pick = tuning::Navigate(
+        top.buffers, BloomFalsePositiveRate(opts.policy.bloom_bits_per_key),
+        opts.policy.page_entries, mix,
+        ComposedPolicy::kMaxHorizontalLevels);
+    EXPECT_EQ(top.merge, pick.merge);
+    EXPECT_EQ(top.levels, pick.levels);
+    EXPECT_EQ(parts->vertical.size(), 2u);  // V1 and V2.
+  }
+  EXPECT_GT(steady.point_ratio, 0.25);
+  EXPECT_LT(steady.point_ratio, 4.0);
+  EXPECT_GT(steady.update_ratio, 0.25);
+  EXPECT_LT(steady.update_ratio, 4.0);
+  EXPECT_FALSE(steady.drifted);
+}
+
+// The text between "design: " and " levels=" names the parts a
+// configuration runs and stays the same while it runs; tools compare it
+// across engines of one configuration. Vertiorizon's live (merge, ℓ, n)
+// goes on the "horizontal: " line, which moves as the part grows.
+TEST(ModelDriftIntegration, DesignLineStaysFixedWhileVertiorizonRedesigns) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.policy = GrowthPolicyConfig::Vertiorizon(6);
+  opts.policy.vrn_initial_capacity_buffers = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  auto line = [&](const char* head, const char* tail) {
+    std::string model;
+    EXPECT_TRUE(db->GetProperty("talus.model", &model));
+    const size_t start = model.find(head);
+    if (start == std::string::npos) return model;
+    const size_t from = start + std::strlen(head);
+    return model.substr(from, model.find(tail, from) - from);
+  };
+  db->EvaluateModelDrift();
+  const std::string design = line("design: ", " levels=");
+  const std::string first = line("horizontal: ", "\n");
+  EXPECT_EQ(first, db->policy()->design()->horizontal->ToString());
+  for (int i = 0; i < 20000; i++) {
+    ASSERT_TRUE(
+        db->Put(workload::FormatKey(i, 16), std::string(64, 'v')).ok());
+  }
+  db->EvaluateModelDrift();
+  EXPECT_EQ(line("design: ", " levels="), design);
+  EXPECT_NE(line("horizontal: ", "\n"), first);  // n grew.
+  EXPECT_EQ(design.rfind("horizontal + merge=", 0), 0u) << design;
+}
+
+std::vector<std::string> NamedPolicies() {
+  std::vector<std::string> names;
+  std::string all = GrowthPolicyNames();
+  for (size_t pos = 0; pos <= all.size();) {
+    size_t end = all.find('|', pos);
+    if (end == std::string::npos) end = all.size();
+    names.push_back(all.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Names, ModelDriftPerName, ::testing::ValuesIn(NamedPolicies()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // The drift window counts a batch's entries, not the batch: one 100-put
 // WriteBatch and 100 Gets are half updates, as talus_puts_total says.

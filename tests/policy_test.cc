@@ -179,14 +179,15 @@ TEST(VertiorizonStructure, LayoutAndResizing) {
   // The two vertical levels are pinned; V1 and V2 hold single runs.
   EXPECT_LE(v.levels[policy->v1_level()].NumRuns(), 1u);
   EXPECT_LE(v.levels[policy->v2_level()].NumRuns(), 1u);
+  const tuning::Design design = *policy->design();
   // Horizontal part stays within its configured level range.
-  for (int i = policy->horizontal_levels();
+  for (int i = design.horizontal->levels;
        i < ComposedPolicy::kMaxHorizontalLevels; i++) {
     EXPECT_TRUE(v.levels[i].empty()) << "unused horizontal level " << i;
   }
   // 12000 × 256B ≈ 3MB through a 16KB horizontal part: capacity must have
   // grown via the 1+1/T resizing rule.
-  EXPECT_GT(policy->capacity_buffers(), 4u);
+  EXPECT_GT(design.horizontal->buffers, 4u);
   // V2 (the big level) holds most of the data.
   EXPECT_GT(v.levels[policy->v2_level()].TotalBytes(),
             v.TotalBytes() / 2);
@@ -202,7 +203,7 @@ TEST(VertiorizonStructure, SelfTuningPicksTieringForWrites) {
   ASSERT_TRUE(DB::Open(Options(env.get(), config), &db).ok());
   auto* policy = dynamic_cast<ComposedPolicy*>(db->policy());
   ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->horizontal_merge(), MergePolicy::kTiering);
+  EXPECT_EQ(policy->design()->horizontal->merge, MergePolicy::kTiering);
 }
 
 TEST(LazyLevelingStructure, LastLevelLeveledUpperTiered) {

@@ -360,7 +360,7 @@ TEST(VertiorizonUnit, CapacityMathUsesEq2Ratio) {
   config.vrn_initial_capacity_buffers = 10;
   ComposedPolicy policy(config, Ctx(1000));
   // T' = 8/√2 ≈ 5.657. V1 cap = 10·1000·T'; V2 = 10·1000·64.
-  EXPECT_EQ(policy.capacity_buffers(), 10u);
+  EXPECT_EQ(policy.design()->horizontal->buffers, 10u);
   EXPECT_EQ(policy.v1_level(), ComposedPolicy::kMaxHorizontalLevels);
   EXPECT_EQ(policy.v2_level(), ComposedPolicy::kMaxHorizontalLevels + 1);
 }
@@ -371,9 +371,7 @@ TEST(VertiorizonUnit, StateRoundTripThroughEncodeDecode) {
   const std::string state = a.EncodeState();
   ComposedPolicy b(config, Ctx(4096));
   ASSERT_TRUE(b.DecodeState(state));
-  EXPECT_EQ(b.horizontal_levels(), a.horizontal_levels());
-  EXPECT_EQ(b.horizontal_merge(), a.horizontal_merge());
-  EXPECT_EQ(b.capacity_buffers(), a.capacity_buffers());
+  EXPECT_EQ(*b.design(), *a.design());
   EXPECT_EQ(b.EncodeState(), state);
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <dirent.h>
 #include <fstream>
@@ -19,8 +21,10 @@
 #include <vector>
 
 #include "env/env.h"
+#include "filter/bloom.h"
 #include "lsm/db.h"
 #include "obs/model_drift.h"
+#include "policy/composed_policy.h"
 #include "policy/policy_config.h"
 #include "shard/sharded_db.h"
 #include "tune/adaptive_tuner.h"
@@ -40,8 +44,15 @@ DbOptions SmallDbOptions(Env* env) {
   return opts;
 }
 
+// The owner installs `design`: the next window runs and is priced under it.
+void Install(const tuning::Design& design, obs::DriftSample* in) {
+  in->design = design;
+  in->predicted = tuning::Predict(design, in->bloom_fpr, in->page_entries,
+                                  in->data_buffers);
+}
+
 // A drift window the navigator decides from: its measured mix and
-// amp-derived parameters, and the design it ran under.
+// amp-derived parameters, and the design it ran under, priced.
 obs::DriftSample BaseInputs(double update_frac) {
   obs::DriftSample in;
   in.mix.updates = update_frac;
@@ -51,8 +62,7 @@ obs::DriftSample BaseInputs(double update_frac) {
   in.bloom_fpr = 0.1;
   in.page_entries = 16;
   in.data_buffers = 256;
-  in.merge = MergePolicy::kLeveling;
-  in.size_ratio = 6.0;
+  Install(tuning::Design::Vertical(MergePolicy::kLeveling, 6.0), &in);
   return in;
 }
 
@@ -92,8 +102,7 @@ TEST(TunerNavigator, StationaryMixNeverFlaps) {
       const tune::TuneDecision d = tuner.Decide(in);
       if (d.retune()) {
         switches++;
-        in.merge = d.merge;  // The owner installs the design.
-        in.size_ratio = d.size_ratio;
+        Install(tuning::Design::Vertical(d.merge, d.size_ratio), &in);
       }
     }
     EXPECT_LE(switches, 1) << "mix updates=" << w10 / 10.0
@@ -287,8 +296,8 @@ TEST(PolicySwitch, TunedDesignSurvivesReopenViaManifest) {
     ASSERT_EQ(db->CurrentPolicyConfig().Label(), "VT-Tier-Full");
     // The drift monitor prices the design that now runs.
     const obs::DriftSample drift = db->EvaluateModelDrift();
-    EXPECT_EQ(drift.merge, MergePolicy::kTiering);
-    EXPECT_EQ(drift.size_ratio, 8.0);
+    EXPECT_EQ(drift.design,
+              tuning::Design::Vertical(MergePolicy::kTiering, 8.0));
   }
   // Reopen with the ORIGINAL (leveled) options: under adaptive_tuning the
   // manifest's persisted config is authoritative, so the store comes back
@@ -300,8 +309,8 @@ TEST(PolicySwitch, TunedDesignSurvivesReopenViaManifest) {
     EXPECT_EQ(live.Label(), "VT-Tier-Full");
     EXPECT_DOUBLE_EQ(live.size_ratio, 8.0);
     const obs::DriftSample drift = db->EvaluateModelDrift();
-    EXPECT_EQ(drift.merge, MergePolicy::kTiering);
-    EXPECT_EQ(drift.size_ratio, 8.0);
+    EXPECT_EQ(drift.design,
+              tuning::Design::Vertical(MergePolicy::kTiering, 8.0));
     std::string value;
     ASSERT_TRUE(db->Get(workload::FormatKey(7, 16), &value).ok());
     EXPECT_EQ(value, "v");
@@ -345,9 +354,9 @@ TEST(TuneConcurrency, EveryDriftSamplePricesOneWholeDesign) {
     while (!stop.load()) {
       const obs::DriftSample s = db->EvaluateModelDrift();
       const bool leveled_6 =
-          s.merge == MergePolicy::kLeveling && s.size_ratio == 6.0;
+          s.design == tuning::Design::Vertical(MergePolicy::kLeveling, 6.0);
       const bool tiered_8 =
-          s.merge == MergePolicy::kTiering && s.size_ratio == 8.0;
+          s.design == tuning::Design::Vertical(MergePolicy::kTiering, 8.0);
       if (!leveled_6 && !tiered_8) mixed.fetch_add(1);
       samples.fetch_add(1);
     }
@@ -372,6 +381,87 @@ TEST(TuneConcurrency, EveryDriftSamplePricesOneWholeDesign) {
   EXPECT_GT(samples.load(), 0);
   EXPECT_EQ(mixed.load(), 0) << "of " << samples.load() << " samples over "
                              << switches << " switches";
+}
+
+// Vertiorizon redesigns its horizontal part at each clear, on a pool
+// thread, and grows n once V2 overflows. Every drift sample a concurrent
+// evaluator takes prices a design the policy held: the navigator's
+// (merge, ℓ) for an n the resize rule reaches from the initial one, above
+// the same V1 and V2.
+TEST(TuneConcurrency, EveryDriftSamplePricesAVertiorizonDesignItHeld) {
+  auto env = NewMemEnv();
+  DbOptions opts = SmallDbOptions(env.get());
+  opts.policy = GrowthPolicyConfig::Vertiorizon(2.0);
+  opts.policy.vrn_initial_capacity_buffers = 2;
+  opts.execution_mode = ExecutionMode::kBackground;
+  opts.num_background_threads = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+  const GrowthPolicyConfig& c = opts.policy;
+  WorkloadMix mix = c.expected_mix;
+  mix.Normalize();
+  const tuning::Design initial = *db->EvaluateModelDrift().design;
+  std::vector<tuning::Design> held;
+  for (uint64_t n = 2; n < 1000000;
+       n = static_cast<uint64_t>(
+           std::ceil(static_cast<double>(n) * (1.0 + 1.0 / c.size_ratio)))) {
+    const tuning::NavigatorResult pick = tuning::Navigate(
+        n, BloomFalsePositiveRate(c.bloom_bits_per_key), c.page_entries, mix,
+        ComposedPolicy::kMaxHorizontalLevels);
+    tuning::Design d = initial;
+    d.horizontal = tuning::HorizontalDesign{pick.merge, pick.levels, n};
+    held.push_back(d);
+  }
+  ASSERT_EQ(initial, held.front());
+  auto was_held = [&held](const std::optional<tuning::Design>& d) {
+    return d && std::find(held.begin(), held.end(), *d) != held.end();
+  };
+
+  // The writers run until a sample shows n grown past its start (V2
+  // overflowed and a clear resized the part), or for 2 x 40000 keys. Each
+  // quiesces every 2000 keys: when flushes outpace merges, V1's one-file
+  // merges into V2 fall behind (nothing stalls writers on V1), and V2 need
+  // not overflow before the writes end.
+  constexpr int kWriters = 2;
+  constexpr uint64_t kKeysPerWriter = 40000;
+  std::atomic<bool> stop{false};
+  std::atomic<bool> grown{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&db, &failed, &grown, w] {
+      for (uint64_t i = 0; i < kKeysPerWriter && !grown.load(); i++) {
+        const uint64_t key = static_cast<uint64_t>(w) * kKeysPerWriter + i;
+        if (!db->Put(workload::FormatKey(key, 16), std::string(40, 'v'))
+                 .ok() ||
+            (i % 2000 == 1999 && !db->FlushMemTable().ok())) {
+          failed.store(true);
+          break;
+        }
+      }
+    });
+  }
+  std::atomic<int> foreign{0};
+  std::atomic<int> samples{0};
+  std::thread evaluator([&] {
+    do {
+      const std::optional<tuning::Design> d = db->EvaluateModelDrift().design;
+      if (!was_held(d)) {
+        foreign.fetch_add(1);
+      } else if (d->horizontal->buffers > 2) {
+        grown.store(true);
+      }
+      samples.fetch_add(1);
+    } while (!stop.load());
+  });
+  for (auto& t : writers) t.join();
+  stop.store(true);
+  evaluator.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_TRUE(grown.load()) << "n never grew in " << samples.load()
+                            << " samples";
+  EXPECT_EQ(foreign.load(), 0) << "of " << samples.load() << " samples";
 }
 
 // --------------------------------------------- Sense→navigate→act loop

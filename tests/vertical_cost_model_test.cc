@@ -1,51 +1,48 @@
-#include "tuning/vertical_cost_model.h"
-
+// Tests for the growing vertical part of the cost model (tuning::Predict
+// over Design::Vertical) and the §9 tuner's candidates.
 #include <gtest/gtest.h>
 
 #include "filter/bloom.h"
+#include "tuning/cost_model.h"
 
 namespace talus {
 namespace tuning {
 namespace {
 
-VerticalCostModel Model(double T, uint64_t n = 1024) {
-  VerticalCostModel m;
-  m.size_ratio = T;
-  m.bloom_fpr = 0.1;
-  m.page_entries = 4.0;
-  m.data_buffers = n;
-  return m;
+Cost Model(double T, MergePolicy merge, uint64_t n = 1024) {
+  return Predict(Design::Vertical(merge, T), 0.1, 4.0, n);
 }
 
-TEST(VerticalCostModel, LevelCountLogarithmic) {
-  EXPECT_EQ(Model(2, 1024).Levels(), 10);
-  EXPECT_EQ(Model(4, 1024).Levels(), 5);
-  EXPECT_EQ(Model(32, 1024).Levels(), 2);
-  EXPECT_GE(Model(10, 2).Levels(), 1);
+int Levels(double T, uint64_t n) {
+  return Model(T, MergePolicy::kLeveling, n).levels;
 }
 
-TEST(VerticalCostModel, LevelingVsTieringDirections) {
-  const auto m = Model(6);
+TEST(VerticalCost, LevelCountLogarithmic) {
+  EXPECT_EQ(Levels(2, 1024), 10);
+  EXPECT_EQ(Levels(4, 1024), 5);
+  EXPECT_EQ(Levels(32, 1024), 2);
+  EXPECT_GE(Levels(10, 2), 1);
+}
+
+TEST(VerticalCost, LevelingVsTieringDirections) {
+  const Cost tiering = Model(6, MergePolicy::kTiering);
+  const Cost leveling = Model(6, MergePolicy::kLeveling);
   // Tiering reads cost more (T runs per level); writes cost less.
-  EXPECT_GT(m.PointLookupCost(MergePolicy::kTiering),
-            m.PointLookupCost(MergePolicy::kLeveling));
-  EXPECT_LT(m.UpdateCost(MergePolicy::kTiering),
-            m.UpdateCost(MergePolicy::kLeveling));
+  EXPECT_GT(tiering.point, leveling.point);
+  EXPECT_LT(tiering.update, leveling.update);
 }
 
-TEST(VerticalCostModel, RatioTradesReadsForWrites) {
+TEST(VerticalCost, RatioTradesReadsForWrites) {
   // Growing T: fewer levels ⇒ cheaper leveled reads, costlier leveled
   // writes per level but fewer levels — classic concave trade-off. At the
   // extremes the directions are unambiguous.
-  const auto small = Model(2);
-  const auto large = Model(32);
-  EXPECT_GT(small.PointLookupCost(MergePolicy::kLeveling),
-            large.PointLookupCost(MergePolicy::kLeveling));
-  EXPECT_LT(small.UpdateCost(MergePolicy::kLeveling),
-            large.UpdateCost(MergePolicy::kLeveling));
+  const Cost small = Model(2, MergePolicy::kLeveling);
+  const Cost large = Model(32, MergePolicy::kLeveling);
+  EXPECT_GT(small.point, large.point);
+  EXPECT_LT(small.update, large.update);
 }
 
-TEST(VerticalCostModel, BestVerticalRespondsToMix) {
+TEST(VerticalCost, BestVerticalRespondsToMix) {
   WorkloadMix writes;
   writes.updates = 0.99;
   writes.point_lookups = 0.01;
@@ -71,14 +68,10 @@ TEST_P(FrontierDominanceTest, HorizontalDominatesVertical) {
 
   double best_vertical = -1;
   for (double T : {2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 16.0, 32.0, 64.0}) {
-    VerticalCostModel m;
-    m.size_ratio = T;
-    m.bloom_fpr = f;
-    m.page_entries = 4.0;
-    m.data_buffers = n;
     for (auto merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
-      if (m.PointLookupCost(merge) <= budget) {
-        const double w = m.UpdateCost(merge);
+      const Cost m = Predict(Design::Vertical(merge, T), f, 4.0, n);
+      if (m.point <= budget) {
+        const double w = m.update;
         if (best_vertical < 0 || w < best_vertical) best_vertical = w;
       }
     }
@@ -87,15 +80,12 @@ TEST_P(FrontierDominanceTest, HorizontalDominatesVertical) {
     GTEST_SKIP() << "no vertical design meets the budget";
   }
 
-  HorizontalCostModel h;
-  h.capacity_buffers = n;
-  h.bloom_fpr = f;
-  h.page_entries = 4.0;
   double best_horizontal = -1;
   for (int l = 2; l <= 128; l++) {
     for (auto merge : {MergePolicy::kLeveling, MergePolicy::kTiering}) {
-      if (h.PointLookupCost(merge, l) <= budget) {
-        const double w = h.UpdateCost(merge, l);
+      const Cost h = Predict(Design::Horizontal(merge, l, n), f, 4.0, n);
+      if (h.point <= budget) {
+        const double w = h.update;
         if (best_horizontal < 0 || w < best_horizontal) best_horizontal = w;
       }
     }
