@@ -9,10 +9,11 @@
 //             plan's FileMetaPtr references pin every input file (deferred
 //             GC never deletes a referenced file), so the merge reads a
 //             frozen snapshot no matter what installs concurrently.
-//   install — back under the mutex: PlanStillValid() checks that no
-//             concurrent flush reshaped the plan's inputs, then
-//             ApplyCompactionPlan() splices the outputs into a successor
-//             Version. A failed check is a retriable conflict, not an error.
+//   install — back under the mutex: ApplyCompactionPlan() splices the
+//             outputs into a successor Version. No check precedes it: the
+//             DB records the runs each in-flight plan reads or rewrites, and
+//             no other job touches them until the plan installs, so the
+//             inputs are still exactly what the plan captured.
 #ifndef TALUS_COMPACTION_COMPACTION_PLAN_H_
 #define TALUS_COMPACTION_COMPACTION_PLAN_H_
 
@@ -68,13 +69,6 @@ struct CompactionPlan {
   /// have_range == false with no memtable means the plan is empty.
   std::string min_user, max_user;
   bool have_range = false;
-
-  /// Ordered run-id snapshot of the output level at plan time. Install
-  /// guard for front placement into level 0, the one level a concurrent
-  /// flush can prepend runs to: if the ordering changed, inserting the
-  /// output at the front would misorder it relative to freshly flushed
-  /// data, so the install must conflict instead.
-  std::vector<uint64_t> output_level_run_ids;
 
   std::string reason;
 

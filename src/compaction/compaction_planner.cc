@@ -14,6 +14,15 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
   plan->bits_per_key = ctx.bits_per_key;
   plan->smallest_snapshot = ctx.smallest_snapshot;
   plan->memtable = ctx.memtable;
+  // Level 0's front belongs to flushes: a compaction's new run there could
+  // land in front of a run flushed while it merged, newest-first order
+  // broken. No policy asks for one (their outputs land at level >= 1 or
+  // take their inputs' place).
+  if (!plan->memtable && req.output_level == 0 && !req.output_run_id &&
+      req.placement == CompactionRequest::Placement::kFront) {
+    return Status::InvalidArgument(
+        "a compaction cannot place a new run at the front of level 0");
+  }
 
   auto cover = [plan](const std::vector<FileMetaPtr>& files) {
     for (const auto& f : files) {
@@ -86,11 +95,6 @@ Status PlanCompaction(const Version& base, const CompactionRequest& req,
                                                      Slice(plan->max_user))) {
         plan->target_overlaps.push_back(target_run->files[idx]);
       }
-    }
-  }
-  if (out_level != nullptr) {
-    for (const auto& run : out_level->runs) {
-      plan->output_level_run_ids.push_back(run.run_id);
     }
   }
 

@@ -25,16 +25,19 @@ struct PlannerContext {
 };
 
 /// Resolves `req` against `base` into `plan`. Returns InvalidArgument when
-/// the request names levels/runs/files the version does not contain. A
-/// compaction whose inputs hold no files yields an empty plan
-/// (plan->empty()), which callers treat as "nothing to do". A flush
+/// the request names levels/runs/files the version does not contain, or
+/// when a compaction asks for a new front run of level 0 (only a flush
+/// makes one). A compaction whose inputs hold no files yields an empty
+/// plan (plan->empty()), which callers treat as "nothing to do". A flush
 /// (ctx.memtable set) is never empty: it needs no SST inputs, and its merge
 /// target, if any, is taken whole.
 ///
 /// Tombstone-GC admissibility (plan->drop_tombstones) is decided here, under
 /// the mutex, and stays valid across an off-mutex merge: a concurrent flush
 /// only adds *newer* data above the output position, never older data below
-/// it, so an admissible drop can never become unsafe (DESIGN.md §2.8).
+/// it, and no other job touches the plan's runs until it installs (run
+/// ownership), so an admissible drop can never become unsafe (DESIGN.md
+/// §2.8).
 Status PlanCompaction(const Version& base, const CompactionRequest& req,
                       const PlannerContext& ctx, CompactionPlan* plan);
 

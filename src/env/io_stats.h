@@ -46,7 +46,7 @@ class IoStats {
   void RecordRead(uint64_t bytes) {
     read_requests_.fetch_add(1, std::memory_order_relaxed);
     bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-    if (sequential_depth_.load(std::memory_order_relaxed) > 0) {
+    if (sequential_ == this) {
       AdvanceClock(model_.seq_read_page_cost * static_cast<double>(bytes) /
                    static_cast<double>(IoCostModel::kPageSize));
     } else {
@@ -55,25 +55,21 @@ class IoStats {
     }
   }
 
-  /// RAII marker for streaming access (compaction merges): reads inside the
-  /// scope are charged sequential bandwidth instead of random-read latency.
-  /// The flag is per-IoStats, not per-thread: a merge's scope may briefly
-  /// discount a concurrent foreground read, which only perturbs the
-  /// virtual clock (wall-clock metrics are unaffected and a
-  /// single-threaded run never overlaps scopes).
+  /// RAII marker for streaming access (compaction merges): reads this
+  /// thread records on `stats` inside the scope are charged sequential
+  /// bandwidth instead of random-read latency. The marker is per-thread, so
+  /// a pooled merge never discounts a concurrent foreground read.
   class SequentialScope {
    public:
-    explicit SequentialScope(IoStats* stats) : stats_(stats) {
-      stats_->sequential_depth_.fetch_add(1, std::memory_order_relaxed);
+    explicit SequentialScope(const IoStats* stats) : outer_(sequential_) {
+      sequential_ = stats;
     }
-    ~SequentialScope() {
-      stats_->sequential_depth_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    ~SequentialScope() { sequential_ = outer_; }
     SequentialScope(const SequentialScope&) = delete;
     SequentialScope& operator=(const SequentialScope&) = delete;
 
    private:
-    IoStats* stats_;
+    const IoStats* outer_;  // The enclosing scope's stats, restored on exit.
   };
   void RecordWrite(uint64_t bytes) {
     write_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -158,8 +154,9 @@ class IoStats {
     }
   }
 
+  // The IoStats this thread's innermost SequentialScope marks, if any.
+  static inline thread_local const IoStats* sequential_ = nullptr;
   IoCostModel model_;
-  std::atomic<int> sequential_depth_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> read_requests_{0};

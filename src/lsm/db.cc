@@ -24,11 +24,6 @@ namespace talus {
 
 namespace {
 
-// Consecutive conflicted merges one maintenance job tolerates before its
-// final attempt holds the mutex (and so cannot conflict). Conflicts need a
-// concurrent install and are rare.
-constexpr int kMaxConflicts = 4;
-
 // CPU epsilons the virtual clock charges per applied write and per
 // Get/Scan call (env/io_stats.h, DESIGN.md §4).
 constexpr double kCpuCostPerWrite = 0.02;
@@ -898,23 +893,32 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   const uint64_t flush_t0 = NowMicros();
   ring_->Emit(obs::EventType::kFlushBegin, shard, mem->payload_bytes(), 0);
-  // Re-picked after a conflict: a compaction may have emptied level 0
-  // meanwhile, which turns a leveling flush into a new front run.
-  auto pick = [this] {
-    EnsurePaddedLocked(
-        static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
-    CompactionRequest req;
-    req.output_level = 0;
-    req.reason = "flush";
-    if (policy_->FlushMode(*current_) == MergeMode::kMergeIntoRun &&
-        !current_->levels[0].empty()) {
-      req.output_run_id = current_->levels[0].runs[0].run_id;
-    }
-    return std::optional<CompactionRequest>(std::move(req));
+  EnsurePaddedLocked(
+      static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
+  // A leveling flush rewrites level 0's newest run. It lets a compaction
+  // lane that already waits for level 0 pick first, so a flush backlog
+  // cannot starve merges of that run. Then it waits for any merge that
+  // owns the run to install (which may empty level 0 and make this a new
+  // front run), and from then until it installs, the compaction lane
+  // picks nothing (flush first).
+  auto leveling = [this] {
+    return policy_->FlushMode(*current_) == MergeMode::kMergeIntoRun &&
+           !current_->levels[0].empty();
   };
-  std::optional<CompactionRequest> job;
+  bg_cv_.wait(lock, [&] {
+    return !leveling() ||
+           (!pick_waiting_ &&
+            merging_runs_.count(current_->levels[0].runs[0].run_id) == 0);
+  });
+  level0_flush_ = leveling();
+  CompactionRequest req;
+  req.output_level = 0;
+  req.reason = "flush";
+  if (leveling()) req.output_run_id = current_->levels[0].runs[0].run_id;
   compaction::MergeResult result;
-  Status s = RunJobLocked(lock, pick, mem, &job, &result, obsolete);
+  Status s = RunJobLocked(lock, req, mem, &result, obsolete);
+  level0_flush_ = false;
+  bg_cv_.notify_all();
   if (!s.ok()) return s;
 
   stats_.flushes++;
@@ -929,11 +933,6 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
 }
 
 Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
-  auto pick = [this] {
-    EnsurePaddedLocked(
-        static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
-    return policy_->PickCompaction(*current_);
-  };
   // Bounded to catch policy bugs that would loop forever.
   for (int rounds = 0; rounds < 100000; rounds++) {
     if (!lane_requests_.empty()) {
@@ -946,9 +945,14 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
       if (!s.ok()) return s;
       continue;
     }
-    std::optional<CompactionRequest> job;
-    Status s = RunCompactionLocked(lock, pick, &job);
-    if (!s.ok() || !job.has_value()) return s;
+    WaitOutLevel0FlushLocked(lock);
+    EnsurePaddedLocked(
+        static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
+    const std::optional<CompactionRequest> job =
+        policy_->PickCompaction(*current_);
+    if (!job.has_value()) return Status::OK();
+    Status s = RunCompactionLocked(lock, *job);
+    if (!s.ok()) return s;
   }
   return Status::Corruption("compaction loop did not converge",
                             policy_->name());
@@ -982,16 +986,12 @@ Status DB::RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
     merge.reason = std::move(reason);
     return merge;
   };
-  std::optional<CompactionRequest> job;
   if (req->policy == nullptr) {
-    // Re-picked after a conflict: concurrent writers can flush while the
-    // whole-tree merge runs.
-    auto pick = [&]() -> std::optional<CompactionRequest> {
-      const int bottom = current_->BottommostNonEmptyLevel();
-      if (bottom < 0) return std::nullopt;
-      return merge_levels(0, bottom, "manual-compact-all");
-    };
-    return RunCompactionLocked(lock, pick, &job);
+    WaitOutLevel0FlushLocked(lock);
+    const int bottom = current_->BottommostNonEmptyLevel();
+    if (bottom < 0) return Status::OK();
+    return RunCompactionLocked(lock,
+                               merge_levels(0, bottom, "manual-compact-all"));
   }
 
   // The next drift window is priced under this design: EvaluateModelDrift
@@ -1015,17 +1015,18 @@ Status DB::RunLaneRequestLocked(std::unique_lock<std::mutex>& lock,
   // consolidate them: merge the shallowest multi-run level until none is.
   // Each merge leaves one run, and once the leveled policy is in, a flush
   // merges into level 0's run, so the loop ends.
-  auto pick = [&]() -> std::optional<CompactionRequest> {
-    for (size_t i = 0; i < current_->levels.size(); i++) {
-      if (current_->levels[i].runs.size() <= 1) continue;
-      const int level = static_cast<int>(i);
-      return merge_levels(level, level, "tune-catchup-L" + std::to_string(i));
-    }
-    return std::nullopt;
-  };
-  do {
-    s = RunCompactionLocked(lock, pick, &job);
-  } while (s.ok() && job.has_value());
+  while (s.ok()) {
+    WaitOutLevel0FlushLocked(lock);
+    const std::vector<LevelState>& levels = current_->levels;
+    const auto multi =
+        std::find_if(levels.begin(), levels.end(),
+                     [](const LevelState& l) { return l.runs.size() > 1; });
+    if (multi == levels.end()) break;
+    const int level = static_cast<int>(multi - levels.begin());
+    s = RunCompactionLocked(
+        lock, merge_levels(level, level,
+                           "tune-catchup-L" + std::to_string(level)));
+  }
   return s;
 }
 
@@ -1048,73 +1049,66 @@ void DB::DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs) {
 }
 
 Status DB::RunJobLocked(std::unique_lock<std::mutex>& lock,
-                        const JobPicker& pick, MemTable* mem,
-                        std::optional<CompactionRequest>* job,
+                        const CompactionRequest& req, MemTable* mem,
                         compaction::MergeResult* result,
                         std::vector<FileMetaPtr>* consumed) {
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
-  const compaction::OutputShape shape = OutputShapeForDb();
+  // ---- Plan (under the mutex). ----
   compaction::CompactionPlan plan;
-  for (int conflicts = 0;; conflicts++) {
-    // ---- Plan (under the mutex). ----
-    *job = pick();
-    if (!job->has_value()) return Status::OK();
-    Status s = PlanForRequestLocked(**job, mem, &plan);
-    if (!s.ok()) return s;
-    if (plan.empty()) return Status::OK();  // Nothing to merge: done.
-    const uint64_t level = static_cast<uint64_t>(plan.output_level);
-    ring_->Emit(obs::EventType::kCompactionPlan, shard, level,
-                plan.inputs.size());
+  Status s = PlanForRequestLocked(req, mem, &plan);
+  if (!s.ok() || plan.empty()) return s;  // An empty plan: nothing to do.
+  const uint64_t level = static_cast<uint64_t>(plan.output_level);
+  ring_->Emit(obs::EventType::kCompactionPlan, shard, level,
+              plan.inputs.size());
+  // The job owns the runs it reads or rewrites until it ends: no other job
+  // plans against them meanwhile, so the install finds them as planned.
+  std::vector<uint64_t> owned;
+  for (const auto& in : plan.inputs) owned.push_back(in.run_id);
+  if (plan.target_run_id.has_value()) owned.push_back(*plan.target_run_id);
+  merging_runs_.insert(owned.begin(), owned.end());
 
-    // ---- Merge. ----
-    // The plan's FileMetaPtr references pin every input SST (and the caller
-    // pins `mem`): deferred GC never deletes a referenced file, so the
-    // merge reads a frozen snapshot whatever installs concurrently. The
-    // merge releases the mutex, except on the attempt after kMaxConflicts
-    // conflicts in a row, which holds it and so cannot conflict.
-    const bool unlocked = conflicts < kMaxConflicts;
-    const uint64_t t0 = NowMicros();
-    if (unlocked) lock.unlock();
-    s = compaction::RunMerge(shape, table_cache_.get(), plan, result);
-    if (unlocked) lock.lock();
-    if (!s.ok()) {
-      DeleteUninstalledOutputs(result->outputs);
-      return s;
-    }
+  // ---- Merge (mutex released). ----
+  // The plan's FileMetaPtr references pin every input SST (and the caller
+  // pins `mem`): deferred GC never deletes a referenced file, so the merge
+  // reads a frozen snapshot whatever installs concurrently.
+  const compaction::OutputShape shape = OutputShapeForDb();
+  const uint64_t t0 = NowMicros();
+  lock.unlock();
+  s = compaction::RunMerge(shape, table_cache_.get(), plan, result);
+  lock.lock();
+  for (uint64_t id : owned) merging_runs_.erase(merging_runs_.find(id));
+  bg_cv_.notify_all();  // A flush waiting for one of these runs re-checks.
+
+  // ---- Install (under the mutex). ----
+  if (s.ok()) {
     ring_->Emit(obs::EventType::kCompactionMerge, shard, level,
                 result->bytes_written);
-
-    // ---- Install (under the mutex), conflict-checked. ----
-    if (!unlocked || compaction::PlanStillValid(plan, *current_)) {
-      auto next = std::make_unique<Version>(*current_);
-      compaction::ApplyCompactionPlan(plan, std::move(result->outputs),
-                                      &next_run_id_, next.get(), consumed);
+    auto next = std::make_unique<Version>(*current_);
+    s = compaction::ApplyCompactionPlan(plan, result->outputs, &next_run_id_,
+                                        next.get(), consumed);
+    if (s.ok()) {
       InstallVersionLocked(std::move(next));
       ring_->Emit(obs::EventType::kCompactionInstall, shard, level,
                   NowMicros() - t0);
-      return Status::OK();
+      return s;
     }
-    // A concurrent job reshaped an input while the merge ran: discard the
-    // outputs and re-pick against the fresh version.
-    stats_.compaction_conflicts++;
-    ring_->Emit(obs::EventType::kCompactionConflict, shard, level, 0);
-    DeleteUninstalledOutputs(result->outputs);
   }
+  DeleteUninstalledOutputs(result->outputs);
+  return s;
 }
 
 Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
-                               const JobPicker& pick,
-                               std::optional<CompactionRequest>* job) {
+                               const CompactionRequest& job) {
   const uint64_t comp_t0 = NowMicros();
   compaction::MergeResult result;
   std::vector<FileMetaPtr> consumed;
-  Status s = RunJobLocked(lock, pick, nullptr, job, &result, &consumed);
-  if (!s.ok() || !job->has_value()) return s;
+  Status s = RunJobLocked(lock, job, nullptr, &result, &consumed);
+  if (!s.ok()) return s;
   // A merged compaction always consumes a file: nothing consumed means an
   // empty plan, which counts as done.
   if (!consumed.empty()) {
     latency_.Record(obs::OpType::kCompaction, NowMicros() - comp_t0);
-    amp_.RecordCompaction((*job)->output_level, result.bytes_read,
+    amp_.RecordCompaction(job.output_level, result.bytes_read,
                           result.bytes_written);
     // Persist the new structure before queueing the inputs for deletion
     // (crash safety).
@@ -1122,12 +1116,20 @@ Status DB::RunCompactionLocked(std::unique_lock<std::mutex>& lock,
     if (!s.ok()) return s;
     MarkObsoleteLocked(std::move(consumed));
   }
-  policy_->OnCompactionCompleted(**job, *current_);
+  policy_->OnCompactionCompleted(job, *current_);
   // The merge stage has released its file references by now, so unpinned
   // inputs are deleted here.
   s = CollectObsoleteLocked();
   bg_cv_.notify_all();  // Stalled writers re-check the shrunken debt.
   return s;
+}
+
+void DB::WaitOutLevel0FlushLocked(std::unique_lock<std::mutex>& lock) {
+  if (!level0_flush_) return;
+  pick_waiting_ = true;
+  bg_cv_.wait(lock, [this] { return !level0_flush_; });
+  pick_waiting_ = false;
+  bg_cv_.notify_all();  // The next leveling flush may claim level 0.
 }
 
 Status DB::CompactAll() {

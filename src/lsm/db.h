@@ -26,9 +26,10 @@
 // path holds it only for two short critical sections per commit group:
 // writers funnel through a group-commit queue (write/write_queue.h), and the
 // group leader performs the WAL append, the amortized sync, and the memtable
-// inserts with the mutex released (DESIGN.md §2.9). Planning and
-// conflict-checked installation of every maintenance job happen with the
-// mutex held (DESIGN.md §2.8).
+// inserts with the mutex released (DESIGN.md §2.9). Every maintenance job
+// plans and installs with the mutex held, and owns the runs its plan reads
+// or rewrites until it installs, so an install never finds its inputs
+// reshaped (DESIGN.md §2.1, §2.8).
 #ifndef TALUS_LSM_DB_H_
 #define TALUS_LSM_DB_H_
 
@@ -85,9 +86,6 @@ class ShardedDB;
 /// DB mutex.
 struct EngineStats {
   uint64_t flushes = 0;
-  // Merge results discarded because a concurrent flush reshaped the plan's
-  // inputs before install; the work was retried (DESIGN.md §2.8).
-  uint64_t compaction_conflicts = 0;
 
   // Obsolete SSTs physically deleted after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).
@@ -361,17 +359,17 @@ class DB {
   /// Flushes `mem` (pinned by the caller) as one maintenance job. Per the
   /// policy's FlushMode it becomes a new front run of level 0 (tiering) or
   /// is merged with level 0's whole newest run, which keeps its run id
-  /// (leveling). The files it consumed go to *obsolete: the caller installs
-  /// the manifest once the flushed WAL is retired, then queues them.
+  /// (leveling). A leveling flush first lets a compaction lane that waits
+  /// for level 0 pick, then waits for a merge that owns that run, then
+  /// holds off the compaction lane's picks until it installs.
+  /// The files it consumed go to *obsolete: the caller installs the
+  /// manifest once the flushed WAL is retired, then queues them.
   Status FlushMemToL0Locked(MemTable* mem, std::unique_lock<std::mutex>& lock,
                             std::vector<FileMetaPtr>* obsolete);
   /// The compaction lane's chain: queued requests ahead of each policy pick.
   Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock);
 
   // ---- Maintenance pipeline: plan → merge → install (DESIGN.md §2.1) ----
-  /// Builds a job's request against the current version; nullopt when
-  /// there is nothing to do. Called again after every conflict.
-  using JobPicker = std::function<std::optional<CompactionRequest>()>;
   /// Resolves `req` against the current version into an immutable plan
   /// (bits-per-key and smallest snapshot are captured here so the merge
   /// needs no DB state). A flush passes its memtable `mem`, which becomes
@@ -379,25 +377,25 @@ class DB {
   Status PlanForRequestLocked(const CompactionRequest& req, MemTable* mem,
                               compaction::CompactionPlan* plan);
   /// The one maintenance path, shared by flushes (`mem` set) and every
-  /// compaction: pick → plan → merge → conflict-checked install of a
-  /// successor version. The merge runs with the mutex released; a
-  /// conflicted install deletes its outputs and re-picks. After
-  /// kMaxConflicts conflicts in a row the merge holds the mutex, which
-  /// cannot conflict. *job is the installed request (nullopt: nothing to
-  /// do), *result the merge accounting, and the files the install consumed
-  /// are appended to *consumed. Callers own stats and manifest installs.
+  /// compaction: plan `req` → merge → install a successor version. The job
+  /// owns the runs its plan reads or rewrites (merging_runs_) while the
+  /// merge runs with the mutex released, and releases them on every exit
+  /// with a bg_cv_ notify. *result is the merge accounting, and the files
+  /// the install consumed are appended to *consumed (none for an empty
+  /// plan). Callers own stats and manifest installs.
   Status RunJobLocked(std::unique_lock<std::mutex>& lock,
-                      const JobPicker& pick, MemTable* mem,
-                      std::optional<CompactionRequest>* job,
+                      const CompactionRequest& req, MemTable* mem,
                       compaction::MergeResult* result,
                       std::vector<FileMetaPtr>* consumed);
   /// RunJobLocked for a compaction, then its stats, manifest install,
   /// policy callback and deferred GC of the consumed files.
   Status RunCompactionLocked(std::unique_lock<std::mutex>& lock,
-                             const JobPicker& pick,
-                             std::optional<CompactionRequest>* job);
-  /// Deletes merge outputs that never entered a version (failed or
-  /// conflicted merges). They are invisible to every reader, so immediate
+                             const CompactionRequest& job);
+  /// The compaction lane calls this before every pick: it waits while a
+  /// leveling flush rewrites level 0's run (flush first).
+  void WaitOutLevel0FlushLocked(std::unique_lock<std::mutex>& lock);
+  /// Deletes merge outputs that never entered a version (failed merges or
+  /// refused installs). They are invisible to every reader, so immediate
   /// removal is safe.
   void DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs);
   /// Output-file geometry shared by flush and compaction sorted-output
@@ -553,6 +551,16 @@ class DB {
   // starts in one of them.
   Lane flush_lane_ = Lane::kIdle;
   Lane compaction_lane_ = Lane::kIdle;
+  // Run ownership: the ids of the runs in-flight merges read or rewrite. A
+  // run has at most one owner, because a leveling flush waits for the
+  // merge that owns its target, and the compaction lane picks nothing
+  // while level0_flush_ is set.
+  std::multiset<uint64_t> merging_runs_;
+  // Set while a leveling flush rewrites level 0's newest run.
+  bool level0_flush_ = false;
+  // Set while the compaction lane waits for level0_flush_ to clear; the
+  // next flush lets it pick first.
+  bool pick_waiting_ = false;
   // CompactAll and ApplyPolicyConfig requests, oldest first, owned by their
   // waiting callers; empty whenever the compaction lane is idle.
   std::deque<LaneRequest*> lane_requests_;

@@ -12,7 +12,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kCompactionPlan: return "compaction_plan";
     case EventType::kCompactionMerge: return "compaction_merge";
     case EventType::kCompactionInstall: return "compaction_install";
-    case EventType::kCompactionConflict: return "compaction_conflict";
     case EventType::kStallEnter: return "stall_enter";
     case EventType::kStallExit: return "stall_exit";
     case EventType::kGcDelete: return "gc_delete";

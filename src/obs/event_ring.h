@@ -27,7 +27,6 @@ enum class EventType : uint8_t {
   kCompactionPlan,      // a: level, b: input runs
   kCompactionMerge,     // a: level, b: merged bytes
   kCompactionInstall,   // a: level, b: duration micros
-  kCompactionConflict,  // a: level
   kStallEnter,          // a: cause (see StallCauseName), b: 1 stop / 0 slowdown
   kStallExit,           // a: cause, b: stalled micros
   kGcDelete,            // a: tables deleted

@@ -68,9 +68,6 @@ const std::vector<MetricDef> kCatalog = {
     {nullptr, "comp_read", nullptr, kCounter, kSum, "bytes",
      "Entry bytes compactions read.",
      FROM(s.amp.Total(&Level::compaction_bytes_read))},
-    {"talus_compaction_conflicts_total", "conflicts", nullptr, kCounter, kSum,
-     "jobs", "Merges redone because a flush reshaped their inputs.",
-     FROM(s.stats.compaction_conflicts)},
     {nullptr, "filter_negatives", nullptr, kCounter, kSum, "probes",
      "Run probes a filter answered negative.",
      FROM(s.amp.Total(&Level::filter_negatives))},

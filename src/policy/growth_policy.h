@@ -10,14 +10,16 @@
 //     policy->OnFlushCompleted(version);
 //   compaction lane:
 //     while (auto req = policy->PickCompaction(version)) {
-//       merge; an install a concurrent job invalidated re-picks instead;
+//       merge and install it;
 //       policy->OnCompactionCompleted(*req, version);
 //     }
 //
 // With a thread pool the lanes run on pool threads, so several flushes can
-// complete before the next pick, and a pick whose install conflicts gets
-// no OnCompactionCompleted. Without one, the writer that queued the work
-// runs each flush's compaction chain before it returns.
+// complete before the next pick. A pick is merged by one job that owns its
+// runs until it installs, so it is never re-picked; only a failed merge
+// leaves a pick with no OnCompactionCompleted. Without a pool, the writer
+// that queued the work runs each flush's compaction chain before it
+// returns.
 //
 // Everything the paper varies — vertical vs horizontal growth, leveling vs
 // tiering merges, full vs partial granularity, counters, self-tuning — lives

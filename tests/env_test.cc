@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace talus {
@@ -236,6 +239,41 @@ TEST(MemEnvStats, IoAccounting) {
   ASSERT_TRUE(env->RemoveFile("/f").ok());
   EXPECT_EQ(io->storage_bytes(), 0u);
   EXPECT_EQ(io->peak_storage_bytes(), 8192u);  // Peak persists.
+}
+
+TEST(IoStatsTest, SequentialScopeDiscountsOnlyItsOwnThread) {
+  IoStats stats;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool scoped = false;
+  bool done = false;
+  double merge_read = 0;
+  // A merge thread holds a scope and reads one page at streaming cost.
+  std::thread merge([&] {
+    IoStats::SequentialScope scope(&stats);
+    const double before = stats.clock();
+    stats.RecordRead(4096);
+    merge_read = stats.clock() - before;
+    std::unique_lock<std::mutex> l(mu);
+    scoped = true;
+    cv.notify_all();
+    cv.wait(l, [&] { return done; });
+  });
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return scoped; });
+  }
+  // A foreground read meanwhile pays random-read latency plus a page.
+  const double before = stats.clock();
+  stats.RecordRead(4096);
+  EXPECT_DOUBLE_EQ(stats.clock() - before, 1.5);
+  {
+    std::lock_guard<std::mutex> l(mu);
+    done = true;
+  }
+  cv.notify_all();
+  merge.join();
+  EXPECT_DOUBLE_EQ(merge_read, 0.05);
 }
 
 TEST(MemEnvStats, IsolatedBetweenInstances) {

@@ -2,11 +2,13 @@
 // periodic ticker, stall-controller thresholds, an engine's flush and
 // compaction lanes (flush-first dispatch, teardown on a shared pool, the
 // talus.exec idle contract, CompactAll and policy switches as compaction
-// lane requests), and whole-engine inline-vs-background
-// equivalence under concurrent writers (the acceptance bar for DESIGN.md
-// §2).
+// lane requests), run ownership (a leveling flush and a merge of level 0's
+// run wait for each other; a tiering flush never waits), and whole-engine
+// inline-vs-background equivalence under concurrent writers (the
+// acceptance bar for DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -467,14 +469,15 @@ class PoolGate {
 };
 
 // Puts `prefix`-keyed values until the engine switches its memtable once,
-// which queues its flush lane.
-void PutUntilSwitch(DB* db, const std::string& prefix) {
+// which queues its flush lane. *puts, when given, is how many it made.
+void PutUntilSwitch(DB* db, const std::string& prefix, int* puts = nullptr) {
   const uint64_t before = db->stats().memtable_switches;
   for (int i = 0; db->stats().memtable_switches == before; i++) {
     ASSERT_LT(i, 100000) << "no memtable switch";
     ASSERT_TRUE(db->Put(prefix + workload::FormatKey(i, 16),
                         std::string(100, 'v'))
                     .ok());
+    if (puts != nullptr) *puts = i + 1;
   }
 }
 
@@ -956,6 +959,245 @@ TEST(InlineLanes, ConcurrentWritersAndReadersMatchAnOracle) {
   EXPECT_EQ(FullScan(db.get()), want);
   EXPECT_GT(db->stats().flushes, 0u);
   EXPECT_GT(db->GetAmpSnapshot().Total(&obs::AmpSnapshot::Level::compactions), 0u);
+}
+
+// ------------------------------- Run ownership (a pool of two, one engine)
+
+// Holds the next `n` SSTs created after HoldNextSsts(n) — each a merge's
+// first output write — one at a time: the i-th held one waits until
+// Release() has been called i times. The merge's runs stay owned and the
+// DB mutex free while it waits.
+class SstGateEnv : public FileOpLogEnv {
+ public:
+  using FileOpLogEnv::FileOpLogEnv;
+
+  void HoldNextSsts(int n) {
+    std::lock_guard<std::mutex> l(mu_);
+    armed_ += n;
+  }
+  /// Returns once `n` merges have reached the gate.
+  void WaitHeld(int n) {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this, n] { return held_ >= n; });
+  }
+  /// Lets the oldest held merge go on.
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_++;
+    cv_.notify_all();
+  }
+  void ReleaseAll() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = 1 << 30;
+    cv_.notify_all();
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (EndsWith(fname, ".sst")) {
+      std::unique_lock<std::mutex> l(mu_);
+      if (armed_ > 0) {
+        armed_--;
+        const int ticket = ++held_;
+        cv_.notify_all();
+        cv_.wait(l, [this, ticket] { return released_ >= ticket; });
+      }
+    }
+    return FileOpLogEnv::NewWritableFile(fname, result);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int armed_ = 0;
+  int held_ = 0;
+  int released_ = 0;
+};
+
+// Opens the gate when a test leaves early, before its engine's teardown
+// waits for a held merge.
+struct ReleaseOnExit {
+  SstGateEnv* env;
+  ~ReleaseOnExit() { env->ReleaseAll(); }
+};
+
+// Waits up to ten seconds for the engine to emit `type` since `mark`.
+bool AwaitEvent(DB* db, uint64_t mark, obs::EventType type) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (EventsSince(db, mark, type) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Opens a pooled engine on `env` and the two-thread `pool` under `policy`.
+// Writers stop at `max_imm` immutable memtables.
+std::unique_ptr<DB> OpenPooled(Env* env, exec::ThreadPool* pool,
+                               const GrowthPolicyConfig& policy,
+                               size_t max_imm = 2) {
+  DbOptions opts = TestOptions(env, ExecutionMode::kBackground, policy);
+  opts.shared_pool = pool;
+  opts.max_immutable_memtables = max_imm;
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(opts, &db).ok());
+  return db;
+}
+
+TEST(RunOwnership, LevelingFlushWaitsForTheMergeThatOwnsItsTarget) {
+  exec::ThreadPool pool(2);
+  auto base = NewMemEnv();
+  SstGateEnv env(base.get());
+  std::unique_ptr<DB> db =
+      OpenPooled(&env, &pool, GrowthPolicyConfig::VTLevelFull(3));
+  ReleaseOnExit release{&env};
+  ASSERT_TRUE(db->Put("a", "v").ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  ASSERT_EQ(db->current_version().levels[0].runs.size(), 1u);
+
+  // The whole-tree merge owns level 0's run while its output is held.
+  env.HoldNextSsts(1);
+  std::thread compact_all([&db] { EXPECT_TRUE(db->CompactAll().ok()); });
+  env.WaitHeld(1);
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  int puts = 0;
+  PutUntilSwitch(db.get(), "k", &puts);
+  // The second pool thread starts the leveling flush, which waits for the
+  // held merge instead of rewriting the run under it.
+  const bool began = AwaitEvent(db.get(), mark, obs::EventType::kFlushBegin);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(began);
+  EXPECT_EQ(EventsSince(db.get(), mark, obs::EventType::kFlushEnd), 0);
+  env.ReleaseAll();
+  compact_all.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  EXPECT_EQ(EventsSince(db.get(), mark, obs::EventType::kFlushEnd), 1);
+
+  // The same writes with no pool scan back the same database.
+  auto inline_env = NewMemEnv();
+  std::unique_ptr<DB> inline_db;
+  ASSERT_TRUE(DB::Open(TestOptions(inline_env.get(), ExecutionMode::kInline,
+                                   GrowthPolicyConfig::VTLevelFull(3)),
+                       &inline_db)
+                  .ok());
+  ASSERT_TRUE(inline_db->Put("a", "v").ok());
+  ASSERT_TRUE(inline_db->CompactAll().ok());
+  for (int i = 0; i < puts; i++) {
+    ASSERT_TRUE(inline_db
+                    ->Put("k" + workload::FormatKey(i, 16),
+                          std::string(100, 'v'))
+                    .ok());
+  }
+  ASSERT_TRUE(inline_db->FlushMemTable().ok());
+  EXPECT_EQ(FullScan(db.get()), FullScan(inline_db.get()));
+}
+
+// Run counts of levels 0, 1 and 2.
+std::vector<size_t> RunsPerLevel(DB* db) {
+  std::vector<size_t> runs(3, 0);
+  const Version& v = db->current_version();
+  for (size_t i = 0; i < v.levels.size() && i < runs.size(); i++) {
+    runs[i] = v.levels[i].runs.size();
+  }
+  return runs;
+}
+
+// Output levels of the compaction plans the engine emitted since `mark`,
+// in order: a flush plans into level 0, a catch-up merge into its level.
+std::vector<uint64_t> PlanLevelsSince(DB* db, uint64_t mark) {
+  std::vector<uint64_t> levels;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.seq >= mark && e.type == obs::EventType::kCompactionPlan) {
+      levels.push_back(e.a);
+    }
+  }
+  return levels;
+}
+
+TEST(RunOwnership, HeldLevelingFlushKeepsTheCompactionLaneFromPicking) {
+  exec::ThreadPool pool(2);
+  auto base = NewMemEnv();
+  SstGateEnv env(base.get());
+  std::unique_ptr<DB> db = OpenPooled(
+      &env, &pool, GrowthPolicyConfig::VTTierFull(3), /*max_imm=*/4);
+  ReleaseOnExit release{&env};
+  // A tiered layout: one level-0 run above two runs in each of levels 1
+  // and 2.
+  for (int i = 0; RunsPerLevel(db.get()) != std::vector<size_t>{1, 2, 2};
+       i++) {
+    ASSERT_LT(i, 100) << db->DebugString();
+    ASSERT_TRUE(db->Put("t" + workload::FormatKey(i, 16), "v").ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+
+  // A switch to leveling merges level 1's runs, then level 2's. The first
+  // merge is held at its output; the leveling flush that follows rewrites
+  // level 0's run, which that merge does not own, and is held too. A
+  // second full memtable queues behind it.
+  env.HoldNextSsts(2);
+  Status switched;
+  std::thread switcher([&db, &switched] {
+    switched = db->ApplyPolicyConfig(GrowthPolicyConfig::VTLevelFull(3));
+  });
+  env.WaitHeld(1);
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  PutUntilSwitch(db.get(), "k");
+  env.WaitHeld(2);
+  PutUntilSwitch(db.get(), "m");
+  // Level 1's merge installs, and the lane does not plan level 2's while
+  // the flush rewrites level 0.
+  env.Release();
+  const bool installed =
+      AwaitEvent(db.get(), mark, obs::EventType::kCompactionInstall);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(installed);
+  EXPECT_EQ(PlanLevelsSince(db.get(), mark), std::vector<uint64_t>{0});
+  EXPECT_EQ(EventsSince(db.get(), mark, obs::EventType::kFlushEnd), 0);
+  // Once the held flush installs, the waiting lane plans level 2's merge
+  // before the queued flush plans its own.
+  env.Release();
+  switcher.join();
+  EXPECT_TRUE(switched.ok()) << switched.ToString();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  const std::vector<uint64_t> plans = PlanLevelsSince(db.get(), mark);
+  ASSERT_GE(plans.size(), 3u);
+  EXPECT_EQ(std::vector<uint64_t>(plans.begin(), plans.begin() + 3),
+            (std::vector<uint64_t>{0, 2, 0}));
+  for (const auto& level : db->current_version().levels) {
+    EXPECT_LE(level.runs.size(), 1u) << db->DebugString();
+  }
+}
+
+TEST(RunOwnership, TieringFlushInstallsWhileAMergeIsHeld) {
+  exec::ThreadPool pool(2);
+  auto base = NewMemEnv();
+  SstGateEnv env(base.get());
+  std::unique_ptr<DB> db =
+      OpenPooled(&env, &pool, GrowthPolicyConfig::VTTierFull(3));
+  ReleaseOnExit release{&env};
+  FlushTwoRuns(db.get());
+
+  env.HoldNextSsts(1);
+  std::thread compact_all([&db] { EXPECT_TRUE(db->CompactAll().ok()); });
+  env.WaitHeld(1);
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  int puts = 0;
+  PutUntilSwitch(db.get(), "k", &puts);
+  // A tiering flush makes a new front run, which no merge owns: it
+  // installs while the whole-tree merge is still held.
+  EXPECT_TRUE(AwaitEvent(db.get(), mark, obs::EventType::kFlushEnd));
+  env.ReleaseAll();
+  compact_all.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  std::vector<std::pair<std::string, std::string>> want = {{"run0", "v"},
+                                                           {"run1", "v"}};
+  for (int i = 0; i < puts; i++) {
+    want.emplace_back("k" + workload::FormatKey(i, 16), std::string(100, 'v'));
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(FullScan(db.get()), want);
 }
 
 // With both lanes idle no maintenance can retire level-0 debt, so a writer

@@ -262,8 +262,6 @@ TEST(CacheCounters, FlushReadBytesSeparatedFromCompactionReads) {
             StatField(stats, "flush_read"));
   EXPECT_EQ(amp.Total(&obs::AmpSnapshot::Level::compaction_bytes_read),
             StatField(stats, "comp_read"));
-  EXPECT_EQ(db->stats().compaction_conflicts,
-            StatField(stats, "conflicts"));
 }
 
 TEST(CacheCounters, BlockCacheEvictionsCounted) {

@@ -1694,7 +1694,6 @@ const GoldenPair kGoldenStats[] = {
     {"cache_hits", "757"},
     {"comp_read", "488418"},
     {"compactions", "3"},
-    {"conflicts", "0"},
     {"deletes", "292"},
     {"filter_negatives", "1669"},
     {"flush_read", "1564047"},
@@ -1747,7 +1746,6 @@ const GoldenPair kGoldenTypes[] = {
     {"talus_amp_user_payload_bytes_total", "counter"},
     {"talus_blocks_per_lookup", "gauge"},
     {"talus_compaction_bytes_written_total", "counter"},
-    {"talus_compaction_conflicts_total", "counter"},
     {"talus_compactions_total", "counter"},
     {"talus_data_bytes", "gauge"},
     {"talus_deletes_total", "counter"},
@@ -1804,7 +1802,6 @@ const GoldenPair kGoldenSeries[] = {
     {"talus_amp_user_payload_bytes_total", "394470"},
     {"talus_blocks_per_lookup", "0.239056"},
     {"talus_compaction_bytes_written_total", "359645"},
-    {"talus_compaction_conflicts_total", "0"},
     {"talus_compactions_total", "3"},
     {"talus_data_bytes", "201827"},
     {"talus_deletes_total", "292"},

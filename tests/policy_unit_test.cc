@@ -499,7 +499,7 @@ struct SeamHash {
 
 // Every named policy, driven through the call orders a thread pool produces:
 // two flushes installed before the compaction lane picks, a pick whose
-// install conflicts (no OnCompactionCompleted follows), completions reported
+// merge fails (no OnCompactionCompleted follows), completions reported
 // against a newer version, clears, cascades and Vertiorizon's resizes. Each
 // returned request, each EncodeState() after every call, and the flush mode,
 // level count and filter forecast at every step are folded into one hash per
@@ -582,7 +582,7 @@ TEST(PolicySeam, PoolOrderCallSequencesArePinned) {
         case 2:  // A pick installed against a newer version.
           if (auto req = pick(v)) complete(*req, next);
           break;
-        case 3:  // A pick whose install conflicts: no completion follows.
+        case 3:  // A pick whose merge fails: no completion follows.
           pick(v);
           break;
         default:  // An inline chain: pick and install until quiet.
