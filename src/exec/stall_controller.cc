@@ -17,16 +17,14 @@ StallController::StallController(const StallConfig& config) : config_(config) {
 StallDecision StallController::Decide(size_t imm_count, size_t l0_runs,
                                       StallCause* cause) const {
   const bool imm_stop = imm_count >= config_.max_immutable_memtables;
-  const bool imm_slow = config_.max_immutable_memtables > 1 &&
-                        imm_count + 1 >= config_.max_immutable_memtables;
   StallDecision decision = StallDecision::kNone;
   StallCause why = StallCause::kNone;
   if (imm_stop || l0_runs >= config_.l0_stop_runs) {
     decision = StallDecision::kStop;
     why = imm_stop ? StallCause::kMemtable : StallCause::kL0;
-  } else if (imm_slow || l0_runs >= config_.l0_slowdown_runs) {
+  } else if (l0_runs >= config_.l0_slowdown_runs) {
     decision = StallDecision::kSlowdown;
-    why = imm_slow ? StallCause::kMemtable : StallCause::kL0;
+    why = StallCause::kL0;
   }
   if (cause != nullptr) *cause = why;
   return decision;

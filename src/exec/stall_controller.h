@@ -7,8 +7,9 @@
 // compaction retires debt). Triggers:
 //   stop:     immutable memtables at the cap, or level-0 runs at the stop
 //             threshold;
-//   slowdown: one memtable switch away from the cap, or level-0 runs at the
-//             slowdown threshold.
+//   slowdown: level-0 runs at the slowdown threshold.
+// Memtable debt has no slowdown stage (nor has RocksDB's below four write
+// buffers): a writer proceeds while flushes are queued below the cap.
 // The controller is pure decision logic; the DB enforces the decision
 // (sleeping / waiting on its condition variable) and accounts stall time in
 // EngineStats, because only it owns the lock and the wait conditions.
@@ -34,10 +35,10 @@ struct StallConfig {
 
 enum class StallDecision { kNone, kSlowdown, kStop };
 
-/// Which debt triggered the decision. When both debts trip the same regime,
-/// memtable debt wins the attribution: it is the nearer-term emergency (one
-/// flush retires it) and the distinction is what talus.stats and the event
-/// trace report as the stall cause.
+/// Which debt triggered the decision. A slowdown is always level-0 debt.
+/// When both debts stop writes, memtable debt wins the attribution: it is
+/// the nearer-term emergency (one flush retires it) and the distinction is
+/// what talus.stats and the event trace report as the stall cause.
 enum class StallCause { kNone, kMemtable, kL0 };
 
 class StallController {

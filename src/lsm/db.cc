@@ -728,11 +728,7 @@ Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
     }
     if (decision == exec::StallDecision::kSlowdown && !already_slowed) {
       already_slowed = true;
-      if (cause == exec::StallCause::kMemtable) {
-        stats_.stall_slowdowns_memtable++;
-      } else {
-        stats_.stall_slowdowns_l0++;
-      }
+      stats_.stall_slowdowns_l0++;
       ring_->Emit(obs::EventType::kStallEnter, shard, cause_code, 0);
       const uint64_t start = NowMicros();
       lock.unlock();

@@ -102,16 +102,13 @@ struct EngineStats {
   // debt, l0 = level-0 run debt. The totals below are sums of these parts.
   uint64_t stall_slowdown_micros = 0;
   uint64_t stall_stop_micros = 0;
-  uint64_t stall_slowdowns_memtable = 0;
   uint64_t stall_slowdowns_l0 = 0;
   uint64_t stall_stops_memtable = 0;
   uint64_t stall_stops_l0 = 0;
   uint64_t max_imm_queue_depth = 0; // High-water immutable-memtable count.
 
-  /// Writes delayed by the slowdown regime.
-  uint64_t stall_slowdowns() const {
-    return stall_slowdowns_memtable + stall_slowdowns_l0;
-  }
+  /// Writes delayed by the slowdown regime, which only level-0 debt enters.
+  uint64_t stall_slowdowns() const { return stall_slowdowns_l0; }
   /// Writes blocked until the debt retired.
   uint64_t stall_stops() const {
     return stall_stops_memtable + stall_stops_l0;

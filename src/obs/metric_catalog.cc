@@ -91,9 +91,6 @@ const std::vector<MetricDef> kCatalog = {
      FROM(s.stats.stall_slowdown_micros)},
     {"talus_stall_micros_total{regime=\"stop\"}", "stall_stop_us", nullptr,
      kCounter, kSum, "us", kStallUsHelp, FROM(s.stats.stall_stop_micros)},
-    {"talus_stalls_total{regime=\"slowdown\",cause=\"memtable\"}",
-     "slowdowns_memtable", nullptr, kCounter, kSum, "writes", kStallsHelp,
-     FROM(s.stats.stall_slowdowns_memtable)},
     {"talus_stalls_total{regime=\"slowdown\",cause=\"l0\"}", "slowdowns_l0",
      nullptr, kCounter, kSum, "writes", kStallsHelp,
      FROM(s.stats.stall_slowdowns_l0)},

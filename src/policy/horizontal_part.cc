@@ -64,7 +64,7 @@ int HorizontalPart::OnFlush() {
       }
     }
   }
-  pending_cascade_ = cascade_end;
+  pending_cascade_ = std::max(pending_cascade_, cascade_end);
   return cascade_end;
 }
 

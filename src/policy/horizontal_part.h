@@ -47,8 +47,9 @@ class HorizontalPart {
   /// Starts a phase with every counter at `k`.
   void Rearm(uint64_t k);
 
-  /// Runs the counters for one flush and records the cascade it triggers.
-  /// Returns the cascade end e (levels [0..e] merge into e+1), or -1.
+  /// Runs the counters for one flush and folds the cascade it triggers into
+  /// the recorded one, which then ends at the deeper of the two. Returns
+  /// this flush's cascade end e (levels [0..e] merge into e+1), or -1.
   int OnFlush();
   /// Only tiering counters drain: all zero, the phase's flushes are spent.
   bool Drained() const;

@@ -171,8 +171,8 @@ TEST(StallControllerTest, ThresholdsDriveDecisions) {
   // Healthy state.
   EXPECT_EQ(ctl.Decide(0, 0), exec::StallDecision::kNone);
   EXPECT_EQ(ctl.Decide(0, 3), exec::StallDecision::kNone);
-  // One switch away from the memtable cap → slowdown.
-  EXPECT_EQ(ctl.Decide(1, 0), exec::StallDecision::kSlowdown);
+  // A queued memtable below the cap has no slowdown stage.
+  EXPECT_EQ(ctl.Decide(1, 0), exec::StallDecision::kNone);
   // L0 slowdown threshold.
   EXPECT_EQ(ctl.Decide(0, 4), exec::StallDecision::kSlowdown);
   EXPECT_EQ(ctl.Decide(0, 7), exec::StallDecision::kSlowdown);
@@ -188,8 +188,8 @@ TEST(StallControllerTest, SanitizesDegenerateConfig) {
   config.l0_slowdown_runs = 10;
   config.l0_stop_runs = 5;  // Below slowdown: pushed above it.
   exec::StallController ctl(config);
-  // max_immutable_memtables == 1 must not put every write in slowdown.
   EXPECT_EQ(ctl.Decide(0, 0), exec::StallDecision::kNone);
+  // A cap of one stops writes at the first queued memtable.
   EXPECT_EQ(ctl.Decide(1, 0), exec::StallDecision::kStop);
   EXPECT_EQ(ctl.Decide(0, 10), exec::StallDecision::kSlowdown);
   EXPECT_EQ(ctl.Decide(0, 11), exec::StallDecision::kStop);
@@ -1224,6 +1224,68 @@ TEST(StallValve, IdleLanesNeverSlowAWriter) {
       EXPECT_NE(e.type, obs::EventType::kStallEnter);
     }
   }
+}
+
+// A flush queued below the memtable cap does not slow writers: they fill
+// the next memtable at full speed, and the switch that reaches the cap stops
+// them until a flush installs.
+TEST(StallGate, WritersStopAtTheMemtableCapWithoutSlowingDown) {
+  exec::ThreadPool pool(2);
+  auto base = NewMemEnv();
+  SstGateEnv env(base.get());
+  std::unique_ptr<DB> db =
+      OpenPooled(&env, &pool, GrowthPolicyConfig::VTTierFull(3));
+  ReleaseOnExit release{&env};
+  const uint64_t mark = db->event_ring()->TotalEmitted();
+  // The first flush is held at its output, so its memtable stays queued
+  // while the writer fills the second.
+  env.HoldNextSsts(1);
+  PutUntilSwitch(db.get(), "a");
+  env.WaitHeld(1);
+  PutUntilSwitch(db.get(), "b");
+  EXPECT_EQ(db->stats().stall_slowdowns(), 0u);
+  EXPECT_EQ(db->stats().stall_stops(), 0u);
+
+  // Two immutable memtables: the next write stops.
+  std::atomic<bool> written{false};
+  std::thread writer([&db, &written] {
+    EXPECT_TRUE(db->Put("c", "v").ok());
+    written = true;
+  });
+  const bool stopped =
+      AwaitEvent(db.get(), mark, obs::EventType::kStallEnter);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(stopped);
+  EXPECT_FALSE(written);
+  env.Release();
+  writer.join();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  EXPECT_EQ(db->stats().stall_slowdowns(), 0u);
+  EXPECT_EQ(db->stats().stall_stops_memtable, 1u);
+
+  // One stop for memtable debt (b = 1, never a slowdown's 0), left only
+  // after the held flush ended.
+  std::vector<obs::EventType> order;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.seq < mark) continue;
+    if (e.type == obs::EventType::kStallEnter) {
+      EXPECT_EQ(e.a, obs::kCauseMemtable);
+      EXPECT_EQ(e.b, 1u);
+    }
+    if (e.type == obs::EventType::kStallEnter ||
+        e.type == obs::EventType::kStallExit ||
+        e.type == obs::EventType::kFlushEnd) {
+      order.push_back(e.type);
+    }
+  }
+  auto first = [&order](obs::EventType type) {
+    return std::find(order.begin(), order.end(), type) - order.begin();
+  };
+  EXPECT_EQ(first(obs::EventType::kStallEnter), 0);
+  EXPECT_LT(first(obs::EventType::kFlushEnd),
+            first(obs::EventType::kStallExit));
+  EXPECT_LT(first(obs::EventType::kStallExit),
+            static_cast<std::ptrdiff_t>(order.size()));
 }
 
 TEST(ExecDbTest, ReopenAfterBackgroundModeRecovers) {

@@ -1711,7 +1711,6 @@ const GoldenPair kGoldenStats[] = {
     {"scans", "324"},
     {"slowdowns", "0"},
     {"slowdowns_l0", "0"},
-    {"slowdowns_memtable", "0"},
     {"stall_slowdown_us", "0"},
     {"stall_stop_us", "0"},
     {"stall_us", "0"},
@@ -1833,7 +1832,6 @@ const GoldenPair kGoldenSeries[] = {
     {"talus_stall_micros_total{regime=\"slowdown\"}", "0"},
     {"talus_stall_micros_total{regime=\"stop\"}", "0"},
     {"talus_stalls_total{regime=\"slowdown\",cause=\"l0\"}", "0"},
-    {"talus_stalls_total{regime=\"slowdown\",cause=\"memtable\"}", "0"},
     {"talus_stalls_total{regime=\"stop\",cause=\"l0\"}", "0"},
     {"talus_stalls_total{regime=\"stop\",cause=\"memtable\"}", "0"},
     {"talus_tune_cost{design=\"best\"}", "0.475276"},

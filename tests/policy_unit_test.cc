@@ -6,8 +6,10 @@
 // a thread pool's call orders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -506,6 +508,8 @@ struct SeamHash {
 // policy. The constants were recorded before the growth designs were
 // composed from parts; they pin that the composed policy makes the same
 // decisions call for call, and are never edited to make a refactor pass.
+// The six names with a horizontal part were re-recorded once, when
+// cascades owed by flushes installed before one pick began to fold.
 TEST(PolicySeam, PoolOrderCallSequencesArePinned) {
   const std::vector<std::pair<std::string, uint64_t>> pinned = {
       {"vt-level-part", 0x8acc2be5be6a1c51ull},
@@ -514,13 +518,13 @@ TEST(PolicySeam, PoolOrderCallSequencesArePinned) {
       {"vt-tier-full", 0xfd3b88e0d25b6fd8ull},
       {"rocksdb-tuned", 0xaf1c1ef033e89f32ull},
       {"universal", 0x8431d22657b08c50ull},
-      {"hr-level", 0xca7cad222351ba2full},
-      {"hr-tier", 0x189f314e3638901aull},
-      {"vrn-level", 0x6154ca517b17c6daull},
-      {"vrn-tier", 0xd5feb3d8270d020eull},
-      {"vertiorizon", 0xdeb4129902d79211ull},
+      {"hr-level", 0x914f5a3b7ba17153ull},
+      {"hr-tier", 0xff4b61f66ab436e5ull},
+      {"vrn-level", 0xd488e0f9d8d30a36ull},
+      {"vrn-tier", 0xbfaa5a8dc9b32f69ull},
+      {"vertiorizon", 0x50cb92c532f0ade7ull},
       {"lazy", 0x157789fedcc14596ull},
-      {"lazy-vrn", 0xf25b46573a992503ull},
+      {"lazy-vrn", 0x09c95740fa2f6424ull},
   };
   const std::vector<Version> versions = {
       SeamVersion({}),
@@ -626,6 +630,104 @@ TEST(PolicySeam, PoolOrderCallSequencesArePinned) {
       EXPECT_GT(scale(policy->EncodeState()), scale(initial_state)) << name;
     }
   }
+}
+
+// The names whose design has a horizontal part.
+const char* const kHorizontalNames[] = {"hr-level",  "hr-tier",
+                                        "vrn-level", "vrn-tier",
+                                        "vertiorizon", "lazy-vrn"};
+
+std::unique_ptr<GrowthPolicy> NamedPolicy(const std::string& name) {
+  GrowthPolicyConfig config;
+  EXPECT_TRUE(GrowthPolicyConfigByName(name, 3, 1 << 20, &config)) << name;
+  return CreateGrowthPolicy(config, Ctx());
+}
+
+// One small run on every level: each cascade has inputs, and no horizontal
+// part ever fills, so no clear supersedes a cascade.
+Version SmallRunOnEveryLevel() {
+  return SeamVersion(std::vector<std::pair<int, uint64_t>>(10, {1, 100}));
+}
+
+// The cascade end e a request merges ([0..e] → e+1), or -1 when it is no
+// cascade (none, a clear or vertical work).
+int CascadeEnd(const std::optional<CompactionRequest>& req) {
+  static const std::string kCascade = "-cascade[0..";
+  if (!req.has_value() || req->reason.find("clear") != std::string::npos) {
+    return -1;
+  }
+  const size_t at = req->reason.find(kCascade);
+  return at == std::string::npos
+             ? -1
+             : std::stoi(req->reason.substr(at + kCascade.size()));
+}
+
+// Runs `flushes` flushes in kInline's order, each followed by one pick and
+// its install, and returns the cascade end each flush's pick merged.
+std::vector<int> RunInline(GrowthPolicy* policy, const Version& v,
+                           int flushes) {
+  std::vector<int> ends;
+  for (int f = 0; f < flushes; f++) {
+    policy->OnFlushCompleted(v);
+    auto req = policy->PickCompaction(v);
+    ends.push_back(CascadeEnd(req));
+    if (req.has_value()) policy->OnCompactionCompleted(*req, v);
+  }
+  return ends;
+}
+
+// A flush that triggers a cascade, then one that triggers none, both
+// installed before the compaction lane picks: the pick merges the cascade.
+TEST(PolicySeam, AFlushWithNoCascadeKeepsTheOneOwed) {
+  const Version v = SmallRunOnEveryLevel();
+  for (const std::string name : kHorizontalNames) {
+    const std::vector<int> ends = RunInline(NamedPolicy(name).get(), v, 200);
+    size_t i = 0;
+    while (i + 1 < ends.size() && !(ends[i] >= 0 && ends[i + 1] < 0)) i++;
+    ASSERT_LT(i + 1, ends.size()) << name;
+
+    auto policy = NamedPolicy(name);
+    RunInline(policy.get(), v, static_cast<int>(i));
+    policy->OnFlushCompleted(v);
+    policy->OnFlushCompleted(v);
+    EXPECT_EQ(CascadeEnd(policy->PickCompaction(v)), ends[i]) << name;
+  }
+}
+
+// Two cascades of different depths, triggered by flushes installed before
+// one pick, fold into one merge of the deeper prefix (footnote 6),
+// whichever comes first (HR-Level's deeper one does, lazy-vrn's shallower
+// one does). An ℓ = 2 part has one cascade, [0..0].
+TEST(PolicySeam, CascadesOwedTogetherMergeTheDeeperPrefix) {
+  const Version v = SmallRunOnEveryLevel();
+  std::vector<std::string> folded;
+  for (const std::string name : kHorizontalNames) {
+    const std::vector<int> ends = RunInline(NamedPolicy(name).get(), v, 400);
+    // The first cascade whose next cascade has another depth.
+    size_t i = 0, j = 0;
+    for (size_t k = 0; k < ends.size() && j == 0; k++) {
+      if (ends[k] < 0) continue;
+      if (ends[k] != ends[i] && ends[i] >= 0) {
+        j = k;
+      } else {
+        i = k;
+      }
+    }
+    if (j == 0) {
+      EXPECT_EQ(*std::max_element(ends.begin(), ends.end()), 0) << name;
+      continue;
+    }
+    folded.push_back(name);
+
+    auto policy = NamedPolicy(name);
+    RunInline(policy.get(), v, static_cast<int>(i));
+    for (size_t f = i; f <= j; f++) policy->OnFlushCompleted(v);
+    EXPECT_EQ(CascadeEnd(policy->PickCompaction(v)),
+              std::max(ends[i], ends[j]))
+        << name << ": [0.." << ends[i] << "] then [0.." << ends[j] << "]";
+  }
+  EXPECT_EQ(folded,
+            (std::vector<std::string>{"hr-level", "hr-tier", "lazy-vrn"}));
 }
 
 }  // namespace
